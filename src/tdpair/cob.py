@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .exactfield import (
     FieldElement,
-    ZeroDenominatorPochhammer,
+    _inv_poch,
     binomial,
     is_zero,
     pochhammer,
@@ -81,13 +81,6 @@ class StructureViolation(ArithmeticError):
         if detail:
             msg = f"{detail}: {msg}"
         super().__init__(msg)
-
-
-def _inv_poch(base: FieldElement, k: int, detail: str) -> FieldElement:
-    v = pochhammer(base, k)
-    if is_zero(v):
-        raise ZeroDenominatorPochhammer(k, detail)
-    return v
 
 
 def _weight(n: Sequence[int]) -> int:

@@ -11,8 +11,9 @@ below means any of the three.  All operations are pure and every value is
 immutable, so everything in this module is safe to use concurrently.
 
 The module also provides the handful of combinatorial primitives that all
-closed formulas in the package are assembled from: Pochhammer symbols,
-binomial coefficients, and terminating generalized hypergeometric sums.
+closed formulas in the package are assembled from: Pochhammer symbols
+(memoized over Q in a bounded cache), binomial coefficients, and terminating
+generalized hypergeometric series, advanced term by term.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import lru_cache
+from typing import Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -35,6 +37,7 @@ __all__ = [
     "as_integer",
     "pochhammer",
     "binomial",
+    "hypergeometric_terms",
     "pfq_terminating",
     "limit_at_zero",
 ]
@@ -147,6 +150,9 @@ def _valuation(a: _Poly) -> int:
     return 0
 
 
+_ONE: _Poly = (Fraction(1),)
+
+
 class RationalFunction:
     """A univariate rational function over the rationals, in canonical form.
 
@@ -195,17 +201,25 @@ class RationalFunction:
         raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
 
     @classmethod
-    def _raw(cls, num: _Poly, den: _Poly) -> "RationalFunction":
+    def _reduced(cls, num: _Poly, den: _Poly) -> "RationalFunction":
+        # for num and den already coprime with den monic: nothing to reduce
         obj = cls.__new__(cls)
-        RationalFunction.__init__(obj, num, den)
+        obj.num, obj.den = (num, den) if num else ((), _ONE)
         return obj
 
     # -- field structure ------------------------------------------------
+    # With a polynomial operand c the result needs no gcd: a/b + c has
+    # numerator a + cb and gcd(a + cb, b) = gcd(a, b) = 1; a constant c
+    # scales the numerator of a/b and keeps it coprime to b.
 
     def __add__(self, other):
         o = _as_rf(other)
         if o is NotImplemented:
             return NotImplemented
+        if o.den == _ONE:
+            return RationalFunction._reduced(_padd(self.num, _pmul(o.num, self.den)), self.den)
+        if self.den == _ONE:
+            return RationalFunction._reduced(_padd(o.num, _pmul(self.num, o.den)), o.den)
         return RationalFunction(
             _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
             _pmul(self.den, o.den),
@@ -217,10 +231,7 @@ class RationalFunction:
         o = _as_rf(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            _padd(_pmul(self.num, o.den), _pneg(_pmul(o.num, self.den))),
-            _pmul(self.den, o.den),
-        )
+        return self + (-o)
 
     def __rsub__(self, other):
         o = _as_rf(other)
@@ -232,6 +243,10 @@ class RationalFunction:
         o = _as_rf(other)
         if o is NotImplemented:
             return NotImplemented
+        if len(o.num) <= 1 and o.den == _ONE:
+            return RationalFunction._reduced(_pmul(self.num, o.num), self.den)
+        if len(self.num) <= 1 and self.den == _ONE:
+            return RationalFunction._reduced(_pmul(o.num, self.num), o.den)
         return RationalFunction(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -267,7 +282,7 @@ class RationalFunction:
         return out
 
     def __neg__(self):
-        return RationalFunction._raw(_pneg(self.num), self.den)
+        return RationalFunction._reduced(_pneg(self.num), self.den)
 
     def __pos__(self):
         return self
@@ -343,7 +358,7 @@ def _as_rf(v):
     if isinstance(v, RationalFunction):
         return v
     if isinstance(v, (int, Fraction)):
-        return RationalFunction(v)
+        return RationalFunction._reduced(_pconst(Fraction(v)), _ONE)
     return NotImplemented
 
 
@@ -413,11 +428,42 @@ def pochhammer(x: FieldElement, k: int) -> FieldElement:
     """Rising factorial x(x+1)...(x+k-1); equals 1 when k = 0."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("pochhammer requires a nonnegative integer length")
-    acc: FieldElement = Fraction(1)
     x = _coerce(x)
-    for j in range(k):
+    if k == 0:
+        return Fraction(1)
+    if isinstance(x, RationalFunction):
+        return _pochhammer_qt(x, k)
+    return _pochhammer_q(x.numerator, x.denominator, k)
+
+
+# Keyed on the rational's integer parts, never on a RationalFunction: a
+# constant one equals and hashes like its Fraction, so the cache would hand
+# back a value of the wrong type.
+@lru_cache(maxsize=4096)
+def _pochhammer_q(num: int, den: int, k: int) -> Fraction:
+    x = Fraction(num, den)
+    acc = x
+    for j in range(1, k):
         acc = acc * (x + j)
     return acc
+
+
+def _pochhammer_qt(x: RationalFunction, k: int) -> RationalFunction:
+    # x = a/b in lowest terms gives prod (a + j b) / b^k; every a + j b is
+    # coprime to b, so the product is already in lowest terms, with b^k monic
+    num, den = x.num, x.den
+    for j in range(1, k):
+        num = _pmul(num, _padd(x.num, _pmul(x.den, _pconst(Fraction(j)))))
+        den = _pmul(den, x.den)
+    return RationalFunction._reduced(num, den)
+
+
+def _inv_poch(base: FieldElement, k: int, detail: str) -> FieldElement:
+    """(base)_k for use as a denominator; a zero value raises."""
+    v = pochhammer(base, k)
+    if is_zero(v):
+        raise ZeroDenominatorPochhammer(k, detail)
+    return v
 
 
 def binomial(n: int, k: int) -> int:
@@ -429,6 +475,48 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def hypergeometric_terms(
+    num: Sequence[FieldElement],
+    den: Sequence[FieldElement],
+    kmax: int,
+    z: Optional[FieldElement] = None,
+    detail: str = "hypergeometric denominator parameter",
+) -> Iterator[tuple[int, FieldElement]]:
+    """Yield (k, t_k) for t_k = (a_1)_k ... (a_r)_k / [(1)_k (b_1)_k ... (b_s)_k] z^k.
+
+    Each term is the previous one times the term ratio
+    prod (a_j + k - 1) / [k prod (b_j + k - 1)] z, so no Pochhammer symbol
+    is recomputed.  Stops after kmax, at the first vanishing numerator
+    factor, or once a term is zero; z = None means z = 1 without the
+    multiplication.  Raises ZeroDenominatorPochhammer(k, detail) if some
+    (b_j)_k vanishes while the k-th term's numerator is nonzero.
+    """
+    if not isinstance(kmax, int) or kmax < 0:
+        raise ValueError("kmax must be a nonnegative integer")
+    nums = [_coerce(v) for v in num]
+    dens = [_coerce(v) for v in den]
+    zz = None if z is None else _coerce(z)
+    term: FieldElement = Fraction(1)
+    yield 0, term
+    for k in range(1, kmax + 1):
+        numfac: FieldElement = Fraction(1)
+        for av in nums:
+            numfac = numfac * (av + (k - 1))
+        if numfac == 0:
+            return  # the series terminated at k-1
+        denfac: FieldElement = Fraction(k)
+        for bv in dens:
+            denfac = denfac * (bv + (k - 1))
+        if denfac == 0:
+            raise ZeroDenominatorPochhammer(k, detail)
+        term = term * numfac / denfac
+        if zz is not None:
+            term = term * zz
+        if term == 0:
+            return  # z = 0; every later term vanishes too
+        yield k, term
 
 
 def pfq_terminating(
@@ -447,27 +535,8 @@ def pfq_terminating(
     Raises ZeroDenominatorPochhammer(k) if some (b_j)_k vanishes while the
     k-th term's numerator is nonzero.
     """
-    if not isinstance(kmax, int) or kmax < 0:
-        raise ValueError("kmax must be a nonnegative integer")
-    nums = [_coerce(v) for v in num]
-    dens = [_coerce(v) for v in den]
-    zz = _coerce(z)
-    total: FieldElement = Fraction(1)
-    term: FieldElement = Fraction(1)
-    for k in range(1, kmax + 1):
-        numfac: FieldElement = Fraction(1)
-        for av in nums:
-            numfac = numfac * (av + (k - 1))
-        if numfac == 0:
-            break  # the series terminated at k-1
-        denfac: FieldElement = Fraction(k)
-        for bv in dens:
-            denfac = denfac * (bv + (k - 1))
-        if denfac == 0:
-            raise ZeroDenominatorPochhammer(k, "hypergeometric denominator parameter")
-        term = term * numfac / denfac * zz
-        if term == 0:
-            break  # z = 0; every later term vanishes too
+    total: FieldElement = Fraction(0)
+    for _, term in hypergeometric_terms(num, den, kmax, z):
         total = total + term
     return total
 

@@ -18,7 +18,16 @@ Each is computed by independent routes that must agree exactly:
 The shift route is evaluated literally as an operator acting on a function
 table: every factor expands as sum_k coeff(k) Z^k, the table maps the
 accumulated shift offsets to accumulated weights, and the product applies
-factor 1 outermost.  Truncated Hahn and Krawtchouk kinds live at the end.
+factor 1 outermost.  Each factor's series (and each truncated Hahn factor's)
+advances coefficient by coefficient through its hypergeometric term ratio
+(Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead of recomputing its
+Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds live at the end.
+
+`overlap_table` builds one whole table per route: the pointwise routes call
+the evaluators entry by entry, matrix_product is one matrix product and
+linear_solve one back-substitution.  The verifier compares these tables, so
+the routes stay independent computations.  Cached tables are never returned
+themselves, only copies.
 """
 
 from __future__ import annotations
@@ -31,8 +40,9 @@ from typing import Iterator, Sequence
 
 from .exactfield import (
     FieldElement,
-    ZeroDenominatorPochhammer,
+    _inv_poch,
     binomial,
+    hypergeometric_terms,
     is_zero,
     pfq_terminating,
     pochhammer,
@@ -72,7 +82,7 @@ U_METHODS = ("direct_sum", "shift_operator", "linear_solve")
 LIMIT_KINDS = ("hahn", "krawtchouk")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _ensure_valid(params: TDParameters):
     report = validate_parameters(params)
     if not report.passed:
@@ -83,13 +93,6 @@ def _point(params: TDParameters, n: Sequence[int]) -> MultiIndex:
     if not in_box(n, params.shape):
         raise IndexOutOfRange(f"index {tuple(n)} outside the box of {params.shape!r}")
     return MultiIndex(n)
-
-
-def _inv_poch(base: FieldElement, k: int, detail: str) -> FieldElement:
-    v = pochhammer(base, k)
-    if is_zero(v):
-        raise ZeroDenominatorPochhammer(k, detail)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -124,26 +127,15 @@ class RacahFactorSpec:
         )
 
     def series(self) -> Iterator[tuple[int, FieldElement]]:
-        """Yield (k, series coefficient of Z^k); a vanishing numerator ends
-        the series, a vanishing denominator factor is an error."""
-        for k in range(min(self.i, self.x) + 1):
-            num = (
-                pochhammer(-self.i, k)
-                * pochhammer(-self.x, k)
-                * pochhammer(self.a1, k)
-                * pochhammer(self.a2, k)
-            )
-            if is_zero(num):
-                break
-            den = (
-                pochhammer(Fraction(1), k)
-                * pochhammer(self.b1, k)
-                * pochhammer(self.b2, k)
-                * pochhammer(-self.ell, k)
-            )
-            if is_zero(den):
-                raise ZeroDenominatorPochhammer(k, "Racah factor series")
-            yield k, num / den
+        """Yield (k, series coefficient of Z^k), each from the last by the
+        term ratio; a vanishing numerator ends the series, a vanishing
+        denominator factor is an error."""
+        return hypergeometric_terms(
+            [-self.i, -self.x, self.a1, self.a2],
+            [self.b1, self.b2, -self.ell],
+            min(self.i, self.x),
+            detail="Racah factor series",
+        )
 
     def value_at_unit(self) -> FieldElement:
         """The scalar value with Z = 1 (the univariate collapse)."""
@@ -415,7 +407,9 @@ def overlap_table(params: TDParameters, which: str, method: str) -> ExactMatrix:
         fn = overlap_T
     else:
         if method == "linear_solve":
-            return _u_solved_table(params)
+            # a copy: the cached table must not be writable through the result
+            m = _u_solved_table(params)
+            return ExactMatrix(m.basis, m.entries)
         fn = overlap_U
     m = ExactMatrix(basis)
     for r, mi in enumerate(basis):
@@ -534,18 +528,11 @@ def _hahn_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElem
             aa = sum(xsh) + om
             b = partial_sum(xsh, 1, p - 1) + partial_sum(ell, p, N) + om + a[p - 1] + 1
             pref = binomial(lp, ip) * pochhammer(b, xp)
-            for k in range(min(ip, xp) + 1):
-                num = pochhammer(-ip, k) * pochhammer(-xp, k) * pochhammer(aa, k)
-                if is_zero(num):
-                    break
-                den = (
-                    pochhammer(Fraction(1), k)
-                    * pochhammer(-lp, k)
-                    * pochhammer(b, k)
-                )
-                if is_zero(den):
-                    raise ZeroDenominatorPochhammer(k, "Hahn factor series")
-                nxt.add(_bump(offsets, p, k), w * pref * num / den)
+            terms = hypergeometric_terms(
+                [-ip, -xp, aa], [-lp, b], min(ip, xp), detail="Hahn factor series"
+            )
+            for k, coeff in terms:
+                nxt.add(_bump(offsets, p, k), w * pref * coeff)
         funct = nxt
     head = Fraction((-1) ** i.weight) / _inv_poch(x.weight + om, x.weight, "Hahn head")
     return head * funct.total()

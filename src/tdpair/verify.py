@@ -33,10 +33,8 @@ valid parameter set; those checks are reported as skipped, not failed.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -237,33 +235,26 @@ def _check_sas(ctx: _Context):
 
 
 def _check_overlap_consistency(ctx: _Context):
+    # one whole table per route; within a family the witness is the first
+    # disagreeing (i, x) in graded order, the earlier method on a tie
     p = ctx.params
-    for i in ctx.basis:
-        for x in ctx.basis:
-            ref = overlap_T(p, i, x, T_METHODS[0])
-            for method in T_METHODS[1:]:
-                got = overlap_T(p, i, x, method)
-                if got != ref:
-                    return False, {
-                        "identity": "T route agreement",
-                        "method": method,
-                        "i": format_multiindex(i),
-                        "x": format_multiindex(x),
-                        "lhs": format_scalar(ref),
-                        "rhs": format_scalar(got),
-                    }
-            ref = overlap_U(p, i, x, U_METHODS[0])
-            for method in U_METHODS[1:]:
-                got = overlap_U(p, i, x, method)
-                if got != ref:
-                    return False, {
-                        "identity": "U route agreement",
-                        "method": method,
-                        "i": format_multiindex(i),
-                        "x": format_multiindex(x),
-                        "lhs": format_scalar(ref),
-                        "rhs": format_scalar(got),
-                    }
+    for which, methods in (("T", T_METHODS), ("U", U_METHODS)):
+        ref = overlap_table(p, which, methods[0])
+        diffs = []
+        for method in methods[1:]:
+            diff = ref.first_difference(overlap_table(p, which, method))
+            if diff is not None:
+                diffs.append((ref.pos[diff[0]], ref.pos[diff[1]], method, diff))
+        if diffs:
+            _, _, method, (i, x, lhs, rhs) = min(diffs, key=lambda d: d[:2])
+            return False, {
+                "identity": f"{which} route agreement",
+                "method": method,
+                "i": format_multiindex(i),
+                "x": format_multiindex(x),
+                "lhs": format_scalar(lhs),
+                "rhs": format_scalar(rhs),
+            }
     return True, None
 
 
@@ -430,7 +421,7 @@ def run_suite(
 
     Failures never raise; they are report entries with witnesses.  When the
     constraints check fails, dependent checks are reported as skipped.
-    TDPAIR_THREADS > 1 runs independent checks on a thread pool.
+    overlap_consistency compares whole route tables, one per route.
     """
     if checks is None:
         selected = list(DEFAULT_CHECKS)
@@ -493,19 +484,8 @@ def run_suite(
         "irreducibility": lambda: _check_irreducibility(ctx),
     }
 
-    workers = _thread_count()
-    results: dict[str, tuple] = {}
-    if workers > 1 and len(rest) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_timed, bodies[name]) for name in rest}
-            for name, fut in futures.items():
-                results[name] = fut.result()
-    else:
-        for name in rest:
-            results[name] = _timed(bodies[name])
-
-    for name in rest:  # canonical order regardless of completion order
-        passed, witness, millis = results[name]
+    for name in rest:
+        passed, witness, millis = _timed(bodies[name])
         report.add(
             CheckResult(
                 check=name,
@@ -516,15 +496,6 @@ def run_suite(
             )
         )
     return report
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TDPAIR_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdpair.exactfield import (
@@ -13,6 +13,7 @@ from tdpair.exactfield import (
     as_integer,
     binomial,
     format_scalar,
+    hypergeometric_terms,
     limit_at_zero,
     pfq_terminating,
     pochhammer,
@@ -66,6 +67,28 @@ class TestPochhammer:
     def test_over_rational_functions(self):
         t = variable_t()
         assert pochhammer(t, 2) == t * (t + 1)
+
+    @given(_rf_values(), st.integers(min_value=0, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_over_rational_functions_matches_product_loop(self, x, k):
+        expect = Fraction(1)
+        for j in range(k):
+            expect = expect * (x + j)
+        got = pochhammer(x, k)
+        assert got == expect
+        assert type(got) is type(expect)
+
+    @pytest.mark.parametrize("c", [Fraction(3, 2), Fraction(-2), Fraction(0)])
+    def test_constant_rational_function_keeps_its_type(self, c):
+        # a constant RationalFunction equals and hashes like its Fraction, so
+        # the rational memo must not answer for it, in either call order
+        for k in range(1, 4):
+            as_rf = pochhammer(RationalFunction(c), k)
+            as_q = pochhammer(c, k)
+            assert isinstance(as_rf, RationalFunction)
+            assert isinstance(as_q, Fraction)
+            assert as_rf == as_q
+            assert isinstance(pochhammer(RationalFunction(c), k), RationalFunction)
 
 
 class TestBinomial:
@@ -136,6 +159,37 @@ class TestPfqTerminating:
                 den *= pochhammer(b, k)
             expect += term / den * z**k
         assert pfq_terminating(nums, dens, z, 10) == expect
+
+    @given(
+        st.lists(_small_fractions, max_size=3),
+        st.lists(_small_fractions, max_size=3),
+        st.integers(min_value=0, max_value=5),
+    )
+    @example([Fraction(-1), Fraction(2)], [Fraction(3)], 4)  # numerator stops
+    @example([Fraction(2)], [Fraction(-1)], 4)  # denominator vanishes at k = 2
+    @settings(max_examples=60, deadline=None)
+    def test_terms_match_pochhammer_definition(self, nums, dens, kmax):
+        expect = []
+        raised_at = None
+        for k in range(kmax + 1):
+            num = Fraction(1)
+            for a in nums:
+                num *= pochhammer(a, k)
+            if num == 0:
+                break
+            den = pochhammer(Fraction(1), k)
+            for b in dens:
+                den *= pochhammer(b, k)
+            if den == 0:
+                raised_at = k
+                break
+            expect.append((k, num / den))
+        if raised_at is None:
+            assert list(hypergeometric_terms(nums, dens, kmax)) == expect
+        else:
+            with pytest.raises(ZeroDenominatorPochhammer) as exc:
+                list(hypergeometric_terms(nums, dens, kmax))
+            assert exc.value.k == raised_at
 
     @given(
         st.integers(min_value=0, max_value=4),

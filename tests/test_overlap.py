@@ -1,9 +1,12 @@
 """Overlap function routes, closed forms, and degenerate kinds."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tdpair.exactfield import (
     RationalFunction,
@@ -15,6 +18,7 @@ from tdpair.exactfield import (
 from tdpair.multiindex import IndexOutOfRange, Shape, enumerate_box
 from tdpair.cob import coefficient_matrix
 from tdpair.tdcore import ExactMatrix, InvalidParameters, TDParameters
+from tdpair.verify import run_suite
 from tdpair.overlap import (
     RacahFactorSpec,
     ShiftedFunctional,
@@ -55,6 +59,28 @@ def _params_111():
 
 def _params_univariate(ell=3):
     return TDParameters(Shape((ell,)), 0, 0, 1, 1, F(1, 3), F(1, 5), (F(1, 7),))
+
+
+_factor_values = st.one_of(
+    st.integers(min_value=-4, max_value=4).map(F),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).map(lambda c: c + variable_t()),
+)
+
+
+@st.composite
+def _racah_specs(draw):
+    ell = draw(st.integers(min_value=0, max_value=4))
+    degree = st.integers(min_value=0, max_value=ell)
+    return RacahFactorSpec(
+        i=draw(degree),
+        x=draw(degree),
+        a1=draw(_factor_values),
+        a2=draw(_factor_values),
+        b1=draw(_factor_values),
+        b2=draw(_factor_values),
+        ell=ell,
+    )
 
 
 class TestFrozenTables:
@@ -233,10 +259,70 @@ class TestRacahFactorSpec:
             list(spec.series())
         assert exc.value.k == 2
 
+    @given(_racah_specs())
+    @example(RacahFactorSpec(i=3, x=3, a1=F(-1), a2=F(5), b1=F(1, 2), b2=F(2), ell=3))
+    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
+    @settings(max_examples=80, deadline=None)
+    def test_series_matches_pochhammer_definition(self, spec):
+        # the examples: a1 = -1 stops the series after k = 1, b2 = -1 makes
+        # the denominator vanish at k = 2
+        expect, raised_at = [], None
+        for k in range(min(spec.i, spec.x) + 1):
+            num = (
+                pochhammer(-spec.i, k)
+                * pochhammer(-spec.x, k)
+                * pochhammer(spec.a1, k)
+                * pochhammer(spec.a2, k)
+            )
+            if num == 0:
+                break
+            den = (
+                pochhammer(F(1), k)
+                * pochhammer(spec.b1, k)
+                * pochhammer(spec.b2, k)
+                * pochhammer(-spec.ell, k)
+            )
+            if den == 0:
+                raised_at = k
+                break
+            expect.append((k, num / den))
+        if raised_at is None:
+            assert list(spec.series()) == expect
+        else:
+            with pytest.raises(ZeroDenominatorPochhammer) as exc:
+                list(spec.series())
+            assert exc.value.k == raised_at
+
     def test_unit_value_collapse(self):
         # i = 0 leaves only the k = 0 term: value is the prefactor (b2)_x
         spec = RacahFactorSpec(i=0, x=2, a1=F(5), a2=F(7), b1=F(2), b2=F(3), ell=3)
         assert spec.value_at_unit() == pochhammer(F(3), 2)
+
+
+class TestCaches:
+    def test_every_package_cache_is_bounded(self):
+        caches = [
+            (name, value)
+            for name, mod in list(sys.modules.items())
+            if name.startswith("tdpair")
+            for value in vars(mod).values()
+            if callable(getattr(value, "cache_info", None))
+        ]
+        assert caches
+        for name, cache in caches:
+            assert cache.cache_info().maxsize is not None, (name, cache)
+
+    def test_writing_a_returned_table_changes_nothing(self):
+        p = _params_21()
+        basis = enumerate_box(p.shape)
+        before = overlap_U(p, basis[0], basis[0], "linear_solve")
+        for which, method in (("U", "linear_solve"), ("T", "matrix_product")):
+            m = overlap_table(p, which, method)
+            m.entries[(0, 0)] = F(12345)
+            m.entries.clear()
+        assert overlap_U(p, basis[0], basis[0], "linear_solve") == before
+        assert overlap_table(p, "U", "linear_solve").item(0, 0) == before
+        assert run_suite(p).passed
 
 
 class TestShiftedFunctional:

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tdpair.exactfield import as_integer
-from tdpair.multiindex import Shape
+from tdpair import overlap
+from tdpair.exactfield import as_integer, format_scalar
+from tdpair.multiindex import Shape, format_multiindex
 from tdpair.tdcore import TDParameters, validate_parameters
 from tdpair.verify import (
     CHECK_NAMES,
@@ -196,19 +197,48 @@ class TestIrreducibility:
         )
 
 
-class TestThreading:
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        serial = run_suite(_params_2d())
-        monkeypatch.setenv("TDPAIR_THREADS", "4")
-        threaded = run_suite(_params_2d())
-        assert [r.check for r in threaded.results] == [r.check for r in serial.results]
-        assert [r.passed for r in threaded.results] == [
-            r.passed for r in serial.results
-        ]
+class TestOverlapConsistencyMutation:
+    """A planted error in one pointwise route must fail the table check with
+    a witness that names the route and the entry."""
 
-    def test_garbage_thread_setting_means_serial(self, monkeypatch):
-        monkeypatch.setenv("TDPAIR_THREADS", "many")
-        assert run_suite(_params_1d(), checks=["eigen"]).passed
+    I, X = (1, 0), (0, 1)
+
+    def _perturb(self, monkeypatch, name, i, x, delta=F(1, 1000)):
+        original = getattr(overlap, name)
+
+        def perturbed(params, mi, mx):
+            v = original(params, mi, mx)
+            return v + delta if (tuple(mi), tuple(mx)) == (i, x) else v
+
+        monkeypatch.setattr(overlap, name, perturbed)
+
+    @pytest.mark.parametrize("family, route", [("T", "_t_shift"), ("U", "_u_shift")])
+    def test_planted_route_error_is_named(self, monkeypatch, family, route):
+        p = _params_2d()
+        evaluate = overlap.overlap_T if family == "T" else overlap.overlap_U
+        ref = evaluate(p, self.I, self.X, "direct_sum")
+        self._perturb(monkeypatch, route, self.I, self.X)
+        result = run_suite(p, checks=["overlap_consistency"]).result("overlap_consistency")
+        assert result.passed is False
+        assert result.witness == {
+            "identity": f"{family} route agreement",
+            "method": "shift_operator",
+            "i": format_multiindex(self.I),
+            "x": format_multiindex(self.X),
+            "lhs": format_scalar(ref),
+            "rhs": format_scalar(ref + F(1, 1000)),
+        }
+
+    def test_t_disagreement_reported_before_u(self, monkeypatch):
+        # the U error sits at an earlier entry, but T's table is compared first
+        p = _params_2d()
+        self._perturb(monkeypatch, "_t_shift", (1, 1), (1, 1))
+        self._perturb(monkeypatch, "_u_shift", (0, 0), (0, 0))
+        witness = run_suite(p, checks=["overlap_consistency"]).result(
+            "overlap_consistency"
+        ).witness
+        assert witness["identity"] == "T route agreement"
+        assert witness["i"] == witness["x"] == format_multiindex((1, 1))
 
 
 class TestReportShape:
