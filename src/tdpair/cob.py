@@ -17,14 +17,24 @@ The matrices they fill satisfy, over the graded basis order,
 and D is the mirror of C: D[n,i] = C[ell-n, ell-i] with omega replaced by
 -omega* - 2|ell|.
 
+Each family's table is built once per parameter set and kept in a small
+module-level cache; `coefficient_matrix` hands out copies, so a caller that
+writes into its matrix changes nothing another caller sees.  Every reader in
+the package (the verifier's context, the block formulas, the whole-table
+matrix_product and linear_solve overlap routes) goes through it, so one
+suite builds each family once.
+
 `block_tridiagonal_form` expresses the opposite operator in an eigenbasis
-two independent ways (conjugation, and an explicit five-term block formula)
-and insists they agree entrywise with zero far blocks.
+two independent ways (conjugation, and an explicit five-term block formula
+that reads its coefficients from the same tables) and insists they agree
+entrywise with zero far blocks.  The eigen and inverse checks test the
+tables themselves against A and A*, which are assembled independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -198,9 +208,19 @@ _SUPPORT_ROW_DOMINATES = {"C": True, "Cbar": True, "D": False, "Dbar": False}
 
 def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
     """The full table of one family as a matrix over the graded basis,
-    oriented so entry [first, second] carries subscripts (first, second)."""
+    oriented so entry [first, second] carries subscripts (first, second).
+
+    The table is built once per (params, kind); each call returns a copy.
+    """
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
+    m = _coefficient_table(params, kind)
+    return ExactMatrix(m.basis, m.entries)
+
+
+@lru_cache(maxsize=16)
+def _coefficient_table(params: TDParameters, kind: str) -> ExactMatrix:
+    # the shared table; only coefficient_matrix reads it, to copy it
     shape = params.shape
     basis = enumerate_box(shape)
     m = ExactMatrix(basis)
@@ -256,12 +276,12 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
         fwd = coefficient_matrix(params, "C")
         inv = coefficient_matrix(params, "Cbar")
         op = _assemble_operator(params, "Astar")
-        explicit = _explicit_star_blocks(params)
+        explicit = _explicit_star_blocks(params, fwd, inv)
     else:
         fwd = coefficient_matrix(params, "D")
         inv = coefficient_matrix(params, "Dbar")
         op = _assemble_operator(params, "A")
-        explicit = _explicit_plain_blocks(params)
+        explicit = _explicit_plain_blocks(params, fwd, inv)
     conj = inv @ (op @ fwd)
     diff = conj.first_difference(explicit)
     if diff is not None:
@@ -274,8 +294,9 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
     return conj
 
 
-def _explicit_star_blocks(params: TDParameters) -> ExactMatrix:
-    """A* on the V(x) basis from the five-term block formula."""
+def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatrix) -> ExactMatrix:
+    """A* on the V(x) basis from the five-term block formula, with the C and
+    Cbar coefficients read from their tables."""
     shape = params.shape
     N = shape.N
     basis = enumerate_box(shape)
@@ -292,8 +313,7 @@ def _explicit_star_blocks(params: TDParameters) -> ExactMatrix:
     def ths(j):
         return eigenvalue(params, j, starred=True)
 
-    cC = lambda n, x: cob_coefficient(params, "C", n, x)
-    cCb = lambda x, n: cob_coefficient(params, "Cbar", x, n)
+    cC, cCb = mc.entry, mcb.entry
 
     for x in basis:
         w = x.weight
@@ -332,8 +352,9 @@ def _explicit_star_blocks(params: TDParameters) -> ExactMatrix:
     return m
 
 
-def _explicit_plain_blocks(params: TDParameters) -> ExactMatrix:
-    """A on the V_i basis from the five-term block formula."""
+def _explicit_plain_blocks(params: TDParameters, md: ExactMatrix, mdb: ExactMatrix) -> ExactMatrix:
+    """A on the V_i basis from the five-term block formula, with the D and
+    Dbar coefficients read from their tables."""
     shape = params.shape
     N = shape.N
     basis = enumerate_box(shape)
@@ -353,9 +374,9 @@ def _explicit_plain_blocks(params: TDParameters) -> ExactMatrix:
     def cD(n, i):
         if not in_box(n, shape):
             return Fraction(0)
-        return cob_coefficient(params, "D", n, i)
+        return md.entry(n, i)
 
-    cDb = lambda i, n: cob_coefficient(params, "Dbar", i, n)
+    cDb = mdb.entry
 
     for i in basis:
         w = i.weight

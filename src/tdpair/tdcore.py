@@ -16,7 +16,9 @@ Validity of a parameter set means three constraint families hold:
   cond2   for each p: none of a_p, a_p + omega - omega*,
           a_p - |ell| - omega*, a_p + |ell| + omega lies in {-ell_p, ..., -1}
   cond3   every pair of the 2N value strings S^+/-(ell_p, a_p) is in
-          general position
+          general position; each string is a unit-step interval, so a
+          pair is tested in constant time by comparing interval bounds
+          (its values are never listed)
 
 These guarantee simple distinct spectra, never-vanishing off-diagonal
 coefficients, and (together) irreducibility of the pair.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exactfield import (
     FieldElement,
@@ -207,7 +209,7 @@ def xi(params: TDParameters, n: Sequence[int], p: int, starred: bool = False) ->
 @dataclass(frozen=True)
 class StringSet:
     """A value string: the set {sign * (anchor + k + (omega - omega*)/2)}
-    for k = 1..length."""
+    for k = 1..length, i.e. the unit-step interval lowest + {0, ..., length - 1}."""
 
     sign: int
     length: int
@@ -221,46 +223,39 @@ class StringSet:
         object.__setattr__(self, "anchor", _coerce_scalar(self.anchor))
 
     def elements(self, omega: FieldElement, omega_star: FieldElement) -> tuple:
-        half = (_coerce_scalar(omega) - _coerce_scalar(omega_star)) * Fraction(1, 2)
+        half = _half_gap(omega, omega_star)
         return tuple(self.sign * (self.anchor + k + half) for k in range(1, self.length + 1))
 
-
-def _is_unit_string(values: list) -> bool:
-    """Whether a set of distinct values is {c+1, ..., c+m} for some c.
-
-    Values are comparable for consecutiveness only when their difference is
-    an integer; any non-integer gap means the set is not a string.
-    """
-    if len(values) <= 1:
-        return True
-    base = values[0]
-    offsets = []
-    for v in values:
-        d = as_integer(v - base)
-        if d is None:
-            return False
-        offsets.append(d)
-    return max(offsets) - min(offsets) + 1 == len(offsets)
+    def lowest(self, omega: FieldElement, omega_star: FieldElement) -> FieldElement:
+        """The least element: k = 1 for sign +1, k = length for sign -1."""
+        half = _half_gap(omega, omega_star)
+        if self.sign == 1:
+            return self.anchor + 1 + half
+        return -(self.anchor + self.length + half)
 
 
-def _dedupe(values: Iterable) -> list:
-    out = []
-    for v in values:
-        if not any(v == w for w in out):
-            out.append(v)
-    return out
+def _half_gap(omega: FieldElement, omega_star: FieldElement) -> FieldElement:
+    return (_coerce_scalar(omega) - _coerce_scalar(omega_star)) * Fraction(1, 2)
 
 
 def strings_general_position(s1: StringSet, s2: StringSet, params: TDParameters) -> bool:
     """Whether two strings (built from the same omega, omega*) are in
     general position: one contains the other, or their union is not itself
-    a string of consecutive unit-step values."""
-    e1 = _dedupe(s1.elements(params.omega, params.omega_star))
-    e2 = _dedupe(s2.elements(params.omega, params.omega_star))
-    contains = lambda big, small: all(any(v == w for w in big) for v in small)
-    if contains(e1, e2) or contains(e2, e1):
+    a string of consecutive unit-step values.
+
+    Both strings are unit-step intervals, so this is an interval test in
+    constant time.  When the offset between their least elements is not an
+    integer they share no element and no union of them is a string.
+    """
+    om, oms = params.omega, params.omega_star
+    d = as_integer(s2.lowest(om, oms) - s1.lowest(om, oms))
+    if d is None:
         return True
-    return not _is_unit_string(_dedupe(e1 + e2))
+    # s1 covers offsets 0..hi1 and s2 covers d..hi2
+    hi1, hi2 = s1.length - 1, d + s2.length - 1
+    if (d >= 0 and hi2 <= hi1) or (d <= 0 and hi1 <= hi2):
+        return True
+    return max(0, d) > min(hi1, hi2) + 1
 
 
 def _in_band(v: FieldElement, lo: int, hi: int) -> bool:

@@ -37,6 +37,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .exactfield import (
@@ -131,20 +132,49 @@ def _matrices_equal(lhs: ExactMatrix, rhs: ExactMatrix, label: str) -> Optional[
 
 
 class _Context:
-    """Operators and coefficient matrices shared by the checks, built once."""
+    """Operators and coefficient matrices shared by the checks, each built
+    on first use, so its cost lands in the first check that needs it and a
+    check that needs none (limits) builds none."""
 
     def __init__(self, params: TDParameters):
         self.params = params
         self.basis = enumerate_box(params.shape)
-        self.A = _assemble_operator(params, "A")
-        self.As = _assemble_operator(params, "Astar")
-        self.S = _assemble_operator(params, "S")
-        self.R = self.A.off_diagonal_part()
-        self.L = self.As.off_diagonal_part()
-        self.MC = coefficient_matrix(params, "C")
-        self.MCb = coefficient_matrix(params, "Cbar")
-        self.MD = coefficient_matrix(params, "D")
-        self.MDb = coefficient_matrix(params, "Dbar")
+
+    @cached_property
+    def A(self) -> ExactMatrix:
+        return _assemble_operator(self.params, "A")
+
+    @cached_property
+    def As(self) -> ExactMatrix:
+        return _assemble_operator(self.params, "Astar")
+
+    @cached_property
+    def S(self) -> ExactMatrix:
+        return _assemble_operator(self.params, "S")
+
+    @cached_property
+    def R(self) -> ExactMatrix:
+        return self.A.off_diagonal_part()
+
+    @cached_property
+    def L(self) -> ExactMatrix:
+        return self.As.off_diagonal_part()
+
+    @cached_property
+    def MC(self) -> ExactMatrix:
+        return coefficient_matrix(self.params, "C")
+
+    @cached_property
+    def MCb(self) -> ExactMatrix:
+        return coefficient_matrix(self.params, "Cbar")
+
+    @cached_property
+    def MD(self) -> ExactMatrix:
+        return coefficient_matrix(self.params, "D")
+
+    @cached_property
+    def MDb(self) -> ExactMatrix:
+        return coefficient_matrix(self.params, "Dbar")
 
 
 def _check_eigen(ctx: _Context):
@@ -421,7 +451,9 @@ def run_suite(
 
     Failures never raise; they are report entries with witnesses.  When the
     constraints check fails, dependent checks are reported as skipped.
-    overlap_consistency compares whole route tables, one per route.
+    overlap_consistency compares whole route tables, one per route.  Each
+    operator and coefficient matrix is built when a selected check first
+    needs it, so its cost shows in that check's millis.
     """
     if checks is None:
         selected = list(DEFAULT_CHECKS)

@@ -7,6 +7,7 @@ import pytest
 
 from tdpair.multiindex import IndexOutOfRange, MultiIndex, Shape, enumerate_box
 from tdpair.cob import (
+    COEFFICIENT_KINDS,
     StructureViolation,
     block_tridiagonal_form,
     cob_coefficient,
@@ -20,6 +21,7 @@ from tdpair.tdcore import (
     build_operator,
     eigenvalue,
 )
+from tdpair.verify import run_suite
 
 F = Fraction
 
@@ -80,6 +82,19 @@ class TestCoefficientValues:
             cob_coefficient(_params_2d(), "E", (0, 0), (0, 0))
         with pytest.raises(ValueError):
             coefficient_matrix(_params_2d(), "E")
+
+
+class TestSharedTables:
+    def test_writing_a_returned_matrix_changes_nothing(self):
+        p = _params_21()
+        before = {kind: coefficient_matrix(p, kind) for kind in COEFFICIENT_KINDS}
+        for kind in COEFFICIENT_KINDS:
+            m = coefficient_matrix(p, kind)
+            m.entries[(0, 1)] = F(12345)
+            assert coefficient_matrix(p, kind) == before[kind]
+            m.entries.clear()
+            assert coefficient_matrix(p, kind) == before[kind]
+        assert run_suite(p).passed
 
 
 class TestMirrorSymmetry:

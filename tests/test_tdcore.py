@@ -1,10 +1,13 @@
 """Operator assembly, parameter validation, and exact matrix algebra."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdpair.exactfield import rational
+from tdpair.exactfield import RationalFunction, as_integer, rational, variable_t
 from tdpair.multiindex import IndexOutOfRange, MultiIndex, Shape, enumerate_box
 from tdpair.tdcore import (
     ExactMatrix,
@@ -275,6 +278,74 @@ class TestStringsGeneralPosition:
             StringSet(sign=0, length=1, anchor=0)
         with pytest.raises(ValueError):
             StringSet(sign=1, length=0, anchor=0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((1, -1)),
+                st.integers(1, 4),
+                st.fractions(min_value=-4, max_value=4, max_denominator=3),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    )
+    def test_interval_test_matches_the_definition(self, specs, twice_omega, twice_omega_star):
+        # omega and omega* on the half-integers, anchors with small
+        # denominators: containment, overlap, touching and non-integer gaps
+        s1, s2 = (StringSet(sign=g, length=n, anchor=a) for g, n, a in specs)
+        p = self._p(F(twice_omega, 2), F(twice_omega_star, 2))
+        assert strings_general_position(s1, s2, p) == _general_position_by_definition(s1, s2, p)
+
+    def test_over_rational_functions(self):
+        # the limits substitution omega* = 1/t: opposite-sign strings drift
+        # apart by a non-constant gap, same-sign strings keep their offsets
+        inv_t = RationalFunction((F(1),), (F(0), F(1)))
+        for a, failing in (((F(1, 7), F(3, 11)), []), ((2, 3), ["+", "-"])):
+            p = TDParameters(Shape((1, 1)), 0, 0, 1, 1, 0, F(1, 5), a)
+            qt = replace(p, h_star=p.h_star * variable_t(), omega_star=inv_t)
+            strings = [StringSet(sign=g, length=1, anchor=v) for v in qt.a for g in (1, -1)]
+            for u in range(len(strings)):
+                for v in range(u + 1, len(strings)):
+                    s1, s2 = strings[u], strings[v]
+                    assert strings_general_position(s1, s2, qt) == (
+                        _general_position_by_definition(s1, s2, qt)
+                    )
+            r = validate_parameters(qt).result("cond3")
+            assert r.witness == (
+                [f"S{g}(ell_1, a_1) and S{g}(ell_2, a_2) are not in general position" for g in failing]
+                or None
+            )
+
+    @pytest.mark.parametrize("ell", [(2000,), (1000, 1000)])
+    def test_validation_never_lists_string_values(self, monkeypatch, ell):
+        # cond3 is constant time per pair: long strings are never enumerated
+        def refuse(*args):
+            raise AssertionError("StringSet.elements called")
+
+        monkeypatch.setattr(StringSet, "elements", refuse)
+        p = TDParameters(
+            Shape(ell), 0, 0, 1, 1, F(1, 3), F(1, 5), (F(1, 7), F(3, 11))[: len(ell)]
+        )
+        assert validate_parameters(p).passed
+
+
+def _general_position_by_definition(s1: StringSet, s2: StringSet, p: TDParameters) -> bool:
+    """One contains the other, or their union is not a unit-step string;
+    from the listed values, comparing only by equality and integer gaps."""
+    e1 = s1.elements(p.omega, p.omega_star)
+    e2 = s2.elements(p.omega, p.omega_star)
+    contains = lambda big, small: all(any(v == w for w in big) for v in small)
+    if contains(e1, e2) or contains(e2, e1):
+        return True
+    union = list(e1) + [v for v in e2 if not any(v == w for w in e1)]
+    offsets = [as_integer(v - union[0]) for v in union]
+    if None in offsets:
+        return True
+    return max(offsets) - min(offsets) + 1 != len(offsets)
 
 
 class TestExactMatrix:

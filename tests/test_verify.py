@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tdpair import overlap
+from tdpair import cob, overlap, verify
 from tdpair.exactfield import as_integer, format_scalar
 from tdpair.multiindex import Shape, format_multiindex
 from tdpair.tdcore import TDParameters, validate_parameters
@@ -239,6 +239,51 @@ class TestOverlapConsistencyMutation:
         ).witness
         assert witness["identity"] == "T route agreement"
         assert witness["i"] == witness["x"] == format_multiindex((1, 1))
+
+
+class TestSharedCoefficientTables:
+    """One suite builds each coefficient family once, and every check that
+    reads a family reads that one table."""
+
+    @pytest.fixture
+    def cold(self):
+        # the overlap route solves from C and D, so its cache goes too
+        def clear():
+            cob._coefficient_table.cache_clear()
+            overlap._u_solved_table.cache_clear()
+
+        clear()
+        yield random_valid_parameters(Shape((3, 2)), 1)
+        clear()
+
+    def test_one_suite_builds_each_family_once(self, cold):
+        assert run_suite(cold).passed
+        info = cob._coefficient_table.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        for kind in cob.COEFFICIENT_KINDS:
+            cob.coefficient_matrix(cold, kind)
+        assert cob._coefficient_table.cache_info().misses == 4
+
+    def test_planted_coefficient_error_is_caught(self, cold):
+        table = cob._coefficient_table(cold, "C")
+        r, c = next(k for k in sorted(table.entries) if k[0] != k[1])
+        table.entries[(r, c)] += 1
+        report = run_suite(cold)
+        eigen = report.result("eigen")
+        assert eigen.passed is False
+        assert eigen.witness["identity"] == "A on its eigenbasis"
+        assert eigen.witness["row"] == format_multiindex(table.basis[r])
+        assert eigen.witness["col"] == format_multiindex(table.basis[c])
+        for name in ("inverse", "block_structure", "biorthogonality"):
+            assert report.result(name).passed is False, name
+
+    def test_limits_alone_builds_no_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("context matrix built")
+
+        monkeypatch.setattr(verify, "_assemble_operator", refuse)
+        monkeypatch.setattr(verify, "coefficient_matrix", refuse)
+        assert run_suite(_params_2d(), checks=["limits"]).passed
 
 
 class TestReportShape:
