@@ -14,8 +14,14 @@ The matrices they fill satisfy, over the graded basis order,
   M_C M_Cbar = I            M_D M_Dbar = I
   A M_C  = M_C diag(theta_|x|)      A* M_D = M_D diag(theta*_|i|)
 
-and D is the mirror of C: D[n,i] = C[ell-n, ell-i] with omega replaced by
--omega* - 2|ell|.
+Only the raising side (C, Cbar, the block formula for A* on V(x)) is
+written out.  The lowering side is its mirror under the involution S, which
+swaps A and A*: at the parameter set q = `_swapped(p)`
+
+  D(p)[n,i] = C(q)[ell-n, ell-i]      Dbar(p)[i,n] = Cbar(q)[ell-i, ell-n]
+  (A on V_i)(p)[j,i] = (A* on V(x))(q)[ell-j, ell-i]
+
+and in graded order n -> ell - n reverses the positions (`_mirrored`).
 
 Each family's table is built once per parameter set and kept in a small
 module-level cache; `coefficient_matrix` hands out copies, so a caller that
@@ -33,6 +39,7 @@ tables themselves against A and A*, which are assembled independently.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -48,7 +55,6 @@ from .exactfield import (
 from .multiindex import (
     IndexOutOfRange,
     MultiIndex,
-    Shape,
     add,
     enumerate_box,
     in_box,
@@ -93,10 +99,6 @@ class StructureViolation(ArithmeticError):
         super().__init__(msg)
 
 
-def _weight(n: Sequence[int]) -> int:
-    return sum(n)
-
-
 def cob_coefficient(
     params: TDParameters, kind: str, first: Sequence[int], second: Sequence[int]
 ) -> FieldElement:
@@ -111,15 +113,37 @@ def cob_coefficient(
         raise IndexOutOfRange(f"index {tuple(first)} outside the box of {shape!r}")
     if not in_box(second, shape):
         raise IndexOutOfRange(f"index {tuple(second)} outside the box of {shape!r}")
-    if kind == "C":
-        return _coeff_C(params, first, second)
-    if kind == "Cbar":
-        return _coeff_Cbar(params, first, second)
-    if kind == "D":
-        return _coeff_D(params, first, second)
-    if kind == "Dbar":
-        return _coeff_Dbar(params, first, second)
+    if kind in _RAISING:
+        return _RAISING[kind](params, first, second)
+    if kind in _MIRROR_OF:
+        # the lowering side is the raising side at the swapped parameters,
+        # read through n -> ell - n
+        first, second = (tuple(lp - v for lp, v in zip(params.ell, n)) for n in (first, second))
+        return _RAISING[_MIRROR_OF[kind]](_swapped(params), first, second)
     raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
+
+
+def _swapped(params: TDParameters) -> TDParameters:
+    """Both halves of the involution substitution at once: the plain and
+    starred spectra trade places, so the raising side at the result is the
+    mirror of the lowering side at params."""
+    L = params.diameter
+    return replace(
+        params,
+        theta0=params.theta0_star + params.h_star * L * (L + params.omega_star),
+        theta0_star=params.theta0 + params.h * L * (L + params.omega),
+        h=params.h_star,
+        h_star=params.h,
+        omega=-params.omega_star - 2 * L,
+        omega_star=-params.omega - 2 * L,
+    )
+
+
+def _mirrored(m: ExactMatrix) -> ExactMatrix:
+    """S M S: entry [n, m] moves to [ell - n, ell - m], which in graded
+    order (weight first, ties lexicographic) is the reversed position."""
+    last = m.dimension - 1
+    return ExactMatrix(m.basis, {(last - r, last - c): v for (r, c), v in m.entries.items()})
 
 
 def _coeff_C(params: TDParameters, n, x) -> FieldElement:
@@ -138,9 +162,9 @@ def _coeff_C(params: TDParameters, n, x) -> FieldElement:
             + 1
         )
         tot *= b * pochhammer(base, n[p - 1] - x[p - 1])
-    d = _weight(n) - _weight(x)
+    d = sum(n) - sum(x)
     tot *= Fraction((-1) ** d)
-    return tot / _inv_poch(2 * _weight(x) + om + 1, d, "C global factor")
+    return tot / _inv_poch(2 * sum(x) + om + 1, d, "C global factor")
 
 
 def _coeff_Cbar(params: TDParameters, x, n) -> FieldElement:
@@ -159,51 +183,12 @@ def _coeff_Cbar(params: TDParameters, x, n) -> FieldElement:
             + 1
         )
         tot *= b * pochhammer(base, x[p - 1] - n[p - 1])
-    d = _weight(x) - _weight(n)
-    return tot / _inv_poch(_weight(n) + _weight(x) + om, d, "Cbar global factor")
+    d = sum(x) - sum(n)
+    return tot / _inv_poch(sum(n) + sum(x) + om, d, "Cbar global factor")
 
 
-def _coeff_D(params: TDParameters, n, i) -> FieldElement:
-    ell, N, oms = params.ell, params.N, params.omega_star
-    tot = Fraction(1)
-    for p in range(1, N + 1):
-        b = binomial(ell[p - 1] - n[p - 1], ell[p - 1] - i[p - 1])
-        if b == 0:
-            return Fraction(0)
-        base = (
-            partial_sum(i, 1, p - 1)
-            + partial_sum(n, 1, p)
-            + partial_sum(ell, p + 1, N)
-            - params.a[p - 1]
-            + oms
-        )
-        tot *= b * pochhammer(base, i[p - 1] - n[p - 1])
-    d = _weight(i) - _weight(n)
-    tot *= Fraction((-1) ** d)
-    return tot / _inv_poch(_weight(i) + _weight(n) + oms, d, "D global factor")
-
-
-def _coeff_Dbar(params: TDParameters, i, n) -> FieldElement:
-    ell, N, oms = params.ell, params.N, params.omega_star
-    tot = Fraction(1)
-    for p in range(1, N + 1):
-        b = binomial(ell[p - 1] - i[p - 1], ell[p - 1] - n[p - 1])
-        if b == 0:
-            return Fraction(0)
-        base = (
-            partial_sum(n, 1, p - 1)
-            + partial_sum(i, 1, p)
-            + partial_sum(ell, p + 1, N)
-            - params.a[p - 1]
-            + oms
-        )
-        tot *= b * pochhammer(base, n[p - 1] - i[p - 1])
-    d = _weight(n) - _weight(i)
-    return tot / _inv_poch(2 * _weight(i) + oms + 1, d, "Dbar global factor")
-
-
-# which coefficient dominates which: (kind) -> row >= col pointwise?
-_SUPPORT_ROW_DOMINATES = {"C": True, "Cbar": True, "D": False, "Dbar": False}
+_RAISING = {"C": _coeff_C, "Cbar": _coeff_Cbar}
+_MIRROR_OF = {"D": "C", "Dbar": "Cbar"}
 
 
 def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
@@ -220,18 +205,23 @@ def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
 
 @lru_cache(maxsize=16)
 def _coefficient_table(params: TDParameters, kind: str) -> ExactMatrix:
-    # the shared table; only coefficient_matrix reads it, to copy it
+    # the shared table; only coefficient_matrix reads it, to copy it.  The
+    # raising table at the swapped parameters is built for the mirror only,
+    # not kept
+    if kind in _MIRROR_OF:
+        return _mirrored(_raising_table(_swapped(params), _MIRROR_OF[kind]))
+    return _raising_table(params, kind)
+
+
+def _raising_table(params: TDParameters, kind: str) -> ExactMatrix:
+    # C and Cbar vanish unless row >= col pointwise: iterate only the
+    # dominance sub-box of each column
     shape = params.shape
     basis = enumerate_box(shape)
     m = ExactMatrix(basis)
-    # iterate only the dominance sub-box of each column
     for col in basis:
         c = m.pos[col]
-        if _SUPPORT_ROW_DOMINATES[kind]:
-            ranges = [range(col[p], shape.ell[p] + 1) for p in range(shape.N)]
-        else:
-            ranges = [range(0, col[p] + 1) for p in range(shape.N)]
-        for row in product(*ranges):
+        for row in product(*[range(col[p], shape.ell[p] + 1) for p in range(shape.N)]):
             v = cob_coefficient(params, kind, row, col)
             if not is_zero(v):
                 m.entries[(m.pos[MultiIndex(row)], c)] = v
@@ -281,7 +271,10 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
         fwd = coefficient_matrix(params, "D")
         inv = coefficient_matrix(params, "Dbar")
         op = _assemble_operator(params, "A")
-        explicit = _explicit_plain_blocks(params, fwd, inv)
+        # the mirrors of D and Dbar are C and Cbar at the swapped parameters
+        explicit = _mirrored(
+            _explicit_star_blocks(_swapped(params), _mirrored(fwd), _mirrored(inv))
+        )
     conj = inv @ (op @ fwd)
     diff = conj.first_difference(explicit)
     if diff is not None:
@@ -349,65 +342,4 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
                         if not (in_box(n, shape) and in_box(nm, shape)):
                             continue
                         put(y, x, xi(params, nm, p, starred=True) * cC(n, x) * cCb(y, nm))
-    return m
-
-
-def _explicit_plain_blocks(params: TDParameters, md: ExactMatrix, mdb: ExactMatrix) -> ExactMatrix:
-    """A on the V_i basis from the five-term block formula, with the D and
-    Dbar coefficients read from their tables."""
-    shape = params.shape
-    N = shape.N
-    basis = enumerate_box(shape)
-    m = ExactMatrix(basis)
-
-    def put(row, col, v):
-        if is_zero(v):
-            return
-        key = (m.pos[MultiIndex(row)], m.pos[col])
-        m.entries[key] = m.entries.get(key, Fraction(0)) + v
-        if m.entries[key] == 0:
-            del m.entries[key]
-
-    def th(j):
-        return eigenvalue(params, j)
-
-    def cD(n, i):
-        if not in_box(n, shape):
-            return Fraction(0)
-        return md.entry(n, i)
-
-    cDb = mdb.entry
-
-    for i in basis:
-        w = i.weight
-        for p in range(1, N + 1):
-            j = add(i, unit(p, N))
-            if in_box(j, shape):
-                put(j, i, xi(params, j, p))
-        for p in range(1, N + 1):
-            j = sub(i, unit(p, N))
-            if in_box(j, shape):
-                put(j, i, th(w) * cDb(j, i) + th(w - 1) * cD(j, i))
-        put(i, i, th(w))
-        for p in range(1, N + 1):
-            for q in range(1, N + 1):
-                j = add(sub(i, unit(p, N)), unit(q, N))
-                if not in_box(j, shape):
-                    continue
-                ipq = add(i, unit(q, N))
-                if in_box(ipq, shape):
-                    put(j, i, xi(params, ipq, q) * cDb(j, ipq))
-                put(j, i, xi(params, j, q) * cD(sub(i, unit(p, N)), i))
-        for p in range(1, N + 1):
-            for q in range(1, N + 1):
-                for r in range(q, N + 1):
-                    j = add(sub(sub(i, unit(q, N)), unit(r, N)), unit(p, N))
-                    if not in_box(j, shape):
-                        continue
-                    bot = sub(sub(i, unit(q, N)), unit(r, N))
-                    for n in product(*[range(max(bot[s], 0), i[s] + 1) for s in range(N)]):
-                        npp = add(n, unit(p, N))
-                        if not (in_box(n, shape) and in_box(npp, shape)):
-                            continue
-                        put(j, i, xi(params, npp, p) * cD(n, i) * cDb(j, npp))
     return m

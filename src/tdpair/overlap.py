@@ -18,10 +18,12 @@ Each is computed by independent routes that must agree exactly:
 The shift route is evaluated literally as an operator acting on a function
 table: every factor expands as sum_k coeff(k) Z^k, the table maps the
 accumulated shift offsets to accumulated weights, and the product applies
-factor 1 outermost.  Each factor's series (and each truncated Hahn factor's)
-advances coefficient by coefficient through its hypergeometric term ratio
-(Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead of recomputing its
-Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds live at the end.
+factor 1 outermost.  One walk (`_shift_walk`) drives the table for T, for U
+and for the truncated Hahn kind; each of them only supplies its factor.
+Each factor's series advances coefficient by coefficient through its
+hypergeometric term ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead
+of recomputing its Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds
+live at the end.
 
 `overlap_table` builds one whole table per route: the pointwise routes call
 the evaluators entry by entry, matrix_product is one matrix product and
@@ -171,12 +173,26 @@ class ShiftedFunctional:
         return sum(self.table.values(), Fraction(0))
 
 
-def _bump(offsets: tuple[int, ...], p: int, k: int) -> tuple[int, ...]:
-    if k == 0:
-        return offsets
-    out = list(offsets)
-    out[p - 1] += k
-    return tuple(out)
+def _shifted(n: Sequence[int], offsets: tuple[int, ...], sign: int) -> tuple[int, ...]:
+    return tuple(v + sign * k for v, k in zip(n, offsets))
+
+
+def _shift_walk(N: int, factor_terms) -> FieldElement:
+    """Apply factors 1..N (factor 1 outermost) to the identity table and
+    sum it.  factor_terms(p, offsets) gives factor p at the shifted indices
+    as (prefactor, iterator of (k, coefficient of Z^k)); the term for Z^k
+    moves its weight k steps along coordinate p."""
+    funct = ShiftedFunctional.identity(N)
+    for p in range(1, N + 1):
+        nxt = ShiftedFunctional(N)
+        for offsets, w in funct.table.items():
+            pref, terms = factor_terms(p, offsets)
+            wp = w * pref
+            for k, coeff in terms:
+                key = offsets if k == 0 else offsets[: p - 1] + (offsets[p - 1] + k,) + offsets[p:]
+                nxt.add(key, wp * coeff)
+        funct = nxt
+    return funct.total()
 
 
 def _t_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) -> RacahFactorSpec:
@@ -193,24 +209,16 @@ def _t_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) 
 
 
 def _t_shift(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    N = params.N
-    funct = ShiftedFunctional.identity(N)
-    for p in range(1, N + 1):
-        nxt = ShiftedFunctional(N)
-        for offsets, w in funct.table.items():
-            ish = tuple(v + offsets[q] for q, v in enumerate(i))
-            xsh = tuple(v + offsets[q] for q, v in enumerate(x))
-            factor = _t_factor(params, p, ish, xsh)
-            pref = factor.prefactor()
-            for k, coeff in factor.series():
-                nxt.add(_bump(offsets, p, k), w * pref * coeff)
-        funct = nxt
+    def factor_terms(p, offsets):
+        factor = _t_factor(params, p, _shifted(i, offsets, 1), _shifted(x, offsets, 1))
+        return factor.prefactor(), factor.series()
+
     wi, wx = i.weight, x.weight
     head = Fraction((-1) ** wi) / (
         _inv_poch(wi + params.omega_star, wi, "T shift head")
         * _inv_poch(wx + params.omega, wx, "T shift head")
     )
-    return head * funct.total()
+    return head * _shift_walk(params.N, factor_terms)
 
 
 def _u_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) -> RacahFactorSpec:
@@ -229,36 +237,28 @@ def _u_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) 
 
 
 def _u_shift(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    # same frontier walk as T but the factor argument lowers the indices:
-    # offsets count how far i_q, x_q have been pulled down
-    ell, N = params.ell, params.N
-    funct = ShiftedFunctional.identity(N)
-    for p in range(1, N + 1):
-        nxt = ShiftedFunctional(N)
-        for offsets, w in funct.table.items():
-            ish = tuple(v - offsets[q] for q, v in enumerate(i))
-            xsh = tuple(v - offsets[q] for q, v in enumerate(x))
-            lp = ell[p - 1]
-            outer = Fraction((-1) ** (ish[p - 1] + lp)) / (
-                _inv_poch(
-                    2 * sum(xsh) + partial_sum(ell, 1, p - 1) - partial_sum(xsh, 1, p - 1)
-                    + params.omega + 1,
-                    lp - xsh[p - 1],
-                    "U factor outer",
-                )
-                * _inv_poch(
-                    2 * sum(ish) + partial_sum(ell, 1, p - 1) - partial_sum(ish, 1, p - 1)
-                    + params.omega_star + 1,
-                    lp - ish[p - 1],
-                    "U factor outer",
-                )
+    # the factor argument lowers the indices: offsets count how far i_q,
+    # x_q have been pulled down
+    ell = params.ell
+
+    def factor_terms(p, offsets):
+        ish, xsh = _shifted(i, offsets, -1), _shifted(x, offsets, -1)
+        lp = ell[p - 1]
+
+        def den(n, om):
+            return _inv_poch(
+                2 * sum(n) + partial_sum(ell, 1, p - 1) - partial_sum(n, 1, p - 1) + om + 1,
+                lp - n[p - 1],
+                "U factor outer",
             )
-            factor = _u_factor(params, p, ish, xsh)
-            pref = outer * factor.prefactor()
-            for k, coeff in factor.series():
-                nxt.add(_bump(offsets, p, k), w * pref * coeff)
-        funct = nxt
-    return funct.total()
+
+        outer = Fraction((-1) ** (ish[p - 1] + lp)) / (
+            den(xsh, params.omega) * den(ish, params.omega_star)
+        )
+        factor = _u_factor(params, p, ish, xsh)
+        return outer * factor.prefactor(), factor.series()
+
+    return _shift_walk(params.N, factor_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -519,23 +519,19 @@ def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
 def _hahn_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
     """Nested product of truncated Hahn factors; shifts act on x only."""
     ell, N, om, a = params.ell, params.N, params.omega, params.a
-    funct = ShiftedFunctional.identity(N)
-    for p in range(1, N + 1):
-        nxt = ShiftedFunctional(N)
-        for offsets, w in funct.table.items():
-            xsh = tuple(v + offsets[q] for q, v in enumerate(x))
-            lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
-            aa = sum(xsh) + om
-            b = partial_sum(xsh, 1, p - 1) + partial_sum(ell, p, N) + om + a[p - 1] + 1
-            pref = binomial(lp, ip) * pochhammer(b, xp)
-            terms = hypergeometric_terms(
-                [-ip, -xp, aa], [-lp, b], min(ip, xp), detail="Hahn factor series"
-            )
-            for k, coeff in terms:
-                nxt.add(_bump(offsets, p, k), w * pref * coeff)
-        funct = nxt
+
+    def factor_terms(p, offsets):
+        xsh = _shifted(x, offsets, 1)
+        lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
+        aa = sum(xsh) + om
+        b = partial_sum(xsh, 1, p - 1) + partial_sum(ell, p, N) + om + a[p - 1] + 1
+        terms = hypergeometric_terms(
+            [-ip, -xp, aa], [-lp, b], min(ip, xp), detail="Hahn factor series"
+        )
+        return binomial(lp, ip) * pochhammer(b, xp), terms
+
     head = Fraction((-1) ** i.weight) / _inv_poch(x.weight + om, x.weight, "Hahn head")
-    return head * funct.total()
+    return head * _shift_walk(N, factor_terms)
 
 
 def _krawtchouk_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:

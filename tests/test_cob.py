@@ -20,8 +20,9 @@ from tdpair.tdcore import (
     TDParameters,
     build_operator,
     eigenvalue,
+    substituted_for_involution,
 )
-from tdpair.verify import run_suite
+from tdpair.verify import random_valid_parameters, run_suite
 
 F = Fraction
 
@@ -38,6 +39,31 @@ def _params_2d():
 
 def _params_21():
     return TDParameters(Shape((2, 1)), 0, 0, 1, 1, F(1, 3), F(1, 5), (F(1, 7), F(3, 11)))
+
+
+def _params_3d():
+    return random_valid_parameters(Shape((2, 1, 1)), 1)
+
+
+def _swapped(params):
+    # both halves of the involution substitution, each read off params:
+    # the plain and starred spectra trade places
+    lo = substituted_for_involution(params, starred=True)
+    hi = substituted_for_involution(params, starred=False)
+    return replace(
+        lo, theta0_star=hi.theta0_star, h_star=hi.h_star, omega_star=hi.omega_star
+    )
+
+
+def _assert_mirrored(lhs, rhs, ell):
+    # lhs[n, m] == rhs[ell - n, ell - m] for every pair in the box
+    def flip(n):
+        return tuple(ell[p] - n[p] for p in range(len(ell)))
+
+    basis = lhs.basis
+    for n in basis:
+        for m in basis:
+            assert lhs.entry(n, m) == rhs.entry(flip(n), flip(m)), (n, m)
 
 
 class TestCoefficientValues:
@@ -98,7 +124,10 @@ class TestSharedTables:
 
 
 class TestMirrorSymmetry:
-    @pytest.mark.parametrize("params", [_params_2d(), _params_21()])
+    """The lowering side is the raising side at the swapped parameter set,
+    read through the flip n -> ell - n."""
+
+    @pytest.mark.parametrize("params", [_params_2d(), _params_21(), _params_3d()])
     def test_lowering_family_mirrors_raising_family(self, params):
         # D[n,i] equals C[ell-n, ell-i] after omega -> -omega* - 2|ell|
         L = params.diameter
@@ -111,6 +140,23 @@ class TestMirrorSymmetry:
                 assert cob_coefficient(params, "D", n, i) == cob_coefficient(
                     mirrored, "C", flip_n, flip_i
                 )
+
+    @pytest.mark.parametrize("params", [_params_2d(), _params_21(), _params_3d()])
+    @pytest.mark.parametrize("lowering, raising", [("D", "C"), ("Dbar", "Cbar")])
+    def test_lowering_tables_at_swapped_parameters(self, params, lowering, raising):
+        _assert_mirrored(
+            coefficient_matrix(params, lowering),
+            coefficient_matrix(_swapped(params), raising),
+            params.ell,
+        )
+
+    @pytest.mark.parametrize("params", [_params_2d(), _params_3d()])
+    def test_plain_blocks_mirror_starred_blocks(self, params):
+        _assert_mirrored(
+            block_tridiagonal_form(params, "A_in_Vi"),
+            block_tridiagonal_form(_swapped(params), "Astar_in_Vx"),
+            params.ell,
+        )
 
 
 class TestMatrixIdentities:

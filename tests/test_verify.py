@@ -2,12 +2,13 @@
 
 import json
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
 from tdpair import cob, overlap, verify
 from tdpair.exactfield import as_integer, format_scalar
-from tdpair.multiindex import Shape, format_multiindex
+from tdpair.multiindex import Shape, enumerate_box, format_multiindex
 from tdpair.tdcore import TDParameters, validate_parameters
 from tdpair.verify import (
     CHECK_NAMES,
@@ -264,18 +265,46 @@ class TestSharedCoefficientTables:
             cob.coefficient_matrix(cold, kind)
         assert cob._coefficient_table.cache_info().misses == 4
 
-    def test_planted_coefficient_error_is_caught(self, cold):
-        table = cob._coefficient_table(cold, "C")
+    # planted family -> (checks that must fail, checks whose witness names
+    # the planted entry, with the identity each reports)
+    PLANTED = {
+        "C": (
+            ("eigen", "inverse", "block_structure", "biorthogonality"),
+            {"eigen": "A on its eigenbasis"},
+        ),
+        "Cbar": (
+            ("inverse", "overlap_consistency", "biorthogonality"),
+            {"inverse": "raising family inverse"},
+        ),
+        "D": (
+            ("eigen", "inverse", "overlap_consistency"),
+            {"eigen": "A* on its eigenbasis", "inverse": "lowering family inverse"},
+        ),
+        "Dbar": (
+            ("inverse", "block_structure"),
+            {"inverse": "lowering family inverse"},
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", cob.COEFFICIENT_KINDS)
+    def test_planted_coefficient_error_is_caught(self, cold, kind):
+        others = {k: cob.coefficient_matrix(cold, k) for k in cob.COEFFICIENT_KINDS}
+        table = cob._coefficient_table(cold, kind)
         r, c = next(k for k in sorted(table.entries) if k[0] != k[1])
         table.entries[(r, c)] += 1
+        # the tables of the other families are not views of the planted one
+        for k, before in others.items():
+            if k != kind:
+                assert cob.coefficient_matrix(cold, k) == before, k
         report = run_suite(cold)
-        eigen = report.result("eigen")
-        assert eigen.passed is False
-        assert eigen.witness["identity"] == "A on its eigenbasis"
-        assert eigen.witness["row"] == format_multiindex(table.basis[r])
-        assert eigen.witness["col"] == format_multiindex(table.basis[c])
-        for name in ("inverse", "block_structure", "biorthogonality"):
+        failing, named = self.PLANTED[kind]
+        for name in failing:
             assert report.result(name).passed is False, name
+        for name, identity in named.items():
+            witness = report.result(name).witness
+            assert witness["identity"] == identity
+            assert witness["row"] == format_multiindex(table.basis[r])
+            assert witness["col"] == format_multiindex(table.basis[c])
 
     def test_limits_alone_builds_no_matrix(self, monkeypatch):
         def refuse(*args):
@@ -284,6 +313,41 @@ class TestSharedCoefficientTables:
         monkeypatch.setattr(verify, "_assemble_operator", refuse)
         monkeypatch.setattr(verify, "coefficient_matrix", refuse)
         assert run_suite(_params_2d(), checks=["limits"]).passed
+
+
+class TestOperatorMutation:
+    """One off-diagonal entry added to the context's A or A*.  The operators
+    the involution check assembles at the substituted parameters stay as
+    they are."""
+
+    IDENTITY = {"A": "A on its eigenbasis", "As": "A* on its eigenbasis"}
+
+    @pytest.mark.parametrize("attr", ["A", "As"])
+    def test_planted_operator_error_is_caught(self, monkeypatch, attr):
+        build = getattr(verify._Context, attr).func
+        planted = []
+
+        def plant(ctx):
+            m = build(ctx)
+            key = next(k for k in sorted(m.entries) if k[0] != k[1])
+            m.entries[key] += 1
+            planted.append(key)
+            return m
+
+        monkeypatch.setattr(
+            verify, "_Context", type("Planted", (verify._Context,), {attr: cached_property(plant)})
+        )
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        report = run_suite(p)
+        (r, c), = planted
+        basis = enumerate_box(p.shape)
+        eigen = report.result("eigen")
+        assert eigen.passed is False
+        assert eigen.witness["identity"] == self.IDENTITY[attr]
+        assert eigen.witness["row"] == format_multiindex(basis[r])
+        assert eigen.witness["col"] == format_multiindex(basis[c])
+        for name in ("td_relations", "r3l", "sas_conjugation"):
+            assert report.result(name).passed is False, name
 
 
 class TestReportShape:
