@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .exactfield import (
@@ -351,6 +352,29 @@ def _ms(start: float) -> int:
 # exact matrices over the enumerated basis
 
 
+def _over_q(m: "ExactMatrix") -> bool:
+    return all(isinstance(v, (int, Fraction)) for v in m.entries.values())
+
+
+def _lines(entries: dict, axis: int) -> dict[int, list]:
+    """The stored rows (axis 0) or columns (axis 1) of a sparse matrix, as
+    {index: [(other index, value)]}."""
+    lines: dict[int, list] = {}
+    for key, v in entries.items():
+        lines.setdefault(key[axis], []).append((key[1 - axis], v))
+    return lines
+
+
+def _integer_lines(lines: dict[int, list]) -> dict[int, tuple[int, list]]:
+    """Each line of `_lines` over Q as (lcm of its denominators,
+    [(other index, integer numerator over that lcm)])."""
+    out = {}
+    for k, line in lines.items():
+        den = lcm(*[v.denominator for _, v in line])
+        out[k] = (den, [(j, v.numerator * (den // v.denominator)) for j, v in line])
+    return out
+
+
 class ExactMatrix:
     """A square matrix over an exact field, indexed by the box basis.
 
@@ -358,6 +382,14 @@ class ExactMatrix:
     graded enumeration order; an absent entry is zero.  Matrices are
     immutable by convention once constructed; all operations return new
     objects.  Equality is exact and entrywise.
+
+    Products and upper-triangular solves whose operands are all over Q
+    (every entry an int or a Fraction) run on integers: each row or column
+    is brought to integer numerators over the lcm of its denominators, the
+    dot products are integer sums, and each result entry is built once as
+    a Fraction (one gcd).  Every such result entry is a Fraction and no
+    zero is stored.  An operand with a Q(t) entry takes the generic path,
+    which adds field elements one product at a time.
     """
 
     __slots__ = ("basis", "pos", "entries")
@@ -481,9 +513,9 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_basis(other)
-        by_row: dict[int, list] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+        if _over_q(self) and _over_q(other):
+            return self._matmul_q(other)
+        by_row = _lines(other.entries, 0)
         out: dict[tuple[int, int], FieldElement] = {}
         for (r, k), v in self.entries.items():
             row = by_row.get(k)
@@ -494,6 +526,29 @@ class ExactMatrix:
                 cur = out.get(key)
                 out[key] = v * w if cur is None else cur + v * w
         return ExactMatrix(self.basis, out)
+
+    def _matmul_q(self, other: "ExactMatrix") -> "ExactMatrix":
+        """self @ other over Q: entry (r, c) is Fraction(sum of integer
+        products, L_r * M_c), L_r and M_c the lcms of the denominators of
+        row r of self and column c of other."""
+        col_den: dict[int, int] = {}
+        by_row: dict[int, list] = {}
+        for c, (den, col) in _integer_lines(_lines(other.entries, 1)).items():
+            col_den[c] = den
+            for k, b in col:
+                by_row.setdefault(k, []).append((c, b))
+        out: dict[tuple[int, int], FieldElement] = {}
+        for r, (den, row) in _integer_lines(_lines(self.entries, 0)).items():
+            acc: dict[int, int] = {}
+            for k, a in row:
+                for c, b in by_row.get(k, ()):
+                    acc[c] = acc.get(c, 0) + a * b
+            for c, s in acc.items():
+                if s:
+                    out[(r, c)] = Fraction(s, den * col_den[c])
+        m = ExactMatrix(self.basis)
+        m.entries = out
+        return m
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.basis, {(c, r): v for (r, c), v in self.entries.items()})
@@ -516,18 +571,16 @@ class ExactMatrix:
         order with nonzero diagonal.  Exact back-substitution."""
         self._check_same_basis(rhs)
         d = self.dimension
-        rows: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            if r > c:
-                raise ValueError("matrix is not upper triangular in storage order")
-            rows.setdefault(r, []).append((c, v))
+        if any(r > c for r, c in self.entries):
+            raise ValueError("matrix is not upper triangular in storage order")
         diag = [self.item(k, k) for k in range(d)]
         if any(v == 0 for v in diag):
             raise ZeroDivisionError("upper-triangular solve with zero diagonal entry")
+        rows = _lines(self.entries, 0)
+        rhs_cols = {c: dict(col) for c, col in _lines(rhs.entries, 1).items()}
+        if _over_q(self) and _over_q(rhs):
+            return self._solve_upper_q(rows, rhs_cols)
         out: dict[tuple[int, int], FieldElement] = {}
-        rhs_cols: dict[int, dict[int, FieldElement]] = {}
-        for (r, c), v in rhs.entries.items():
-            rhs_cols.setdefault(c, {})[r] = v
         for c in range(d):
             b = rhs_cols.get(c, {})
             xcol: dict[int, FieldElement] = {}
@@ -541,6 +594,34 @@ class ExactMatrix:
             for r, v in xcol.items():
                 out[(r, c)] = v
         return ExactMatrix(self.basis, out)
+
+    def _solve_upper_q(self, rows: dict[int, list], rhs_cols: dict[int, dict]) -> "ExactMatrix":
+        """Back-substitution over Q for a checked upper-triangular self.
+        With row r of self scaled to integers (diagonal D_r, entries V) by
+        the lcm L_r of its denominators, x_r = (L_r b_r - sum V x) / D_r:
+        one integer sum over the lcm of the denominators of b_r and the x
+        it reads, and one Fraction per entry."""
+        scaled = _integer_lines(rows)
+        upper = {r: [(cc, v) for cc, v in row if cc > r] for r, (_, row) in scaled.items()}
+        diag = {r: next(v for cc, v in row if cc == r) for r, (_, row) in scaled.items()}
+        out: dict[tuple[int, int], FieldElement] = {}
+        for c in range(self.dimension):
+            b = rhs_cols.get(c, {})
+            xcol: dict[int, Fraction] = {}
+            for r in range(self.dimension - 1, -1, -1):
+                terms = [(v, xcol[cc]) for cc, v in upper[r] if cc in xcol]
+                bv = b.get(r, 0)
+                if not terms and not bv:
+                    continue
+                den = lcm(bv.denominator, *[x.denominator for _, x in terms])
+                num = bv.numerator * (den // bv.denominator) * scaled[r][0]
+                for v, x in terms:
+                    num -= v * x.numerator * (den // x.denominator)
+                if num:
+                    xcol[r] = out[(r, c)] = Fraction(num, den * diag[r])
+        m = ExactMatrix(self.basis)
+        m.entries = out
+        return m
 
     # -- serialization ------------------------------------------------------
 

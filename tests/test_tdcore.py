@@ -437,6 +437,131 @@ class TestExactMatrix:
             hash(m)
 
 
+_BASIS6 = enumerate_box(Shape((2, 1)))
+
+# small values, so that sums cancel to zero often; ints and Fractions mixed
+_q_scalar = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+def _sparse(values):
+    """Sparse entries on the 6x6 basis: about half the positions are absent,
+    so that whole rows and columns come out empty."""
+    return st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), values, max_size=18
+    ).map(lambda e: ExactMatrix(_BASIS6, e))
+
+
+def _reference_product(a, b):
+    d = a.dimension
+    return {
+        (r, c): sum((a.item(r, k) * b.item(k, c) for k in range(d)), F(0))
+        for r in range(d)
+        for c in range(d)
+    }
+
+
+def _reference_solve(u, rhs):
+    d = u.dimension
+    x = {}
+    for c in range(d):
+        for r in range(d - 1, -1, -1):
+            acc = F(0) + rhs.item(r, c)
+            for cc in range(r + 1, d):
+                acc = acc - u.item(r, cc) * x[(cc, c)]
+            x[(r, c)] = acc / u.item(r, r)
+    return x
+
+
+def _assert_matches(m, reference, over_q):
+    # equal to the reference at every position, no zero stored
+    assert {k: v for k, v in reference.items() if v != 0} == m.entries
+    assert all(v != 0 for v in m.entries.values())
+    if over_q:
+        assert all(type(v) is Fraction for v in m.entries.values())
+
+
+class TestExactMatrixOverQ:
+    """Products and upper-triangular solves over Q against a plain per-entry
+    Fraction loop; a Q(t) operand must give the same values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse(_q_scalar), _sparse(_q_scalar))
+    def test_product_matches_reference(self, a, b):
+        _assert_matches(a @ b, _reference_product(a, b), over_q=True)
+
+    def test_product_drops_cancelled_sums(self):
+        a = ExactMatrix(_BASIS6, {(0, 1): F(1, 2), (0, 2): 3, (4, 1): F(2, 3)})
+        b = ExactMatrix(_BASIS6, {(1, 5): F(6, 5), (2, 5): F(-1, 5), (2, 0): F(7, 9)})
+        p = a @ b
+        # row 0, column 5: 1/2 * 6/5 + 3 * (-1/5) = 0
+        assert (0, 5) not in p.entries
+        assert p.entries == {(0, 0): F(7, 3), (4, 5): F(4, 5)}
+        assert all(type(v) is Fraction for v in p.entries.values())
+
+    def test_product_with_an_empty_operand(self):
+        a = ExactMatrix(_BASIS6, {(0, 1): F(1, 2)})
+        empty = ExactMatrix(_BASIS6)
+        assert (a @ empty).entries == {}
+        assert (empty @ a).entries == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _sparse(_q_scalar),
+        st.lists(_q_scalar.filter(lambda v: v != 0), min_size=6, max_size=6),
+        _sparse(_q_scalar),
+    )
+    def test_solve_matches_reference(self, m, diagonal, rhs):
+        # the upper triangle of a random sparse matrix, with a non-unit diagonal
+        entries = {(r, c): v for (r, c), v in m.entries.items() if r < c}
+        entries.update({(k, k): v for k, v in enumerate(diagonal)})
+        u = ExactMatrix(_BASIS6, entries)
+        x = u.solve_upper_triangular(rhs)
+        _assert_matches(x, _reference_solve(u, rhs), over_q=True)
+        assert u @ x == rhs
+
+    def test_solve_drops_cancelled_entries(self):
+        u = ExactMatrix(
+            _BASIS6, {(k, k): F(2, k + 1) for k in range(6)} | {(0, 1): F(1, 3), (1, 4): 5}
+        )
+        rhs = ExactMatrix(_BASIS6, {(0, 2): F(1, 3), (1, 2): F(2), (0, 3): 1})
+        x = u.solve_upper_triangular(rhs)
+        # x(1, 2) = 2 / 1 = 2, then x(0, 2) = (1/3 - 1/3 * 2) / 2 = -1/6;
+        # with rhs (0, 2) = 2/3 instead the row cancels to zero
+        assert x.entries == {(1, 2): F(2), (0, 2): F(-1, 6), (0, 3): F(1, 2)}
+        rhs.entries[(0, 2)] = F(2, 3)
+        x = u.solve_upper_triangular(rhs)
+        assert x.entries == {(1, 2): F(2), (0, 3): F(1, 2)}
+        assert all(type(v) is Fraction for v in x.entries.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse(_q_scalar), _sparse(_q_scalar), st.integers(0, 5), st.integers(0, 5))
+    def test_q_t_operands_match_reference(self, a, b, r, c):
+        # one Q(t) entry sends the call to the generic path; the values are
+        # the same as the per-entry reference, for Q(t) @ Q(t) and Q @ Q(t)
+        t = variable_t()
+        at = ExactMatrix(_BASIS6, {**a.entries, (r, c): t + 1})
+        _assert_matches(at @ b, _reference_product(at, b), over_q=False)
+        _assert_matches(b @ at, _reference_product(b, at), over_q=False)
+        bt = ExactMatrix(_BASIS6, {k: v * t for k, v in b.entries.items()})
+        _assert_matches(at @ bt, _reference_product(at, bt), over_q=False)
+
+    def test_q_t_solve_matches_reference(self):
+        t = variable_t()
+        u = ExactMatrix(
+            _BASIS6,
+            {(k, k): F(k + 2, 3) for k in range(6)}
+            | {(0, 3): t, (1, 2): F(-1, 2), (2, 5): 3, (4, 5): t + F(1, 2)},
+        )
+        rhs = ExactMatrix(_BASIS6, {(5, 0): F(1, 7), (3, 1): 2, (2, 2): t, (0, 4): F(5, 4)})
+        _assert_matches(u.solve_upper_triangular(rhs), _reference_solve(u, rhs), over_q=False)
+        # and a Q(t) right-hand side against a Q matrix
+        uq = ExactMatrix(_BASIS6, {k: v for k, v in u.entries.items() if k not in ((0, 3), (4, 5))})
+        _assert_matches(uq.solve_upper_triangular(rhs), _reference_solve(uq, rhs), over_q=False)
+
+
 class TestParameterSerialization:
     def test_round_trip(self):
         p = _params_2d()

@@ -242,20 +242,24 @@ class TestOverlapConsistencyMutation:
         assert witness["i"] == witness["x"] == format_multiindex((1, 1))
 
 
+@pytest.fixture
+def cold():
+    """(3,2) at seed 1, with the shared coefficient and overlap tables built
+    afresh for the test and dropped after it."""
+
+    # the overlap route solves from C and D, so its cache goes too
+    def clear():
+        cob._coefficient_table.cache_clear()
+        overlap._u_solved_table.cache_clear()
+
+    clear()
+    yield random_valid_parameters(Shape((3, 2)), 1)
+    clear()
+
+
 class TestSharedCoefficientTables:
     """One suite builds each coefficient family once, and every check that
     reads a family reads that one table."""
-
-    @pytest.fixture
-    def cold(self):
-        # the overlap route solves from C and D, so its cache goes too
-        def clear():
-            cob._coefficient_table.cache_clear()
-            overlap._u_solved_table.cache_clear()
-
-        clear()
-        yield random_valid_parameters(Shape((3, 2)), 1)
-        clear()
 
     def test_one_suite_builds_each_family_once(self, cold):
         assert run_suite(cold).passed
@@ -313,6 +317,26 @@ class TestSharedCoefficientTables:
         monkeypatch.setattr(verify, "_assemble_operator", refuse)
         monkeypatch.setattr(verify, "coefficient_matrix", refuse)
         assert run_suite(_params_2d(), checks=["limits"]).passed
+
+
+class TestOverlapTableMutation:
+    def test_planted_u_table_error_is_caught(self, cold):
+        # U_i(x) read by linear_solve off by one at one off-diagonal (i, x):
+        # the route comparison names that entry, and T Uᵀ differs from I in
+        # column i
+        table = overlap._u_solved_table(cold)
+        i, x = next(k for k in sorted(table.entries) if k[0] != k[1])
+        table.entries[(i, x)] += 1
+        report = run_suite(cold, checks=["overlap_consistency", "biorthogonality"])
+        consistency = report.result("overlap_consistency")
+        assert consistency.passed is False
+        assert consistency.witness["identity"] == "U route agreement"
+        assert consistency.witness["method"] == "linear_solve"
+        assert consistency.witness["i"] == format_multiindex(table.basis[i])
+        assert consistency.witness["x"] == format_multiindex(table.basis[x])
+        biorthogonality = report.result("biorthogonality")
+        assert biorthogonality.passed is False
+        assert biorthogonality.witness["col"] == format_multiindex(table.basis[i])
 
 
 class TestOperatorMutation:
