@@ -9,8 +9,10 @@ Subcommands:
   limits     run the t -> 0 limit checks over the rational function field
 
 Parameters come from a JSON file (--params) or from a seeded draw
-(--shape with --seed), never both.  Exit status: 0 when every requested
-check passes, 1 when a check fails, 2 on malformed configuration.
+(--shape with --seed), never both.  Every subcommand but validate refuses
+a box of more than MAX_DIMENSION points before it builds anything.  Exit
+status: 0 when every requested check passes, 1 when a check fails, 2 on
+malformed or oversized configuration.
 All rationals are printed as exact strings like "-3/7".
 """
 
@@ -55,6 +57,15 @@ from .verify import (
 __all__ = ["main"]
 
 FORMATS = ("text", "json", "csv")
+
+# The largest box dimension d = prod(ell_p + 1) that build, verify, overlap
+# and limits accept: the most a run can cost in about a minute.  Wall times,
+# seed 1, 2-core host: the default verify suite took 4.3 s at d = 48, 20 s
+# at d = 100 and 68-81 s at d = 144, growing about as d^3.4, so about an
+# hour at the d = 441 of (20,20); `overlap --which both --method all` took
+# 3.3, 18 and 48 s; limits and build stayed under 15 s.  validate stays
+# unbounded: the constraint checks cost little even at d = 22,801.
+MAX_DIMENSION = 144
 BUILD_TARGETS = OPERATOR_NAMES + COEFFICIENT_KINDS
 OVERLAP_KINDS = ("racah",) + LIMIT_KINDS
 
@@ -159,6 +170,14 @@ def _parse_shape(text: str) -> Shape:
         raise ConfigError(f"bad --shape {text!r}: {err}") from None
 
 
+def _within_budget(args, shape: Shape) -> None:
+    if args.command != "validate" and shape.dimension > MAX_DIMENSION:
+        raise ConfigError(
+            f"box dimension d = {shape.dimension} of shape {shape.ell} exceeds the "
+            f"limit {MAX_DIMENSION} of {args.command}"
+        )
+
+
 def _load_parameters(args) -> TDParameters:
     from_file = args.params is not None
     generated = args.shape is not None or args.seed is not None
@@ -173,12 +192,15 @@ def _load_parameters(args) -> TDParameters:
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON in {args.params}: {err}") from None
         try:
-            return parameters_from_json_obj(obj)
+            params = parameters_from_json_obj(obj)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"bad parameter document: {err}") from None
+        _within_budget(args, params.shape)
+        return params
     if args.shape is None or args.seed is None:
         raise ConfigError("generated mode needs both --shape and --seed")
     shape = _parse_shape(args.shape)
+    _within_budget(args, shape)
     if args.bound < 4:
         raise ConfigError("--bound must be at least 4")
     try:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -306,6 +306,9 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
     def ths(j):
         return eigenvalue(params, j, starred=True)
 
+    # each xi*_{n,p} is read by several terms: one dict per build, keyed on (n, p)
+    xs = cache(lambda n, p: xi(params, n, p, starred=True))
+
     cC, cCb = mc.entry, mcb.entry
 
     for x in basis:
@@ -313,7 +316,7 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
         for p in range(1, N + 1):
             y = sub(x, unit(p, N))
             if in_box(y, shape):
-                put(y, x, xi(params, y, p, starred=True))
+                put(y, x, xs(y, p))
         for p in range(1, N + 1):
             y = add(x, unit(p, N))
             if in_box(y, shape):
@@ -326,10 +329,10 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
                     continue
                 xmq = sub(x, unit(q, N))
                 if in_box(xmq, shape):
-                    put(y, x, xi(params, xmq, q, starred=True) * cCb(y, xmq))
+                    put(y, x, xs(xmq, q) * cCb(y, xmq))
                 xpp = add(x, unit(p, N))
                 if in_box(xpp, shape):
-                    put(y, x, xi(params, y, q, starred=True) * cC(xpp, x))
+                    put(y, x, xs(y, q) * cC(xpp, x))
         for p in range(1, N + 1):
             for q in range(1, N + 1):
                 for r in range(q, N + 1):
@@ -341,5 +344,5 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
                         nm = sub(n, unit(p, N))
                         if not (in_box(n, shape) and in_box(nm, shape)):
                             continue
-                        put(y, x, xi(params, nm, p, starred=True) * cC(n, x) * cCb(y, nm))
+                        put(y, x, xs(nm, p) * cC(n, x) * cCb(y, nm))
     return m

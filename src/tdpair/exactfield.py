@@ -37,6 +37,8 @@ __all__ = [
     "as_integer",
     "pochhammer",
     "binomial",
+    "pair_value",
+    "hypergeometric_term_pairs",
     "hypergeometric_terms",
     "pfq_terminating",
     "limit_at_zero",
@@ -257,6 +259,9 @@ class RationalFunction:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero rational function")
+        if len(o.num) == 1 and o.den == _ONE:
+            c = o.num[0]
+            return RationalFunction._reduced(tuple(v / c for v in self.num), self.den)
         return RationalFunction(_pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
@@ -316,10 +321,6 @@ class RationalFunction:
         if not self.is_constant():
             raise ValueError("not a constant rational function")
         return self.num[0] if self.num else Fraction(0)
-
-    def degree_pair(self) -> tuple[int, int]:
-        """(numerator degree, denominator degree); the zero function is (-1, 0)."""
-        return (len(self.num) - 1, len(self.den) - 1)
 
     def __repr__(self):
         return f"RationalFunction({_fmt_poly(self.num)!r}, {_fmt_poly(self.den)!r})"
@@ -477,6 +478,76 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _pair(v: FieldElement) -> tuple:
+    """v as (numerator, denominator): two ints for a rational, (v, 1) for a
+    rational function."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is not Fraction:
+        v = _coerce(v)
+        if not isinstance(v, Fraction):
+            return v, 1
+    return v.numerator, v.denominator
+
+
+def pair_value(u, v) -> FieldElement:
+    """The field element u / v of a pair whose parts are ints or field
+    elements; two ints give a Fraction, never a float."""
+    if type(u) is int and type(v) is int:
+        return Fraction(u, v)
+    if type(v) is int and v == 1:
+        return u
+    return u / v
+
+
+def hypergeometric_term_pairs(
+    num: Sequence[FieldElement],
+    den: Sequence[FieldElement],
+    kmax: int,
+    z: Optional[FieldElement] = None,
+    detail: str = "hypergeometric denominator parameter",
+) -> Iterator[tuple[int, FieldElement, FieldElement]]:
+    """Yield (k, u_k, v_k) with u_k / v_k = t_k, the terms of
+    `hypergeometric_terms`, with the same stops and the same raise.
+
+    A rational parameter c = n/d enters the term ratio as the integer
+    factor n + (k - 1) d over d.  So over Q every u_k and v_k is an int,
+    unreduced, and no gcd is taken; v_k divides v_{k+1}.  With a rational
+    function among the parameters or z, u_k is the term itself and v_k = 1.
+    """
+    if not isinstance(kmax, int) or kmax < 0:
+        raise ValueError("kmax must be a nonnegative integer")
+    nums = [_pair(v) for v in num]
+    dens = [_pair(v) for v in den]
+    # the parameters' denominators scale every step's ratio alike
+    up, down = (1, 1) if z is None else _pair(z)
+    for _, d in dens:
+        up = up * d
+    for _, d in nums:
+        down = down * d
+    over_q = type(up) is int and all(type(n) is int for n, _ in nums + dens)
+    u, v = 1, 1
+    yield 0, u, v
+    for k in range(1, kmax + 1):
+        numfac = 1
+        for n, d in nums:
+            numfac = numfac * (n + (k - 1) * d)
+        if numfac == 0:
+            return  # the series terminated at k-1
+        denfac = k
+        for n, d in dens:
+            denfac = denfac * (n + (k - 1) * d)
+        if denfac == 0:
+            raise ZeroDenominatorPochhammer(k, detail)
+        if over_q:
+            u, v = u * numfac * up, v * denfac * down
+        else:
+            u = u * (numfac * up) / (denfac * down)
+        if u == 0:
+            return  # z = 0; every later term vanishes too
+        yield k, u, v
+
+
 def hypergeometric_terms(
     num: Sequence[FieldElement],
     den: Sequence[FieldElement],
@@ -493,30 +564,8 @@ def hypergeometric_terms(
     multiplication.  Raises ZeroDenominatorPochhammer(k, detail) if some
     (b_j)_k vanishes while the k-th term's numerator is nonzero.
     """
-    if not isinstance(kmax, int) or kmax < 0:
-        raise ValueError("kmax must be a nonnegative integer")
-    nums = [_coerce(v) for v in num]
-    dens = [_coerce(v) for v in den]
-    zz = None if z is None else _coerce(z)
-    term: FieldElement = Fraction(1)
-    yield 0, term
-    for k in range(1, kmax + 1):
-        numfac: FieldElement = Fraction(1)
-        for av in nums:
-            numfac = numfac * (av + (k - 1))
-        if numfac == 0:
-            return  # the series terminated at k-1
-        denfac: FieldElement = Fraction(k)
-        for bv in dens:
-            denfac = denfac * (bv + (k - 1))
-        if denfac == 0:
-            raise ZeroDenominatorPochhammer(k, detail)
-        term = term * numfac / denfac
-        if zz is not None:
-            term = term * zz
-        if term == 0:
-            return  # z = 0; every later term vanishes too
-        yield k, term
+    for k, u, v in hypergeometric_term_pairs(num, den, kmax, z, detail):
+        yield k, pair_value(u, v)
 
 
 def pfq_terminating(

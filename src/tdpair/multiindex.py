@@ -23,12 +23,8 @@ __all__ = [
     "unit",
     "add",
     "sub",
-    "pointwise_min",
-    "pointwise_max",
     "in_box",
-    "dominates",
     "format_multiindex",
-    "parse_multiindex",
 ]
 
 
@@ -172,14 +168,6 @@ def sub(n: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(n, m, strict=True))
 
 
-def pointwise_min(n: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
-    return tuple(min(a, b) for a, b in zip(n, m, strict=True))
-
-
-def pointwise_max(n: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
-    return tuple(max(a, b) for a, b in zip(n, m, strict=True))
-
-
 def in_box(n: Sequence[int], shape: Shape) -> bool:
     """Whether 0 <= n_p <= ell_p for every coordinate."""
     if len(n) != shape.N:
@@ -187,20 +175,5 @@ def in_box(n: Sequence[int], shape: Shape) -> bool:
     return all(0 <= v <= b for v, b in zip(n, shape.ell))
 
 
-def dominates(n: Sequence[int], m: Sequence[int]) -> bool:
-    """Whether n >= m pointwise (the support order of the coefficients)."""
-    return all(a >= b for a, b in zip(n, m, strict=True))
-
-
 def format_multiindex(n: Sequence[int]) -> str:
     return "[" + ",".join(str(v) for v in n) + "]"
-
-
-def parse_multiindex(text: str) -> MultiIndex:
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"not a multi-index literal: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        raise ValueError("empty multi-index")
-    return MultiIndex(int(piece.strip()) for piece in body.split(","))

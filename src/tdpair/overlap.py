@@ -25,11 +25,20 @@ hypergeometric term ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead
 of recomputing its Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds
 live at the end.
 
-`overlap_table` builds one whole table per route: the pointwise routes call
-the evaluators entry by entry, matrix_product is one matrix product and
-linear_solve one back-substitution.  The verifier compares these tables, so
-the routes stay independent computations.  Cached tables are never returned
-themselves, only copies.
+Over Q the two pointwise routes run on integers.  Every value is carried as
+a pair (numerator, denominator) of ints: the walk keeps its weights as
+integer numerators over one common denominator, and the direct sums
+multiply int pairs of Pochhammer symbols memoized once per table, sum the
+terms of an entry over their lcm and build one Fraction per entry.  Over
+Q(t) the same code multiplies field elements.
+
+`overlap_table` builds one whole table per route with one call: a kernel
+per pointwise route (`_t_direct`, `_u_direct`, `_t_shift`, `_u_shift`)
+takes the rows and columns and returns every entry, and `overlap_T` and
+`overlap_U` call the same kernel for a single entry; matrix_product is one
+matrix product and linear_solve one back-substitution.  The verifier
+compares these tables, so the routes stay independent computations.
+Cached tables are never returned themselves, only copies.
 """
 
 from __future__ import annotations
@@ -37,15 +46,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import accumulate, product
+from math import factorial, lcm, prod
+from typing import Callable, Iterator, Sequence
 
 from .exactfield import (
     FieldElement,
+    ZeroDenominatorPochhammer,
     _inv_poch,
+    _pair,
     binomial,
-    hypergeometric_terms,
+    hypergeometric_term_pairs,
     is_zero,
+    pair_value,
     pfq_terminating,
     pochhammer,
 )
@@ -121,48 +134,70 @@ class RacahFactorSpec:
         if not 0 <= self.x <= self.ell:
             raise ValueError(f"factor degree x={self.x} outside 0..{self.ell}")
 
-    def prefactor(self) -> FieldElement:
-        return (
-            binomial(self.ell, self.i)
-            * pochhammer(self.b1, self.i)
-            * pochhammer(self.b2, self.x)
-        )
+    def prefactor_pair(self) -> tuple[FieldElement, FieldElement]:
+        """The prefactor as a pair (u, v) with u / v its value, two ints
+        over Q."""
+        u1, v1 = _pair(pochhammer(self.b1, self.i))
+        u2, v2 = _pair(pochhammer(self.b2, self.x))
+        return binomial(self.ell, self.i) * u1 * u2, v1 * v2
 
-    def series(self) -> Iterator[tuple[int, FieldElement]]:
-        """Yield (k, series coefficient of Z^k), each from the last by the
-        term ratio; a vanishing numerator ends the series, a vanishing
-        denominator factor is an error."""
-        return hypergeometric_terms(
+    def prefactor(self) -> FieldElement:
+        return pair_value(*self.prefactor_pair())
+
+    def term_pairs(self) -> Iterator[tuple[int, FieldElement, FieldElement]]:
+        """Yield (k, u, v) with u / v the series coefficient of Z^k, each
+        from the last by the term ratio (integers over Q); a vanishing
+        numerator ends the series, a vanishing denominator factor is an
+        error."""
+        return hypergeometric_term_pairs(
             [-self.i, -self.x, self.a1, self.a2],
             [self.b1, self.b2, -self.ell],
             min(self.i, self.x),
             detail="Racah factor series",
         )
 
+    def series(self) -> Iterator[tuple[int, FieldElement]]:
+        """Yield (k, series coefficient of Z^k); see `term_pairs`."""
+        return ((k, pair_value(u, v)) for k, u, v in self.term_pairs())
+
     def value_at_unit(self) -> FieldElement:
         """The scalar value with Z = 1 (the univariate collapse)."""
         return self.prefactor() * sum((c for _, c in self.series()), Fraction(0))
+
+
+def _over_common_denominator(nums: list, dens: list) -> tuple[list, FieldElement]:
+    """The fractions nums[j] / dens[j] as (numerators, one denominator).
+
+    Over Q, with every part an int, the denominator is the lcm of dens and
+    no gcd is taken per fraction; otherwise each fraction is divided out as
+    a field element and the denominator is 1."""
+    if all(type(d) is int for d in dens) and all(type(u) is int for u in nums):
+        den = lcm(*dens)
+        return [u * (den // d) for u, d in zip(nums, dens)], den
+    return [pair_value(u, d) for u, d in zip(nums, dens)], 1
 
 
 class ShiftedFunctional:
     """The function table a shift-operator product acts on.
 
     Keys are joint shift offsets (k_1, ..., k_N) accumulated so far; the
-    value is the total weight of all expansion paths reaching that offset.
-    Factor p only ever adds to coordinate p, so offsets stay within
-    min(i_p, x_p) per coordinate.
+    value is the total weight of all expansion paths reaching that offset,
+    kept as a numerator over the table's common denominator `den` (over Q
+    integers, otherwise field elements over 1).  Factor p only ever adds to
+    coordinate p, so offsets stay within min(i_p, x_p) per coordinate.
     """
 
-    __slots__ = ("n_coords", "table")
+    __slots__ = ("n_coords", "table", "den")
 
-    def __init__(self, n_coords: int):
+    def __init__(self, n_coords: int, den: FieldElement = 1):
         self.n_coords = n_coords
         self.table: dict[tuple[int, ...], FieldElement] = {}
+        self.den = den
 
     @classmethod
     def identity(cls, n_coords: int) -> "ShiftedFunctional":
         f = cls(n_coords)
-        f.table[(0,) * n_coords] = Fraction(1)
+        f.table[(0,) * n_coords] = 1
         return f
 
     def add(self, offsets: tuple[int, ...], weight: FieldElement):
@@ -170,7 +205,7 @@ class ShiftedFunctional:
         self.table[offsets] = weight if cur is None else cur + weight
 
     def total(self) -> FieldElement:
-        return sum(self.table.values(), Fraction(0))
+        return pair_value(sum(self.table.values()), self.den)
 
 
 def _shifted(n: Sequence[int], offsets: tuple[int, ...], sign: int) -> tuple[int, ...]:
@@ -180,163 +215,223 @@ def _shifted(n: Sequence[int], offsets: tuple[int, ...], sign: int) -> tuple[int
 def _shift_walk(N: int, factor_terms) -> FieldElement:
     """Apply factors 1..N (factor 1 outermost) to the identity table and
     sum it.  factor_terms(p, offsets) gives factor p at the shifted indices
-    as (prefactor, iterator of (k, coefficient of Z^k)); the term for Z^k
-    moves its weight k steps along coordinate p."""
+    as (prefactor pair, iterator of (k, u, v)), u / v the coefficient of
+    Z^k; the term for Z^k moves its weight k steps along coordinate p.
+    Over Q every pair is two ints, so each factor costs integer products
+    and one rescaling of the table to a new common denominator."""
     funct = ShiftedFunctional.identity(N)
     for p in range(1, N + 1):
-        nxt = ShiftedFunctional(N)
+        keys, nums, dens = [], [], []
         for offsets, w in funct.table.items():
-            pref, terms = factor_terms(p, offsets)
-            wp = w * pref
-            for k, coeff in terms:
-                key = offsets if k == 0 else offsets[: p - 1] + (offsets[p - 1] + k,) + offsets[p:]
-                nxt.add(key, wp * coeff)
-        funct = nxt
+            (pu, pv), terms = factor_terms(p, offsets)
+            wu, wv = w * pu, funct.den * pv
+            for k, u, v in terms:
+                keys.append(
+                    offsets if k == 0 else offsets[: p - 1] + (offsets[p - 1] + k,) + offsets[p:]
+                )
+                nums.append(wu * u)
+                dens.append(wv * v)
+        scaled, den = _over_common_denominator(nums, dens)
+        funct = ShiftedFunctional(N, den)
+        for key, weight in zip(keys, scaled):
+            funct.add(key, weight)
     return funct.total()
 
 
 def _t_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) -> RacahFactorSpec:
-    ell, N = params.ell, params.N
+    ell = params.ell
     return RacahFactorSpec(
         i=i[p - 1],
         x=x[p - 1],
         a1=sum(i) + params.omega_star,
         a2=sum(x) + params.omega,
-        b1=partial_sum(i, 1, p - 1) + partial_sum(ell, p + 1, N) + params.omega_star - params.a[p - 1],
-        b2=partial_sum(x, 1, p - 1) + partial_sum(ell, p, N) + params.omega + params.a[p - 1] + 1,
+        b1=sum(i[: p - 1]) + sum(ell[p:]) + params.omega_star - params.a[p - 1],
+        b2=sum(x[: p - 1]) + sum(ell[p - 1 :]) + params.omega + params.a[p - 1] + 1,
         ell=ell[p - 1],
     )
 
 
-def _t_shift(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    def factor_terms(p, offsets):
-        factor = _t_factor(params, p, _shifted(i, offsets, 1), _shifted(x, offsets, 1))
-        return factor.prefactor(), factor.series()
+def _t_shift(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """T_i(x) by the shift-operator product for every i of rows, x of cols."""
 
-    wi, wx = i.weight, x.weight
-    head = Fraction((-1) ** wi) / (
-        _inv_poch(wi + params.omega_star, wi, "T shift head")
-        * _inv_poch(wx + params.omega, wx, "T shift head")
-    )
-    return head * _shift_walk(params.N, factor_terms)
+    def entry(i, x):
+        def factor_terms(p, offsets):
+            factor = _t_factor(params, p, _shifted(i, offsets, 1), _shifted(x, offsets, 1))
+            return factor.prefactor_pair(), factor.term_pairs()
+
+        wi, wx = i.weight, x.weight
+        head = Fraction((-1) ** wi) / (
+            _inv_poch(wi + params.omega_star, wi, "T shift head")
+            * _inv_poch(wx + params.omega, wx, "T shift head")
+        )
+        return head * _shift_walk(params.N, factor_terms)
+
+    return [[entry(i, x) for x in cols] for i in rows]
 
 
 def _u_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) -> RacahFactorSpec:
-    ell, N = params.ell, params.N
+    ell = params.ell
     lp = ell[p - 1]
     L = params.diameter
     return RacahFactorSpec(
         i=lp - x[p - 1],
         x=lp - i[p - 1],
-        a1=-2 * sum(x) - partial_sum(ell, 1, p) + partial_sum(x, 1, p) - params.omega,
-        a2=-2 * sum(i) - partial_sum(ell, 1, p) + partial_sum(i, 1, p) - params.omega_star,
-        b1=-L - partial_sum(x, 1, p - 1) - lp - params.a[p - 1] - params.omega,
-        b2=-L - partial_sum(i, 1, p - 1) + params.a[p - 1] + 1 - params.omega_star,
+        a1=-2 * sum(x) - sum(ell[:p]) + sum(x[:p]) - params.omega,
+        a2=-2 * sum(i) - sum(ell[:p]) + sum(i[:p]) - params.omega_star,
+        b1=-L - sum(x[: p - 1]) - lp - params.a[p - 1] - params.omega,
+        b2=-L - sum(i[: p - 1]) + params.a[p - 1] + 1 - params.omega_star,
         ell=lp,
     )
 
 
-def _u_shift(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    # the factor argument lowers the indices: offsets count how far i_q,
-    # x_q have been pulled down
+def _u_shift(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """U_i(x) by the mirrored shift-operator product for every i of rows,
+    x of cols; the factor argument lowers the indices, so offsets count how
+    far i_q, x_q have been pulled down."""
     ell = params.ell
 
-    def factor_terms(p, offsets):
-        ish, xsh = _shifted(i, offsets, -1), _shifted(x, offsets, -1)
-        lp = ell[p - 1]
+    def entry(i, x):
+        def factor_terms(p, offsets):
+            ish, xsh = _shifted(i, offsets, -1), _shifted(x, offsets, -1)
+            lp = ell[p - 1]
 
-        def den(n, om):
-            return _inv_poch(
-                2 * sum(n) + partial_sum(ell, 1, p - 1) - partial_sum(n, 1, p - 1) + om + 1,
-                lp - n[p - 1],
-                "U factor outer",
-            )
+            def den(n, om):
+                return _pair(
+                    _inv_poch(
+                        2 * sum(n) + sum(ell[: p - 1]) - sum(n[: p - 1]) + om + 1,
+                        lp - n[p - 1],
+                        "U factor outer",
+                    )
+                )
 
-        outer = Fraction((-1) ** (ish[p - 1] + lp)) / (
-            den(xsh, params.omega) * den(ish, params.omega_star)
-        )
-        factor = _u_factor(params, p, ish, xsh)
-        return outer * factor.prefactor(), factor.series()
+            # outer = (-1)^(i_p + ell_p) / [den(x) den(i)], times the prefactor
+            (xu, xv), (iu, iv) = den(xsh, params.omega), den(ish, params.omega_star)
+            factor = _u_factor(params, p, ish, xsh)
+            fu, fv = factor.prefactor_pair()
+            sign = (-1) ** (ish[p - 1] + lp)
+            return (sign * xv * iv * fu, xu * iu * fv), factor.term_pairs()
 
-    return _shift_walk(params.N, factor_terms)
+        return _shift_walk(params.N, factor_terms)
+
+    return [[entry(i, x) for x in cols] for i in rows]
 
 
 # ---------------------------------------------------------------------------
 # direct nested sums
 
 
-def _t_direct(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    ell, N, om, oms = params.ell, params.N, params.omega, params.omega_star
-    a = params.a
-    wi, wx = i.weight, x.weight
-    total = Fraction(0)
-    for n in product(*[range(min(i[p], x[p]) + 1) for p in range(N)]):
-        term = Fraction(1)
-        for p in range(1, N + 1):
-            np_, ip_, xp_, lp_ = n[p - 1], i[p - 1], x[p - 1], ell[p - 1]
-            term *= pochhammer(-xp_, np_) * pochhammer(-ip_, np_) * pochhammer(-lp_, ip_)
-            term /= pochhammer(Fraction(1), np_) * pochhammer(-lp_, np_) * pochhammer(
-                Fraction(1), ip_
-            )
-            term *= pochhammer(
-                partial_sum(x, 1, p - 1) + partial_sum(n, 1, p) + partial_sum(ell, p, N)
-                + a[p - 1] + om + 1,
-                xp_ - np_,
-            )
-            term /= _inv_poch(
-                wx + sum(n) + partial_sum(x, 1, p - 1) - partial_sum(n, 1, p - 1) + om,
-                xp_ - np_,
-                "T direct denominator",
-            )
-            term *= pochhammer(
-                partial_sum(i, 1, p - 1) + partial_sum(n, 1, p) + partial_sum(ell, p + 1, N)
-                - a[p - 1] + oms,
-                ip_ - np_,
-            )
-            term /= _inv_poch(
-                wi + sum(n) + partial_sum(i, 1, p - 1) - partial_sum(n, 1, p - 1) + oms,
-                ip_ - np_,
-                "T direct denominator",
-            )
-        total += term
-    return total
+def _direct_ratios(params: TDParameters, detail: str) -> Callable[..., tuple]:
+    """ratio(j, m, jd, md, k) = (b_j + m)_k / (b_jd + md)_k as a pair (u, v),
+    memoized for one table.  Every rational Pochhammer symbol of the direct
+    sums has an integer m and a base b_j among omega (j = 0), omega* (1),
+    a_p + omega + 1 (2p) and omega* - a_p (2p + 1).  Over Q, u and v are
+    ints, so each term is a product of ints; a vanishing denominator raises
+    ZeroDenominatorPochhammer(k, detail)."""
+    om, oms = params.omega, params.omega_star
+    bases = [om, oms]
+    for ap in params.a:
+        bases += [ap + om + 1, oms - ap]
+    parts = [_pair(b) for b in bases]
+    memo: dict[tuple, tuple] = {}
+
+    def rising(j, m, k):
+        n, d = parts[j]
+        if type(n) is int:
+            return prod(n + (m + s) * d for s in range(k)), d**k
+        return pochhammer(bases[j] + m, k), 1
+
+    def ratio(j, m, jd, md, k):
+        key = (j, m, jd, md, k)
+        hit = memo.get(key)
+        if hit is None:
+            (u, v), (du, dv) = rising(j, m, k), rising(jd, md, k)
+            if du == 0:
+                raise ZeroDenominatorPochhammer(k, detail)
+            hit = memo[key] = (u * dv, v * du)
+        return hit
+
+    return ratio
 
 
-def _u_direct(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    ell, N, om, oms = params.ell, params.N, params.omega, params.omega_star
-    a = params.a
-    wi, wx = i.weight, x.weight
-    total = Fraction(0)
-    for n in product(*[range(max(i[p], x[p]), ell[p] + 1) for p in range(N)]):
-        term = Fraction(1)
-        for p in range(1, N + 1):
-            np_, ip_, xp_, lp_ = n[p - 1], i[p - 1], x[p - 1], ell[p - 1]
-            term *= pochhammer(-np_, xp_) * pochhammer(-np_, ip_) * pochhammer(-lp_, np_)
-            term /= pochhammer(Fraction(1), xp_) * pochhammer(-lp_, ip_) * pochhammer(
-                Fraction(1), np_
-            )
-            term *= pochhammer(
-                partial_sum(x, 1, p) + partial_sum(n, 1, p - 1) + partial_sum(ell, p, N)
-                + a[p - 1] + om + 1,
-                np_ - xp_,
-            )
-            term /= _inv_poch(
-                2 * wx + partial_sum(n, 1, p - 1) - partial_sum(x, 1, p - 1) + om + 1,
-                np_ - xp_,
-                "U direct denominator",
-            )
-            term *= pochhammer(
-                partial_sum(i, 1, p) + partial_sum(n, 1, p - 1) + partial_sum(ell, p + 1, N)
-                - a[p - 1] + oms,
-                np_ - ip_,
-            )
-            term /= _inv_poch(
-                2 * wi + partial_sum(n, 1, p - 1) - partial_sum(i, 1, p - 1) + oms + 1,
-                np_ - ip_,
-                "U direct denominator",
-            )
-        total += term
-    return total
+def _entry_value(nums: list, dens: list, hu: int, hv: int) -> FieldElement:
+    scaled, den = _over_common_denominator(nums, dens)
+    return pair_value(sum(scaled) * hu, den * hv)
+
+
+def _t_direct(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """T_i(x) by the nested sum over 0 <= n <= min(i, x) for every i of
+    rows, x of cols; s? below are prefix sums, s?[q] = |?|_1^q.
+    prod_p (-ell_p)_{i_p} / (1)_{i_p} depends on i only and multiplies each
+    entry once."""
+    ell, N = params.ell, params.N
+    ratio = _direct_ratios(params, "T direct denominator")
+    tail = [sum(ell[q:]) for q in range(N + 1)]
+    out = []
+    for i in rows:
+        si, wi = list(accumulate(i, initial=0)), i.weight
+        hu = prod(prod(range(-lq, iq - lq)) for lq, iq in zip(ell, i))
+        hv = prod(factorial(iq) for iq in i)
+        row = []
+        for x in cols:
+            sx, wx = list(accumulate(x, initial=0)), x.weight
+            nums, dens = [], []
+            for n in product(*[range(min(iq, xq) + 1) for iq, xq in zip(i, x)]):
+                sn = list(accumulate(n, initial=0))
+                wn = sn[N]
+                tu = tv = 1
+                for q in range(N):
+                    nq, iq, xq, lq, j = n[q], i[q], x[q], ell[q], 2 * q + 2
+                    lo, hi = sn[q], sn[q + 1]
+                    xu, xv = ratio(j, sx[q] + hi + tail[q], 0, wx + wn + sx[q] - lo, xq - nq)
+                    iu, iv = ratio(j + 1, si[q] + hi + tail[q + 1], 1, wi + wn + si[q] - lo, iq - nq)
+                    tu *= prod(range(-xq, nq - xq)) * prod(range(-iq, nq - iq)) * xu * iu
+                    tv *= factorial(nq) * prod(range(-lq, nq - lq)) * xv * iv
+                nums.append(tu)
+                dens.append(tv)
+            row.append(_entry_value(nums, dens, hu, hv))
+        out.append(row)
+    return out
+
+
+def _u_direct(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """U_i(x) by the nested sum over max(i, x) <= n <= ell for every i of
+    rows, x of cols; s? as in _t_direct.  prod_p (1)_{x_p} (-ell_p)_{i_p}
+    depends on i and x only and divides each entry once."""
+    ell, N = params.ell, params.N
+    ratio = _direct_ratios(params, "U direct denominator")
+    tail = [sum(ell[q:]) for q in range(N + 1)]
+    out = []
+    for i in rows:
+        si, wi = list(accumulate(i, initial=0)), 2 * i.weight + 1
+        row = []
+        for x in cols:
+            sx, wx = list(accumulate(x, initial=0)), 2 * x.weight + 1
+            hv = prod(factorial(xq) * prod(range(-lq, iq - lq)) for lq, iq, xq in zip(ell, i, x))
+            nums, dens = [], []
+            for n in product(*[range(max(iq, xq), lq + 1) for iq, xq, lq in zip(i, x, ell)]):
+                sn = list(accumulate(n, initial=0))
+                tu = tv = 1
+                for q in range(N):
+                    nq, iq, xq, lq, j = n[q], i[q], x[q], ell[q], 2 * q + 2
+                    lo = sn[q]
+                    xu, xv = ratio(j, sx[q + 1] + lo + tail[q], 0, wx + lo - sx[q], nq - xq)
+                    iu, iv = ratio(j + 1, si[q + 1] + lo + tail[q + 1], 1, wi + lo - si[q], nq - iq)
+                    coef = prod(range(-nq, xq - nq)) * prod(range(-nq, iq - nq))
+                    tu *= coef * prod(range(-lq, nq - lq)) * xu * iu
+                    tv *= factorial(nq) * xv * iv
+                nums.append(tu)
+                dens.append(tv)
+            row.append(_entry_value(nums, dens, 1, hv))
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +466,10 @@ def overlap_T(
         raise ValueError(f"unknown method {method!r}; expected one of {T_METHODS}")
     _ensure_valid(params)
     mi, mx = _point(params, i), _point(params, x)
-    if method == "direct_sum":
-        return _t_direct(params, mi, mx)
     if method == "matrix_product":
         return _t_matrix_entry(params, mi, mx)
-    return _t_shift(params, mi, mx)
+    kernel = _t_direct if method == "direct_sum" else _t_shift
+    return kernel(params, [mi], [mx])[0][0]
 
 
 def overlap_U(
@@ -386,11 +480,10 @@ def overlap_U(
         raise ValueError(f"unknown method {method!r}; expected one of {U_METHODS}")
     _ensure_valid(params)
     mi, mx = _point(params, i), _point(params, x)
-    if method == "direct_sum":
-        return _u_direct(params, mi, mx)
     if method == "linear_solve":
         return _u_solved_table(params).entry(mi, mx)
-    return _u_shift(params, mi, mx)
+    kernel = _u_direct if method == "direct_sum" else _u_shift
+    return kernel(params, [mi], [mx])[0][0]
 
 
 def overlap_table(params: TDParameters, which: str, method: str) -> ExactMatrix:
@@ -398,23 +491,25 @@ def overlap_table(params: TDParameters, which: str, method: str) -> ExactMatrix:
     if which not in ("T", "U"):
         raise ValueError(f"unknown overlap family {which!r}; expected 'T' or 'U'")
     _ensure_valid(params)
+    methods = T_METHODS if which == "T" else U_METHODS
+    if method not in methods:
+        raise ValueError(f"unknown method {method!r}; expected one of {methods}")
     basis = enumerate_box(params.shape)
+    if method == "matrix_product":
+        mcb = coefficient_matrix(params, "Cbar")
+        md = coefficient_matrix(params, "D")
+        return (mcb @ md).transpose()
+    if method == "linear_solve":
+        # a copy: the cached table must not be writable through the result
+        m = _u_solved_table(params)
+        return ExactMatrix(m.basis, m.entries)
     if which == "T":
-        if method == "matrix_product":
-            mcb = coefficient_matrix(params, "Cbar")
-            md = coefficient_matrix(params, "D")
-            return (mcb @ md).transpose()
-        fn = overlap_T
+        kernel = _t_direct if method == "direct_sum" else _t_shift
     else:
-        if method == "linear_solve":
-            # a copy: the cached table must not be writable through the result
-            m = _u_solved_table(params)
-            return ExactMatrix(m.basis, m.entries)
-        fn = overlap_U
+        kernel = _u_direct if method == "direct_sum" else _u_shift
     m = ExactMatrix(basis)
-    for r, mi in enumerate(basis):
-        for c, mx in enumerate(basis):
-            v = fn(params, mi, mx, method)
+    for r, row in enumerate(kernel(params, basis, basis)):
+        for c, v in enumerate(row):
             if not is_zero(v):
                 m.entries[(r, c)] = v
     return m
@@ -525,10 +620,10 @@ def _hahn_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElem
         lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
         aa = sum(xsh) + om
         b = partial_sum(xsh, 1, p - 1) + partial_sum(ell, p, N) + om + a[p - 1] + 1
-        terms = hypergeometric_terms(
+        terms = hypergeometric_term_pairs(
             [-ip, -xp, aa], [-lp, b], min(ip, xp), detail="Hahn factor series"
         )
-        return binomial(lp, ip) * pochhammer(b, xp), terms
+        return _pair(binomial(lp, ip) * pochhammer(b, xp)), terms
 
     head = Fraction((-1) ** i.weight) / _inv_poch(x.weight + om, x.weight, "Hahn head")
     return head * _shift_walk(N, factor_terms)

@@ -556,11 +556,6 @@ class ExactMatrix:
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         return self @ other - other @ self
 
-    def diagonal_part(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.basis, {k: v for k, v in self.entries.items() if k[0] == k[1]}
-        )
-
     def off_diagonal_part(self) -> "ExactMatrix":
         return ExactMatrix(
             self.basis, {k: v for k, v in self.entries.items() if k[0] != k[1]}

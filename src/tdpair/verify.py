@@ -451,7 +451,8 @@ def run_suite(
 
     Failures never raise; they are report entries with witnesses.  When the
     constraints check fails, dependent checks are reported as skipped.
-    overlap_consistency compares whole route tables, one per route.  Each
+    overlap_consistency compares whole route tables, one per route, each
+    built by a single call of that route's table kernel.  Each
     operator and coefficient matrix is built when a selected check first
     needs it, so its cost shows in that check's millis.
     """

@@ -4,11 +4,12 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from tdpair.cli import main
+from tdpair.cli import MAX_DIMENSION, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -235,6 +236,38 @@ class TestConfigErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["nonsense"]) == 2
+
+
+class TestDimensionBudget:
+    """Every subcommand but validate refuses an oversized box at once."""
+
+    BOUNDED = (["verify"], ["limits"], ["overlap"], ["build", "--operator", "A"])
+
+    @pytest.fixture
+    def big_params_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(VALID_N1, ell=[20, 20], a=["1/3", "1/5"])))
+        return str(path)
+
+    @pytest.mark.parametrize("command", BOUNDED)
+    def test_oversized_box_exits_2_at_once(self, command, big_params_file, capsys):
+        for source in (["--shape", "20,20", "--seed", "1"], ["--params", big_params_file]):
+            start = time.perf_counter()
+            assert main(command + source) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert "d = 441" in err and f"limit {MAX_DIMENSION}" in err
+
+    def test_validate_is_unbounded(self, big_params_file, capsys):
+        assert main(["validate", "--shape", "20,20", "--seed", "1"]) == 0
+        assert main(["validate", "--params", big_params_file]) in (0, 1)
+        assert "exceeds" not in capsys.readouterr().err
+
+    def test_largest_shape_in_use_is_admitted(self, capsys):
+        # (3,3,2), d = 48, is the largest shape the tests, the benchmark and
+        # the ROADMAP table run
+        assert MAX_DIMENSION >= 48
+        assert main(["build", "--operator", "A", "--shape", "3,3,2", "--seed", "1"]) == 0
 
 
 class TestEntryPoint:

@@ -9,15 +9,11 @@ from tdpair.multiindex import (
     MultiIndex,
     Shape,
     add,
-    dominates,
     enumerate_box,
     format_multiindex,
     in_box,
     level_histogram,
-    parse_multiindex,
     partial_sum,
-    pointwise_max,
-    pointwise_min,
     shape_profile,
     sub,
     unit,
@@ -105,20 +101,12 @@ class TestTupleAlgebra:
         assert add((1, 2), (0, 1)) == (1, 3)
         assert sub((1, 2), (0, 3)) == (1, -1)
 
-    def test_pointwise(self):
-        assert pointwise_min((1, 5), (3, 2)) == (1, 2)
-        assert pointwise_max((1, 5), (3, 2)) == (3, 5)
-
     def test_in_box(self):
         shape = Shape((2, 1))
         assert in_box((2, 1), shape)
         assert not in_box((3, 0), shape)
         assert not in_box((0, -1), shape)
         assert not in_box((0,), shape)
-
-    def test_dominates(self):
-        assert dominates((2, 1), (1, 1))
-        assert not dominates((2, 0), (1, 1))
 
 
 class TestTypes:
@@ -135,10 +123,6 @@ class TestTypes:
     def test_weight(self):
         assert MultiIndex((2, 0, 3)).weight == 5
 
-    def test_serialization_round_trip(self):
-        m = MultiIndex((2, 0, 3))
-        assert format_multiindex(m) == "[2,0,3]"
-        assert parse_multiindex("[2,0,3]") == m
-        assert parse_multiindex(" [ 1 , 4 ] ") == MultiIndex((1, 4))
-        with pytest.raises(ValueError):
-            parse_multiindex("2,0,3")
+    def test_serialization(self):
+        assert format_multiindex(MultiIndex((2, 0, 3))) == "[2,0,3]"
+        assert format_multiindex((1, 4)) == "[1,4]"

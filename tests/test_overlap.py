@@ -3,23 +3,26 @@
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdpair.exactfield import (
     RationalFunction,
     ZeroDenominatorPochhammer,
+    _inv_poch,
     limit_at_zero,
     pochhammer,
     variable_t,
 )
-from tdpair.multiindex import IndexOutOfRange, Shape, enumerate_box
-from tdpair import cob
+from tdpair.multiindex import IndexOutOfRange, Shape, enumerate_box, partial_sum
+from tdpair import cob, overlap
 from tdpair.cob import coefficient_matrix
 from tdpair.tdcore import ExactMatrix, InvalidParameters, TDParameters
-from tdpair.verify import run_suite
+from tdpair.verify import random_valid_parameters, run_suite
 from tdpair.overlap import (
     RacahFactorSpec,
     ShiftedFunctional,
@@ -82,6 +85,167 @@ def _racah_specs(draw):
         b2=draw(_factor_values),
         ell=ell,
     )
+
+
+# ---------------------------------------------------------------------------
+# oracle: the direct nested sums term by term, one Pochhammer symbol and one
+# field operation at a time, as they read in the construction; the table
+# kernels of tdpair.overlap must reproduce them value for value and type for
+# type
+
+
+def _oracle_t(params, i, x):
+    ell, N, om, oms = params.ell, params.N, params.omega, params.omega_star
+    a = params.a
+    wi, wx = sum(i), sum(x)
+    total = Fraction(0)
+    for n in product(*[range(min(i[p], x[p]) + 1) for p in range(N)]):
+        term = Fraction(1)
+        for p in range(1, N + 1):
+            np_, ip_, xp_, lp_ = n[p - 1], i[p - 1], x[p - 1], ell[p - 1]
+            term *= pochhammer(-xp_, np_) * pochhammer(-ip_, np_) * pochhammer(-lp_, ip_)
+            term /= pochhammer(Fraction(1), np_) * pochhammer(-lp_, np_) * pochhammer(
+                Fraction(1), ip_
+            )
+            term *= pochhammer(
+                partial_sum(x, 1, p - 1) + partial_sum(n, 1, p) + partial_sum(ell, p, N)
+                + a[p - 1] + om + 1,
+                xp_ - np_,
+            )
+            term /= _inv_poch(
+                wx + sum(n) + partial_sum(x, 1, p - 1) - partial_sum(n, 1, p - 1) + om,
+                xp_ - np_,
+                "T direct denominator",
+            )
+            term *= pochhammer(
+                partial_sum(i, 1, p - 1) + partial_sum(n, 1, p) + partial_sum(ell, p + 1, N)
+                - a[p - 1] + oms,
+                ip_ - np_,
+            )
+            term /= _inv_poch(
+                wi + sum(n) + partial_sum(i, 1, p - 1) - partial_sum(n, 1, p - 1) + oms,
+                ip_ - np_,
+                "T direct denominator",
+            )
+        total += term
+    return total
+
+
+def _oracle_u(params, i, x):
+    ell, N, om, oms = params.ell, params.N, params.omega, params.omega_star
+    a = params.a
+    wi, wx = sum(i), sum(x)
+    total = Fraction(0)
+    for n in product(*[range(max(i[p], x[p]), ell[p] + 1) for p in range(N)]):
+        term = Fraction(1)
+        for p in range(1, N + 1):
+            np_, ip_, xp_, lp_ = n[p - 1], i[p - 1], x[p - 1], ell[p - 1]
+            term *= pochhammer(-np_, xp_) * pochhammer(-np_, ip_) * pochhammer(-lp_, np_)
+            term /= pochhammer(Fraction(1), xp_) * pochhammer(-lp_, ip_) * pochhammer(
+                Fraction(1), np_
+            )
+            term *= pochhammer(
+                partial_sum(x, 1, p) + partial_sum(n, 1, p - 1) + partial_sum(ell, p, N)
+                + a[p - 1] + om + 1,
+                np_ - xp_,
+            )
+            term /= _inv_poch(
+                2 * wx + partial_sum(n, 1, p - 1) - partial_sum(x, 1, p - 1) + om + 1,
+                np_ - xp_,
+                "U direct denominator",
+            )
+            term *= pochhammer(
+                partial_sum(i, 1, p) + partial_sum(n, 1, p - 1) + partial_sum(ell, p + 1, N)
+                - a[p - 1] + oms,
+                np_ - ip_,
+            )
+            term /= _inv_poch(
+                2 * wi + partial_sum(n, 1, p - 1) - partial_sum(i, 1, p - 1) + oms + 1,
+                np_ - ip_,
+                "U direct denominator",
+            )
+        total += term
+    return total
+
+
+_ORACLES = {"T": (_oracle_t, overlap_T), "U": (_oracle_u, overlap_U)}
+
+
+def _outcome(fn, *args):
+    """The value with its type, or the raised zero denominator's k and detail."""
+    try:
+        v = fn(*args)
+    except ZeroDenominatorPochhammer as err:
+        return ("raised", err.k, err.detail)
+    return ("value", type(v).__name__, v)
+
+
+def _assert_table_is(m, expect):
+    # every nonzero value with its type, and no zero entry stored
+    assert all(v != 0 for v in m.entries.values())
+    got = {k: (type(v).__name__, v) for k, v in m.entries.items()}
+    assert got == {k: (type(v).__name__, v) for k, v in expect.items() if v != 0}
+
+
+@st.composite
+def _small_shapes(draw):
+    n_coords = draw(st.integers(min_value=1, max_value=3))
+    ell = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=n_coords, max_size=n_coords))
+    assume(prod(v + 1 for v in ell) <= 18)
+    return Shape(tuple(ell))
+
+
+class TestTableKernels:
+    @given(_small_shapes(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((2, 2, 1)), 1)
+    @settings(max_examples=15, deadline=None)
+    def test_kernels_match_the_oracle(self, shape, seed):
+        p = random_valid_parameters(shape, seed)
+        basis = enumerate_box(shape)
+        for which, (oracle, pointwise) in _ORACLES.items():
+            expect = {
+                (r, c): oracle(p, i, x) for r, i in enumerate(basis) for c, x in enumerate(basis)
+            }
+            for method in ("direct_sum", "shift_operator"):
+                _assert_table_is(overlap_table(p, which, method), expect)
+                for (r, c), v in expect.items():
+                    got = pointwise(p, basis[r], basis[c], method)
+                    assert (type(got), got) == (type(v), v), (which, method, r, c)
+
+    @pytest.mark.parametrize("ell", [(5,), (2, 1), (1, 2), (2, 2)])
+    def test_direct_sum_over_qt_at_the_limit_parameters(self, ell):
+        # the starred side the limits check evaluates: h* -> h* t, omega* -> 1/t
+        p = random_valid_parameters(Shape(ell), 1)
+        t = variable_t()
+        inv_t = RationalFunction((F(1),), (F(0), F(1)))
+        hahn_side = replace(p, h_star=p.h_star * t, omega_star=inv_t)
+        basis = enumerate_box(p.shape)
+        expect = {
+            (r, c): _oracle_t(hahn_side, i, x)
+            for r, i in enumerate(basis)
+            for c, x in enumerate(basis)
+        }
+        assert any(isinstance(v, RationalFunction) for v in expect.values())
+        _assert_table_is(overlap_table(hahn_side, "T", "direct_sum"), expect)
+        for (r, c), v in expect.items():
+            got = overlap_T(hahn_side, basis[r], basis[c], "direct_sum")
+            assert (type(got), got) == (type(v), v)
+
+    @pytest.mark.parametrize("which", ["T", "U"])
+    @pytest.mark.parametrize("omegas", [(-1, F(1, 3)), (F(1, 3), -1), (-2, -3)])
+    def test_zero_denominator_raises_as_the_oracle(self, monkeypatch, which, omegas):
+        # omega or omega* in the cond1 band makes a direct denominator vanish;
+        # validation is switched off to reach it
+        monkeypatch.setattr(overlap, "_ensure_valid", lambda params: None)
+        p = TDParameters(Shape((2, 1)), 0, 0, 1, 1, *omegas, (F(1, 7), F(3, 11)))
+        oracle, pointwise = _ORACLES[which]
+        basis = enumerate_box(p.shape)
+        expect = [_outcome(oracle, p, i, x) for i in basis for x in basis]
+        assert any(o[0] == "raised" for o in expect)
+        got = [_outcome(pointwise, p, i, x, "direct_sum") for i in basis for x in basis]
+        assert got == expect
+        first = next(o for o in expect if o[0] == "raised")
+        assert _outcome(overlap_table, p, which, "direct_sum") == first
 
 
 class TestFrozenTables:

@@ -148,8 +148,12 @@ class TestOperatorAssembly:
         L = build_operator(p, "L")
         assert R == A.off_diagonal_part()
         assert L == As.off_diagonal_part()
-        assert A == A.diagonal_part() + R
-        assert As == As.diagonal_part() + L
+        # the diagonal entries are the eigenvalues at each level
+        basis = A.basis
+        assert A == ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight)) + R
+        assert As == ExactMatrix.diagonal(
+            basis, lambda m: eigenvalue(p, m.weight, starred=True)
+        ) + L
 
     def test_antidiagonal_involution(self):
         p = _params_2d()

@@ -205,11 +205,15 @@ class TestOverlapConsistencyMutation:
     I, X = (1, 0), (0, 1)
 
     def _perturb(self, monkeypatch, name, i, x, delta=F(1, 1000)):
+        # the route kernels return a row per index of rows, a value per index
+        # of cols
         original = getattr(overlap, name)
 
-        def perturbed(params, mi, mx):
-            v = original(params, mi, mx)
-            return v + delta if (tuple(mi), tuple(mx)) == (i, x) else v
+        def perturbed(params, rows, cols):
+            return [
+                [v + delta if (tuple(mi), tuple(mx)) == (i, x) else v for mx, v in zip(cols, row)]
+                for mi, row in zip(rows, original(params, rows, cols))
+            ]
 
         monkeypatch.setattr(overlap, name, perturbed)
 
