@@ -10,6 +10,13 @@ Plain ``int`` values are accepted everywhere and coerced.  "FieldElement"
 below means any of the three.  All operations are pure and every value is
 immutable, so everything in this module is safe to use concurrently.
 
+A value may also ride as a pair (numerator, denominator): two ints for a
+rational, (v, 1) for a rational function v, which answers the int/Fraction
+``numerator``/``denominator`` protocol that way.  `over_common_denominator`,
+the package's one accumulation primitive, puts a run of pairs over the lcm
+of their denominators, so every exact sum (series terms, overlap terms,
+matrix dot products) adds numerators and builds one value at the end.
+
 The module also provides the handful of combinatorial primitives that all
 closed formulas in the package are assembled from: Pochhammer symbols
 (memoized over Q in a bounded cache), binomial coefficients, and terminating
@@ -38,8 +45,8 @@ __all__ = [
     "pochhammer",
     "binomial",
     "pair_value",
+    "over_common_denominator",
     "hypergeometric_term_pairs",
-    "hypergeometric_terms",
     "pfq_terminating",
     "limit_at_zero",
 ]
@@ -190,9 +197,7 @@ class RationalFunction:
 
     @staticmethod
     def _coerce_poly(v) -> _Poly:
-        if isinstance(v, tuple):
-            return _trim(tuple(Fraction(c) for c in v))
-        if isinstance(v, list):
+        if isinstance(v, (tuple, list)):
             return _trim(tuple(Fraction(c) for c in v))
         if isinstance(v, (int, Fraction)):
             return _pconst(Fraction(v))
@@ -313,6 +318,16 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     # -- inspection ------------------------------------------------------
+
+    # the numerator/denominator protocol of int and Fraction: a rational
+    # function is carried as the pair (itself, 1)
+    @property
+    def numerator(self) -> "RationalFunction":
+        return self
+
+    @property
+    def denominator(self) -> int:
+        return 1
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and self.den == (Fraction(1),)
@@ -481,12 +496,8 @@ def binomial(n: int, k: int) -> int:
 def _pair(v: FieldElement) -> tuple:
     """v as (numerator, denominator): two ints for a rational, (v, 1) for a
     rational function."""
-    if type(v) is int:
-        return v, 1
-    if type(v) is not Fraction:
+    if type(v) not in (int, Fraction):
         v = _coerce(v)
-        if not isinstance(v, Fraction):
-            return v, 1
     return v.numerator, v.denominator
 
 
@@ -500,6 +511,22 @@ def pair_value(u, v) -> FieldElement:
     return u / v
 
 
+def over_common_denominator(nums: Sequence, dens: Sequence) -> tuple[list, FieldElement]:
+    """The values nums[j] / dens[j] as (numerators, one denominator).
+
+    With every denominator an int, the denominator is their lcm and each
+    numerator is scaled to it, unreduced and with no gcd: ints stay ints and
+    a rational-function numerator stays a field element.  A numerator
+    already over the lcm is kept as it is, so a Q(t) value over 1 costs no
+    field multiplication.  A field-element denominator is divided out
+    instead, over 1."""
+    try:
+        den = math.lcm(*dens)
+    except TypeError:  # a rational-function denominator
+        return [pair_value(u, d) for u, d in zip(nums, dens)], 1
+    return [u if d == den else u * (den // d) for u, d in zip(nums, dens)], den
+
+
 def hypergeometric_term_pairs(
     num: Sequence[FieldElement],
     den: Sequence[FieldElement],
@@ -507,8 +534,15 @@ def hypergeometric_term_pairs(
     z: Optional[FieldElement] = None,
     detail: str = "hypergeometric denominator parameter",
 ) -> Iterator[tuple[int, FieldElement, FieldElement]]:
-    """Yield (k, u_k, v_k) with u_k / v_k = t_k, the terms of
-    `hypergeometric_terms`, with the same stops and the same raise.
+    """Yield (k, u_k, v_k) with u_k / v_k = t_k the k-th term
+    (a_1)_k ... (a_r)_k / [(1)_k (b_1)_k ... (b_s)_k] z^k.
+
+    Each term is the previous one times the term ratio
+    prod (a_j + k - 1) / [k prod (b_j + k - 1)] z, so no Pochhammer symbol
+    is recomputed.  Stops after kmax, at the first vanishing numerator
+    factor, or once a term is zero; z = None means z = 1 without the
+    multiplication.  Raises ZeroDenominatorPochhammer(k, detail) if some
+    (b_j)_k vanishes while the k-th term's numerator is nonzero.
 
     A rational parameter c = n/d enters the term ratio as the integer
     factor n + (k - 1) d over d.  So over Q every u_k and v_k is an int,
@@ -548,26 +582,6 @@ def hypergeometric_term_pairs(
         yield k, u, v
 
 
-def hypergeometric_terms(
-    num: Sequence[FieldElement],
-    den: Sequence[FieldElement],
-    kmax: int,
-    z: Optional[FieldElement] = None,
-    detail: str = "hypergeometric denominator parameter",
-) -> Iterator[tuple[int, FieldElement]]:
-    """Yield (k, t_k) for t_k = (a_1)_k ... (a_r)_k / [(1)_k (b_1)_k ... (b_s)_k] z^k.
-
-    Each term is the previous one times the term ratio
-    prod (a_j + k - 1) / [k prod (b_j + k - 1)] z, so no Pochhammer symbol
-    is recomputed.  Stops after kmax, at the first vanishing numerator
-    factor, or once a term is zero; z = None means z = 1 without the
-    multiplication.  Raises ZeroDenominatorPochhammer(k, detail) if some
-    (b_j)_k vanishes while the k-th term's numerator is nonzero.
-    """
-    for k, u, v in hypergeometric_term_pairs(num, den, kmax, z, detail):
-        yield k, pair_value(u, v)
-
-
 def pfq_terminating(
     num: Sequence[FieldElement],
     den: Sequence[FieldElement],
@@ -584,10 +598,9 @@ def pfq_terminating(
     Raises ZeroDenominatorPochhammer(k) if some (b_j)_k vanishes while the
     k-th term's numerator is nonzero.
     """
-    total: FieldElement = Fraction(0)
-    for _, term in hypergeometric_terms(num, den, kmax, z):
-        total = total + term
-    return total
+    _, us, vs = zip(*hypergeometric_term_pairs(num, den, kmax, z))
+    scaled, d = over_common_denominator(us, vs)
+    return pair_value(sum(scaled), d)
 
 
 def limit_at_zero(f) -> Fraction:

@@ -25,12 +25,15 @@ hypergeometric term ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead
 of recomputing its Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds
 live at the end.
 
-Over Q the two pointwise routes run on integers.  Every value is carried as
-a pair (numerator, denominator) of ints: the walk keeps its weights as
-integer numerators over one common denominator, and the direct sums
-multiply int pairs of Pochhammer symbols memoized once per table, sum the
-terms of an entry over their lcm and build one Fraction per entry.  Over
-Q(t) the same code multiplies field elements.
+The two pointwise routes carry every value as a pair (numerator,
+denominator): two ints over Q, a field element over 1 (or over a field
+element) over Q(t).  Each sums its pairs through
+`exactfield.over_common_denominator`, the accumulation primitive the matrix
+routes and the series sums use too: the walk keeps its weights as
+numerators over one common denominator, and the direct sums multiply pairs
+of Pochhammer symbols memoized once per table and sum the terms of an entry
+over their lcm, so over Q each entry is built as one Fraction.  Only that
+primitive is shared; no route borrows another's formula.
 
 `overlap_table` builds one whole table per route with one call: a kernel
 per pointwise route (`_t_direct`, `_u_direct`, `_t_shift`, `_u_shift`)
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from .exactfield import (
@@ -58,6 +61,7 @@ from .exactfield import (
     binomial,
     hypergeometric_term_pairs,
     is_zero,
+    over_common_denominator,
     pair_value,
     pfq_terminating,
     pochhammer,
@@ -82,7 +86,6 @@ __all__ = [
     "U_METHODS",
     "LIMIT_KINDS",
     "RacahFactorSpec",
-    "ShiftedFunctional",
     "overlap_T",
     "overlap_U",
     "overlap_table",
@@ -141,9 +144,6 @@ class RacahFactorSpec:
         u2, v2 = _pair(pochhammer(self.b2, self.x))
         return binomial(self.ell, self.i) * u1 * u2, v1 * v2
 
-    def prefactor(self) -> FieldElement:
-        return pair_value(*self.prefactor_pair())
-
     def term_pairs(self) -> Iterator[tuple[int, FieldElement, FieldElement]]:
         """Yield (k, u, v) with u / v the series coefficient of Z^k, each
         from the last by the term ratio (integers over Q); a vanishing
@@ -162,50 +162,7 @@ class RacahFactorSpec:
 
     def value_at_unit(self) -> FieldElement:
         """The scalar value with Z = 1 (the univariate collapse)."""
-        return self.prefactor() * sum((c for _, c in self.series()), Fraction(0))
-
-
-def _over_common_denominator(nums: list, dens: list) -> tuple[list, FieldElement]:
-    """The fractions nums[j] / dens[j] as (numerators, one denominator).
-
-    Over Q, with every part an int, the denominator is the lcm of dens and
-    no gcd is taken per fraction; otherwise each fraction is divided out as
-    a field element and the denominator is 1."""
-    if all(type(d) is int for d in dens) and all(type(u) is int for u in nums):
-        den = lcm(*dens)
-        return [u * (den // d) for u, d in zip(nums, dens)], den
-    return [pair_value(u, d) for u, d in zip(nums, dens)], 1
-
-
-class ShiftedFunctional:
-    """The function table a shift-operator product acts on.
-
-    Keys are joint shift offsets (k_1, ..., k_N) accumulated so far; the
-    value is the total weight of all expansion paths reaching that offset,
-    kept as a numerator over the table's common denominator `den` (over Q
-    integers, otherwise field elements over 1).  Factor p only ever adds to
-    coordinate p, so offsets stay within min(i_p, x_p) per coordinate.
-    """
-
-    __slots__ = ("n_coords", "table", "den")
-
-    def __init__(self, n_coords: int, den: FieldElement = 1):
-        self.n_coords = n_coords
-        self.table: dict[tuple[int, ...], FieldElement] = {}
-        self.den = den
-
-    @classmethod
-    def identity(cls, n_coords: int) -> "ShiftedFunctional":
-        f = cls(n_coords)
-        f.table[(0,) * n_coords] = 1
-        return f
-
-    def add(self, offsets: tuple[int, ...], weight: FieldElement):
-        cur = self.table.get(offsets)
-        self.table[offsets] = weight if cur is None else cur + weight
-
-    def total(self) -> FieldElement:
-        return pair_value(sum(self.table.values()), self.den)
+        return pair_value(*self.prefactor_pair()) * sum((c for _, c in self.series()), Fraction(0))
 
 
 def _shifted(n: Sequence[int], offsets: tuple[int, ...], sign: int) -> tuple[int, ...]:
@@ -217,25 +174,30 @@ def _shift_walk(N: int, factor_terms) -> FieldElement:
     sum it.  factor_terms(p, offsets) gives factor p at the shifted indices
     as (prefactor pair, iterator of (k, u, v)), u / v the coefficient of
     Z^k; the term for Z^k moves its weight k steps along coordinate p.
-    Over Q every pair is two ints, so each factor costs integer products
-    and one rescaling of the table to a new common denominator."""
-    funct = ShiftedFunctional.identity(N)
+    The table maps the joint shift offsets (k_1, ..., k_N) reached so far
+    to the total weight of the paths reaching them, as numerators over one
+    common denominator `den`; factor p only adds to coordinate p.  Over Q
+    every pair is two ints, so each factor costs integer products and one
+    rescaling of the table to a new common denominator."""
+    table: dict[tuple[int, ...], FieldElement] = {(0,) * N: 1}
+    den = 1
     for p in range(1, N + 1):
         keys, nums, dens = [], [], []
-        for offsets, w in funct.table.items():
+        for offsets, w in table.items():
             (pu, pv), terms = factor_terms(p, offsets)
-            wu, wv = w * pu, funct.den * pv
+            wu, wv = w * pu, den * pv
             for k, u, v in terms:
                 keys.append(
                     offsets if k == 0 else offsets[: p - 1] + (offsets[p - 1] + k,) + offsets[p:]
                 )
                 nums.append(wu * u)
                 dens.append(wv * v)
-        scaled, den = _over_common_denominator(nums, dens)
-        funct = ShiftedFunctional(N, den)
+        scaled, den = over_common_denominator(nums, dens)
+        table = {}
         for key, weight in zip(keys, scaled):
-            funct.add(key, weight)
-    return funct.total()
+            cur = table.get(key)
+            table[key] = weight if cur is None else cur + weight
+    return pair_value(sum(table.values()), den)
 
 
 def _t_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) -> RacahFactorSpec:
@@ -358,7 +320,7 @@ def _direct_ratios(params: TDParameters, detail: str) -> Callable[..., tuple]:
 
 
 def _entry_value(nums: list, dens: list, hu: int, hv: int) -> FieldElement:
-    scaled, den = _over_common_denominator(nums, dens)
+    scaled, den = over_common_denominator(nums, dens)
     return pair_value(sum(scaled) * hu, den * hv)
 
 

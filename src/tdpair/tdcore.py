@@ -29,13 +29,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .exactfield import (
     FieldElement,
     as_integer,
     format_scalar,
+    over_common_denominator,
+    pair_value,
     rational,
 )
 from .multiindex import (
@@ -352,26 +353,23 @@ def _ms(start: float) -> int:
 # exact matrices over the enumerated basis
 
 
-def _over_q(m: "ExactMatrix") -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in m.entries.values())
-
-
-def _lines(entries: dict, axis: int) -> dict[int, list]:
-    """The stored rows (axis 0) or columns (axis 1) of a sparse matrix, as
-    {index: [(other index, value)]}."""
-    lines: dict[int, list] = {}
+def _lines(entries: dict, axis: int) -> dict[int, tuple]:
+    """The stored rows (axis 0) or columns (axis 1) of a sparse matrix, each
+    over one common denominator, as {index: (den, [(other index, numerator)])}.
+    Over Q the numerators are ints over the lcm of the line's denominators; a
+    Q(t) entry rides as the pair (entry, 1)."""
+    lines: dict[int, tuple] = {}
     for key, v in entries.items():
-        lines.setdefault(key[axis], []).append((key[1 - axis], v))
-    return lines
-
-
-def _integer_lines(lines: dict[int, list]) -> dict[int, tuple[int, list]]:
-    """Each line of `_lines` over Q as (lcm of its denominators,
-    [(other index, integer numerator over that lcm)])."""
+        line = lines.get(key[axis])
+        if line is None:
+            line = lines[key[axis]] = ([], [], [])
+        line[0].append(key[1 - axis])
+        line[1].append(v.numerator)
+        line[2].append(v.denominator)
     out = {}
-    for k, line in lines.items():
-        den = lcm(*[v.denominator for _, v in line])
-        out[k] = (den, [(j, v.numerator * (den // v.denominator)) for j, v in line])
+    for k, (others, nums, dens) in lines.items():
+        scaled, den = over_common_denominator(nums, dens)
+        out[k] = den, list(zip(others, scaled))
     return out
 
 
@@ -383,13 +381,13 @@ class ExactMatrix:
     immutable by convention once constructed; all operations return new
     objects.  Equality is exact and entrywise.
 
-    Products and upper-triangular solves whose operands are all over Q
-    (every entry an int or a Fraction) run on integers: each row or column
-    is brought to integer numerators over the lcm of its denominators, the
-    dot products are integer sums, and each result entry is built once as
-    a Fraction (one gcd).  Every such result entry is a Fraction and no
-    zero is stored.  An operand with a Q(t) entry takes the generic path,
-    which adds field elements one product at a time.
+    Products and upper-triangular solves take one path over Q and Q(t):
+    each row or column is brought over one common denominator
+    (`over_common_denominator`), the dot products are sums of numerators,
+    and each result entry is built once from its numerator and denominator.
+    Over Q the numerators are ints and every result entry is a Fraction
+    (one gcd); a Q(t) entry is carried as the pair (entry, 1).  No zero is
+    stored.
     """
 
     __slots__ = ("basis", "pos", "entries")
@@ -462,10 +460,7 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.basis != other.basis:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(self.item(*k) == other.item(*k) for k in keys)
+        return self.basis == other.basis and self.first_difference(other) is None
 
     def __hash__(self):
         raise TypeError("ExactMatrix is not hashable")
@@ -512,40 +507,25 @@ class ExactMatrix:
         return ExactMatrix(self.basis, {k: s * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Entry (r, c) is the sum of numerator products over L_r * M_c,
+        L_r and M_c the common denominators of row r of self and column c
+        of other."""
         self._check_same_basis(other)
-        if _over_q(self) and _over_q(other):
-            return self._matmul_q(other)
-        by_row = _lines(other.entries, 0)
-        out: dict[tuple[int, int], FieldElement] = {}
-        for (r, k), v in self.entries.items():
-            row = by_row.get(k)
-            if not row:
-                continue
-            for c, w in row:
-                key = (r, c)
-                cur = out.get(key)
-                out[key] = v * w if cur is None else cur + v * w
-        return ExactMatrix(self.basis, out)
-
-    def _matmul_q(self, other: "ExactMatrix") -> "ExactMatrix":
-        """self @ other over Q: entry (r, c) is Fraction(sum of integer
-        products, L_r * M_c), L_r and M_c the lcms of the denominators of
-        row r of self and column c of other."""
         col_den: dict[int, int] = {}
         by_row: dict[int, list] = {}
-        for c, (den, col) in _integer_lines(_lines(other.entries, 1)).items():
+        for c, (den, col) in _lines(other.entries, 1).items():
             col_den[c] = den
             for k, b in col:
                 by_row.setdefault(k, []).append((c, b))
         out: dict[tuple[int, int], FieldElement] = {}
-        for r, (den, row) in _integer_lines(_lines(self.entries, 0)).items():
-            acc: dict[int, int] = {}
+        for r, (den, row) in _lines(self.entries, 0).items():
+            acc: dict[int, FieldElement] = {}
             for k, a in row:
                 for c, b in by_row.get(k, ()):
                     acc[c] = acc.get(c, 0) + a * b
             for c, s in acc.items():
                 if s:
-                    out[(r, c)] = Fraction(s, den * col_den[c])
+                    out[(r, c)] = pair_value(s, den * col_den[c])
         m = ExactMatrix(self.basis)
         m.entries = out
         return m
@@ -563,57 +543,38 @@ class ExactMatrix:
 
     def solve_upper_triangular(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Solve self X = rhs for X, with self upper triangular in storage
-        order with nonzero diagonal.  Exact back-substitution."""
+        order with nonzero diagonal.  Exact back-substitution: with row r
+        of self over its common denominator L_r (diagonal D_r, entries V),
+        x_r = (L_r b_r - sum V x) / D_r, one sum of numerators over the
+        common denominator of b_r and the x it reads."""
         self._check_same_basis(rhs)
-        d = self.dimension
         if any(r > c for r, c in self.entries):
             raise ValueError("matrix is not upper triangular in storage order")
-        diag = [self.item(k, k) for k in range(d)]
-        if any(v == 0 for v in diag):
+        if any(self.item(k, k) == 0 for k in range(self.dimension)):
             raise ZeroDivisionError("upper-triangular solve with zero diagonal entry")
         rows = _lines(self.entries, 0)
-        rhs_cols = {c: dict(col) for c, col in _lines(rhs.entries, 1).items()}
-        if _over_q(self) and _over_q(rhs):
-            return self._solve_upper_q(rows, rhs_cols)
+        upper = {r: [(cc, v) for cc, v in row if cc > r] for r, (_, row) in rows.items()}
+        diag = {r: v for r, (_, row) in rows.items() for cc, v in row if cc == r}
         out: dict[tuple[int, int], FieldElement] = {}
-        for c in range(d):
-            b = rhs_cols.get(c, {})
+        for c, (bden, col) in _lines(rhs.entries, 1).items():
+            b = dict(col)
             xcol: dict[int, FieldElement] = {}
-            for r in range(d - 1, -1, -1):
-                acc = b.get(r, Fraction(0))
-                for cc, v in rows.get(r, ()):  # entries at and right of the diagonal
-                    if cc > r and cc in xcol:
-                        acc = acc - v * xcol[cc]
-                if acc != 0:
-                    xcol[r] = acc / diag[r]
-            for r, v in xcol.items():
-                out[(r, c)] = v
-        return ExactMatrix(self.basis, out)
-
-    def _solve_upper_q(self, rows: dict[int, list], rhs_cols: dict[int, dict]) -> "ExactMatrix":
-        """Back-substitution over Q for a checked upper-triangular self.
-        With row r of self scaled to integers (diagonal D_r, entries V) by
-        the lcm L_r of its denominators, x_r = (L_r b_r - sum V x) / D_r:
-        one integer sum over the lcm of the denominators of b_r and the x
-        it reads, and one Fraction per entry."""
-        scaled = _integer_lines(rows)
-        upper = {r: [(cc, v) for cc, v in row if cc > r] for r, (_, row) in scaled.items()}
-        diag = {r: next(v for cc, v in row if cc == r) for r, (_, row) in scaled.items()}
-        out: dict[tuple[int, int], FieldElement] = {}
-        for c in range(self.dimension):
-            b = rhs_cols.get(c, {})
-            xcol: dict[int, Fraction] = {}
             for r in range(self.dimension - 1, -1, -1):
-                terms = [(v, xcol[cc]) for cc, v in upper[r] if cc in xcol]
-                bv = b.get(r, 0)
-                if not terms and not bv:
+                nums, dens = [], []
+                if r in b:
+                    nums.append(b[r] * rows[r][0])
+                    dens.append(bden)
+                for cc, v in upper[r]:
+                    x = xcol.get(cc)
+                    if x is not None:
+                        nums.append(-v * x.numerator)
+                        dens.append(x.denominator)
+                if not nums:
                     continue
-                den = lcm(bv.denominator, *[x.denominator for _, x in terms])
-                num = bv.numerator * (den // bv.denominator) * scaled[r][0]
-                for v, x in terms:
-                    num -= v * x.numerator * (den // x.denominator)
+                scaled, den = over_common_denominator(nums, dens)
+                num = sum(scaled)
                 if num:
-                    xcol[r] = out[(r, c)] = Fraction(num, den * diag[r])
+                    xcol[r] = out[(r, c)] = pair_value(num, den * diag[r])
         m = ExactMatrix(self.basis)
         m.entries = out
         return m

@@ -419,7 +419,7 @@ def _check_irreducibility(ctx: _Context):
 # the suite
 
 
-def _timed(fn: Callable[[], tuple]) -> CheckResult:
+def _timed(fn: Callable[[], tuple]) -> tuple[Optional[bool], object, int]:
     start = time.perf_counter()
     passed, witness = fn()
     millis = int((time.perf_counter() - start) * 1000)

@@ -13,8 +13,10 @@ from tdpair.exactfield import (
     as_integer,
     binomial,
     format_scalar,
-    hypergeometric_terms,
+    hypergeometric_term_pairs,
     limit_at_zero,
+    over_common_denominator,
+    pair_value,
     pfq_terminating,
     pochhammer,
     rational,
@@ -185,10 +187,11 @@ class TestPfqTerminating:
                 break
             expect.append((k, num / den))
         if raised_at is None:
-            assert list(hypergeometric_terms(nums, dens, kmax)) == expect
+            terms = hypergeometric_term_pairs(nums, dens, kmax)
+            assert [(k, pair_value(u, v)) for k, u, v in terms] == expect
         else:
             with pytest.raises(ZeroDenominatorPochhammer) as exc:
-                list(hypergeometric_terms(nums, dens, kmax))
+                list(hypergeometric_term_pairs(nums, dens, kmax))
             assert exc.value.k == raised_at
 
     @given(
@@ -206,6 +209,34 @@ class TestPfqTerminating:
         at_limit = pfq_terminating([Fraction(-m), Fraction(1, 3)], [b], z, 6)
         got = limit_at_zero(over_qt) if isinstance(over_qt, RationalFunction) else over_qt
         assert got == at_limit
+
+
+class TestOverCommonDenominator:
+    def test_over_q_unreduced_int_numerators_over_the_lcm(self):
+        nums, den = over_common_denominator([1, 2, -3], [4, 6, 9])
+        assert den == 36
+        assert nums == [9, 12, -12]
+        assert all(type(u) is int for u in nums)
+        # 12/36 is left unreduced; the values are unchanged
+        assert [Fraction(u, den) for u in nums] == [Fraction(1, 4), Fraction(1, 3), Fraction(-1, 3)]
+
+    def test_rational_function_numerator_stays_a_field_element(self):
+        t = variable_t()
+        nums, den = over_common_denominator([t + 1, 5], [1, 2])
+        assert den == 2
+        assert nums == [2 * t + 2, 5]
+        assert isinstance(nums[0], RationalFunction) and type(nums[1]) is int
+
+    def test_field_denominator_divides_out_over_one(self):
+        t = variable_t()
+        nums, den = over_common_denominator([3, t], [t, 2])
+        assert den == 1
+        assert nums == [3 / t, t / 2]
+
+    def test_rational_function_pair_protocol(self):
+        f = variable_t() + Fraction(1, 2)
+        assert (f.numerator, f.denominator) == (f, 1)
+        assert pair_value(f.numerator, f.denominator) is f
 
 
 class TestLimitAtZero:

@@ -25,7 +25,6 @@ from tdpair.tdcore import ExactMatrix, InvalidParameters, TDParameters
 from tdpair.verify import random_valid_parameters, run_suite
 from tdpair.overlap import (
     RacahFactorSpec,
-    ShiftedFunctional,
     overlap_T,
     overlap_U,
     overlap_limit_kind,
@@ -488,21 +487,6 @@ class TestCaches:
         assert overlap_U(p, basis[0], basis[0], "linear_solve") == before
         assert overlap_table(p, "U", "linear_solve").item(0, 0) == before
         assert run_suite(p).passed
-
-
-class TestShiftedFunctional:
-    def test_identity_table(self):
-        f = ShiftedFunctional.identity(3)
-        assert f.table == {(0, 0, 0): F(1)}
-        assert f.total() == 1
-
-    def test_weights_merge(self):
-        f = ShiftedFunctional(2)
-        f.add((1, 0), F(2))
-        f.add((1, 0), F(3))
-        f.add((0, 1), F(-5))
-        assert f.table[(1, 0)] == 5
-        assert f.total() == 0
 
 
 class TestErrors:

@@ -543,8 +543,9 @@ class TestExactMatrixOverQ:
     @settings(max_examples=60, deadline=None)
     @given(_sparse(_q_scalar), _sparse(_q_scalar), st.integers(0, 5), st.integers(0, 5))
     def test_q_t_operands_match_reference(self, a, b, r, c):
-        # one Q(t) entry sends the call to the generic path; the values are
-        # the same as the per-entry reference, for Q(t) @ Q(t) and Q @ Q(t)
+        # a Q(t) entry rides through the same path as the pair (entry, 1);
+        # the values are the same as the per-entry reference, for
+        # Q(t) @ Q(t) and Q @ Q(t)
         t = variable_t()
         at = ExactMatrix(_BASIS6, {**a.entries, (r, c): t + 1})
         _assert_matches(at @ b, _reference_product(at, b), over_q=False)
