@@ -4,7 +4,10 @@ Two concrete scalar types are supported and freely mixed:
 
 * ``fractions.Fraction`` for the field of rationals, and
 * :class:`RationalFunction` for the field of univariate rational
-  functions in the formal variable ``t`` with rational coefficients.
+  functions in the formal variable ``t`` with rational coefficients, kept
+  as a quotient of two polynomials over Z in lowest terms.  Their gcd is a
+  primitive pseudo-remainder sequence, whose divisions are exact integer
+  divisions by Gauss's lemma (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1).
 
 Plain ``int`` values are accepted everywhere and coerced.  "FieldElement"
 below means any of the three.  All operations are pure and every value is
@@ -53,8 +56,9 @@ __all__ = [
 
 Rational = Fraction
 
-# Polynomials are tuples of Fraction coefficients in ascending degree order
-# with no trailing zero; the zero polynomial is the empty tuple.
+# Polynomials are tuples of int coefficients in ascending degree order with
+# no trailing zero; the zero polynomial is the empty tuple.  Rational
+# coefficients live in the integer content of a RationalFunction's pair.
 _Poly = tuple
 
 
@@ -80,15 +84,10 @@ class PoleAtZero(ArithmeticError):
     """A rational function was evaluated at t = 0 where it has a pole."""
 
 
-def _trim(coeffs: Sequence[Fraction]) -> _Poly:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pconst(v: Fraction) -> _Poly:
-    return (v,) if v != 0 else ()
+def _trim(coeffs: list) -> _Poly:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _padd(a: _Poly, b: _Poly) -> _Poly:
@@ -105,131 +104,153 @@ def _pneg(a: _Poly) -> _Poly:
 
 
 def _pmul(a: _Poly, b: _Poly) -> _Poly:
+    # over Z the leading coefficient of a product is never zero: no trim
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(v * c for v in a)
+    out = [0] * (len(a) + len(b) - 1)
     for ka, va in enumerate(a):
-        if va == 0:
-            continue
-        for kb, vb in enumerate(b):
-            out[ka + kb] += va * vb
-    return _trim(out)
+        if va:
+            for kb, vb in enumerate(b):
+                out[ka + kb] += va * vb
+    return tuple(out)
 
 
-def _pdivmod(a: _Poly, b: _Poly) -> tuple[_Poly, _Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def _pprimitive(a: _Poly) -> _Poly:
+    g = math.gcd(*a)
+    return a if g == 1 else tuple(v // g for v in a)
+
+
+def _pprem(a: _Poly, b: _Poly) -> _Poly:
+    # a pseudo-remainder: c a = q b + r with deg r < deg b and an int c != 0;
+    # each step scales by lc(b) over its gcd with the coefficient removed
     r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b) and _trim(r):
-        r = list(_trim(r))
-        if len(r) < len(b):
-            break
-        c = r[-1] / lead
-        d = len(r) - len(b)
-        q[d] = c
+    lead, n = b[-1], len(b)
+    while len(r) >= n:
+        g = math.gcd(r[-1], lead)
+        c, s = r[-1] // g, lead // g
+        if s != 1:
+            r = [v * s for v in r]
+        d = len(r) - n
         for k, v in enumerate(b):
             r[d + k] -= c * v
-        r.pop()
-    return _trim(q), _trim(r)
-
-
-def _pmonic(a: _Poly) -> _Poly:
-    if not a or a[-1] == 1:
-        return a
-    lead = a[-1]
-    return tuple(v / lead for v in a)
+        _trim(r)  # drops the cancelled leading term
+    return tuple(r)
 
 
 def _pgcd(a: _Poly, b: _Poly) -> _Poly:
-    # Euclid with monic remainders; result is monic (or zero).
-    a, b = _pmonic(a), _pmonic(b)
+    # primitive remainder sequence (Collins 1967) of two nonzero polynomials;
+    # the gcd over Q, primitive and of either sign
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _pprimitive(a), _pprimitive(b)
     while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, _pmonic(r)
+        r = _pprem(a, b)
+        a, b = b, (_pprimitive(r) if r else r)
     return a
+
+
+def _pquo(a: _Poly, b: _Poly) -> _Poly:
+    # a / b for a primitive b that divides a over Q: by Gauss's lemma the
+    # quotient has int coefficients, so every step divides exactly
+    r = list(a)
+    lead, n = b[-1], len(b)
+    q = [0] * (len(a) - n + 1)
+    for d in range(len(q) - 1, -1, -1):
+        c = q[d] = r[d + n - 1] // lead
+        if c:
+            for k, v in enumerate(b):
+                r[d + k] -= c * v
+    return tuple(q)
 
 
 def _valuation(a: _Poly) -> int:
     # multiplicity of the root t = 0; 0 for the zero polynomial by convention
     for k, v in enumerate(a):
-        if v != 0:
+        if v:
             return k
     return 0
 
 
-_ONE: _Poly = (Fraction(1),)
+def _canonical(num: _Poly, den: _Poly, coprime: bool) -> tuple[_Poly, _Poly]:
+    """num/den with den != 0 in canonical form; the polynomial gcd is taken
+    unless the caller knows num and den share no factor over Q."""
+    if not num:
+        return (), _ONE
+    if not coprime:
+        v = min(_valuation(num), _valuation(den))  # cheap common power of t
+        if v:
+            num, den = num[v:], den[v:]
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, den = _pquo(num, g), _pquo(den, g)
+    g = math.gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num, den = tuple(v // g for v in num), tuple(v // g for v in den)
+    return num, den
+
+
+_ONE: _Poly = (1,)
 
 
 class RationalFunction:
     """A univariate rational function over the rationals, in canonical form.
 
-    Canonical form: numerator and denominator share no common factor and the
-    denominator is monic, so equality is plain component comparison.  The
-    formal variable is written ``t``.
+    ``num`` and ``den`` are polynomials with int coefficients (see `_Poly`)
+    that share no factor over Q, the gcd of all their coefficients is 1, and
+    ``den`` has a positive leading coefficient.  That form is unique, so
+    equality is plain component comparison, and a constant p/q is stored as
+    ((p,), (q,)) like its Fraction.  The formal variable is written ``t``;
+    `str` and `repr` print the value with a monic denominator.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        pn = self._coerce_poly(num)
-        pd = self._coerce_poly(den)
+        pn, cn = self._coerce_poly(num)
+        pd, cd = self._coerce_poly(den)
         if not pd:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not pn:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        # fast path: strip the common power of t before the full gcd
-        v = min(_valuation(pn), _valuation(pd))
-        if v:
-            pn, pd = pn[v:], pd[v:]
-        g = _pgcd(pn, pd)
-        if len(g) > 1:
-            pn, _ = _pdivmod(pn, g)
-            pd, _ = _pdivmod(pd, g)
-        lead = pd[-1]
-        if lead != 1:
-            pn = tuple(c / lead for c in pn)
-            pd = tuple(c / lead for c in pd)
-        self.num = pn
-        self.den = pd
+        self.num, self.den = _canonical(_pmul(pn, (cd,)), _pmul(pd, (cn,)), False)
 
     @staticmethod
-    def _coerce_poly(v) -> _Poly:
+    def _coerce_poly(v) -> tuple[_Poly, int]:
+        # v as (an int polynomial P, a positive int c) with v = P / c
         if isinstance(v, (tuple, list)):
-            return _trim(tuple(Fraction(c) for c in v))
+            cs = [Fraction(c) for c in v]
+            c = math.lcm(*(x.denominator for x in cs))
+            return _trim([x.numerator * (c // x.denominator) for x in cs]), c
         if isinstance(v, (int, Fraction)):
-            return _pconst(Fraction(v))
+            return ((v.numerator,) if v else ()), v.denominator
         if isinstance(v, RationalFunction):
-            if v.den != (Fraction(1),):
+            if len(v.den) != 1:
                 raise TypeError("cannot use a non-polynomial rational function as a polynomial")
-            return v.num
+            return v.num, v.den[0]
         raise TypeError(f"cannot build a polynomial from {type(v).__name__}")
 
     @classmethod
-    def _reduced(cls, num: _Poly, den: _Poly) -> "RationalFunction":
-        # for num and den already coprime with den monic: nothing to reduce
+    def _make(cls, num: _Poly, den: _Poly, coprime: bool = False) -> "RationalFunction":
         obj = cls.__new__(cls)
-        obj.num, obj.den = (num, den) if num else ((), _ONE)
+        obj.num, obj.den = _canonical(num, den, coprime)
         return obj
 
     # -- field structure ------------------------------------------------
-    # With a polynomial operand c the result needs no gcd: a/b + c has
-    # numerator a + cb and gcd(a + cb, b) = gcd(a, b) = 1; a constant c
-    # scales the numerator of a/b and keeps it coprime to b.
+    # With a polynomial operand P/c the result needs no gcd: a/b + P/c has
+    # numerator ac + Pb and gcd(ac + Pb, bc) = gcd(a, b) = 1 over Q; a
+    # constant scales a/b and keeps it coprime.  Those paths only remove
+    # the integer content.
 
     def __add__(self, other):
         o = _as_rf(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.den == _ONE:
-            return RationalFunction._reduced(_padd(self.num, _pmul(o.num, self.den)), self.den)
-        if self.den == _ONE:
-            return RationalFunction._reduced(_padd(o.num, _pmul(self.num, o.den)), o.den)
-        return RationalFunction(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
+        polynomial = len(o.den) == 1 or len(self.den) == 1
+        return RationalFunction._make(
+            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)), _pmul(self.den, o.den), polynomial
         )
 
     __radd__ = __add__
@@ -250,11 +271,8 @@ class RationalFunction:
         o = _as_rf(other)
         if o is NotImplemented:
             return NotImplemented
-        if len(o.num) <= 1 and o.den == _ONE:
-            return RationalFunction._reduced(_pmul(self.num, o.num), self.den)
-        if len(self.num) <= 1 and self.den == _ONE:
-            return RationalFunction._reduced(_pmul(o.num, self.num), o.den)
-        return RationalFunction(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        constant = o.is_constant() or self.is_constant()
+        return RationalFunction._make(_pmul(self.num, o.num), _pmul(self.den, o.den), constant)
 
     __rmul__ = __mul__
 
@@ -264,10 +282,7 @@ class RationalFunction:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero rational function")
-        if len(o.num) == 1 and o.den == _ONE:
-            c = o.num[0]
-            return RationalFunction._reduced(tuple(v / c for v in self.num), self.den)
-        return RationalFunction(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return RationalFunction._make(_pmul(self.num, o.den), _pmul(self.den, o.num), o.is_constant())
 
     def __rtruediv__(self, other):
         o = _as_rf(other)
@@ -281,7 +296,7 @@ class RationalFunction:
         if k < 0:
             if not self.num:
                 raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-k)
+            return RationalFunction._make(self.den, self.num, True) ** (-k)
         out = RationalFunction(1)
         base = self
         while k:
@@ -292,7 +307,7 @@ class RationalFunction:
         return out
 
     def __neg__(self):
-        return RationalFunction._reduced(_pneg(self.num), self.den)
+        return RationalFunction._make(_pneg(self.num), self.den, True)
 
     def __pos__(self):
         return self
@@ -304,10 +319,9 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            v = Fraction(other)
-            if v == 0:
+            if other == 0:
                 return not self.num
-            return self.den == (Fraction(1),) and self.num == (v,)
+            return self.num == (other.numerator,) and self.den == (other.denominator,)
         return NotImplemented
 
     def __hash__(self):
@@ -330,28 +344,31 @@ class RationalFunction:
         return 1
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant rational function")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     def __repr__(self):
-        return f"RationalFunction({_fmt_poly(self.num)!r}, {_fmt_poly(self.den)!r})"
+        lead = self.den[-1]
+        return f"RationalFunction({_fmt_poly(self.num, lead)!r}, {_fmt_poly(self.den, lead)!r})"
 
     def __str__(self):
-        if self.den == (Fraction(1),):
-            return _fmt_poly(self.num)
-        return f"({_fmt_poly(self.num)})/({_fmt_poly(self.den)})"
+        lead = self.den[-1]
+        if len(self.den) == 1:
+            return _fmt_poly(self.num, lead)
+        return f"({_fmt_poly(self.num, lead)})/({_fmt_poly(self.den, lead)})"
 
 
-def _fmt_poly(p: _Poly) -> str:
+def _fmt_poly(p: _Poly, lead: int) -> str:
+    # p / lead with rational coefficients, highest degree first
     if not p:
         return "0"
     parts = []
     for k in range(len(p) - 1, -1, -1):
-        c = p[k]
+        c = Fraction(p[k], lead)
         if c == 0:
             continue
         if k == 0:
@@ -374,7 +391,7 @@ def _as_rf(v):
     if isinstance(v, RationalFunction):
         return v
     if isinstance(v, (int, Fraction)):
-        return RationalFunction._reduced(_pconst(Fraction(v)), _ONE)
+        return RationalFunction._make(((v.numerator,) if v else ()), (v.denominator,), True)
     return NotImplemented
 
 
@@ -466,12 +483,12 @@ def _pochhammer_q(num: int, den: int, k: int) -> Fraction:
 
 def _pochhammer_qt(x: RationalFunction, k: int) -> RationalFunction:
     # x = a/b in lowest terms gives prod (a + j b) / b^k; every a + j b is
-    # coprime to b, so the product is already in lowest terms, with b^k monic
+    # coprime to b, so the product needs no gcd, only its content removed
     num, den = x.num, x.den
     for j in range(1, k):
-        num = _pmul(num, _padd(x.num, _pmul(x.den, _pconst(Fraction(j)))))
+        num = _pmul(num, _padd(x.num, _pmul(x.den, (j,))))
         den = _pmul(den, x.den)
-    return RationalFunction._reduced(num, den)
+    return RationalFunction._make(num, den, True)
 
 
 def _inv_poch(base: FieldElement, k: int, detail: str) -> FieldElement:
@@ -616,5 +633,4 @@ def limit_at_zero(f) -> Fraction:
     den0 = f.den[0]  # canonical form, so num/den share no factor of t
     if den0 == 0:
         raise PoleAtZero(f"pole at t = 0: {f}")
-    num0 = f.num[0] if f.num else Fraction(0)
-    return num0 / den0
+    return Fraction(f.num[0] if f.num else 0, den0)

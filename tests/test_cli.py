@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tdpair.cli import MAX_DIMENSION, main
+from tdpair.cli import MAX_DIMENSION, MAX_IRREDUCIBILITY_DIMENSION, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -257,6 +257,19 @@ class TestDimensionBudget:
             assert time.perf_counter() - start < 1.0
             err = capsys.readouterr().err
             assert "d = 441" in err and f"limit {MAX_DIMENSION}" in err
+
+    @pytest.mark.parametrize("checks", ["all", "irreducibility"])
+    def test_irreducibility_has_a_lower_limit(self, checks, tmp_path, capsys):
+        # (3,3), d = 16, is over the irreducibility limit but inside MAX_DIMENSION
+        path = tmp_path / "d16.json"
+        path.write_text(json.dumps(dict(VALID_N1, ell=[3, 3], a=["1/3", "1/5"])))
+        for source in (["--shape", "3,3", "--seed", "1"], ["--params", str(path)]):
+            start = time.perf_counter()
+            assert main(["verify", "--checks", checks] + source) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert "d = 16" in err and f"limit {MAX_IRREDUCIBILITY_DIMENSION}" in err
+        assert main(["verify", "--checks", "constraints", "--shape", "3,3", "--seed", "1"]) == 0
 
     def test_validate_is_unbounded(self, big_params_file, capsys):
         assert main(["validate", "--shape", "20,20", "--seed", "1"]) == 0

@@ -1,5 +1,7 @@
 """Field arithmetic and series primitives."""
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -299,6 +301,191 @@ class TestRationalFunctionField:
     def test_field_inverse(self, f):
         if f != 0:
             assert f * (1 / f) == 1
+
+
+# A rational function as the coefficient lists (ascending) of a numerator
+# and a nonzero denominator, built with a random common factor so that
+# reduction has work to do; the lists are the oracle's own copy of it.
+_coeff_lists = st.lists(_small_fractions, min_size=1, max_size=3)
+
+
+def _convolve(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for ka, va in enumerate(a):
+        for kb, vb in enumerate(b):
+            out[ka + kb] += va * vb
+    return out
+
+
+def _at(coeffs, z):
+    return sum(Fraction(c) * z**k for k, c in enumerate(coeffs))
+
+
+@st.composite
+def _rf_lists(draw):
+    num, den, common = draw(_coeff_lists), draw(_coeff_lists), draw(_coeff_lists)
+    if not any(den):
+        den = den + [Fraction(1)]
+    if not any(common):
+        common = [Fraction(1)]
+    return _convolve(num, common), _convolve(den, common)
+
+
+def _gcd_degree_over_q(a, b):
+    # Euclid over Q with Fraction coefficients: independent of the module
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            c, d = a[-1] / b[-1], len(a) - len(b)
+            for k, v in enumerate(b):
+                a[d + k] -= c * v
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _assert_canonical(f):
+    num, den = f.num, f.den
+    assert all(type(c) is int for c in num + den), f
+    assert den and den[-1] > 0, f
+    assert not num or num[-1] != 0, f
+    if not num:
+        assert den == (1,)
+        return
+    assert math.gcd(*num, *den) == 1, f
+    assert _gcd_degree_over_q(num, den) == 0, f
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# (f, g, op, k, reflected): f and g as in _rf_lists, or g a plain rational
+_cases = st.tuples(
+    _rf_lists(),
+    st.one_of(_rf_lists(), _small_fractions),
+    st.sampled_from(["+", "-", "*", "/", "**", "neg"]),
+    st.integers(min_value=-2, max_value=3),
+    st.booleans(),
+)
+
+
+def _apply(op, k, reflected, a, b):
+    # a op b (b op a when reflected), a ** k or -a, for either scalar type
+    if op == "neg":
+        return -a
+    if op == "**":
+        return a**k
+    return _BINARY[op](*((b, a) if reflected else (a, b)))
+
+
+def _result(case):
+    """The case evaluated over Q(t); None where it divides by zero."""
+    f, g, op, k, reflected = case
+    a = RationalFunction(*f)
+    b = RationalFunction(*g) if isinstance(g, tuple) else g
+    if (op == "**" and k < 0 and a == 0) or (op == "/" and (a if reflected else b) == 0):
+        return None
+    return _apply(op, k, reflected, a, b)
+
+
+class TestIntegerCore:
+    """RationalFunction keeps int polynomials num/den, coprime over Q, with
+    coefficient gcd 1 and a positive leading coefficient in den."""
+
+    @given(_cases)
+    # a product that needs its gcd, a quotient by a negative constant, and
+    # sums whose gcd is not a power of t
+    @example((([1], [1, 1]), ([1, 1], [1]), "*", 0, False))
+    @example((([1], [0, 1]), ([0, 1], [2]), "*", 0, True))
+    @example((([1], [1, 1]), Fraction(-2), "/", 0, False))
+    @example((([-1, 0, 1], [-3, 3]), Fraction(-2, 3), "+", 0, False))
+    @example((([2], [-1, 1]), ([0, 1], [-1, 0, 1]), "+", 0, False))
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_canonical(self, case):
+        got = _result(case)
+        if got is not None:
+            assert isinstance(got, RationalFunction)
+            _assert_canonical(got)
+
+    @given(_cases, st.lists(_small_fractions, min_size=3, max_size=3, unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_values_match_fraction_arithmetic(self, case, points):
+        # the same expression in Fraction arithmetic, at the points where no
+        # input has a pole and nothing divides by zero: independent of the gcd
+        got = _result(case)
+        if got is None:
+            return
+        (fn, fd), g, op, k, reflected = case
+        for z in points:
+            if _at(fd, z) == 0 or (isinstance(g, tuple) and _at(g[1], z) == 0):
+                continue
+            gz = _at(g[0], z) / _at(g[1], z) if isinstance(g, tuple) else g
+            try:
+                expect = _apply(op, k, reflected, _at(fn, z) / _at(fd, z), gz)
+            except ZeroDivisionError:
+                continue
+            assert _at(got.den, z) != 0
+            assert _at(got.num, z) / _at(got.den, z) == expect
+
+    @given(_small_fractions)
+    @settings(max_examples=40, deadline=None)
+    def test_constant_equals_and_hashes_like_its_fraction(self, c):
+        t = variable_t()
+        for f in (RationalFunction(c), RationalFunction([2 * c, 3 * c], [2, 3]), c * t / t):
+            assert f.is_constant()
+            assert f == c and c == f
+            assert hash(f) == hash(c)
+            assert {c: "found"}[f] == "found"
+            assert type(f.constant_value()) is Fraction and f.constant_value() == c
+            _assert_canonical(f)
+
+    def test_half_finds_its_fraction_key(self):
+        assert {Fraction(1, 2): "half"}[RationalFunction(Fraction(1, 2))] == "half"
+
+    # printed in the monic-denominator form of earlier releases
+    @pytest.mark.parametrize(
+        "build, text, rep",
+        [
+            (lambda t: t / 2, "1/2*t", "RationalFunction('1/2*t', '1')"),
+            (lambda t: (2 * t + 3) / (4 * t + 6), "1/2", "RationalFunction('1/2', '1')"),
+            (lambda t: 1 / t, "(1)/(t)", "RationalFunction('1', 't')"),
+            (
+                lambda t: (2 * t + 1) / (3 * t - 6),
+                "(2/3*t+1/3)/(t-2)",
+                "RationalFunction('2/3*t+1/3', 't-2')",
+            ),
+            (
+                lambda t: (Fraction(1, 2) * t + Fraction(1, 3)) / (Fraction(5, 7) * t * t - 4),
+                "(7/10*t+7/15)/(t^2-28/5)",
+                "RationalFunction('7/10*t+7/15', 't^2-28/5')",
+            ),
+            (
+                lambda t: (-3 * t**3 + Fraction(2, 9)) / (-Fraction(4, 5) * t + Fraction(7, 3)),
+                "(15/4*t^3-5/18)/(t-35/12)",
+                "RationalFunction('15/4*t^3-5/18', 't-35/12')",
+            ),
+            (
+                lambda t: pochhammer(t / 3 - Fraction(1, 2), 3),
+                "1/27*t^3+1/6*t^2-1/12*t-3/8",
+                "RationalFunction('1/27*t^3+1/6*t^2-1/12*t-3/8', '1')",
+            ),
+            (
+                lambda t: RationalFunction((Fraction(1), Fraction(-2, 3)), (0, 6, Fraction(9, 4))),
+                "(-8/27*t+4/9)/(t^2+8/3*t)",
+                "RationalFunction('-8/27*t+4/9', 't^2+8/3*t')",
+            ),
+            (lambda t: RationalFunction(Fraction(-7, 3)), "-7/3", "RationalFunction('-7/3', '1')"),
+            (lambda t: RationalFunction(0), "0", "RationalFunction('0', '1')"),
+            (
+                lambda t: (t + 1) ** -3,
+                "(1)/(t^3+3*t^2+3*t+1)",
+                "RationalFunction('1', 't^3+3*t^2+3*t+1')",
+            ),
+        ],
+    )
+    def test_str_and_repr_are_unchanged(self, build, text, rep):
+        f = build(variable_t())
+        assert (str(f), repr(f)) == (text, rep)
 
 
 class TestSerialization:

@@ -1,13 +1,14 @@
 """Tests for the verification suite and the seeded parameter search."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import cached_property
 
 import pytest
 
 from tdpair import cob, overlap, verify
-from tdpair.exactfield import as_integer, format_scalar
+from tdpair.exactfield import RationalFunction, as_integer, format_scalar, variable_t
 from tdpair.multiindex import Shape, enumerate_box, format_multiindex
 from tdpair.tdcore import TDParameters, validate_parameters
 from tdpair.verify import (
@@ -341,6 +342,87 @@ class TestOverlapTableMutation:
         biorthogonality = report.result("biorthogonality")
         assert biorthogonality.passed is False
         assert biorthogonality.witness["col"] == format_multiindex(table.basis[i])
+
+
+class TestLimitsMutation:
+    """A planted error on either side of the two t -> 0 identities fails
+    `limits` with that (i, x) as witness; with every pair checked instead of
+    the sample, the suite still passes."""
+
+    DELTA = F(1, 1000)
+
+    @staticmethod
+    def _sampled_pair(p, accept):
+        return next(
+            (i, x) for i, x in verify._limit_pairs(enumerate_box(p.shape)) if accept(i, x)
+        )
+
+    def test_planted_qt_direct_sum_entry_is_named(self, monkeypatch):
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        t = variable_t()
+        hahn_side = replace(p, h_star=p.h_star * t, omega_star=1 / t)
+        i, x = self._sampled_pair(
+            p,
+            lambda i, x: isinstance(
+                overlap.overlap_T(hahn_side, i, x, "direct_sum"), RationalFunction
+            ),
+        )
+        original = overlap._t_direct
+
+        def planted(params, rows, cols):
+            table = original(params, rows, cols)
+            if not isinstance(params.omega_star, RationalFunction):
+                return table
+            return [
+                [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
+                for mi, row in zip(rows, table)
+            ]
+
+        monkeypatch.setattr(overlap, "_t_direct", planted)
+        closed = overlap.overlap_limit_kind(p, "hahn", i, x)
+        result = run_suite(p, checks=["limits"]).result("limits")
+        assert result.passed is False
+        assert result.witness == {
+            "identity": "level-linear starred spectrum limit",
+            "i": format_multiindex(i),
+            "x": format_multiindex(x),
+            "lhs": format_scalar(closed + self.DELTA),
+            "rhs": format_scalar(closed),
+        }
+
+    def test_planted_krawtchouk_value_is_named(self, monkeypatch):
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        i, x = self._sampled_pair(p, lambda i, x: i != x)
+        closed = overlap.overlap_limit_kind(p, "krawtchouk", i, x)
+        original = overlap._krawtchouk_value
+
+        def planted(params, mi, mx):
+            v = original(params, mi, mx)
+            return v + self.DELTA if (mi, mx) == (i, x) else v
+
+        monkeypatch.setattr(overlap, "_krawtchouk_value", planted)
+        result = run_suite(p, checks=["limits"]).result("limits")
+        assert result.passed is False
+        assert result.witness == {
+            "identity": "both spectra linear limit",
+            "i": format_multiindex(i),
+            "x": format_multiindex(x),
+            "lhs": format_scalar(closed),
+            "rhs": format_scalar(closed + self.DELTA),
+        }
+
+    @pytest.mark.parametrize("ell, count", [((3, 2), 144), ((2, 2, 1), 324)])
+    def test_every_pair_passes(self, monkeypatch, ell, count):
+        covered = []
+
+        def every_pair(basis):
+            pairs = [(i, x) for i in basis for x in basis]
+            covered.append(len(pairs))
+            return pairs
+
+        monkeypatch.setattr(verify, "_limit_pairs", every_pair)
+        assert run_suite(random_valid_parameters(Shape(ell), 1), checks=["limits"]).passed
+        assert covered == [count]
 
 
 class TestOperatorMutation:
