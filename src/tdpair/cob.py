@@ -31,10 +31,10 @@ matrix_product and linear_solve overlap routes) goes through it, so one
 suite builds each family once.
 
 `block_tridiagonal_form` expresses the opposite operator in an eigenbasis
-two independent ways (conjugation, and an explicit five-term block formula
-that reads its coefficients from the same tables) and insists they agree
-entrywise with zero far blocks.  The eigen and inverse checks test the
-tables themselves against A and A*, which are assembled independently.
+two independent ways (conjugation by a triangular solve with C or D, and an
+explicit five-term block formula, the only reader of Cbar and Dbar) and
+insists they agree entrywise with zero far blocks.  The eigen and inverse
+checks test the tables themselves against A and A*, assembled independently.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .tdcore import (
     TDParameters,
     _assemble_operator,
     eigenvalue,
+    substituted_for_involution,
     validate_parameters,
     xi,
 )
@@ -124,19 +125,12 @@ def cob_coefficient(
 
 
 def _swapped(params: TDParameters) -> TDParameters:
-    """Both halves of the involution substitution at once: the plain and
-    starred spectra trade places, so the raising side at the result is the
-    mirror of the lowering side at params."""
-    L = params.diameter
-    return replace(
-        params,
-        theta0=params.theta0_star + params.h_star * L * (L + params.omega_star),
-        theta0_star=params.theta0 + params.h * L * (L + params.omega),
-        h=params.h_star,
-        h_star=params.h,
-        omega=-params.omega_star - 2 * L,
-        omega_star=-params.omega - 2 * L,
-    )
+    """Both halves of `substituted_for_involution` applied together, each
+    read off params: the plain and starred spectra trade places, so the
+    raising side at the result is the mirror of the lowering side at params."""
+    lo = substituted_for_involution(params, starred=True)
+    hi = substituted_for_involution(params, starred=False)
+    return replace(lo, theta0_star=hi.theta0_star, h_star=hi.h_star, omega_star=hi.omega_star)
 
 
 def _mirrored(m: ExactMatrix) -> ExactMatrix:
@@ -262,20 +256,21 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
     report = validate_parameters(params)
     if not report.passed:
         raise InvalidParameters(report)
+    # the conjugation solves fwd X = op fwd, so only the block formula reads
+    # the inverse family
     if which == "Astar_in_Vx":
         fwd = coefficient_matrix(params, "C")
-        inv = coefficient_matrix(params, "Cbar")
-        op = _assemble_operator(params, "Astar")
-        explicit = _explicit_star_blocks(params, fwd, inv)
+        explicit = _explicit_star_blocks(params, fwd, coefficient_matrix(params, "Cbar"))
+        # C is lower triangular in graded order and its mirror upper
+        # triangular: solve on the mirrors
+        rhs = _mirrored(_assemble_operator(params, "Astar") @ fwd)
+        conj = _mirrored(_mirrored(fwd).solve_upper_triangular(rhs))
     else:
         fwd = coefficient_matrix(params, "D")
-        inv = coefficient_matrix(params, "Dbar")
-        op = _assemble_operator(params, "A")
         # the mirrors of D and Dbar are C and Cbar at the swapped parameters
-        explicit = _mirrored(
-            _explicit_star_blocks(_swapped(params), _mirrored(fwd), _mirrored(inv))
-        )
-    conj = inv @ (op @ fwd)
+        inv = _mirrored(coefficient_matrix(params, "Dbar"))
+        explicit = _mirrored(_explicit_star_blocks(_swapped(params), _mirrored(fwd), inv))
+        conj = fwd.solve_upper_triangular(_assemble_operator(params, "A") @ fwd)
     diff = conj.first_difference(explicit)
     if diff is not None:
         raise StructureViolation(*diff, detail=f"{which}: conjugation vs block formula")

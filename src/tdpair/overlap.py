@@ -11,15 +11,21 @@ Each is computed by independent routes that must agree exactly:
      matrix_product   sum_n D[n,i] Cbar[x,n]
      shift_operator   ordered product of Racah factors whose argument is
                       the joint shift Z = e^{d_i_p + d_x_p}
-  U: direct_sum       nested sum over n from max(i, x) to ell
-     shift_operator   mirrored factors with negative shifts
+  U: direct_sum       the T direct_sum at the swapped parameters, mirrored
+     shift_operator   the T shift_operator at the swapped parameters, mirrored
      linear_solve     back-substitution of M_D X = M_C
+
+The involution S swaps A and A* and with them the two bases: at
+q = `cob._swapped(p)`, U = Dbar C with Dbar(p)[i,n] = Cbar(q)[ell-i, ell-n]
+and C(p)[n,x] = D(q)[ell-n, ell-x] gives U(p)_i(x) = T(q)_{ell-x}(ell-i), so
+no U formula is written out (`_mirror_of`).  The three U routes stay
+independent: T's direct sum and shift walk at q, the back-substitution at p.
 
 The shift route is evaluated literally as an operator acting on a function
 table: every factor expands as sum_k coeff(k) Z^k, the table maps the
 accumulated shift offsets to accumulated weights, and the product applies
-factor 1 outermost.  One walk (`_shift_walk`) drives the table for T, for U
-and for the truncated Hahn kind; each of them only supplies its factor.
+factor 1 outermost.  One walk (`_shift_walk`) drives the table for T and
+for the truncated Hahn kind; each of them only supplies its factor.
 Each factor's series advances coefficient by coefficient through its
 hypergeometric term ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead
 of recomputing its Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds
@@ -33,15 +39,16 @@ routes and the series sums use too: the walk keeps its weights as
 numerators over one common denominator, and the direct sums multiply pairs
 of Pochhammer symbols memoized once per table and sum the terms of an entry
 over their lcm, so over Q each entry is built as one Fraction.  Only that
-primitive is shared; no route borrows another's formula.
+primitive is shared; within a family no route borrows another's formula.
 
 `overlap_table` builds one whole table per route with one call: a kernel
-per pointwise route (`_t_direct`, `_u_direct`, `_t_shift`, `_u_shift`)
-takes the rows and columns and returns every entry, and `overlap_T` and
-`overlap_U` call the same kernel for a single entry; matrix_product is one
-matrix product and linear_solve one back-substitution.  The verifier
-compares these tables, so the routes stay independent computations.
-Cached tables are never returned themselves, only copies.
+per pointwise route (`_t_direct`, `_t_shift` and their mirrors `_u_direct`,
+`_u_shift`) takes the rows and columns and returns every entry, and
+`overlap_T` and `overlap_U` call the same kernel for a single entry;
+matrix_product is one matrix product and linear_solve one
+back-substitution.  The verifier compares these tables, so the routes stay
+independent computations.  Cached tables are never returned themselves,
+only copies.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from .multiindex import (
     in_box,
     partial_sum,
 )
-from .cob import cob_coefficient, coefficient_matrix
+from .cob import _swapped, cob_coefficient, coefficient_matrix
 from .tdcore import (
     ExactMatrix,
     InvalidParameters,
@@ -165,8 +172,8 @@ class RacahFactorSpec:
         return pair_value(*self.prefactor_pair()) * sum((c for _, c in self.series()), Fraction(0))
 
 
-def _shifted(n: Sequence[int], offsets: tuple[int, ...], sign: int) -> tuple[int, ...]:
-    return tuple(v + sign * k for v, k in zip(n, offsets))
+def _shifted(n: Sequence[int], offsets: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(v + k for v, k in zip(n, offsets))
 
 
 def _shift_walk(N: int, factor_terms) -> FieldElement:
@@ -220,7 +227,7 @@ def _t_shift(
 
     def entry(i, x):
         def factor_terms(p, offsets):
-            factor = _t_factor(params, p, _shifted(i, offsets, 1), _shifted(x, offsets, 1))
+            factor = _t_factor(params, p, _shifted(i, offsets), _shifted(x, offsets))
             return factor.prefactor_pair(), factor.term_pairs()
 
         wi, wx = i.weight, x.weight
@@ -229,55 +236,6 @@ def _t_shift(
             * _inv_poch(wx + params.omega, wx, "T shift head")
         )
         return head * _shift_walk(params.N, factor_terms)
-
-    return [[entry(i, x) for x in cols] for i in rows]
-
-
-def _u_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) -> RacahFactorSpec:
-    ell = params.ell
-    lp = ell[p - 1]
-    L = params.diameter
-    return RacahFactorSpec(
-        i=lp - x[p - 1],
-        x=lp - i[p - 1],
-        a1=-2 * sum(x) - sum(ell[:p]) + sum(x[:p]) - params.omega,
-        a2=-2 * sum(i) - sum(ell[:p]) + sum(i[:p]) - params.omega_star,
-        b1=-L - sum(x[: p - 1]) - lp - params.a[p - 1] - params.omega,
-        b2=-L - sum(i[: p - 1]) + params.a[p - 1] + 1 - params.omega_star,
-        ell=lp,
-    )
-
-
-def _u_shift(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
-    """U_i(x) by the mirrored shift-operator product for every i of rows,
-    x of cols; the factor argument lowers the indices, so offsets count how
-    far i_q, x_q have been pulled down."""
-    ell = params.ell
-
-    def entry(i, x):
-        def factor_terms(p, offsets):
-            ish, xsh = _shifted(i, offsets, -1), _shifted(x, offsets, -1)
-            lp = ell[p - 1]
-
-            def den(n, om):
-                return _pair(
-                    _inv_poch(
-                        2 * sum(n) + sum(ell[: p - 1]) - sum(n[: p - 1]) + om + 1,
-                        lp - n[p - 1],
-                        "U factor outer",
-                    )
-                )
-
-            # outer = (-1)^(i_p + ell_p) / [den(x) den(i)], times the prefactor
-            (xu, xv), (iu, iv) = den(xsh, params.omega), den(ish, params.omega_star)
-            factor = _u_factor(params, p, ish, xsh)
-            fu, fv = factor.prefactor_pair()
-            sign = (-1) ** (ish[p - 1] + lp)
-            return (sign * xv * iv * fu, xu * iu * fv), factor.term_pairs()
-
-        return _shift_walk(params.N, factor_terms)
 
     return [[entry(i, x) for x in cols] for i in rows]
 
@@ -361,39 +319,31 @@ def _t_direct(
     return out
 
 
-def _u_direct(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
-    """U_i(x) by the nested sum over max(i, x) <= n <= ell for every i of
-    rows, x of cols; s? as in _t_direct.  prod_p (1)_{x_p} (-ell_p)_{i_p}
-    depends on i and x only and divides each entry once."""
-    ell, N = params.ell, params.N
-    ratio = _direct_ratios(params, "U direct denominator")
-    tail = [sum(ell[q:]) for q in range(N + 1)]
-    out = []
-    for i in rows:
-        si, wi = list(accumulate(i, initial=0)), 2 * i.weight + 1
-        row = []
-        for x in cols:
-            sx, wx = list(accumulate(x, initial=0)), 2 * x.weight + 1
-            hv = prod(factorial(xq) * prod(range(-lq, iq - lq)) for lq, iq, xq in zip(ell, i, x))
-            nums, dens = [], []
-            for n in product(*[range(max(iq, xq), lq + 1) for iq, xq, lq in zip(i, x, ell)]):
-                sn = list(accumulate(n, initial=0))
-                tu = tv = 1
-                for q in range(N):
-                    nq, iq, xq, lq, j = n[q], i[q], x[q], ell[q], 2 * q + 2
-                    lo = sn[q]
-                    xu, xv = ratio(j, sx[q + 1] + lo + tail[q], 0, wx + lo - sx[q], nq - xq)
-                    iu, iv = ratio(j + 1, si[q + 1] + lo + tail[q + 1], 1, wi + lo - si[q], nq - iq)
-                    coef = prod(range(-nq, xq - nq)) * prod(range(-nq, iq - nq))
-                    tu *= coef * prod(range(-lq, nq - lq)) * xu * iu
-                    tv *= factorial(nq) * xv * iv
-                nums.append(tu)
-                dens.append(tv)
-            row.append(_entry_value(nums, dens, 1, hv))
-        out.append(row)
-    return out
+# ---------------------------------------------------------------------------
+# U as the mirror of T
+
+
+def _mirror_of(t_kernel: Callable) -> Callable:
+    """The U kernel U(p)_i(x) = T(q)_{ell-x}(ell-i), q = _swapped(p): t_kernel,
+    bound here, runs at q on rows ell - cols and columns ell - rows, and its
+    table comes back transposed."""
+
+    def u_kernel(
+        params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+    ) -> list[list[FieldElement]]:
+        ell = params.ell
+
+        def flip(n):
+            return MultiIndex(lp - v for lp, v in zip(ell, n))
+
+        table = t_kernel(_swapped(params), [flip(x) for x in cols], [flip(i) for i in rows])
+        return [[row[r] for row in table] for r in range(len(rows))]
+
+    return u_kernel
+
+
+_u_direct = _mirror_of(_t_direct)
+_u_shift = _mirror_of(_t_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +528,7 @@ def _hahn_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElem
     ell, N, om, a = params.ell, params.N, params.omega, params.a
 
     def factor_terms(p, offsets):
-        xsh = _shifted(x, offsets, 1)
+        xsh = _shifted(x, offsets)
         lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
         aa = sum(xsh) + om
         b = partial_sum(xsh, 1, p - 1) + partial_sum(ell, p, N) + om + a[p - 1] + 1

@@ -60,6 +60,15 @@ class TestGoldenOutputs:
         assert rc == 0
         assert capsys.readouterr().out == (GOLDEN / "overlap_t_all_seed1.json").read_text()
 
+    def test_overlap_u_all_json_stable(self, capsys):
+        # every U route on a two-coordinate box, values as exact rationals
+        rc = main(
+            ["overlap", "--which", "U", "--method", "all", "--shape", "2,1", "--seed", "1",
+             "--format", "json"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == (GOLDEN / "overlap_u_all_2x1_seed1.json").read_text()
+
 
 class TestValidate:
     def test_valid_instance_passes(self, params_file, capsys):

@@ -21,7 +21,12 @@ from tdpair.exactfield import (
 from tdpair.multiindex import IndexOutOfRange, Shape, enumerate_box, partial_sum
 from tdpair import cob, overlap
 from tdpair.cob import coefficient_matrix
-from tdpair.tdcore import ExactMatrix, InvalidParameters, TDParameters
+from tdpair.tdcore import (
+    ExactMatrix,
+    InvalidParameters,
+    TDParameters,
+    substituted_for_involution,
+)
 from tdpair.verify import random_valid_parameters, run_suite
 from tdpair.overlap import (
     RacahFactorSpec,
@@ -170,6 +175,19 @@ def _oracle_u(params, i, x):
 _ORACLES = {"T": (_oracle_t, overlap_T), "U": (_oracle_u, overlap_U)}
 
 
+def _swapped(params):
+    # both halves of the involution substitution, each read off params: the
+    # plain and starred spectra trade places, and T at the result is U at
+    # params read through n -> ell - n
+    lo = substituted_for_involution(params, starred=True)
+    hi = substituted_for_involution(params, starred=False)
+    return replace(lo, theta0_star=hi.theta0_star, h_star=hi.h_star, omega_star=hi.omega_star)
+
+
+def _flip(ell):
+    return lambda n: tuple(lp - v for lp, v in zip(ell, n))
+
+
 def _outcome(fn, *args):
     """The value with its type, or the raised zero denominator's k and detail."""
     try:
@@ -234,17 +252,45 @@ class TestTableKernels:
     @pytest.mark.parametrize("omegas", [(-1, F(1, 3)), (F(1, 3), -1), (-2, -3)])
     def test_zero_denominator_raises_as_the_oracle(self, monkeypatch, which, omegas):
         # omega or omega* in the cond1 band makes a direct denominator vanish;
-        # validation is switched off to reach it
+        # validation is switched off to reach it.  U_i(x) is T(q)_{ell-x}(ell-i)
+        # at the swapped parameters q: it raises exactly where that T oracle
+        # raises and equals the U oracle everywhere else.  Pairs run in the
+        # order the table kernel meets them: i outer for T, x outer for U
         monkeypatch.setattr(overlap, "_ensure_valid", lambda params: None)
         p = TDParameters(Shape((2, 1)), 0, 0, 1, 1, *omegas, (F(1, 7), F(3, 11)))
         oracle, pointwise = _ORACLES[which]
         basis = enumerate_box(p.shape)
-        expect = [_outcome(oracle, p, i, x) for i in basis for x in basis]
+        if which == "T":
+            pairs = [(i, x) for i in basis for x in basis]
+            expect = [_outcome(oracle, p, i, x) for i, x in pairs]
+        else:
+            q, flip = _swapped(p), _flip(p.ell)
+            pairs = [(i, x) for x in basis for i in basis]
+            expect = []
+            for i, x in pairs:
+                mirrored = _outcome(_oracle_t, q, flip(x), flip(i))
+                expect.append(mirrored if mirrored[0] == "raised" else _outcome(oracle, p, i, x))
         assert any(o[0] == "raised" for o in expect)
-        got = [_outcome(pointwise, p, i, x, "direct_sum") for i in basis for x in basis]
+        got = [_outcome(pointwise, p, i, x, "direct_sum") for i, x in pairs]
         assert got == expect
         first = next(o for o in expect if o[0] == "raised")
         assert _outcome(overlap_table, p, which, "direct_sum") == first
+
+
+class TestMirrorIdentity:
+    @pytest.mark.parametrize("ell", [(3,), (3, 2), (2, 2, 1), (2, 1, 1, 1)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_u_is_the_mirrored_t_at_the_swapped_parameters(self, ell, seed):
+        # U(p)_i(x) = T(q)_{ell-x}(ell-i): U by back-substitution reads D and
+        # C at p, T by the matrix product reads Cbar and D at q; in graded
+        # order n -> ell - n reverses the positions
+        p = random_valid_parameters(Shape(ell), seed)
+        mu = overlap_table(p, "U", "linear_solve")
+        mt = overlap_table(_swapped(p), "T", "matrix_product")
+        last = mu.dimension - 1
+        mirrored = {(last - c, last - r): v for (r, c), v in mt.entries.items()}
+        assert len(mu.entries) > mu.dimension
+        _assert_table_is(mu, mirrored)
 
 
 class TestFrozenTables:

@@ -282,11 +282,11 @@ class TestSharedCoefficientTables:
             {"eigen": "A on its eigenbasis"},
         ),
         "Cbar": (
-            ("inverse", "overlap_consistency", "biorthogonality"),
+            ("inverse", "block_structure", "overlap_consistency", "biorthogonality"),
             {"inverse": "raising family inverse"},
         ),
         "D": (
-            ("eigen", "inverse", "overlap_consistency"),
+            ("eigen", "inverse", "block_structure", "overlap_consistency"),
             {"eigen": "A* on its eigenbasis", "inverse": "lowering family inverse"},
         ),
         "Dbar": (
