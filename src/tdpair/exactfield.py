@@ -565,13 +565,18 @@ def hypergeometric_term_pairs(
     factor n + (k - 1) d over d.  So over Q every u_k and v_k is an int,
     unreduced, and no gcd is taken; v_k divides v_{k+1}.  With a rational
     function among the parameters or z, u_k is the term itself and v_k = 1.
+    Its core `_term_pairs` takes the parameters and z as `_pair`s already.
     """
+    zp = (1, 1) if z is None else _pair(z)
+    return _term_pairs([_pair(v) for v in num], [_pair(v) for v in den], kmax, zp, detail)
+
+
+def _term_pairs(nums: list, dens: list, kmax: int, zp: tuple, detail: str) -> Iterator[tuple]:
+    """`hypergeometric_term_pairs` on parameters and z given as pairs (n, d)."""
     if not isinstance(kmax, int) or kmax < 0:
         raise ValueError("kmax must be a nonnegative integer")
-    nums = [_pair(v) for v in num]
-    dens = [_pair(v) for v in den]
     # the parameters' denominators scale every step's ratio alike
-    up, down = (1, 1) if z is None else _pair(z)
+    up, down = zp
     for _, d in dens:
         up = up * d
     for _, d in nums:

@@ -25,8 +25,10 @@ The shift route is evaluated literally as an operator acting on a function
 table: every factor expands as sum_k coeff(k) Z^k, the table maps the
 accumulated shift offsets to accumulated weights, and the product applies
 factor 1 outermost.  One walk (`_shift_walk`) drives the table for T and
-for the truncated Hahn kind; each of them only supplies its factor.
-Each factor's series advances coefficient by coefficient through its
+for the truncated Hahn kind; each of them only supplies its factor, with
+every parameter an integer pair (n + m d, d) over the `_pair` (n, d) of a
+per-table constant.  T's factor is the one pair-level Racah factor,
+`_racah_factor`, which `RacahFactorSpec` wraps.  Each series advances by its
 hypergeometric term ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead
 of recomputing its Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds
 live at the end.
@@ -65,8 +67,8 @@ from .exactfield import (
     ZeroDenominatorPochhammer,
     _inv_poch,
     _pair,
+    _term_pairs,
     binomial,
-    hypergeometric_term_pairs,
     is_zero,
     over_common_denominator,
     pair_value,
@@ -78,7 +80,6 @@ from .multiindex import (
     MultiIndex,
     enumerate_box,
     in_box,
-    partial_sum,
 )
 from .cob import _swapped, cob_coefficient, coefficient_matrix
 from .tdcore import (
@@ -144,24 +145,21 @@ class RacahFactorSpec:
         if not 0 <= self.x <= self.ell:
             raise ValueError(f"factor degree x={self.x} outside 0..{self.ell}")
 
+    def _factor(self) -> tuple:
+        args = (_pair(v) for v in (self.a1, self.a2, self.b1, self.b2))
+        return _racah_factor(self.i, self.x, *args, self.ell)
+
     def prefactor_pair(self) -> tuple[FieldElement, FieldElement]:
         """The prefactor as a pair (u, v) with u / v its value, two ints
         over Q."""
-        u1, v1 = _pair(pochhammer(self.b1, self.i))
-        u2, v2 = _pair(pochhammer(self.b2, self.x))
-        return binomial(self.ell, self.i) * u1 * u2, v1 * v2
+        return self._factor()[0]
 
     def term_pairs(self) -> Iterator[tuple[int, FieldElement, FieldElement]]:
         """Yield (k, u, v) with u / v the series coefficient of Z^k, each
         from the last by the term ratio (integers over Q); a vanishing
         numerator ends the series, a vanishing denominator factor is an
         error."""
-        return hypergeometric_term_pairs(
-            [-self.i, -self.x, self.a1, self.a2],
-            [self.b1, self.b2, -self.ell],
-            min(self.i, self.x),
-            detail="Racah factor series",
-        )
+        return self._factor()[1]
 
     def series(self) -> Iterator[tuple[int, FieldElement]]:
         """Yield (k, series coefficient of Z^k); see `term_pairs`."""
@@ -170,6 +168,23 @@ class RacahFactorSpec:
     def value_at_unit(self) -> FieldElement:
         """The scalar value with Z = 1 (the univariate collapse)."""
         return pair_value(*self.prefactor_pair()) * sum((c for _, c in self.series()), Fraction(0))
+
+
+def _rising(n, d, k: int) -> tuple:
+    """(n / d)_k as a pair: over Q the ints prod (n + s d) and d**k, over
+    Q(t) (a rational function n over d = 1) its `pochhammer` over 1."""
+    if type(n) is int:
+        return prod(n + s * d for s in range(k)), d**k
+    return pochhammer(n, k), 1
+
+
+def _racah_factor(i: int, x: int, a1: tuple, a2: tuple, b1: tuple, b2: tuple, ell: int) -> tuple:
+    """The factor of `RacahFactorSpec` with a1, a2, b1 and b2 given as pairs
+    (n, d): (its prefactor pair, its iterator of term pairs (k, u, v))."""
+    (u1, v1), (u2, v2) = _rising(*b1, i), _rising(*b2, x)
+    num, den = [(-i, 1), (-x, 1), a1, a2], [b1, b2, (-ell, 1)]
+    terms = _term_pairs(num, den, min(i, x), (1, 1), "Racah factor series")
+    return (binomial(ell, i) * u1 * u2, v1 * v2), terms
 
 
 def _shifted(n: Sequence[int], offsets: tuple[int, ...]) -> tuple[int, ...]:
@@ -207,35 +222,34 @@ def _shift_walk(N: int, factor_terms) -> FieldElement:
     return pair_value(sum(table.values()), den)
 
 
-def _t_factor(params: TDParameters, p: int, i: Sequence[int], x: Sequence[int]) -> RacahFactorSpec:
-    ell = params.ell
-    return RacahFactorSpec(
-        i=i[p - 1],
-        x=x[p - 1],
-        a1=sum(i) + params.omega_star,
-        a2=sum(x) + params.omega,
-        b1=sum(i[: p - 1]) + sum(ell[p:]) + params.omega_star - params.a[p - 1],
-        b2=sum(x[: p - 1]) + sum(ell[p - 1 :]) + params.omega + params.a[p - 1] + 1,
-        ell=ell[p - 1],
-    )
-
-
 def _t_shift(
     params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
 ) -> list[list[FieldElement]]:
-    """T_i(x) by the shift-operator product for every i of rows, x of cols."""
+    """T_i(x) by the shift-operator product for every i of rows, x of cols.
+    Factor p at the shifted indices i', x' has a1 = |i'| + omega*,
+    a2 = |x'| + omega, b1 = |i'|_1^{p-1} + c1_p and b2 = |x'|_1^{p-1} + c2_p,
+    each a pair (n + m d, d) over the pair (n, d) of a per-table constant."""
+    ell, N, om, oms, a = params.ell, params.N, params.omega, params.omega_star, params.a
+    (no, do), (nos, dos) = _pair(om), _pair(oms)
+    c1 = [_pair(sum(ell[p:]) - a[p - 1] + oms) for p in range(1, N + 1)]
+    c2 = [_pair(sum(ell[p - 1 :]) + a[p - 1] + 1 + om) for p in range(1, N + 1)]
+    heads: dict[tuple[int, int], FieldElement] = {}
 
     def entry(i, x):
         def factor_terms(p, offsets):
-            factor = _t_factor(params, p, _shifted(i, offsets), _shifted(x, offsets))
-            return factor.prefactor_pair(), factor.term_pairs()
+            si, sx = _shifted(i, offsets), _shifted(x, offsets)
+            (n1, d1), (n2, d2) = c1[p - 1], c2[p - 1]
+            b1 = (n1 + sum(si[: p - 1]) * d1, d1)
+            b2 = (n2 + sum(sx[: p - 1]) * d2, d2)
+            a1, a2 = (nos + sum(si) * dos, dos), (no + sum(sx) * do, do)
+            return _racah_factor(si[p - 1], sx[p - 1], a1, a2, b1, b2, ell[p - 1])
 
-        wi, wx = i.weight, x.weight
-        head = Fraction((-1) ** wi) / (
-            _inv_poch(wi + params.omega_star, wi, "T shift head")
-            * _inv_poch(wx + params.omega, wx, "T shift head")
-        )
-        return head * _shift_walk(params.N, factor_terms)
+        key = wi, wx = i.weight, x.weight
+        if key not in heads:
+            heads[key] = Fraction((-1) ** wi) / (
+                _inv_poch(wi + oms, wi, "T shift head") * _inv_poch(wx + om, wx, "T shift head")
+            )
+        return heads[key] * _shift_walk(N, factor_terms)
 
     return [[entry(i, x) for x in cols] for i in rows]
 
@@ -258,17 +272,12 @@ def _direct_ratios(params: TDParameters, detail: str) -> Callable[..., tuple]:
     parts = [_pair(b) for b in bases]
     memo: dict[tuple, tuple] = {}
 
-    def rising(j, m, k):
-        n, d = parts[j]
-        if type(n) is int:
-            return prod(n + (m + s) * d for s in range(k)), d**k
-        return pochhammer(bases[j] + m, k), 1
-
     def ratio(j, m, jd, md, k):
         key = (j, m, jd, md, k)
         hit = memo.get(key)
         if hit is None:
-            (u, v), (du, dv) = rising(j, m, k), rising(jd, md, k)
+            (n, d), (dn, dd) = parts[j], parts[jd]
+            (u, v), (du, dv) = _rising(n + m * d, d, k), _rising(dn + md * dd, dd, k)
             if du == 0:
                 raise ZeroDenominatorPochhammer(k, detail)
             hit = memo[key] = (u * dv, v * du)
@@ -446,11 +455,9 @@ def univariate_t_racah(params: TDParameters, i, x) -> FieldElement:
     _require_univariate(params)
     _ensure_valid(params)
     iv, xv = _coords_1d(params, i, x)
-    factor = _t_factor(params, 1, (iv,), (xv,))
-    head = Fraction((-1) ** iv) / (
-        _inv_poch(iv + params.omega_star, iv, "T head")
-        * _inv_poch(xv + params.omega, xv, "T head")
-    )
+    ell, om, oms, a = params.ell[0], params.omega, params.omega_star, params.a[0]
+    factor = RacahFactorSpec(iv, xv, iv + oms, xv + om, oms - a, ell + om + a + 1, ell)
+    head = Fraction((-1) ** iv) / (_inv_poch(iv + oms, iv, "T head") * _inv_poch(xv + om, xv, "T head"))
     return head * factor.value_at_unit()
 
 
@@ -526,16 +533,18 @@ def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
 def _hahn_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
     """Nested product of truncated Hahn factors; shifts act on x only."""
     ell, N, om, a = params.ell, params.N, params.omega, params.a
+    no, do = _pair(om)
+    c = [_pair(sum(ell[p - 1 :]) + a[p - 1] + 1 + om) for p in range(1, N + 1)]
 
     def factor_terms(p, offsets):
         xsh = _shifted(x, offsets)
         lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
-        aa = sum(xsh) + om
-        b = partial_sum(xsh, 1, p - 1) + partial_sum(ell, p, N) + om + a[p - 1] + 1
-        terms = hypergeometric_term_pairs(
-            [-ip, -xp, aa], [-lp, b], min(ip, xp), detail="Hahn factor series"
-        )
-        return _pair(binomial(lp, ip) * pochhammer(b, xp)), terms
+        (nb, db), aa = c[p - 1], (no + sum(xsh) * do, do)
+        b = (nb + sum(xsh[: p - 1]) * db, db)
+        num, den = [(-ip, 1), (-xp, 1), aa], [(-lp, 1), b]
+        terms = _term_pairs(num, den, min(ip, xp), (1, 1), "Hahn factor series")
+        u, v = _rising(*b, xp)
+        return (binomial(lp, ip) * u, v), terms
 
     head = Fraction((-1) ** i.weight) / _inv_poch(x.weight + om, x.weight, "Hahn head")
     return head * _shift_walk(N, factor_terms)

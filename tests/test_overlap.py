@@ -1,10 +1,12 @@
 """Overlap function routes, closed forms, and degenerate kinds."""
 
+import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +16,9 @@ from tdpair.exactfield import (
     RationalFunction,
     ZeroDenominatorPochhammer,
     _inv_poch,
+    _pair,
     limit_at_zero,
+    pair_value,
     pochhammer,
     variable_t,
 )
@@ -40,6 +44,7 @@ from tdpair.overlap import (
 )
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 T_METHODS = ("direct_sum", "matrix_product", "shift_operator")
 U_METHODS = ("direct_sum", "shift_operator", "linear_solve")
@@ -188,6 +193,13 @@ def _flip(ell):
     return lambda n: tuple(lp - v for lp, v in zip(ell, n))
 
 
+def _limit_side(ell):
+    # the starred side the limits check evaluates: h* -> h* t, omega* -> 1/t
+    p = random_valid_parameters(Shape(ell), 1)
+    inv_t = RationalFunction((F(1),), (F(0), F(1)))
+    return replace(p, h_star=p.h_star * variable_t(), omega_star=inv_t)
+
+
 def _outcome(fn, *args):
     """The value with its type, or the raised zero denominator's k and detail."""
     try:
@@ -231,12 +243,8 @@ class TestTableKernels:
 
     @pytest.mark.parametrize("ell", [(5,), (2, 1), (1, 2), (2, 2)])
     def test_direct_sum_over_qt_at_the_limit_parameters(self, ell):
-        # the starred side the limits check evaluates: h* -> h* t, omega* -> 1/t
-        p = random_valid_parameters(Shape(ell), 1)
-        t = variable_t()
-        inv_t = RationalFunction((F(1),), (F(0), F(1)))
-        hahn_side = replace(p, h_star=p.h_star * t, omega_star=inv_t)
-        basis = enumerate_box(p.shape)
+        hahn_side = _limit_side(ell)
+        basis = enumerate_box(hahn_side.shape)
         expect = {
             (r, c): _oracle_t(hahn_side, i, x)
             for r, i in enumerate(basis)
@@ -275,6 +283,49 @@ class TestTableKernels:
         assert got == expect
         first = next(o for o in expect if o[0] == "raised")
         assert _outcome(overlap_table, p, which, "direct_sum") == first
+
+    @pytest.mark.parametrize("which", ["T", "U"])
+    @pytest.mark.parametrize("omegas", [(-1, F(1, 3)), (F(1, 3), -1), (-2, -3), (F(-1, 2), F(-3, 2))])
+    def test_shift_zero_denominator_matches_the_record(self, monkeypatch, which, omegas):
+        # the shift route at the parameters above, validation off: the golden
+        # file holds every entry's outcome, in the order the table kernel
+        # meets them, as a value with its type or the raised k and detail
+        monkeypatch.setattr(overlap, "_ensure_valid", lambda params: None)
+        p = TDParameters(Shape((2, 1)), 0, 0, 1, 1, *omegas, (F(1, 7), F(3, 11)))
+        golden = json.loads((GOLDEN / "shift_zero_denominator_2x1.json").read_text())
+        record = golden[",".join(map(str, omegas))][which]
+        pointwise = _ORACLES[which][1]
+        basis = [tuple(n) for n in enumerate_box(p.shape)]
+        expect, got, values = [], [], {}
+        for i, x, *outcome in record:
+            i, x = tuple(map(int, i)), tuple(map(int, x))
+            kind, *rest = _outcome(pointwise, p, i, x, "shift_operator")
+            if kind == "value":
+                values[(basis.index(i), basis.index(x))] = rest[1]
+                rest[1] = str(rest[1])
+            expect.append(tuple(outcome))
+            got.append((kind, *rest))
+        assert got == expect
+        raised = [o for o in expect if o[0] == "raised"]
+        table = _outcome(overlap_table, p, which, "shift_operator")
+        if raised:
+            assert table == raised[0]
+        else:
+            _assert_table_is(table[2], values)
+
+    @pytest.mark.parametrize("which", ["T", "U"])
+    @pytest.mark.parametrize("ell", [(5,), (2, 1), (1, 2), (2, 2)])
+    def test_shift_operator_over_qt_at_the_limit_parameters(self, which, ell):
+        hahn_side = _limit_side(ell)
+        oracle = _ORACLES[which][0]
+        basis = enumerate_box(hahn_side.shape)
+        expect = {
+            (r, c): oracle(hahn_side, i, x)
+            for r, i in enumerate(basis)
+            for c, x in enumerate(basis)
+        }
+        assert any(isinstance(v, RationalFunction) for v in expect.values())
+        _assert_table_is(overlap_table(hahn_side, which, "shift_operator"), expect)
 
 
 class TestMirrorIdentity:
@@ -469,13 +520,10 @@ class TestRacahFactorSpec:
             list(spec.series())
         assert exc.value.k == 2
 
-    @given(_racah_specs())
-    @example(RacahFactorSpec(i=3, x=3, a1=F(-1), a2=F(5), b1=F(1, 2), b2=F(2), ell=3))
-    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
-    @settings(max_examples=80, deadline=None)
-    def test_series_matches_pochhammer_definition(self, spec):
-        # the examples: a1 = -1 stops the series after k = 1, b2 = -1 makes
-        # the denominator vanish at k = 2
+    @staticmethod
+    def _by_definition(spec):
+        # the series term by term from its Pochhammer symbols: the (k, value)
+        # list, and the k at which a denominator vanishes or None
         expect, raised_at = [], None
         for k in range(min(spec.i, spec.x) + 1):
             num = (
@@ -496,12 +544,42 @@ class TestRacahFactorSpec:
                 raised_at = k
                 break
             expect.append((k, num / den))
+        return expect, raised_at
+
+    @given(_racah_specs())
+    @example(RacahFactorSpec(i=3, x=3, a1=F(-1), a2=F(5), b1=F(1, 2), b2=F(2), ell=3))
+    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
+    @settings(max_examples=80, deadline=None)
+    def test_series_matches_pochhammer_definition(self, spec):
+        # the examples: a1 = -1 stops the series after k = 1, b2 = -1 makes
+        # the denominator vanish at k = 2
+        expect, raised_at = self._by_definition(spec)
         if raised_at is None:
             assert list(spec.series()) == expect
         else:
             with pytest.raises(ZeroDenominatorPochhammer) as exc:
                 list(spec.series())
             assert exc.value.k == raised_at
+
+    @given(_racah_specs())
+    @example(RacahFactorSpec(i=2, x=1, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(2, 3), ell=3))
+    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
+    @settings(max_examples=80, deadline=None)
+    def test_pair_level_factor_matches_pochhammer_definition(self, spec):
+        # the factor the shift walk calls, fed the fields as pairs (n, d);
+        # the first example has i != x and b1 != b2 with denominators, so a
+        # swapped b1/b2 or a lost d**k in the prefactor shows
+        args = (_pair(v) for v in (spec.a1, spec.a2, spec.b1, spec.b2))
+        (pu, pv), terms = overlap._racah_factor(spec.i, spec.x, *args, spec.ell)
+        prefactor = comb(spec.ell, spec.i) * pochhammer(spec.b1, spec.i) * pochhammer(spec.b2, spec.x)
+        assert pair_value(pu, pv) == prefactor
+        expect, raised_at = self._by_definition(spec)
+        if raised_at is None:
+            assert [(k, pair_value(u, v)) for k, u, v in terms] == expect
+        else:
+            with pytest.raises(ZeroDenominatorPochhammer) as exc:
+                list(terms)
+            assert (exc.value.k, exc.value.detail) == (raised_at, "Racah factor series")
 
     def test_unit_value_collapse(self):
         # i = 0 leaves only the k = 0 term: value is the prefactor (b2)_x
