@@ -13,12 +13,21 @@ Plain ``int`` values are accepted everywhere and coerced.  "FieldElement"
 below means any of the three.  All operations are pure and every value is
 immutable, so everything in this module is safe to use concurrently.
 
+A third scalar kind serves only to take limits at t = 0:
+:class:`LaurentSeries`, a Laurent series over Q truncated at a tracked
+precision.  It is exact (int coefficients over one denominator, no floats,
+no gcd of polynomials), and it raises `PrecisionExhausted` rather than guess a
+coefficient that its precision does not determine.  It enters the same
+series primitives and `pochhammer`, and `limit_at_zero` reads its t^0
+coefficient.
+
 A value may also ride as a pair (numerator, denominator): two ints for a
-rational, (v, 1) for a rational function v, which answers the int/Fraction
-``numerator``/``denominator`` protocol that way.  `over_common_denominator`,
-the package's one accumulation primitive, puts a run of pairs over the lcm
-of their denominators, so every exact sum (series terms, overlap terms,
-matrix dot products) adds numerators and builds one value at the end.
+rational, (v, 1) for a rational function or series v, which answers the
+int/Fraction ``numerator``/``denominator`` protocol that way.
+`over_common_denominator`, the package's one accumulation primitive, puts a
+run of pairs over the lcm of their denominators, so every exact sum (series
+terms, overlap terms, matrix dot products) adds numerators and builds one
+value at the end.
 
 The module also provides the handful of combinatorial primitives that all
 closed formulas in the package are assembled from: Pochhammer symbols
@@ -40,6 +49,8 @@ __all__ = [
     "FieldElement",
     "ZeroDenominatorPochhammer",
     "PoleAtZero",
+    "LaurentSeries",
+    "PrecisionExhausted",
     "rational",
     "format_scalar",
     "variable_t",
@@ -82,6 +93,11 @@ class ZeroDenominatorPochhammer(ArithmeticError):
 
 class PoleAtZero(ArithmeticError):
     """A rational function was evaluated at t = 0 where it has a pole."""
+
+
+class PrecisionExhausted(ArithmeticError):
+    """A Laurent series is not known far enough to decide what was asked:
+    its t^0 coefficient, or whether it is zero."""
 
 
 def _trim(coeffs: list) -> _Poly:
@@ -395,6 +411,126 @@ def _as_rf(v):
     return NotImplemented
 
 
+class LaurentSeries:
+    """A Laurent series at t = 0 over Q, known to a finite precision.
+
+    ``t^val (n_0 + n_1 t + ... + n_{r-1} t^{r-1} + O(t^r)) / den`` with int
+    ``nums`` = (n_0, ..., n_{r-1}), a known leading coefficient n_0 != 0, an
+    int ``den`` > 0 and relative precision r; with no known coefficient it
+    is ``O(t^val)``, a zero known below t^val only.  The absolute precision
+    ``val + r`` follows the semantics of PARI/GP's power series (Knuth,
+    TAOCP vol. 2, 4.7): a product keeps the smaller relative precision, and
+    a sum is known below the smaller absolute precision, so a cancellation
+    of leading terms shrinks the relative precision by exactly the terms it
+    removes.  An int or Fraction operand is exact.  As over Q elsewhere in
+    this module, the coefficients stay unreduced ints over one denominator,
+    and sums put two denominators over their lcm.  Only the precision is
+    ever cut, never a known coefficient guessed: ``== 0`` and division raise
+    PrecisionExhausted on a zero that is not known to be one.
+    """
+
+    __slots__ = ("val", "nums", "den")
+
+    def __init__(self, val: int, nums: Sequence[int] = (), den: int = 1):
+        k = 0
+        while k < len(nums) and not nums[k]:
+            k += 1
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        self.val, self.nums, self.den = val + k, tuple(nums[k:]), den
+
+    def _abs(self) -> int:
+        return self.val + len(self.nums)
+
+    def __add__(self, other):
+        if isinstance(other, LaurentSeries):
+            top, (v2, b, d2) = min(self._abs(), other._abs()), (other.val, other.nums, other.den)
+        elif isinstance(other, (int, Fraction)):
+            top, (v2, b, d2) = self._abs(), (0, (other.numerator,), other.denominator)
+        else:
+            return NotImplemented
+        (v1, a, d1), den = (self.val, self.nums, self.den), math.lcm(self.den, d2)
+        low = min(top, v1 if a else top, v2 if b else top)
+        out = [0] * (top - low)
+        for v, cs, d in ((v1, a, d1), (v2, b, d2)):
+            f = den // d
+            for k, c in enumerate(cs[: max(0, top - v)], v - low):
+                out[k] += c * f
+        return LaurentSeries(low, out, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LaurentSeries(self.val, [-c for c in self.nums], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Fraction(0)
+            n = other.numerator
+            return LaurentSeries(self.val, [c * n for c in self.nums], self.den * other.denominator)
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        a, b = self.nums, other.nums
+        out = [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(min(len(a), len(b)))]
+        return LaurentSeries(self.val + other.val, out, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> "LaurentSeries":
+        # den / (b_0 + b_1 t + ...): e_k = b_0^(k+1) times the t^k coefficient
+        # of 1 / (b_0 + b_1 t + ...) is an int, e_0 = 1
+        b, r = self.nums, len(self.nums)
+        if not b:
+            raise PrecisionExhausted(f"division by O(t^{self.val}), not known to be nonzero")
+        e = [1]
+        for k in range(1, r):
+            e.append(-sum(b[j] * b[0] ** (j - 1) * e[k - j] for j in range(1, k + 1)))
+        nums = [self.den * c * b[0] ** (r - 1 - k) for k, c in enumerate(e)]
+        return LaurentSeries(-self.val, nums, b[0] ** r)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / other)
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        return self * other._inverse()
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def __eq__(self, other):
+        # only a comparison with 0 is decided; an unknown zero raises
+        if not isinstance(other, (int, Fraction)) or other != 0:
+            raise TypeError("a Laurent series is only compared with 0")
+        if not self.nums:
+            raise PrecisionExhausted(f"O(t^{self.val}) is not known to be zero")
+        return False
+
+    __hash__ = None
+
+    def __bool__(self):
+        return self != 0
+
+    # the numerator/denominator protocol, like RationalFunction: (self, 1)
+    @property
+    def numerator(self) -> "LaurentSeries":
+        return self
+
+    @property
+    def denominator(self) -> int:
+        return 1
+
+    def __repr__(self):
+        return f"LaurentSeries({self.val}, {self.nums!r}, {self.den})"
+
+
 FieldElement = Union[int, Fraction, RationalFunction]
 
 
@@ -452,7 +588,7 @@ def _coerce(v) -> FieldElement:
         raise TypeError("bool is not a scalar")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, (Fraction, RationalFunction)):
+    if isinstance(v, (Fraction, RationalFunction, LaurentSeries)):
         return v
     raise TypeError(f"not an exact scalar: {type(v).__name__}")
 
@@ -466,6 +602,8 @@ def pochhammer(x: FieldElement, k: int) -> FieldElement:
         return Fraction(1)
     if isinstance(x, RationalFunction):
         return _pochhammer_qt(x, k)
+    if isinstance(x, LaurentSeries):
+        return math.prod((x + j for j in range(1, k)), start=x)
     return _pochhammer_q(x.numerator, x.denominator, k)
 
 
@@ -512,7 +650,7 @@ def binomial(n: int, k: int) -> int:
 
 def _pair(v: FieldElement) -> tuple:
     """v as (numerator, denominator): two ints for a rational, (v, 1) for a
-    rational function."""
+    rational function or a Laurent series."""
     if type(v) not in (int, Fraction):
         v = _coerce(v)
     return v.numerator, v.denominator
@@ -564,7 +702,8 @@ def hypergeometric_term_pairs(
     A rational parameter c = n/d enters the term ratio as the integer
     factor n + (k - 1) d over d.  So over Q every u_k and v_k is an int,
     unreduced, and no gcd is taken; v_k divides v_{k+1}.  With a rational
-    function among the parameters or z, u_k is the term itself and v_k = 1.
+    function or series among the parameters or z, u_k is the term itself
+    and v_k = 1.
     Its core `_term_pairs` takes the parameters and z as `_pair`s already.
     """
     zp = (1, 1) if z is None else _pair(z)
@@ -581,7 +720,6 @@ def _term_pairs(nums: list, dens: list, kmax: int, zp: tuple, detail: str) -> It
         up = up * d
     for _, d in nums:
         down = down * d
-    over_q = type(up) is int and all(type(n) is int for n, _ in nums + dens)
     u, v = 1, 1
     yield 0, u, v
     for k in range(1, kmax + 1):
@@ -595,7 +733,8 @@ def _term_pairs(nums: list, dens: list, kmax: int, zp: tuple, detail: str) -> It
             denfac = denfac * (n + (k - 1) * d)
         if denfac == 0:
             raise ZeroDenominatorPochhammer(k, detail)
-        if over_q:
+        # a non-int parameter or z keeps its factor non-int at every k
+        if type(numfac) is int and type(denfac) is int and type(up) is int:
             u, v = u * numfac * up, v * denfac * down
         else:
             u = u * (numfac * up) / (denfac * down)
@@ -626,13 +765,23 @@ def pfq_terminating(
 
 
 def limit_at_zero(f) -> Fraction:
-    """Value of a rational function at t = 0, after full reduction.
+    """Value at t = 0 of a rational function, after full reduction, or of
+    a Laurent series, exactly and without floats.
 
-    Accepts plain rationals (returned unchanged) for convenience.
-    Raises PoleAtZero when the reduced denominator vanishes at 0.
+    Accepts plain rationals (returned unchanged) for convenience.  Raises
+    PoleAtZero when the reduced denominator vanishes at 0, or when a
+    series has a known term of negative power.  A series whose t^0
+    coefficient lies beyond its precision raises PrecisionExhausted: the
+    limit is never guessed.
     """
     if isinstance(f, (int, Fraction)):
         return Fraction(f)
+    if isinstance(f, LaurentSeries):
+        if f.nums and f.val < 0:
+            raise PoleAtZero(f"pole at t = 0: {f!r}")
+        if f.val <= 0 and not f.nums:
+            raise PrecisionExhausted(f"t^0 coefficient of {f!r} unknown")
+        return Fraction(f.nums[0], f.den) if f.val == 0 else Fraction(0)
     if not isinstance(f, RationalFunction):
         raise TypeError(f"not a rational function: {type(f).__name__}")
     den0 = f.den[0]  # canonical form, so num/den share no factor of t

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
@@ -42,7 +43,8 @@ from typing import Callable, Optional, Sequence
 
 from .exactfield import (
     FieldElement,
-    RationalFunction,
+    LaurentSeries,
+    PrecisionExhausted,
     as_integer,
     format_scalar,
     limit_at_zero,
@@ -52,8 +54,12 @@ from .multiindex import MultiIndex, Shape, enumerate_box, format_multiindex
 from .report import CheckResult, VerificationReport
 from .cob import StructureViolation, block_tridiagonal_form, coefficient_matrix
 from .overlap import (
+    LIMIT_KINDS,
     T_METHODS,
     U_METHODS,
+    _ensure_valid,
+    _hahn_value,
+    _t_direct,
     overlap_T,
     overlap_U,
     overlap_limit_kind,
@@ -322,6 +328,9 @@ def _check_racah_reduction(ctx: _Context):
     return True, None
 
 
+_LIMIT_IDENTITIES = ("level-linear starred spectrum limit", "both spectra linear limit")
+
+
 def _limit_pairs(basis: Sequence[MultiIndex]) -> list:
     pairs = [(i, x) for i in basis for x in basis]
     if len(basis) <= 6:
@@ -330,33 +339,73 @@ def _limit_pairs(basis: Sequence[MultiIndex]) -> list:
     return pairs[::step][:10]
 
 
+def _series_limits(kernel: Callable, cols: list, cap: int) -> list:
+    """The t -> 0 limits of kernel(s, cols), one value per column of cols,
+    with s = 1/t a Laurent series of relative precision 1.  The columns
+    whose t^0 coefficient that precision leaves unknown are redone with s
+    at twice the precision, until precision cap; past it
+    PrecisionExhausted propagates, as it does at once from a kernel that
+    compares or divides by an unknown zero."""
+    limits: dict = {}
+    precision = 1
+    while len(limits) < len(cols):
+        if precision > cap:
+            raise PrecisionExhausted(f"t -> 0 limit beyond relative precision {cap}")
+        todo = [x for x in cols if x not in limits]
+        s = LaurentSeries(-1, (1,) + (0,) * (precision - 1))
+        for x, v in zip(todo, kernel(s, todo)):
+            with suppress(PrecisionExhausted):
+                limits[x] = limit_at_zero(v)
+        precision *= 2
+    return [limits[x] for x in cols]
+
+
+def _row_limits(p: TDParameters, i: MultiIndex, cols: list) -> tuple[list, list]:
+    """For each x of cols, the t -> 0 limits of T_i(x) at omega* = 1/t and of
+    the truncated Hahn kind at omega = 1/t, both taken in Laurent series:
+    one T direct-sum kernel call for the row, so its ratio memo is shared,
+    and one Hahn walk per column.
+
+    Relative precision r = 1 always suffices.  Call the sum of a term's
+    factors' valuations its nominal valuation.  With every factor known to
+    relative precision r, a product is known below t^(nominal + r), so is a
+    quotient by a Pochhammer product in 1/t (its valuation is exact), and a
+    sum below the least bound of its terms, whatever cancels.  Every term
+    of T is an int times ratios (omega* - a_p + m)_k / (omega* + m')_k of
+    nominal valuation 0; every term of the Hahn walk has -|x| and its head
+    1 / (|x| + omega)_{|x|} has +|x|.  So every entry is known below t^r,
+    its t^0 coefficient included.  The cap 2|ell| + 1 holds whatever the
+    valuations: a factor of positive valuation only raises the bound, and
+    the Pochhammer numerators in 1/t of one term have total length at most
+    |i| + |x| <= 2|ell|.
+    """
+    cap = 2 * p.diameter + 1
+    hahn = _series_limits(lambda s, xs: _t_direct(replace(p, omega_star=s), [i], xs)[0], cols, cap)
+    kraw = _series_limits(lambda s, xs: [_hahn_value(replace(p, omega=s), i, x) for x in xs], cols, cap)
+    return hahn, kraw
+
+
 def _check_limits(ctx: _Context):
     p = ctx.params
     t = variable_t()
-    inv_t = RationalFunction((Fraction(1),), (Fraction(0), Fraction(1)))
-    hahn_side = replace(p, h_star=p.h_star * t, omega_star=inv_t)
-    kraw_side = replace(p, h=p.h * t, omega=inv_t)
+    # the limits are taken in series, but the parameters validated exactly
+    _ensure_valid(replace(p, h_star=p.h_star * t, omega_star=1 / t))
+    _ensure_valid(replace(p, h=p.h * t, omega=1 / t))
+    rows: dict = {}
     for i, x in _limit_pairs(ctx.basis):
-        lim = limit_at_zero(overlap_T(hahn_side, i, x, "direct_sum"))
-        closed = overlap_limit_kind(p, "hahn", i, x)
-        if lim != closed:
-            return False, {
-                "identity": "level-linear starred spectrum limit",
-                "i": format_multiindex(i),
-                "x": format_multiindex(x),
-                "lhs": format_scalar(lim),
-                "rhs": format_scalar(closed),
-            }
-        lim = limit_at_zero(overlap_limit_kind(kraw_side, "hahn", i, x))
-        closed = overlap_limit_kind(p, "krawtchouk", i, x)
-        if lim != closed:
-            return False, {
-                "identity": "both spectra linear limit",
-                "i": format_multiindex(i),
-                "x": format_multiindex(x),
-                "lhs": format_scalar(lim),
-                "rhs": format_scalar(closed),
-            }
+        rows.setdefault(i, []).append(x)
+    for i, cols in rows.items():
+        for x, *lims in zip(cols, *_row_limits(p, i, cols)):
+            for lim, kind, identity in zip(lims, LIMIT_KINDS, _LIMIT_IDENTITIES):
+                closed = overlap_limit_kind(p, kind, i, x)
+                if lim != closed:
+                    return False, {
+                        "identity": identity,
+                        "i": format_multiindex(i),
+                        "x": format_multiindex(x),
+                        "lhs": format_scalar(lim),
+                        "rhs": format_scalar(closed),
+                    }
     return True, None
 
 

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdpair.exactfield import (
+    LaurentSeries,
     PoleAtZero,
+    PrecisionExhausted,
     RationalFunction,
     ZeroDenominatorPochhammer,
     as_integer,
@@ -258,6 +260,108 @@ class TestLimitAtZero:
 
     def test_plain_rational_passthrough(self):
         assert limit_at_zero(Fraction(5, 7)) == Fraction(5, 7)
+
+
+def _series_t(precision: int, val: int) -> LaurentSeries:
+    # t (val 1) or 1/t (val -1), known to relative precision `precision`
+    return LaurentSeries(val, (1,) + (0,) * (precision - 1))
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# expression trees over the factors a + b*t, 1/t + c and constants
+_expressions = st.recursive(
+    st.one_of(
+        st.tuples(st.just("lin"), _small_fractions, _small_fractions),
+        st.tuples(st.just("inv"), _small_fractions),
+        st.tuples(st.just("const"), _small_fractions),
+    ),
+    lambda sub: st.tuples(st.sampled_from(sorted(_OPS)), sub, sub),
+    max_leaves=8,
+)
+
+
+def _evaluate(expr, t, inv_t):
+    kind = expr[0]
+    if kind == "lin":
+        return expr[1] + expr[2] * t
+    if kind == "inv":
+        return inv_t + expr[1]
+    if kind == "const":
+        return expr[1]
+    return _OPS[kind](_evaluate(expr[1], t, inv_t), _evaluate(expr[2], t, inv_t))
+
+
+def _outcome(f):
+    try:
+        return limit_at_zero(f)
+    except PoleAtZero:
+        return PoleAtZero
+
+
+class TestLaurentSeries:
+    @given(_expressions)
+    @settings(max_examples=150, deadline=None)
+    def test_limit_matches_the_reduced_rational_function(self, expr):
+        t = variable_t()
+        try:
+            exact = _evaluate(expr, t, 1 / t)
+        except ZeroDivisionError:
+            return  # a quotient by an exact zero has no limit to compare
+        precision = 1
+        while True:
+            try:
+                got = _outcome(_evaluate(expr, _series_t(precision, 1), _series_t(precision, -1)))
+                break
+            except PrecisionExhausted:
+                precision *= 2
+                assert precision <= 64
+        assert got == _outcome(exact)
+
+    def test_cancellation_exhausts_precision_one_only(self):
+        def expr(precision):
+            inv_t = _series_t(precision, -1)
+            return ((inv_t + 1) - inv_t) * inv_t
+
+        with pytest.raises(PrecisionExhausted):
+            limit_at_zero(expr(1))
+        # at precision 2 the value is 1/t exactly in its known terms, and
+        # its limit is the pole of the reduced rational function
+        f = expr(2)
+        assert (f.val, f.nums, f.den) == (-1, (1,), 1)
+        with pytest.raises(PoleAtZero):
+            limit_at_zero(f)
+        with pytest.raises(PoleAtZero):
+            limit_at_zero(((1 / variable_t() + 1) - 1 / variable_t()) / variable_t())
+
+    def test_a_known_zero_limit_after_two_cancellations(self):
+        def expr(precision):
+            inv_t = _series_t(precision, -1)
+            return (((inv_t + 1) - inv_t) - 1) * inv_t
+
+        for precision in (1, 2):
+            with pytest.raises(PrecisionExhausted):
+                limit_at_zero(expr(precision))
+        assert limit_at_zero(expr(3)) == 0
+
+    def test_only_a_known_nonzero_is_decided(self):
+        inv_t = _series_t(1, -1)
+        assert inv_t != 0 and bool(inv_t)
+        with pytest.raises(PrecisionExhausted):
+            _ = inv_t - inv_t == 0
+        with pytest.raises(PrecisionExhausted):
+            _ = 1 / (inv_t - inv_t)
+        with pytest.raises(TypeError):
+            _ = inv_t == 1
+        assert inv_t * 0 == 0 and type(inv_t * 0) is Fraction
+
+    def test_pochhammer_and_pair_protocol(self):
+        s = _series_t(3, -1) + Fraction(1, 2)
+        # t^-3 (1 + t/2)(1 + 3t/2)(1 + 5t/2), known to t^0
+        got = pochhammer(s, 3)
+        assert got.val == -3
+        assert [Fraction(n, got.den) for n in got.nums] == [1, Fraction(9, 2), Fraction(23, 4)]
+        assert (s.numerator, s.denominator) == (s, 1)
 
 
 class TestRationalFunctionField:

@@ -8,7 +8,15 @@ from functools import cached_property
 import pytest
 
 from tdpair import cob, overlap, verify
-from tdpair.exactfield import RationalFunction, as_integer, format_scalar, variable_t
+from tdpair.exactfield import (
+    LaurentSeries,
+    PrecisionExhausted,
+    RationalFunction,
+    as_integer,
+    format_scalar,
+    limit_at_zero,
+    variable_t,
+)
 from tdpair.multiindex import Shape, enumerate_box, format_multiindex
 from tdpair.tdcore import TDParameters, validate_parameters
 from tdpair.verify import (
@@ -367,18 +375,17 @@ class TestLimitsMutation:
                 overlap.overlap_T(hahn_side, i, x, "direct_sum"), RationalFunction
             ),
         )
-        original = overlap._t_direct
+        original = verify._t_direct
 
         def planted(params, rows, cols):
+            # the t-side kernel call of `limits`, whatever its scalar type
             table = original(params, rows, cols)
-            if not isinstance(params.omega_star, RationalFunction):
-                return table
             return [
                 [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
                 for mi, row in zip(rows, table)
             ]
 
-        monkeypatch.setattr(overlap, "_t_direct", planted)
+        monkeypatch.setattr(verify, "_t_direct", planted)
         closed = overlap.overlap_limit_kind(p, "hahn", i, x)
         result = run_suite(p, checks=["limits"]).result("limits")
         assert result.passed is False
@@ -423,6 +430,71 @@ class TestLimitsMutation:
         monkeypatch.setattr(verify, "_limit_pairs", every_pair)
         assert run_suite(random_valid_parameters(Shape(ell), 1), checks=["limits"]).passed
         assert covered == [count]
+
+
+def _reduced_row_limits(p, i, cols):
+    """The limits as `limits` took them before series: every value a reduced
+    RationalFunction, sent to t = 0 by `limit_at_zero`."""
+    t = variable_t()
+    hahn_side = replace(p, h_star=p.h_star * t, omega_star=1 / t)
+    kraw_side = replace(p, h=p.h * t, omega=1 / t)
+    return (
+        [limit_at_zero(overlap.overlap_T(hahn_side, i, x, "direct_sum")) for x in cols],
+        [limit_at_zero(overlap.overlap_limit_kind(kraw_side, "hahn", i, x)) for x in cols],
+    )
+
+
+class TestSeriesLimits:
+    """`limits` takes its t -> 0 limits in Laurent series; on every pair they
+    equal the limits of the reduced rational functions."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ell", [(5,), (2, 1), (1, 2), (2, 2), (3, 2)])
+    def test_every_pair_equals_the_rational_function_path(self, ell, seed):
+        p = random_valid_parameters(Shape(ell), seed)
+        basis = enumerate_box(p.shape)
+        for i in basis:
+            assert verify._row_limits(p, i, basis) == _reduced_row_limits(p, i, basis)
+
+    def test_a_forced_retry_doubles_the_precision(self, monkeypatch):
+        # (v + s) - s loses v at precision 1 and keeps it at precision 2
+        seen = []
+
+        def lossy(kernel, side):
+            def run(params, rows, cols):
+                s = getattr(params, side)
+                seen.append((side, len(s.nums)))
+                out = kernel(params, rows, cols)
+                if side == "omega_star":
+                    return [[(v + s) - s for v in row] for row in out]
+                return (out + s) - s
+
+            return run
+
+        monkeypatch.setattr(verify, "_t_direct", lossy(verify._t_direct, "omega_star"))
+        monkeypatch.setattr(verify, "_hahn_value", lossy(verify._hahn_value, "omega"))
+        p = random_valid_parameters(Shape((2, 1)), 1)
+        basis = enumerate_box(p.shape)
+        for i in basis:
+            seen.clear()
+            assert verify._row_limits(p, i, basis) == _reduced_row_limits(p, i, basis)
+            assert [k for side, k in seen if side == "omega_star"] == [1, 2]
+            assert sorted({k for side, k in seen if side == "omega"}) == [1, 2]
+        assert run_suite(p, checks=["limits"]).passed
+
+    def test_past_the_cap_the_precision_error_propagates(self, monkeypatch):
+        # O(t^0) at every precision; at ell = (1,) the cap is 2|ell| + 1 = 3
+        seen = []
+
+        def unknown(params, rows, cols):
+            seen.append(len(params.omega_star.nums))
+            return [[LaurentSeries(0) for _ in cols] for _ in rows]
+
+        monkeypatch.setattr(verify, "_t_direct", unknown)
+        p = random_valid_parameters(Shape((1,)), 1)
+        with pytest.raises(PrecisionExhausted):
+            run_suite(p, checks=["limits"])
+        assert seen == [1, 2]
 
 
 class TestOperatorMutation:
