@@ -23,6 +23,12 @@ swaps A and A*: at the parameter set q = `_swapped(p)`
 
 and in graded order n -> ell - n reverses the positions (`_mirrored`).
 
+One kernel, `_raising_values`, builds every table over int pairs: each
+Pochhammer symbol of C and Cbar is (c + M)_k with an integer M and c either
+a_p + omega + 1 or, in the global factor, omega, memoized once per call, so
+an entry is one product over one product.  `cob_coefficient` is that kernel
+at one entry.
+
 Each family's table is built once per parameter set and kept in a small
 module-level cache; `coefficient_matrix` hands out copies, so a caller that
 writes into its matrix changes nothing another caller sees.  Every reader in
@@ -32,9 +38,10 @@ suite builds each family once.
 
 `block_tridiagonal_form` expresses the opposite operator in an eigenbasis
 two independent ways (conjugation by a triangular solve with C or D, and an
-explicit five-term block formula, the only reader of Cbar and Dbar) and
-insists they agree entrywise with zero far blocks.  The eigen and inverse
-checks test the tables themselves against A and A*, assembled independently.
+explicit five-term block formula, the only reader of Cbar and Dbar, with
+each entry one common-denominator sum of its terms) and insists they agree
+entrywise with zero far blocks.  The eigen and inverse checks test the
+tables themselves against A and A*, assembled independently.
 """
 
 from __future__ import annotations
@@ -43,25 +50,19 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
+from math import comb
 from typing import Sequence
 
 from .exactfield import (
     FieldElement,
-    _inv_poch,
-    binomial,
+    ZeroDenominatorPochhammer,
+    _pair,
+    _rising,
     is_zero,
-    pochhammer,
+    over_common_denominator,
+    pair_value,
 )
-from .multiindex import (
-    IndexOutOfRange,
-    MultiIndex,
-    add,
-    enumerate_box,
-    in_box,
-    partial_sum,
-    sub,
-    unit,
-)
+from .multiindex import IndexOutOfRange, enumerate_box, in_box
 from .tdcore import (
     ExactMatrix,
     InvalidParameters,
@@ -103,7 +104,8 @@ class StructureViolation(ArithmeticError):
 def cob_coefficient(
     params: TDParameters, kind: str, first: Sequence[int], second: Sequence[int]
 ) -> FieldElement:
-    """One coefficient, indexed in subscript order (row index first).
+    """One coefficient, indexed in subscript order (row index first): the
+    table kernel `_raising_values` at one entry.
 
     Out-of-support pairs give an exact zero.  Parameters are taken as
     already validated; on sets violating the constraints the global
@@ -114,14 +116,16 @@ def cob_coefficient(
         raise IndexOutOfRange(f"index {tuple(first)} outside the box of {shape!r}")
     if not in_box(second, shape):
         raise IndexOutOfRange(f"index {tuple(second)} outside the box of {shape!r}")
-    if kind in _RAISING:
-        return _RAISING[kind](params, first, second)
     if kind in _MIRROR_OF:
         # the lowering side is the raising side at the swapped parameters,
         # read through n -> ell - n
         first, second = (tuple(lp - v for lp, v in zip(params.ell, n)) for n in (first, second))
-        return _RAISING[_MIRROR_OF[kind]](_swapped(params), first, second)
-    raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
+        params, kind = _swapped(params), _MIRROR_OF[kind]
+    elif kind not in ("C", "Cbar"):
+        raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
+    if any(f < s for f, s in zip(first, second)):
+        return Fraction(0)
+    return _raising_values(params, kind, [(first, second)])[0]
 
 
 def _swapped(params: TDParameters) -> TDParameters:
@@ -140,49 +144,52 @@ def _mirrored(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.basis, {(last - r, last - c): v for (r, c), v in m.entries.items()})
 
 
-def _coeff_C(params: TDParameters, n, x) -> FieldElement:
-    ell, N, om = params.ell, params.N, params.omega
-    tot = Fraction(1)
-    for p in range(1, N + 1):
-        b = binomial(n[p - 1], x[p - 1])
-        if b == 0:
-            return Fraction(0)
-        base = (
-            partial_sum(n, 1, p - 1)
-            + partial_sum(x, 1, p)
-            + partial_sum(ell, p, N)
-            + params.a[p - 1]
-            + om
-            + 1
-        )
-        tot *= b * pochhammer(base, n[p - 1] - x[p - 1])
-    d = sum(n) - sum(x)
-    tot *= Fraction((-1) ** d)
-    return tot / _inv_poch(2 * sum(x) + om + 1, d, "C global factor")
-
-
-def _coeff_Cbar(params: TDParameters, x, n) -> FieldElement:
-    ell, N, om = params.ell, params.N, params.omega
-    tot = Fraction(1)
-    for p in range(1, N + 1):
-        b = binomial(x[p - 1], n[p - 1])
-        if b == 0:
-            return Fraction(0)
-        base = (
-            partial_sum(n, 1, p)
-            + partial_sum(x, 1, p - 1)
-            + partial_sum(ell, p, N)
-            + params.a[p - 1]
-            + om
-            + 1
-        )
-        tot *= b * pochhammer(base, x[p - 1] - n[p - 1])
-    d = sum(x) - sum(n)
-    return tot / _inv_poch(sum(n) + sum(x) + om, d, "Cbar global factor")
-
-
-_RAISING = {"C": _coeff_C, "Cbar": _coeff_Cbar}
 _MIRROR_OF = {"D": "C", "Dbar": "Cbar"}
+
+
+def _raising_values(params: TDParameters, kind: str, pairs) -> list[FieldElement]:
+    """C[row, col] (kind "C") or Cbar[row, col] (kind "Cbar") at every
+    (row, col) of pairs, in order, each with row >= col pointwise.
+
+    Both are one product over the coordinates p of
+    binomial(row_p, col_p) (c_p + M_p)_{row_p - col_p}, with
+    c_p = a_p + omega + 1 and M_p = |row|_1^{p-1} + |col|_1^p + |ell|_p^N,
+    over one global factor (omega + M)_d, d = |row| - |col|: M = 2|col| + 1
+    and a sign (-1)^d for C, M = |row| + |col| for Cbar.  Every factor is a
+    `_rising` pair memoized for the call, so an entry is one product of
+    numerators over one of denominators, over Q one Fraction.  A vanishing
+    global factor raises ZeroDenominatorPochhammer(d, "<kind> global factor").
+    """
+    ell, om = params.ell, params.omega
+    no, do = _pair(om)
+    consts = [(*_pair(ap + om + 1), sum(ell[p:])) for p, ap in enumerate(params.a)]
+    is_c = kind == "C"
+    detail = f"{kind} global factor"
+    factors: dict[tuple, tuple] = {}
+    heads: dict[tuple[int, int], tuple] = {}
+    out = []
+    for row, col in pairs:
+        u = v = 1
+        ms = 0  # |row|_1^{p-1} + |col|_1^{p-1}
+        for p, (r, c, (cn, cd, tail)) in enumerate(zip(row, col, consts)):
+            m = ms + c + tail
+            f = factors.get((p, m, r, c))
+            if f is None:
+                fu, fv = _rising(cn + m * cd, cd, r - c)
+                f = factors[(p, m, r, c)] = (comb(r, c) * fu, fv)
+            u, v = u * f[0], v * f[1]
+            ms += r + c
+        wc = sum(col)
+        m, d = (2 * wc + 1 if is_c else ms), ms - 2 * wc
+        g = heads.get((m, d))
+        if g is None:
+            g = heads[(m, d)] = _rising(no + m * do, do, d)
+            if g[0] == 0:
+                raise ZeroDenominatorPochhammer(d, detail)
+        if is_c and d % 2:
+            u = -u
+        out.append(pair_value(u * g[1], v * g[0]))
+    return out
 
 
 def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
@@ -208,17 +215,15 @@ def _coefficient_table(params: TDParameters, kind: str) -> ExactMatrix:
 
 
 def _raising_table(params: TDParameters, kind: str) -> ExactMatrix:
-    # C and Cbar vanish unless row >= col pointwise: iterate only the
-    # dominance sub-box of each column
-    shape = params.shape
-    basis = enumerate_box(shape)
-    m = ExactMatrix(basis)
-    for col in basis:
-        c = m.pos[col]
-        for row in product(*[range(col[p], shape.ell[p] + 1) for p in range(shape.N)]):
-            v = cob_coefficient(params, kind, row, col)
-            if not is_zero(v):
-                m.entries[(m.pos[MultiIndex(row)], c)] = v
+    # C and Cbar vanish unless row >= col pointwise: the kernel runs over
+    # the dominance sub-box of each column
+    m = ExactMatrix(enumerate_box(params.shape))
+    pos = m.pos
+    tops = [lp + 1 for lp in params.ell]
+    pairs = [(row, col) for col in m.basis for row in product(*map(range, col, tops))]
+    for (row, col), v in zip(pairs, _raising_values(params, kind, pairs)):
+        if v != 0:
+            m.entries[(pos[row], pos[col])] = v
     return m
 
 
@@ -284,60 +289,75 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
 
 def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatrix) -> ExactMatrix:
     """A* on the V(x) basis from the five-term block formula, with the C and
-    Cbar coefficients read from their tables."""
-    shape = params.shape
-    N = shape.N
-    basis = enumerate_box(shape)
+    Cbar coefficients read from their tables.
+
+    The formula runs on basis positions: plus[p][k] and minus[p][k] are the
+    positions of basis[k] +- e_p, or `out` outside the box, theta*_w is kept
+    per level and xi*_{n,p} per (position, p).  Every term is a product of
+    pairs, and each entry is one sum of its terms over their common
+    denominator."""
+    basis = enumerate_box(params.shape)
+    N = params.N
     m = ExactMatrix(basis)
+    pos, out = m.pos, len(basis)
 
-    def put(row, col, v):
-        if is_zero(v):
-            return
-        key = (m.pos[MultiIndex(row)], m.pos[col])
-        m.entries[key] = m.entries.get(key, Fraction(0)) + v
-        if m.entries[key] == 0:
-            del m.entries[key]
+    def moved(p, step):
+        return [pos.get(x[:p] + (x[p] + step,) + x[p + 1 :], out) for x in basis] + [out]
 
-    def ths(j):
-        return eigenvalue(params, j, starred=True)
+    plus, minus = [moved(p, 1) for p in range(N)], [moved(p, -1) for p in range(N)]
+    ths = [_pair(eigenvalue(params, w, starred=True)) for w in range(params.diameter + 1)]
+    xs = cache(lambda k, p: _pair(xi(params, basis[k], p + 1, starred=True)))
+    cp = {key: _pair(v) for key, v in mc.entries.items()}
+    cbp = {key: _pair(v) for key, v in mcb.entries.items()}
+    terms: dict[tuple[int, int], list] = {}
 
-    # each xi*_{n,p} is read by several terms: one dict per build, keyed on (n, p)
-    xs = cache(lambda n, p: xi(params, n, p, starred=True))
+    def put(yk, xk, *factors):
+        u, v = 1, 1
+        for fu, fv in factors:
+            u, v = u * fu, v * fv
+        terms.setdefault((yk, xk), []).append((u, v))
 
-    cC, cCb = mc.entry, mcb.entry
-
-    for x in basis:
+    for xk, x in enumerate(basis):
         w = x.weight
-        for p in range(1, N + 1):
-            y = sub(x, unit(p, N))
-            if in_box(y, shape):
-                put(y, x, xs(y, p))
-        for p in range(1, N + 1):
-            y = add(x, unit(p, N))
-            if in_box(y, shape):
-                put(y, x, ths(w) * cCb(y, x) + ths(w + 1) * cC(y, x))
-        put(x, x, ths(w))
-        for p in range(1, N + 1):
-            for q in range(1, N + 1):
-                y = sub(add(x, unit(p, N)), unit(q, N))
-                if not in_box(y, shape):
-                    continue
-                xmq = sub(x, unit(q, N))
-                if in_box(xmq, shape):
-                    put(y, x, xs(xmq, q) * cCb(y, xmq))
-                xpp = add(x, unit(p, N))
-                if in_box(xpp, shape):
-                    put(y, x, xs(y, q) * cC(xpp, x))
-        for p in range(1, N + 1):
-            for q in range(1, N + 1):
-                for r in range(q, N + 1):
-                    y = sub(add(add(x, unit(q, N)), unit(r, N)), unit(p, N))
-                    if not in_box(y, shape):
+        put(xk, xk, ths[w])
+        for p in range(N):
+            yk = minus[p][xk]
+            if yk != out:
+                put(yk, xk, xs(yk, p))
+            yk = plus[p][xk]
+            if (yk, xk) in cbp:
+                put(yk, xk, ths[w], cbp[(yk, xk)])
+            if (yk, xk) in cp:
+                put(yk, xk, ths[w + 1], cp[(yk, xk)])
+        for p in range(N):
+            for q in range(N):
+                # y = x + e_p - e_q
+                yk = xk if p == q else minus[q][plus[p][xk]]
+                xmq, xpp = minus[q][xk], plus[p][xk]
+                if yk != out and (yk, xmq) in cbp:
+                    put(yk, xk, xs(xmq, q), cbp[(yk, xmq)])
+                if yk != out and (xpp, xk) in cp:
+                    put(yk, xk, xs(yk, q), cp[(xpp, xk)])
+                for r in range(p, N):
+                    # y = x + e_p + e_r - e_q, summed over x <= n <= x + e_p + e_r
+                    # with n and n - e_q in the box; x + e_p + e_r may lie
+                    # outside it while y lies inside
+                    if q == p:
+                        yk = plus[r][xk]
+                    elif q == r:
+                        yk = xpp
+                    else:
+                        yk = minus[q][plus[r][xpp]]
+                    if yk == out:
                         continue
-                    top = add(add(x, unit(q, N)), unit(r, N))
-                    for n in product(*[range(x[s], top[s] + 1) for s in range(N)]):
-                        nm = sub(n, unit(p, N))
-                        if not (in_box(n, shape) and in_box(nm, shape)):
-                            continue
-                        put(y, x, xs(nm, p) * cC(n, x) * cCb(y, nm))
+                    ns = (xk, xpp, plus[p][xpp]) if p == r else (xk, xpp, plus[r][xk], plus[r][xpp])
+                    for nk in ns:
+                        nm = minus[q][nk]
+                        if (nk, xk) in cp and (yk, nm) in cbp:
+                            put(yk, xk, xs(nm, q), cp[(nk, xk)], cbp[(yk, nm)])
+    for key, pairs in terms.items():
+        scaled, den = over_common_denominator(*zip(*pairs))
+        v = pair_value(sum(scaled), den)
+        if v != 0:
+            m.entries[key] = v
     return m

@@ -656,6 +656,14 @@ def _pair(v: FieldElement) -> tuple:
     return v.numerator, v.denominator
 
 
+def _rising(n, d, k: int) -> tuple:
+    """(n / d)_k as a pair: over Q the ints prod (n + s d) and d**k, over
+    Q(t) (a rational function n over d = 1) its `pochhammer` over 1."""
+    if type(n) is int:
+        return math.prod(n + s * d for s in range(k)), d**k
+    return pochhammer(n, k), 1
+
+
 def pair_value(u, v) -> FieldElement:
     """The field element u / v of a pair whose parts are ints or field
     elements; two ints give a Fraction, never a float."""

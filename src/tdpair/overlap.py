@@ -67,6 +67,7 @@ from .exactfield import (
     ZeroDenominatorPochhammer,
     _inv_poch,
     _pair,
+    _rising,
     _term_pairs,
     binomial,
     is_zero,
@@ -168,14 +169,6 @@ class RacahFactorSpec:
     def value_at_unit(self) -> FieldElement:
         """The scalar value with Z = 1 (the univariate collapse)."""
         return pair_value(*self.prefactor_pair()) * sum((c for _, c in self.series()), Fraction(0))
-
-
-def _rising(n, d, k: int) -> tuple:
-    """(n / d)_k as a pair: over Q the ints prod (n + s d) and d**k, over
-    Q(t) (a rational function n over d = 1) its `pochhammer` over 1."""
-    if type(n) is int:
-        return prod(n + s * d for s in range(k)), d**k
-    return pochhammer(n, k), 1
 
 
 def _racah_factor(i: int, x: int, a1: tuple, a2: tuple, b1: tuple, b2: tuple, ell: int) -> tuple:

@@ -2,10 +2,35 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import prod
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from tdpair.multiindex import IndexOutOfRange, MultiIndex, Shape, enumerate_box
+from tdpair import cob
+from tdpair.exactfield import (
+    ZeroDenominatorPochhammer,
+    _inv_poch,
+    binomial,
+    is_zero,
+    pochhammer,
+    variable_t,
+)
+from tdpair.multiindex import (
+    IndexOutOfRange,
+    MultiIndex,
+    Shape,
+    add,
+    enumerate_box,
+    in_box,
+    partial_sum,
+    sub,
+    unit,
+)
 from tdpair.cob import (
     COEFFICIENT_KINDS,
     StructureViolation,
@@ -21,6 +46,7 @@ from tdpair.tdcore import (
     build_operator,
     eigenvalue,
     substituted_for_involution,
+    xi,
 )
 from tdpair.verify import random_valid_parameters, run_suite
 
@@ -246,3 +272,222 @@ class TestBlockTridiagonalForm:
         )
         assert err.row == (0, 1)
         assert "probe" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-entry coefficient formulas and the five-term block formula
+# written out on multi-indices, one Fraction operation at a time
+
+
+def _oracle_C(params, n, x):
+    ell, N, om = params.ell, params.N, params.omega
+    tot = Fraction(1)
+    for p in range(1, N + 1):
+        b = binomial(n[p - 1], x[p - 1])
+        if b == 0:
+            return Fraction(0)
+        base = (
+            partial_sum(n, 1, p - 1)
+            + partial_sum(x, 1, p)
+            + partial_sum(ell, p, N)
+            + params.a[p - 1]
+            + om
+            + 1
+        )
+        tot *= b * pochhammer(base, n[p - 1] - x[p - 1])
+    d = sum(n) - sum(x)
+    tot *= Fraction((-1) ** d)
+    return tot / _inv_poch(2 * sum(x) + om + 1, d, "C global factor")
+
+
+def _oracle_Cbar(params, x, n):
+    ell, N, om = params.ell, params.N, params.omega
+    tot = Fraction(1)
+    for p in range(1, N + 1):
+        b = binomial(x[p - 1], n[p - 1])
+        if b == 0:
+            return Fraction(0)
+        base = (
+            partial_sum(n, 1, p)
+            + partial_sum(x, 1, p - 1)
+            + partial_sum(ell, p, N)
+            + params.a[p - 1]
+            + om
+            + 1
+        )
+        tot *= b * pochhammer(base, x[p - 1] - n[p - 1])
+    d = sum(x) - sum(n)
+    return tot / _inv_poch(sum(n) + sum(x) + om, d, "Cbar global factor")
+
+
+def _oracle_coefficient(params, kind, first, second):
+    if kind in ("D", "Dbar"):
+        ell = params.ell
+        first, second = (tuple(lp - v for lp, v in zip(ell, n)) for n in (first, second))
+        params, kind = _swapped(params), {"D": "C", "Dbar": "Cbar"}[kind]
+    return (_oracle_C if kind == "C" else _oracle_Cbar)(params, first, second)
+
+
+def _oracle_star_blocks(params, mc, mcb):
+    shape = params.shape
+    N = shape.N
+    basis = enumerate_box(shape)
+    m = ExactMatrix(basis)
+
+    def put(row, col, v):
+        if is_zero(v):
+            return
+        key = (m.pos[MultiIndex(row)], m.pos[col])
+        m.entries[key] = m.entries.get(key, Fraction(0)) + v
+        if m.entries[key] == 0:
+            del m.entries[key]
+
+    def ths(j):
+        return eigenvalue(params, j, starred=True)
+
+    xs = cache(lambda n, p: xi(params, n, p, starred=True))
+    cC, cCb = mc.entry, mcb.entry
+
+    for x in basis:
+        w = x.weight
+        for p in range(1, N + 1):
+            y = sub(x, unit(p, N))
+            if in_box(y, shape):
+                put(y, x, xs(y, p))
+        for p in range(1, N + 1):
+            y = add(x, unit(p, N))
+            if in_box(y, shape):
+                put(y, x, ths(w) * cCb(y, x) + ths(w + 1) * cC(y, x))
+        put(x, x, ths(w))
+        for p in range(1, N + 1):
+            for q in range(1, N + 1):
+                y = sub(add(x, unit(p, N)), unit(q, N))
+                if not in_box(y, shape):
+                    continue
+                xmq = sub(x, unit(q, N))
+                if in_box(xmq, shape):
+                    put(y, x, xs(xmq, q) * cCb(y, xmq))
+                xpp = add(x, unit(p, N))
+                if in_box(xpp, shape):
+                    put(y, x, xs(y, q) * cC(xpp, x))
+        for p in range(1, N + 1):
+            for q in range(1, N + 1):
+                for r in range(q, N + 1):
+                    y = sub(add(add(x, unit(q, N)), unit(r, N)), unit(p, N))
+                    if not in_box(y, shape):
+                        continue
+                    top = add(add(x, unit(q, N)), unit(r, N))
+                    for n in product(*[range(x[s], top[s] + 1) for s in range(N)]):
+                        nm = sub(n, unit(p, N))
+                        if not (in_box(n, shape) and in_box(nm, shape)):
+                            continue
+                        put(y, x, xs(nm, p) * cC(n, x) * cCb(y, nm))
+    return m
+
+
+@st.composite
+def _shapes_to_18(draw):
+    n_coords = draw(st.integers(min_value=1, max_value=4))
+    ell = draw(st.lists(st.integers(min_value=1, max_value=17), min_size=n_coords, max_size=n_coords))
+    assume(prod(v + 1 for v in ell) <= 18)
+    return Shape(tuple(ell))
+
+
+def _typed(m):
+    return {k: (type(v), v) for k, v in m.entries.items()}
+
+
+def _assert_kernel_matches_oracle(params, kinds=COEFFICIENT_KINDS):
+    basis = enumerate_box(params.shape)
+    for kind in kinds:
+        table = coefficient_matrix(params, kind)
+        expect = {}
+        for (r, first), (c, second) in product(enumerate(basis), repeat=2):
+            v = _oracle_coefficient(params, kind, first, second)
+            got = cob_coefficient(params, kind, first, second)
+            assert (type(got), got) == (type(v), v), (kind, first, second)
+            if v != 0:
+                expect[(r, c)] = (type(v), v)
+        assert _typed(table) == expect, kind
+
+
+class TestCoefficientKernel:
+    """The one table kernel against the per-entry product formulas."""
+
+    @given(_shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((2, 2, 1)), 1)
+    @example(Shape((1, 1, 1, 1)), 2)
+    @settings(max_examples=15, deadline=None)
+    def test_tables_and_entries_match_the_oracle(self, shape, seed):
+        _assert_kernel_matches_oracle(random_valid_parameters(shape, seed))
+
+    @pytest.mark.parametrize("ell", [(3,), (2, 1)])
+    def test_over_qt_at_the_hahn_limit_parameters(self, ell):
+        # the parameters `limits` validates for its Hahn kind: omega = 1/t
+        p = random_valid_parameters(Shape(ell), 1)
+        t = variable_t()
+        _assert_kernel_matches_oracle(replace(p, h=p.h * t, omega=1 / t))
+
+    @pytest.mark.parametrize("kind", ["C", "Cbar"])
+    def test_vanishing_global_factor_raises_where_the_oracle_does(self, monkeypatch, kind):
+        # omega = -3 lies in the cond1 band {-5, ..., -1} of (2, 1)
+        bad = replace(random_valid_parameters(Shape((2, 1)), 1), omega=-3)
+        basis = enumerate_box(bad.shape)
+        oracle = _oracle_C if kind == "C" else _oracle_Cbar
+        expect = None
+        for col in basis:
+            for row in product(*[range(col[p], bad.ell[p] + 1) for p in range(bad.N)]):
+                try:
+                    oracle(bad, row, col)
+                except ZeroDenominatorPochhammer as err:
+                    expect = (err.k, err.detail, row, col)
+                    break
+            if expect:
+                break
+        assert expect is not None
+        monkeypatch.setattr(cob, "validate_parameters", lambda params: SimpleNamespace(passed=True))
+        with pytest.raises(ZeroDenominatorPochhammer) as raised:
+            if kind == "C":
+                eigenbasis_matrix(bad, "A_basis")
+            else:
+                coefficient_matrix(bad, kind)
+        assert (raised.value.k, raised.value.detail) == expect[:2]
+        with pytest.raises(ZeroDenominatorPochhammer) as raised:
+            cob_coefficient(bad, kind, *expect[2:])
+        assert (raised.value.k, raised.value.detail) == expect[:2]
+
+
+class TestFiveTermBlockFormula:
+    """The block formula on basis positions against the same formula on
+    multi-indices, term by term."""
+
+    @given(_shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((2, 2, 1)), 1)
+    @example(Shape((1, 1, 1, 1)), 2)
+    @settings(max_examples=15, deadline=None)
+    def test_both_forms_match_the_oracle(self, shape, seed):
+        p = random_valid_parameters(shape, seed)
+        for params in (p, _swapped(p)):
+            mc, mcb = coefficient_matrix(params, "C"), coefficient_matrix(params, "Cbar")
+            got = cob._explicit_star_blocks(params, mc, mcb)
+            assert _typed(got) == _typed(_oracle_star_blocks(params, mc, mcb))
+
+    @pytest.mark.parametrize("kind, which", [("Cbar", "Astar_in_Vx"), ("Dbar", "A_in_Vi")])
+    def test_planted_inverse_entry_gives_the_oracle_violation(self, monkeypatch, kind, which):
+        p = random_valid_parameters(Shape((3, 2)), 1)
+
+        def violation():
+            cob._coefficient_table.cache_clear()
+            table = cob._coefficient_table(p, kind)
+            table.entries[next(k for k in sorted(table.entries) if k[0] != k[1])] += 1
+            try:
+                with pytest.raises(StructureViolation) as raised:
+                    block_tridiagonal_form(p, which)
+            finally:
+                cob._coefficient_table.cache_clear()
+            e = raised.value
+            return e.row, e.col, (type(e.lhs), e.lhs), (type(e.rhs), e.rhs)
+
+        got = violation()
+        monkeypatch.setattr(cob, "_explicit_star_blocks", _oracle_star_blocks)
+        assert got == violation()
