@@ -443,7 +443,7 @@ class LaurentSeries:
         return self.val + len(self.nums)
 
     def __add__(self, other):
-        if isinstance(other, LaurentSeries):
+        if type(other) is LaurentSeries:
             top, (v2, b, d2) = min(self._abs(), other._abs()), (other.val, other.nums, other.den)
         elif isinstance(other, (int, Fraction)):
             top, (v2, b, d2) = self._abs(), (0, (other.numerator,), other.denominator)
@@ -470,16 +470,19 @@ class LaurentSeries:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Fraction(0)
-            n = other.numerator
-            return LaurentSeries(self.val, [c * n for c in self.nums], self.den * other.denominator)
-        if not isinstance(other, LaurentSeries):
+        # a series first: isinstance against Fraction's ABC is the slow test
+        if type(other) is LaurentSeries:
+            a, b = self.nums, other.nums
+            out = [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(min(len(a), len(b)))]
+            return LaurentSeries(self.val + other.val, out, self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self.nums, other.nums
-        out = [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(min(len(a), len(b)))]
-        return LaurentSeries(self.val + other.val, out, self.den * other.den)
+        if not other:
+            return Fraction(0)
+        if other == 1:
+            return self
+        n = other.numerator
+        return LaurentSeries(self.val, [c * n for c in self.nums], self.den * other.denominator)
 
     __rmul__ = __mul__
 

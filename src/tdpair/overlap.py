@@ -7,7 +7,7 @@ other way around:
 
 Each is computed by independent routes that must agree exactly:
 
-  T: direct_sum       nested sum over n from 0 to min(i, x) pointwise
+  T: direct_sum       nested sum over n from 0 to min(i, x)
      matrix_product   sum_n D[n,i] Cbar[x,n]
      shift_operator   ordered product of Racah factors whose argument is
                       the joint shift Z = e^{d_i_p + d_x_p}
@@ -16,41 +16,25 @@ Each is computed by independent routes that must agree exactly:
      linear_solve     back-substitution of M_D X = M_C
 
 The involution S swaps A and A* and with them the two bases: at
-q = `cob._swapped(p)`, U = Dbar C with Dbar(p)[i,n] = Cbar(q)[ell-i, ell-n]
-and C(p)[n,x] = D(q)[ell-n, ell-x] gives U(p)_i(x) = T(q)_{ell-x}(ell-i), so
-no U formula is written out (`_mirror_of`).  The three U routes stay
-independent: T's direct sum and shift walk at q, the back-substitution at p.
+q = `cob._swapped(p)`, U(p)_i(x) = T(q)_{ell-x}(ell-i), so no U formula is
+written out (`_mirror_of`); T's direct sum and shift product at q and the
+back-substitution at p stay three independent U routes.
 
-The shift route is evaluated literally as an operator acting on a function
-table: every factor expands as sum_k coeff(k) Z^k, the table maps the
-accumulated shift offsets to accumulated weights, and the product applies
-factor 1 outermost.  One walk (`_shift_walk`) drives the table for T and
-for the truncated Hahn kind; each of them only supplies its factor, with
-every parameter an integer pair (n + m d, d) over the `_pair` (n, d) of a
-per-table constant.  T's factor is the one pair-level Racah factor,
-`_racah_factor`, which `RacahFactorSpec` wraps.  Each series advances by its
-hypergeometric term ratio (Petkovsek-Wilf-Zeilberger, A = B, ch. 3) instead
-of recomputing its Pochhammer symbols.  Truncated Hahn and Krawtchouk kinds
-live at the end.
-
-The two pointwise routes carry every value as a pair (numerator,
-denominator): two ints over Q, a field element over 1 (or over a field
-element) over Q(t).  Each sums its pairs through
-`exactfield.over_common_denominator`, the accumulation primitive the matrix
-routes and the series sums use too: the walk keeps its weights as
-numerators over one common denominator, and the direct sums multiply pairs
-of Pochhammer symbols memoized once per table and sum the terms of an entry
-over their lcm, so over Q each entry is built as one Fraction.  Only that
-primitive is shared; within a family no route borrows another's formula.
-
-`overlap_table` builds one whole table per route with one call: a kernel
-per pointwise route (`_t_direct`, `_t_shift` and their mirrors `_u_direct`,
-`_u_shift`) takes the rows and columns and returns every entry, and
-`overlap_T` and `overlap_U` call the same kernel for a single entry;
-matrix_product is one matrix product and linear_solve one
-back-substitution.  The verifier compares these tables, so the routes stay
-independent computations.  Cached tables are never returned themselves,
-only copies.
+The shift product is a sum over paths: factor p reads the shifts kappa_1,
+..., kappa_{p-1} before it only through their sum K, so it is the sum over
+kappa <= min(i, x) of the product of the factors' Z^{kappa_p} terms.  Each
+term is an i-side binom(ell_p, i_p) (b1)_{i_p} (-i_p)_k (a1)_k / (b1)_k of
+i and K, times an x-side (b2)_{x_p} (-x_p)_k (a2)_k / (b2)_k of x and K,
+over k! (-ell_p)_k (`_racah_side`; `_racah_factor` and `RacahFactorSpec`
+compose the two).  The direct sum's terms and the truncated Hahn kind split
+the same way.  So a pointwise table is head(i) head(x) sum_n R_i(n) C_x(n):
+one line per row and one per column, each built once over one common
+denominator, and over Q one integer dot product per entry (`_dot_table`).
+Each route keeps its own term formula; the line-and-dot helper is a shared
+primitive like `over_common_denominator`, and the matrix routes do not use
+it.  Parameters enter as integer pairs (n, d) (`_pair`).  `overlap_T` and
+`overlap_U` run the table kernel on one entry; cached tables are only
+returned as copies.
 """
 
 from __future__ import annotations
@@ -59,7 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import factorial, prod
+from math import comb, factorial, perm, prod
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .exactfield import (
@@ -123,7 +108,55 @@ def _point(params: TDParameters, n: Sequence[int]) -> MultiIndex:
 
 
 # ---------------------------------------------------------------------------
-# the single Racah factor and the shift-operator machinery
+# tables as dot products of lines
+
+
+def _dot_table(params, rows, cols, row_line, col_line) -> list[list[FieldElement]]:
+    """Every head(i) head(x) sum_n R_i(n) C_x(n), i of rows, x of cols, n in
+    the box up to the componentwise minimum `top` of the largest row and
+    column.  row_line(i, top, strides) gives (head(i) as a pair, a dict from
+    the position sum_q n_q strides_q of each n <= i with a term to R_i(n) as
+    a pair, faults); col_line likewise.  A fault (key, pos, error) is a term
+    whose denominator vanished: an entry raises the row's head error, the
+    column's, then the fault of least key whose partner term is there."""
+    top = [min(max(a), max(b)) for a, b in zip(zip(*rows), zip(*cols))]
+    strides = [prod(t + 1 for t in top[q + 1 :]) for q in range(len(top))]
+    # rational parameters make every pair two ints: dense lines, one int dot product
+    over_q = all(type(v) in (int, Fraction) for v in (params.omega, params.omega_star, *params.a))
+
+    def line(make, index):
+        try:
+            (hu, hv), terms, faults = make(index, top, strides)
+        except ZeroDenominatorPochhammer as err:
+            return err, None, None, {}, []
+        nums, den = over_common_denominator(*zip(*terms.values()))
+        if not over_q:
+            return hu, hv * den, dict(zip(terms, nums)), terms, faults
+        dense = [0] * (max(terms) + 1)
+        for pos, u in zip(terms, nums):
+            dense[pos] = u
+        return hu, hv * den, dense, terms, faults
+
+    cs, out = [line(col_line, x) for x in cols], []
+    for ru, rv, rn, rt, rf in (line(row_line, i) for i in rows):
+        row = []
+        for cu, cv, cn, ct, cf in cs:
+            if rv is None or cv is None or rf or cf:
+                heads = [h for h in (ru, cu) if isinstance(h, Exception)]
+                met = [f for f in rf if f[1] in ct] + [f for f in cf if f[1] in rt]
+                if heads or met:
+                    raise heads[0] if heads else min(met, key=lambda f: f[0])[2]
+            if over_q:
+                dot = sum(map(mul, rn, cn))
+            else:
+                dot = sum(u * cn[pos] for pos, u in rn.items() if pos in cn)
+            row.append(pair_value(ru * cu * dot, rv * cv))
+        out.append(row)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the Racah factor, its two sides, and the shift-operator product
 
 
 @dataclass(frozen=True)
@@ -171,80 +204,103 @@ class RacahFactorSpec:
         return pair_value(*self.prefactor_pair()) * sum((c for _, c in self.series()), Fraction(0))
 
 
+def _racah_side(n: int, a: tuple, b: tuple, kmax: int, detail: str, ell=None) -> tuple:
+    """The side (b)_n (-n)_k (a)_k / (b)_k of a Racah factor, over k! (-ell)_k
+    too with ell, a and b pairs: ((b)_n as a pair, its term pairs up to kmax
+    or the first vanishing numerator, the ZeroDenominatorPochhammer met
+    before either or None)."""
+    nums, dens = ([(-n, 1), a], [b, (-ell, 1)]) if ell is not None else ([(-n, 1), (1, 1), a], [b])
+    terms = []
+    try:
+        for _, u, v in _term_pairs(nums, dens, kmax, (1, 1), detail):
+            terms.append((u, v))
+    except ZeroDenominatorPochhammer as err:
+        return _rising(*b, n), terms, err
+    return _rising(*b, n), terms, None
+
+
 def _racah_factor(i: int, x: int, a1: tuple, a2: tuple, b1: tuple, b2: tuple, ell: int) -> tuple:
     """The factor of `RacahFactorSpec` with a1, a2, b1 and b2 given as pairs
-    (n, d): (its prefactor pair, its iterator of term pairs (k, u, v))."""
-    (u1, v1), (u2, v2) = _rising(*b1, i), _rising(*b2, x)
-    num, den = [(-i, 1), (-x, 1), a1, a2], [b1, b2, (-ell, 1)]
-    terms = _term_pairs(num, den, min(i, x), (1, 1), "Racah factor series")
-    return (binomial(ell, i) * u1 * u2, v1 * v2), terms
+    (n, d): (its prefactor pair, its iterator of term pairs (k, u, v)), the
+    side of (i, a1, b1) with ell times the side of (x, a2, b2).  It ends
+    where either side's numerator vanishes, and raises where a side's
+    denominator vanishes before that."""
+    kmax, detail = min(i, x), "Racah factor series"
+    pi, ti, fi = _racah_side(i, a1, b1, kmax, detail, ell)
+    px, tx, fx = _racah_side(x, a2, b2, kmax, detail)
+
+    def terms():
+        for k, ((ui, vi), (ux, vx)) in enumerate(zip(ti, tx)):
+            yield k, ui * ux, vi * vx
+        ends = [f for t, f in ((ti, fi), (tx, fx)) if len(t) == min(len(ti), len(tx))]
+        if None not in ends:
+            raise ends[0]
+
+    return (binomial(ell, i) * pi[0] * px[0], pi[1] * px[1]), terms()
 
 
-def _shifted(n: Sequence[int], offsets: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(v + k for v, k in zip(n, offsets))
+def _path_line(index: MultiIndex, top, strides, side: Callable, rank: int) -> tuple:
+    """(terms, faults) of a shift-product line over the paths kappa <=
+    min(index, top): factor p is term kappa_p of side(p, K, kmax) =
+    (prefactor pair, term pairs, fault), K the shifts before p.  A path ends
+    at a factor's fault as the product meets it, with no later shift."""
+    terms, faults, paths = {}, [], [(0, 0, 1, 1)]
+    for p, step in enumerate(strides):
+        kmax, sides, longer = min(index[p], top[p]), {}, []
+        for pos, K, u, v in paths:
+            if K not in sides:
+                sides[K] = side(p, K, kmax)
+            (pu, pv), ts, fault = sides[K]
+            u, v = u * pu, v * pv
+            longer += [(pos + k * step, K + k, u * tu, v * tv) for k, (tu, tv) in enumerate(ts)]
+            if fault is not None:
+                at = pos + fault.k * step
+                faults.append(((p, at, rank), at, fault))
+                terms[at] = (0, 1)
+        paths = longer
+    terms.update((pos, (u, v)) for pos, _, u, v in paths)
+    return terms, faults
 
 
-def _shift_walk(N: int, factor_terms) -> FieldElement:
-    """Apply factors 1..N (factor 1 outermost) to the identity table and
-    sum it.  factor_terms(p, offsets) gives factor p at the shifted indices
-    as (prefactor pair, iterator of (k, u, v)), u / v the coefficient of
-    Z^k; the term for Z^k moves its weight k steps along coordinate p.
-    The table maps the joint shift offsets (k_1, ..., k_N) reached so far
-    to the total weight of the paths reaching them, as numerators over one
-    common denominator `den`; factor p only adds to coordinate p.  Over Q
-    every pair is two ints, so each factor costs integer products and one
-    rescaling of the table to a new common denominator."""
-    table: dict[tuple[int, ...], FieldElement] = {(0,) * N: 1}
-    den = 1
-    for p in range(1, N + 1):
-        keys, nums, dens = [], [], []
-        for offsets, w in table.items():
-            (pu, pv), terms = factor_terms(p, offsets)
-            wu, wv = w * pu, den * pv
-            for k, u, v in terms:
-                keys.append(
-                    offsets if k == 0 else offsets[: p - 1] + (offsets[p - 1] + k,) + offsets[p:]
-                )
-                nums.append(wu * u)
-                dens.append(wv * v)
-        scaled, den = over_common_denominator(nums, dens)
-        table = {}
-        for key, weight in zip(keys, scaled):
-            cur = table.get(key)
-            table[key] = weight if cur is None else cur + weight
-    return pair_value(sum(table.values()), den)
+def _racah_line(base: tuple, c: list, details: tuple, ell=None) -> Callable:
+    """A line of the shift product: factor p is the side of (index_p,
+    |index| + K + base, |index|_1^{p-1} + K + c_p), head 1 / (|index| +
+    base)_{|index|}; with ell the i-side, binom(ell_p, i_p) over k! (-ell_p)_k
+    and the head times (-1)^|i|."""
+    (nb, db), (head_detail, detail) = base, details
+
+    def line(index, top, strides):
+        s, w = list(accumulate(index, initial=0)), index.weight
+        hu, hv = _rising(nb + w * db, db, w)
+        if hu == 0:
+            raise ZeroDenominatorPochhammer(w, head_detail)
+
+        def side(p, K, kmax):
+            (n, d), m = c[p], index[p]
+            a, b = (nb + (w + K) * db, db), (n + (s[p] + K) * d, d)
+            if ell is None:
+                return _racah_side(m, a, b, kmax, detail)
+            (pu, pv), terms, fault = _racah_side(m, a, b, kmax, detail, ell[p])
+            return (binomial(ell[p], m) * pu, pv), terms, fault
+
+        head = (hv, hu) if ell is None else ((-1) ** w * hv, hu)
+        return (head, *_path_line(index, top, strides, side, int(ell is not None)))
+
+    return line
 
 
 def _t_shift(
     params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
 ) -> list[list[FieldElement]]:
-    """T_i(x) by the shift-operator product for every i of rows, x of cols.
-    Factor p at the shifted indices i', x' has a1 = |i'| + omega*,
-    a2 = |x'| + omega, b1 = |i'|_1^{p-1} + c1_p and b2 = |x'|_1^{p-1} + c2_p,
-    each a pair (n + m d, d) over the pair (n, d) of a per-table constant."""
+    """T_i(x) by the shift-operator product for every i of rows, x of cols:
+    factor p at shifts K before it has a1 = |i| + K + omega*, a2 = |x| + K +
+    omega, b1 = |i|_1^{p-1} + K + c1_p and b2 = |x|_1^{p-1} + K + c2_p."""
     ell, N, om, oms, a = params.ell, params.N, params.omega, params.omega_star, params.a
-    (no, do), (nos, dos) = _pair(om), _pair(oms)
     c1 = [_pair(sum(ell[p:]) - a[p - 1] + oms) for p in range(1, N + 1)]
-    c2 = [_pair(sum(ell[p - 1 :]) + a[p - 1] + 1 + om) for p in range(1, N + 1)]
-    heads: dict[tuple[int, int], FieldElement] = {}
-
-    def entry(i, x):
-        def factor_terms(p, offsets):
-            si, sx = _shifted(i, offsets), _shifted(x, offsets)
-            (n1, d1), (n2, d2) = c1[p - 1], c2[p - 1]
-            b1 = (n1 + sum(si[: p - 1]) * d1, d1)
-            b2 = (n2 + sum(sx[: p - 1]) * d2, d2)
-            a1, a2 = (nos + sum(si) * dos, dos), (no + sum(sx) * do, do)
-            return _racah_factor(si[p - 1], sx[p - 1], a1, a2, b1, b2, ell[p - 1])
-
-        key = wi, wx = i.weight, x.weight
-        if key not in heads:
-            heads[key] = Fraction((-1) ** wi) / (
-                _inv_poch(wi + oms, wi, "T shift head") * _inv_poch(wx + om, wx, "T shift head")
-            )
-        return heads[key] * _shift_walk(N, factor_terms)
-
-    return [[entry(i, x) for x in cols] for i in rows]
+    c2 = [_pair(sum(ell[p - 1 :]) + 1 + a[p - 1] + om) for p in range(1, N + 1)]
+    details = ("T shift head", "Racah factor series")
+    row_line, col_line = _racah_line(_pair(oms), c1, details, ell), _racah_line(_pair(om), c2, details)
+    return _dot_table(params, rows, cols, row_line, col_line)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +317,7 @@ def _direct_ratios(params: TDParameters, detail: str) -> Callable[..., tuple]:
     om, oms = params.omega, params.omega_star
     bases = [om, oms]
     for ap in params.a:
-        bases += [ap + om + 1, oms - ap]
+        bases += [ap + 1 + om, oms - ap]
     parts = [_pair(b) for b in bases]
     memo: dict[tuple, tuple] = {}
 
@@ -279,46 +335,42 @@ def _direct_ratios(params: TDParameters, detail: str) -> Callable[..., tuple]:
     return ratio
 
 
-def _entry_value(nums: list, dens: list, hu: int, hv: int) -> FieldElement:
-    scaled, den = over_common_denominator(nums, dens)
-    return pair_value(sum(scaled) * hu, den * hv)
-
-
 def _t_direct(
     params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
 ) -> list[list[FieldElement]]:
     """T_i(x) by the nested sum over 0 <= n <= min(i, x) for every i of
-    rows, x of cols; s? below are prefix sums, s?[q] = |?|_1^q.
-    prod_p (-ell_p)_{i_p} / (1)_{i_p} depends on i only and multiplies each
-    entry once."""
+    rows, x of cols.  Term n is a product over q of (-x_q)_{n_q} (-i_q)_{n_q}
+    / (n_q! (-ell_q)_{n_q}) and two ratios, one of x and n (C_x) and one of
+    i and n (R_i, the rank-1 side); head(i) = prod_q (-ell_q)_{i_q} / i_q!.
+    A term meets its denominators in order of q, C's before R's."""
     ell, N = params.ell, params.N
     ratio = _direct_ratios(params, "T direct denominator")
     tail = [sum(ell[q:]) for q in range(N + 1)]
-    out = []
-    for i in rows:
-        si, wi = list(accumulate(i, initial=0)), i.weight
-        hu = prod(prod(range(-lq, iq - lq)) for lq, iq in zip(ell, i))
-        hv = prod(factorial(iq) for iq in i)
-        row = []
-        for x in cols:
-            sx, wx = list(accumulate(x, initial=0)), x.weight
-            nums, dens = [], []
-            for n in product(*[range(min(iq, xq) + 1) for iq, xq in zip(i, x)]):
-                sn = list(accumulate(n, initial=0))
-                wn = sn[N]
-                tu = tv = 1
-                for q in range(N):
-                    nq, iq, xq, lq, j = n[q], i[q], x[q], ell[q], 2 * q + 2
-                    lo, hi = sn[q], sn[q + 1]
-                    xu, xv = ratio(j, sx[q] + hi + tail[q], 0, wx + wn + sx[q] - lo, xq - nq)
-                    iu, iv = ratio(j + 1, si[q] + hi + tail[q + 1], 1, wi + wn + si[q] - lo, iq - nq)
-                    tu *= prod(range(-xq, nq - xq)) * prod(range(-iq, nq - iq)) * xu * iu
-                    tv *= factorial(nq) * prod(range(-lq, nq - lq)) * xv * iv
-                nums.append(tu)
-                dens.append(tv)
-            row.append(_entry_value(nums, dens, hu, hv))
-        out.append(row)
-    return out
+
+    def side(rank):
+        def line(index, top, strides):
+            s, w = list(accumulate(index, initial=0)), index.weight
+            terms, faults = {}, []
+            for n in product(*(range(min(v, t) + 1) for v, t in zip(index, top))):
+                sn, pos, u, v = list(accumulate(n, initial=0)), sum(map(mul, n, strides)), 1, 1
+                try:
+                    for q, (nq, iq, lq) in enumerate(zip(n, index, ell)):
+                        m, md = s[q] + sn[q + 1] + tail[q + rank], w + sn[N] + s[q] - sn[q]
+                        ru, rv = ratio(2 * q + 2 + rank, m, rank, md, iq - nq)
+                        # R: (-i_q)_{n_q} / (n_q! (-ell_q)_{n_q}) = C(i_q, n_q) (ell_q - n_q)! / ell_q!
+                        u *= (comb(iq, nq) * factorial(lq - nq) if rank else (-1) ** nq * perm(iq, nq)) * ru
+                        v *= rv
+                except ZeroDenominatorPochhammer as err:
+                    faults.append(((pos, q, rank), pos, err))
+                    u, v = 0, 1
+                terms[pos] = (u, v)
+            # R's head: prod_q (-1)^{i_q} C(ell_q, i_q) / ell_q!
+            head = ((-1) ** w * prod(map(comb, ell, index)), prod(map(factorial, ell))) if rank else (1, 1)
+            return head, terms, faults
+
+        return line
+
+    return _dot_table(params, rows, cols, side(1), side(0))
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +575,25 @@ def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
 # degenerate kinds
 
 
-def _hahn_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    """Nested product of truncated Hahn factors; shifts act on x only."""
+def _hahn_table(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """The truncated Hahn kind for every i of rows, x of cols: the shift
+    product with T's x-side at omega and the i-side of factor p reduced to
+    binom(ell_p, i_p) (-i_p)_k / (k! (-ell_p)_k), head (-1)^|i|."""
     ell, N, om, a = params.ell, params.N, params.omega, params.a
-    no, do = _pair(om)
-    c = [_pair(sum(ell[p - 1 :]) + a[p - 1] + 1 + om) for p in range(1, N + 1)]
+    c = [_pair(sum(ell[p - 1 :]) + 1 + a[p - 1] + om) for p in range(1, N + 1)]
 
-    def factor_terms(p, offsets):
-        xsh = _shifted(x, offsets)
-        lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
-        (nb, db), aa = c[p - 1], (no + sum(xsh) * do, do)
-        b = (nb + sum(xsh[: p - 1]) * db, db)
-        num, den = [(-ip, 1), (-xp, 1), aa], [(-lp, 1), b]
-        terms = _term_pairs(num, den, min(ip, xp), (1, 1), "Hahn factor series")
-        u, v = _rising(*b, xp)
-        return (binomial(lp, ip) * u, v), terms
+    def row_line(i, top, strides):
+        # (-i_p)_k / (k! (-ell_p)_k) = perm(i_p, k) / (k! perm(ell_p, k)), whatever the shifts K
+        sides = [
+            ((comb(lp, m), 1), [(perm(m, k), factorial(k) * perm(lp, k)) for k in range(t + 1)], None)
+            for m, lp, t in zip(i, ell, map(min, i, top))
+        ]
+        return ((-1) ** i.weight, 1), *_path_line(i, top, strides, lambda p, K, kmax: sides[p], 1)
 
-    head = Fraction((-1) ** i.weight) / _inv_poch(x.weight + om, x.weight, "Hahn head")
-    return head * _shift_walk(N, factor_terms)
+    col_line = _racah_line(_pair(om), c, ("Hahn head", "Hahn factor series"))
+    return _dot_table(params, rows, cols, row_line, col_line)
 
 
 def _krawtchouk_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
@@ -560,5 +613,5 @@ def overlap_limit_kind(params: TDParameters, kind: str, i: Sequence[int], x: Seq
     _ensure_valid(params)
     mi, mx = _point(params, i), _point(params, x)
     if kind == "hahn":
-        return _hahn_value(params, mi, mx)
+        return _hahn_table(params, [mi], [mx])[0][0]
     return _krawtchouk_value(params, mi, mx)

@@ -53,16 +53,15 @@ from .exactfield import (
 from .multiindex import MultiIndex, Shape, enumerate_box, format_multiindex
 from .report import CheckResult, VerificationReport
 from .cob import StructureViolation, block_tridiagonal_form, coefficient_matrix
+from . import overlap
 from .overlap import (
-    LIMIT_KINDS,
     T_METHODS,
     U_METHODS,
     _ensure_valid,
-    _hahn_value,
+    _hahn_table,
     _t_direct,
     overlap_T,
     overlap_U,
-    overlap_limit_kind,
     overlap_table,
     univariate_t_racah,
     univariate_u_balanced,
@@ -362,9 +361,8 @@ def _series_limits(kernel: Callable, cols: list, cap: int) -> list:
 
 def _row_limits(p: TDParameters, i: MultiIndex, cols: list) -> tuple[list, list]:
     """For each x of cols, the t -> 0 limits of T_i(x) at omega* = 1/t and of
-    the truncated Hahn kind at omega = 1/t, both taken in Laurent series:
-    one T direct-sum kernel call for the row, so its ratio memo is shared,
-    and one Hahn walk per column.
+    the truncated Hahn kind at omega = 1/t, both taken in Laurent series by
+    one table-kernel call for the row.
 
     Relative precision r = 1 always suffices.  Call the sum of a term's
     factors' valuations its nominal valuation.  With every factor known to
@@ -372,16 +370,15 @@ def _row_limits(p: TDParameters, i: MultiIndex, cols: list) -> tuple[list, list]
     quotient by a Pochhammer product in 1/t (its valuation is exact), and a
     sum below the least bound of its terms, whatever cancels.  Every term
     of T is an int times ratios (omega* - a_p + m)_k / (omega* + m')_k of
-    nominal valuation 0; every term of the Hahn walk has -|x| and its head
-    1 / (|x| + omega)_{|x|} has +|x|.  So every entry is known below t^r,
-    its t^0 coefficient included.  The cap 2|ell| + 1 holds whatever the
-    valuations: a factor of positive valuation only raises the bound, and
-    the Pochhammer numerators in 1/t of one term have total length at most
-    |i| + |x| <= 2|ell|.
+    nominal valuation 0; every path term of the Hahn kind has -|x| and its
+    head 1 / (|x| + omega)_{|x|} has +|x|.  So every entry is known below
+    t^r.  The cap 2|ell| + 1 holds whatever the valuations: a factor of
+    positive valuation only raises the bound, and the Pochhammer numerators
+    in 1/t of one term have total length at most |i| + |x| <= 2|ell|.
     """
     cap = 2 * p.diameter + 1
     hahn = _series_limits(lambda s, xs: _t_direct(replace(p, omega_star=s), [i], xs)[0], cols, cap)
-    kraw = _series_limits(lambda s, xs: [_hahn_value(replace(p, omega=s), i, x) for x in xs], cols, cap)
+    kraw = _series_limits(lambda s, xs: _hahn_table(replace(p, omega=s), [i], xs)[0], cols, cap)
     return hahn, kraw
 
 
@@ -391,13 +388,18 @@ def _check_limits(ctx: _Context):
     # the limits are taken in series, but the parameters validated exactly
     _ensure_valid(replace(p, h_star=p.h_star * t, omega_star=1 / t))
     _ensure_valid(replace(p, h=p.h * t, omega=1 / t))
+    _ensure_valid(p)
     rows: dict = {}
     for i, x in _limit_pairs(ctx.basis):
         rows.setdefault(i, []).append(x)
+    # the closed forms over Q, the Hahn kinds as one table; read from the
+    # overlap module, as `_hahn_table` here is the series kernel of `_row_limits`
+    at = {x: c for c, x in enumerate(dict.fromkeys(x for cols in rows.values() for x in cols))}
+    hahn = dict(zip(rows, overlap._hahn_table(p, list(rows), list(at))))
     for i, cols in rows.items():
         for x, *lims in zip(cols, *_row_limits(p, i, cols)):
-            for lim, kind, identity in zip(lims, LIMIT_KINDS, _LIMIT_IDENTITIES):
-                closed = overlap_limit_kind(p, kind, i, x)
+            closed_forms = (hahn[i][at[x]], overlap._krawtchouk_value(p, i, x))
+            for lim, closed, identity in zip(lims, closed_forms, _LIMIT_IDENTITIES):
                 if lim != closed:
                     return False, {
                         "identity": identity,

@@ -13,11 +13,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdpair.exactfield import (
+    LaurentSeries,
     RationalFunction,
     ZeroDenominatorPochhammer,
     _inv_poch,
     _pair,
+    _rising,
+    _term_pairs,
+    binomial,
+    hypergeometric_term_pairs,
     limit_at_zero,
+    over_common_denominator,
     pair_value,
     pochhammer,
     variable_t,
@@ -581,10 +587,129 @@ class TestRacahFactorSpec:
                 list(terms)
             assert (exc.value.k, exc.value.detail) == (raised_at, "Racah factor series")
 
+    @given(_racah_specs())
+    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7, 2), b1=F(1, 2), b2=F(2, 3), ell=4))
+    @settings(max_examples=80, deadline=None)
+    def test_sides_compose_the_unsplit_factor(self, spec):
+        # each side against its Pochhammer definition, the i-side over
+        # k! (-ell)_k as the shift product takes it, and their product against
+        # the unsplit term times the prefactor; the example has a1 != a2 and
+        # i != x, so a parameter on the wrong side shows
+        i, x, ell, kmax, detail = spec.i, spec.x, spec.ell, min(spec.i, spec.x), "Racah factor series"
+        a1, a2, b1, b2 = (_pair(v) for v in (spec.a1, spec.a2, spec.b1, spec.b2))
+        try:
+            unsplit = [
+                pair_value(u, v)
+                for _, u, v in hypergeometric_term_pairs([-i, -x, spec.a1, spec.a2], [spec.b1, spec.b2, -ell], kmax)
+            ]
+        except ZeroDenominatorPochhammer:
+            assume(False)
+        pi, ti, _ = overlap._racah_side(i, a1, b1, kmax, detail, ell)
+        px, tx, _ = overlap._racah_side(x, a2, b2, kmax, detail)
+        assert pair_value(*pi) == pochhammer(spec.b1, i) and pair_value(*px) == pochhammer(spec.b2, x)
+        assert len(unsplit) == min(len(ti), len(tx))
+        prefactor = binomial(ell, i) * pochhammer(spec.b1, i) * pochhammer(spec.b2, x)
+        for k, term in enumerate(unsplit):
+            i_side, x_side = pair_value(*ti[k]), pair_value(*tx[k])
+            norm = pochhammer(F(1), k) * pochhammer(-ell, k)
+            assert i_side * pochhammer(spec.b1, k) * norm == pochhammer(-i, k) * pochhammer(spec.a1, k)
+            assert x_side * pochhammer(spec.b2, k) == pochhammer(-x, k) * pochhammer(spec.a2, k)
+            assert binomial(ell, i) * pair_value(*pi) * i_side * pair_value(*px) * x_side == term * prefactor
+
     def test_unit_value_collapse(self):
         # i = 0 leaves only the k = 0 term: value is the prefactor (b2)_x
         spec = RacahFactorSpec(i=0, x=2, a1=F(5), a2=F(7), b1=F(2), b2=F(3), ell=3)
         assert spec.value_at_unit() == pochhammer(F(3), 2)
+
+
+# ---------------------------------------------------------------------------
+# oracle for the truncated Hahn kind: the shift walk as it ran before the
+# kernels were written as dot products of lines, factor 1 outermost over a
+# table of accumulated shift offsets
+
+
+def _walk(N, factor_terms):
+    table, den = {(0,) * N: 1}, 1
+    for p in range(1, N + 1):
+        keys, nums, dens = [], [], []
+        for offsets, w in table.items():
+            (pu, pv), terms = factor_terms(p, offsets)
+            wu, wv = w * pu, den * pv
+            for k, u, v in terms:
+                keys.append(offsets[: p - 1] + (offsets[p - 1] + k,) + offsets[p:])
+                nums.append(wu * u)
+                dens.append(wv * v)
+        scaled, den = over_common_denominator(nums, dens)
+        table = {}
+        for key, weight in zip(keys, scaled):
+            table[key] = table[key] + weight if key in table else weight
+    return pair_value(sum(table.values()), den)
+
+
+def _oracle_hahn(params, i, x):
+    ell, N, om, a = params.ell, params.N, params.omega, params.a
+    no, do = _pair(om)
+    c = [_pair(sum(ell[p - 1 :]) + a[p - 1] + 1 + om) for p in range(1, N + 1)]
+
+    def factor_terms(p, offsets):
+        xsh = tuple(v + k for v, k in zip(x, offsets))
+        lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
+        (nb, db), aa = c[p - 1], (no + sum(xsh) * do, do)
+        b = (nb + sum(xsh[: p - 1]) * db, db)
+        terms = _term_pairs([(-ip, 1), (-xp, 1), aa], [(-lp, 1), b], min(ip, xp), (1, 1), "Hahn factor series")
+        u, v = _rising(*b, xp)
+        return (binomial(lp, ip) * u, v), terms
+
+    head = Fraction((-1) ** sum(i)) / _inv_poch(sum(x) + om, sum(x), "Hahn head")
+    return head * _walk(N, factor_terms)
+
+
+def _scalar(v):
+    # the value with its type; a series by its known coefficients, whatever
+    # common denominator they are kept over
+    if isinstance(v, LaurentSeries):
+        return ("LaurentSeries", v.val, tuple(F(c, v.den) for c in v.nums))
+    return (type(v).__name__, v)
+
+
+class TestHahnKernel:
+    @given(_small_shapes(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((2, 2, 1)), 1)
+    @settings(max_examples=8, deadline=None)
+    def test_kernel_matches_the_walk(self, shape, seed):
+        # over Q, over Q(t) at the limits check's Krawtchouk side and in
+        # Laurent series at omega = 1/t of relative precision 1 and 2: the
+        # table, each row and each entry, value and type
+        p = random_valid_parameters(shape, seed)
+        t, basis = variable_t(), enumerate_box(shape)
+        sides = [p, replace(p, h=p.h * t, omega=1 / t)]
+        sides += [replace(p, omega=LaurentSeries(-1, (1,) + (0,) * (r - 1))) for r in (1, 2)]
+        for q in sides:
+            expect = [[_scalar(_oracle_hahn(q, i, x)) for x in basis] for i in basis]
+            assert [[_scalar(v) for v in row] for row in overlap._hahn_table(q, basis, basis)] == expect
+            for i, row in zip(basis, expect):
+                assert [_scalar(v) for v in overlap._hahn_table(q, [i], basis)[0]] == row
+                for x, v in zip(basis, row):
+                    assert _scalar(overlap._hahn_table(q, [i], [x])[0][0]) == v
+
+
+class TestRouteIndependence:
+    def test_a_fault_in_the_shared_helper_is_caught_by_the_matrix_route(self, monkeypatch):
+        # direct_sum and shift_operator both build their tables through
+        # `_dot_table`; matrix_product does not, so it disagrees with both
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        assert run_suite(p, checks=["overlap_consistency"]).passed
+        original = overlap._dot_table
+
+        def planted(*args):
+            table = original(*args)
+            table[0][0] += 1
+            return table
+
+        monkeypatch.setattr(overlap, "_dot_table", planted)
+        result = run_suite(p, checks=["overlap_consistency"]).result("overlap_consistency")
+        assert result.passed is False
+        assert result.witness["method"] == "matrix_product"
 
 
 class TestCaches:
