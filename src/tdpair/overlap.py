@@ -33,8 +33,10 @@ denominator, and over Q one integer dot product per entry (`_dot_table`).
 Each route keeps its own term formula; the line-and-dot helper is a shared
 primitive like `over_common_denominator`, and the matrix routes do not use
 it.  Parameters enter as integer pairs (n, d) (`_pair`).  `overlap_T` and
-`overlap_U` run the table kernel on one entry; cached tables are only
-returned as copies.
+`overlap_U` run the table kernel on one entry.  Each matrix route has one
+implementation: T = (M_Cbar M_D)^T is one product and U = M_D^{-1} M_C one
+back-substitution, and a single entry runs the same code on the one column
+of M_D (for T) or of M_C (for U) that it reads.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial, perm, prod
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .exactfield import (
     FieldElement,
@@ -67,7 +69,7 @@ from .multiindex import (
     enumerate_box,
     in_box,
 )
-from .cob import _swapped, cob_coefficient, coefficient_matrix
+from .cob import _swapped, coefficient_matrix
 from .tdcore import (
     ExactMatrix,
     InvalidParameters,
@@ -404,20 +406,24 @@ _u_shift = _mirror_of(_t_shift)
 # matrix routes
 
 
-def _t_matrix_entry(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    total = Fraction(0)
-    for n in product(*[range(min(i[p], x[p]) + 1) for p in range(params.N)]):
-        total += cob_coefficient(params, "D", n, i) * cob_coefficient(params, "Cbar", x, n)
-    return total
+def _one_column(m: ExactMatrix, col: Optional[MultiIndex]) -> ExactMatrix:
+    if col is None:
+        return m
+    c = m.pos[col]
+    return ExactMatrix(m.basis, {k: v for k, v in m.entries.items() if k[1] == c})
 
 
-@lru_cache(maxsize=32)
-def _u_solved_table(params: TDParameters) -> ExactMatrix:
-    # M_D is unit upper triangular in graded order, so M_D X = M_C is one
-    # exact back-substitution
-    md = coefficient_matrix(params, "D")
-    mc = coefficient_matrix(params, "C")
-    return md.solve_upper_triangular(mc)
+def _t_product(params: TDParameters, i: Optional[MultiIndex] = None) -> ExactMatrix:
+    # T = (M_Cbar M_D)^T; row i of T reads column i of M_D only
+    md = _one_column(coefficient_matrix(params, "D"), i)
+    return (coefficient_matrix(params, "Cbar") @ md).transpose()
+
+
+def _u_solved(params: TDParameters, x: Optional[MultiIndex] = None) -> ExactMatrix:
+    # M_D is unit upper triangular in graded order, so M_D U = M_C is one
+    # exact back-substitution; column x of U reads column x of M_C only
+    mc = _one_column(coefficient_matrix(params, "C"), x)
+    return coefficient_matrix(params, "D").solve_upper_triangular(mc)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +439,7 @@ def overlap_T(
     _ensure_valid(params)
     mi, mx = _point(params, i), _point(params, x)
     if method == "matrix_product":
-        return _t_matrix_entry(params, mi, mx)
+        return _t_product(params, mi).entry(mi, mx)
     kernel = _t_direct if method == "direct_sum" else _t_shift
     return kernel(params, [mi], [mx])[0][0]
 
@@ -447,7 +453,7 @@ def overlap_U(
     _ensure_valid(params)
     mi, mx = _point(params, i), _point(params, x)
     if method == "linear_solve":
-        return _u_solved_table(params).entry(mi, mx)
+        return _u_solved(params, mx).entry(mi, mx)
     kernel = _u_direct if method == "direct_sum" else _u_shift
     return kernel(params, [mi], [mx])[0][0]
 
@@ -462,13 +468,9 @@ def overlap_table(params: TDParameters, which: str, method: str) -> ExactMatrix:
         raise ValueError(f"unknown method {method!r}; expected one of {methods}")
     basis = enumerate_box(params.shape)
     if method == "matrix_product":
-        mcb = coefficient_matrix(params, "Cbar")
-        md = coefficient_matrix(params, "D")
-        return (mcb @ md).transpose()
+        return _t_product(params)
     if method == "linear_solve":
-        # a copy: the cached table must not be writable through the result
-        m = _u_solved_table(params)
-        return ExactMatrix(m.basis, m.entries)
+        return _u_solved(params)
     if which == "T":
         kernel = _t_direct if method == "direct_sum" else _t_shift
     else:

@@ -39,6 +39,8 @@ from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .exactfield import (
@@ -60,8 +62,6 @@ from .overlap import (
     _ensure_valid,
     _hahn_table,
     _t_direct,
-    overlap_T,
-    overlap_U,
     overlap_table,
     univariate_t_racah,
     univariate_u_balanced,
@@ -137,13 +137,20 @@ def _matrices_equal(lhs: ExactMatrix, rhs: ExactMatrix, label: str) -> Optional[
 
 
 class _Context:
-    """Operators and coefficient matrices shared by the checks, each built
-    on first use, so its cost lands in the first check that needs it and a
-    check that needs none (limits) builds none."""
+    """Operators, coefficient matrices and overlap route tables shared by
+    the checks, each built on first use, so its cost lands in the first
+    check that needs it and a check that needs none (limits) builds none."""
 
     def __init__(self, params: TDParameters):
         self.params = params
         self.basis = enumerate_box(params.shape)
+        self.tables: dict[tuple[str, str], ExactMatrix] = {}
+
+    def table(self, which: str, method: str) -> ExactMatrix:
+        """The (which, method) overlap route table, kept for the suite."""
+        if (which, method) not in self.tables:
+            self.tables[which, method] = overlap_table(self.params, which, method)
+        return self.tables[which, method]
 
     @cached_property
     def A(self) -> ExactMatrix:
@@ -217,14 +224,16 @@ def _check_td_relations(ctx: _Context, beta: FieldElement):
     gamma, rho = 2 * p.h, p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
     gamma_s = 2 * p.h_star
     rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
-    P1 = (A @ A @ As) - (A @ As @ A).scale(beta) + (As @ A @ A)
-    P1 = P1 - ((A @ As) + (As @ A)).scale(gamma) - As.scale(rho)
+    # A A* and A* A once, shared by both relations
+    AAs, AsA = A @ As, As @ A
+    P1 = (A @ AAs) - (AAs @ A).scale(beta) + (AsA @ A)
+    P1 = P1 - (AAs + AsA).scale(gamma) - As.scale(rho)
     w = _matrices_equal(
         A.commutator(P1), ExactMatrix.zero(ctx.basis), "plain cubic relation"
     )
     if w is None:
-        P2 = (As @ As @ A) - (As @ A @ As).scale(beta) + (A @ As @ As)
-        P2 = P2 - ((As @ A) + (A @ As)).scale(gamma_s) - A.scale(rho_s)
+        P2 = (As @ AsA) - (AsA @ As).scale(beta) + (AAs @ As)
+        P2 = P2 - (AsA + AAs).scale(gamma_s) - A.scale(rho_s)
         w = _matrices_equal(
             As.commutator(P2), ExactMatrix.zero(ctx.basis), "starred cubic relation"
         )
@@ -272,12 +281,11 @@ def _check_sas(ctx: _Context):
 def _check_overlap_consistency(ctx: _Context):
     # one whole table per route; within a family the witness is the first
     # disagreeing (i, x) in graded order, the earlier method on a tie
-    p = ctx.params
     for which, methods in (("T", T_METHODS), ("U", U_METHODS)):
-        ref = overlap_table(p, which, methods[0])
+        ref = ctx.table(which, methods[0])
         diffs = []
         for method in methods[1:]:
-            diff = ref.first_difference(overlap_table(p, which, method))
+            diff = ref.first_difference(ctx.table(which, method))
             if diff is not None:
                 diffs.append((ref.pos[diff[0]], ref.pos[diff[1]], method, diff))
         if diffs:
@@ -294,8 +302,9 @@ def _check_overlap_consistency(ctx: _Context):
 
 
 def _check_biorthogonality(ctx: _Context):
-    mt = overlap_table(ctx.params, "T", "matrix_product")
-    mu = overlap_table(ctx.params, "U", "linear_solve")
+    # T by the product reads Cbar and D, U by the direct sum no coefficient
+    # table: a planted Cbar or D entry breaks T Uᵀ = I
+    mt, mu = ctx.table("T", "matrix_product"), ctx.table("U", "direct_sum")
     w = _matrices_equal(
         mt @ mu.transpose(), ExactMatrix.identity(ctx.basis), "biorthogonality"
     )
@@ -306,16 +315,14 @@ def _check_racah_reduction(ctx: _Context):
     p = ctx.params
     if p.N != 1:
         return None, "skipped: single-coordinate reduction needs N = 1"
-    for i in ctx.basis:
-        for x in ctx.basis:
-            t_ref = overlap_T(p, i, x, "direct_sum")
-            u_ref = overlap_U(p, i, x, "direct_sum")
-            for label, got in (
-                ("univariate T form", univariate_t_racah(p, i, x)),
-                ("balanced U form", univariate_u_balanced(p, i, x)),
-                ("normalized U form", univariate_u_racah_normalized(p, i, x)),
+    mt, mu = ctx.table("T", "direct_sum"), ctx.table("U", "direct_sum")
+    for r, i in enumerate(ctx.basis):
+        for c, x in enumerate(ctx.basis):
+            for label, ref, got in (
+                ("univariate T form", mt.item(r, c), univariate_t_racah(p, i, x)),
+                ("balanced U form", mu.item(r, c), univariate_u_balanced(p, i, x)),
+                ("normalized U form", mu.item(r, c), univariate_u_racah_normalized(p, i, x)),
             ):
-                ref = t_ref if label.endswith("T form") else u_ref
                 if got != ref:
                     return False, {
                         "identity": label,
@@ -331,11 +338,16 @@ _LIMIT_IDENTITIES = ("level-linear starred spectrum limit", "both spectra linear
 
 
 def _limit_pairs(basis: Sequence[MultiIndex]) -> list:
-    pairs = [(i, x) for i in basis for x in basis]
-    if len(basis) <= 6:
-        return pairs
-    step = max(1, len(pairs) // 10)
-    return pairs[::step][:10]
+    """Every pair (i, x) up to d = 6 basis elements, else ten: the j-th steps
+    i by a and x by b, both coprime to d, so the rows and the columns are
+    min(10, d) distinct ones; gcd(b - a, d) <= 2 leaves at most two pairs
+    with i = x, and j // d moves x at d < 10 when j comes round again."""
+    d = len(basis)
+    if d <= 6:
+        return [(i, x) for i in basis for x in basis]
+    a = next(s for s in count(d // 3) if gcd(s, d) == 1)
+    b = next(s for s in count(a + d // 3) if gcd(s, d) == 1 and gcd(s - a, d) <= 2)
+    return [(basis[j * a % d], basis[(j * b + j // d) % d]) for j in range(10)]
 
 
 def _series_limits(kernel: Callable, cols: list, cap: int) -> list:
@@ -503,9 +515,11 @@ def run_suite(
     Failures never raise; they are report entries with witnesses.  When the
     constraints check fails, dependent checks are reported as skipped.
     overlap_consistency compares whole route tables, one per route, each
-    built by a single call of that route's table kernel.  Each
-    operator and coefficient matrix is built when a selected check first
-    needs it, so its cost shows in that check's millis.
+    built by a single call of that route's table kernel.  Each operator,
+    coefficient matrix and route table is built when a selected check first
+    needs it, so its cost shows in that check's millis, and is kept on the
+    suite's context: overlap_consistency, biorthogonality and
+    racah_reduction read one table per route.
     """
     if checks is None:
         selected = list(DEFAULT_CHECKS)
@@ -518,6 +532,10 @@ def run_suite(
         selected = [c for c in CHECK_NAMES if c in set(checks)]
 
     report = VerificationReport()
+
+    def add(name: str, passed: Optional[bool], witness, millis: int) -> None:
+        report.add(CheckResult(name, _CHECK_REFS[name], passed, witness, millis))
+
     start = time.perf_counter()
     constraint_report = validate_parameters(params)
     constraints_ms = int((time.perf_counter() - start) * 1000)
@@ -527,30 +545,14 @@ def run_suite(
             for r in constraint_report.results
             if r.passed is False
         ]
-        report.add(
-            CheckResult(
-                check="constraints",
-                paper_ref=_CHECK_REFS["constraints"],
-                passed=constraint_report.passed,
-                witness=failures or None,
-                millis=constraints_ms,
-            )
-        )
+        add("constraints", constraint_report.passed, failures or None, constraints_ms)
 
     rest = [c for c in selected if c != "constraints"]
     if not rest:
         return report
     if not constraint_report.passed:
         for name in rest:
-            report.add(
-                CheckResult(
-                    check=name,
-                    paper_ref=_CHECK_REFS[name],
-                    passed=None,
-                    witness="skipped: constraints failed",
-                    millis=0,
-                )
-            )
+            add(name, None, "skipped: constraints failed", 0)
         return report
 
     ctx = _Context(params)
@@ -569,16 +571,7 @@ def run_suite(
     }
 
     for name in rest:
-        passed, witness, millis = _timed(bodies[name])
-        report.add(
-            CheckResult(
-                check=name,
-                paper_ref=_CHECK_REFS[name],
-                passed=passed,
-                witness=witness,
-                millis=millis,
-            )
-        )
+        add(name, *_timed(bodies[name]))
     return report
 
 

@@ -18,7 +18,7 @@ from tdpair.exactfield import (
     variable_t,
 )
 from tdpair.multiindex import Shape, enumerate_box, format_multiindex
-from tdpair.tdcore import TDParameters, validate_parameters
+from tdpair.tdcore import ExactMatrix, TDParameters, _assemble_operator, validate_parameters
 from tdpair.verify import (
     CHECK_NAMES,
     DEFAULT_CHECKS,
@@ -152,6 +152,41 @@ class TestBetaMutation:
         assert result.witness["lhs"] != "0"
         assert result.witness["rhs"] == "0"
 
+    @staticmethod
+    def _witness_of_separate_products(p, beta):
+        # both relations with every product of three written out on its own
+        A, As = _assemble_operator(p, "A"), _assemble_operator(p, "Astar")
+        zero = ExactMatrix.zero(A.basis)
+        rho = p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
+        rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
+        for X, Y, gamma, r, identity in (
+            (A, As, 2 * p.h, rho, "plain cubic relation"),
+            (As, A, 2 * p.h_star, rho_s, "starred cubic relation"),
+        ):
+            P = (X @ X @ Y) - (X @ Y @ X).scale(beta) + (Y @ X @ X)
+            P = P - ((X @ Y) + (Y @ X)).scale(gamma) - Y.scale(r)
+            diff = X.commutator(P).first_difference(zero)
+            if diff is not None:
+                row, col, lhs, rhs = diff
+                return {
+                    "row": format_multiindex(row),
+                    "col": format_multiindex(col),
+                    "lhs": format_scalar(lhs),
+                    "rhs": format_scalar(rhs),
+                    "identity": identity,
+                }
+        return None
+
+    @pytest.mark.parametrize("ell", [(1,), (3, 2), (2, 2, 1)])
+    def test_shared_products_give_the_same_witness(self, ell):
+        # the check builds A A* and A* A once for both relations
+        p = _mutation_instance() if ell == (1,) else random_valid_parameters(Shape(ell), 1)
+        result = run_suite(p, checks=["td_relations"], beta=F(3)).result("td_relations")
+        expected = self._witness_of_separate_products(p, F(3))
+        assert expected is not None
+        assert result.passed is False
+        assert result.witness == expected
+
 
 class TestConstraintGating:
     def test_invalid_parameters_skip_dependents(self):
@@ -257,17 +292,11 @@ class TestOverlapConsistencyMutation:
 
 @pytest.fixture
 def cold():
-    """(3,2) at seed 1, with the shared coefficient and overlap tables built
-    afresh for the test and dropped after it."""
-
-    # the overlap route solves from C and D, so its cache goes too
-    def clear():
-        cob._coefficient_table.cache_clear()
-        overlap._u_solved_table.cache_clear()
-
-    clear()
+    """(3,2) at seed 1, with the shared coefficient tables built afresh for
+    the test and dropped after it."""
+    cob._coefficient_table.cache_clear()
     yield random_valid_parameters(Shape((3, 2)), 1)
-    clear()
+    cob._coefficient_table.cache_clear()
 
 
 class TestSharedCoefficientTables:
@@ -286,7 +315,7 @@ class TestSharedCoefficientTables:
     # the planted entry, with the identity each reports)
     PLANTED = {
         "C": (
-            ("eigen", "inverse", "block_structure", "biorthogonality"),
+            ("eigen", "inverse", "block_structure"),
             {"eigen": "A on its eigenbasis"},
         ),
         "Cbar": (
@@ -294,7 +323,7 @@ class TestSharedCoefficientTables:
             {"inverse": "raising family inverse"},
         ),
         "D": (
-            ("eigen", "inverse", "block_structure", "overlap_consistency"),
+            ("eigen", "inverse", "block_structure", "overlap_consistency", "biorthogonality"),
             {"eigen": "A* on its eigenbasis", "inverse": "lowering family inverse"},
         ),
         "Dbar": (
@@ -333,23 +362,91 @@ class TestSharedCoefficientTables:
 
 
 class TestOverlapTableMutation:
-    def test_planted_u_table_error_is_caught(self, cold):
-        # U_i(x) read by linear_solve off by one at one off-diagonal (i, x):
-        # the route comparison names that entry, and T Uᵀ differs from I in
-        # column i
-        table = overlap._u_solved_table(cold)
-        i, x = next(k for k in sorted(table.entries) if k[0] != k[1])
-        table.entries[(i, x)] += 1
+    @staticmethod
+    def _plant(monkeypatch, which, method):
+        # one off-diagonal entry (i, x) of the route's table off by one
+        original, planted = verify.overlap_table, []
+
+        def plant(params, w, m):
+            table = original(params, w, m)
+            if (w, m) == (which, method):
+                key = next(k for k in sorted(table.entries) if k[0] != k[1])
+                table.entries[key] += 1
+                planted.append([table.basis[r] for r in key])
+            return table
+
+        monkeypatch.setattr(verify, "overlap_table", plant)
+        return planted
+
+    def test_planted_u_table_error_is_caught(self, cold, monkeypatch):
+        # U_i(x) read by linear_solve off by one: the route comparison names
+        # that entry; biorthogonality reads U by the direct sum, so it passes
+        planted = self._plant(monkeypatch, "U", "linear_solve")
         report = run_suite(cold, checks=["overlap_consistency", "biorthogonality"])
+        (i, x), = planted
         consistency = report.result("overlap_consistency")
         assert consistency.passed is False
         assert consistency.witness["identity"] == "U route agreement"
         assert consistency.witness["method"] == "linear_solve"
-        assert consistency.witness["i"] == format_multiindex(table.basis[i])
-        assert consistency.witness["x"] == format_multiindex(table.basis[x])
-        biorthogonality = report.result("biorthogonality")
-        assert biorthogonality.passed is False
-        assert biorthogonality.witness["col"] == format_multiindex(table.basis[i])
+        assert consistency.witness["i"] == format_multiindex(i)
+        assert consistency.witness["x"] == format_multiindex(x)
+        assert report.result("biorthogonality").passed is True
+
+    def test_planted_u_direct_sum_entry_breaks_biorthogonality(self, cold, monkeypatch):
+        # T Uᵀ differs from I in column i
+        planted = self._plant(monkeypatch, "U", "direct_sum")
+        result = run_suite(cold, checks=["biorthogonality"]).result("biorthogonality")
+        (i, _), = planted
+        assert result.passed is False
+        assert result.witness["col"] == format_multiindex(i)
+
+
+class TestRouteTablesPerSuite:
+    """The suite's context builds each route table once, and the checks
+    read only those tables."""
+
+    def test_each_route_table_is_built_once(self, monkeypatch):
+        original, built = verify.overlap_table, []
+
+        def counted(params, which, method):
+            built.append((which, method))
+            return original(params, which, method)
+
+        monkeypatch.setattr(verify, "overlap_table", counted)
+        assert run_suite(random_valid_parameters(Shape((3, 2)), 1)).passed
+        routes = [("T", m) for m in overlap.T_METHODS] + [("U", m) for m in overlap.U_METHODS]
+        assert sorted(built) == sorted(routes)
+
+    def test_racah_reduction_reads_no_pointwise_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pointwise overlap evaluated")
+
+        for module in (overlap, verify):
+            for name in ("overlap_T", "overlap_U"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        p = random_valid_parameters(Shape((5,)), 1)
+        assert run_suite(p, checks=["racah_reduction"]).passed
+
+    def test_planted_balanced_u_value_is_named(self, monkeypatch):
+        p = random_valid_parameters(Shape((5,)), 1)
+        i, x = (2,), (3,)
+        ref = overlap.overlap_U(p, i, x, "direct_sum")
+        original = verify.univariate_u_balanced
+
+        def planted(params, mi, mx):
+            v = original(params, mi, mx)
+            return v + 1 if (tuple(mi), tuple(mx)) == (i, x) else v
+
+        monkeypatch.setattr(verify, "univariate_u_balanced", planted)
+        result = run_suite(p, checks=["racah_reduction"]).result("racah_reduction")
+        assert result.passed is False
+        assert result.witness == {
+            "identity": "balanced U form",
+            "i": format_multiindex(i),
+            "x": format_multiindex(x),
+            "lhs": format_scalar(ref),
+            "rhs": format_scalar(ref + 1),
+        }
 
 
 class TestLimitsMutation:
@@ -417,6 +514,12 @@ class TestLimitsMutation:
             "lhs": format_scalar(closed),
             "rhs": format_scalar(closed + self.DELTA),
         }
+
+    @pytest.mark.parametrize("ell", [(3, 2), (2, 2, 1), (4, 3), (2, 2, 2), (3, 3, 2)])
+    def test_sample_has_distinct_rows_and_columns(self, ell):
+        pairs = verify._limit_pairs(enumerate_box(Shape(ell)))
+        assert len(pairs) == 10
+        assert len({i for i, _ in pairs}) == len({x for _, x in pairs}) == 10
 
     @pytest.mark.parametrize("ell, count", [((3, 2), 144), ((2, 2, 1), 324)])
     def test_every_pair_passes(self, monkeypatch, ell, count):
