@@ -8,7 +8,7 @@ from math import prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdpair import cob
@@ -387,9 +387,15 @@ def _oracle_star_blocks(params, mc, mcb):
 
 @st.composite
 def _shapes_to_18(draw):
+    # every shape of at most 4 coordinates and 18 basis elements; each ell_p
+    # is drawn within the room the later coordinates leave (a factor of at
+    # least 2 each), so no draw is filtered out
     n_coords = draw(st.integers(min_value=1, max_value=4))
-    ell = draw(st.lists(st.integers(min_value=1, max_value=17), min_size=n_coords, max_size=n_coords))
-    assume(prod(v + 1 for v in ell) <= 18)
+    ell, room = [], 18
+    for later in range(n_coords - 1, -1, -1):
+        ell.append(draw(st.integers(min_value=1, max_value=room // 2**later - 1)))
+        room //= ell[-1] + 1
+    assert prod(v + 1 for v in ell) <= 18
     return Shape(tuple(ell))
 
 
