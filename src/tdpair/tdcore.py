@@ -353,24 +353,96 @@ def _ms(start: float) -> int:
 # exact matrices over the enumerated basis
 
 
-def _lines(entries: dict, axis: int) -> dict[int, tuple]:
-    """The stored rows (axis 0) or columns (axis 1) of a sparse matrix, each
-    over one common denominator, as {index: (den, [(other index, numerator)])}.
+def _split(entries: dict, axis: int) -> dict[int, list]:
+    """The stored rows (axis 0) or columns (axis 1) of a sparse matrix
+    {(r, c): v}, as {index: [(other index, v)]}."""
+    lines: dict[int, list] = {}
+    for key, v in entries.items():
+        lines.setdefault(key[axis], []).append((key[1 - axis], v))
+    return lines
+
+
+def _lines(entries: dict, axis: int) -> tuple[dict, dict]:
+    """The stored rows or columns of a sparse matrix, each over one common
+    denominator, as ({index: den}, {index: [(other index, numerator)]}).
     Over Q the numerators are ints over the lcm of the line's denominators; a
     Q(t) entry rides as the pair (entry, 1)."""
-    lines: dict[int, tuple] = {}
-    for key, v in entries.items():
-        line = lines.get(key[axis])
-        if line is None:
-            line = lines[key[axis]] = ([], [], [])
-        line[0].append(key[1 - axis])
-        line[1].append(v.numerator)
-        line[2].append(v.denominator)
+    dens, out = {}, {}
+    for k, line in _split(entries, axis).items():
+        others, vals = zip(*line)
+        nums, dens[k] = over_common_denominator(
+            [v.numerator for v in vals], [v.denominator for v in vals]
+        )
+        out[k] = list(zip(others, nums))
+    return dens, out
+
+
+def _line_product(rows: dict, cols: dict) -> dict:
+    """The sparse product kernel: {(r, c): sum of a b over the k shared by
+    row r and column c}, from the stored rows {r: [(k, a)]} of one matrix
+    and the stored columns {c: [(k, b)]} of the other.  The values are ints
+    or field elements; a zero sum is left out."""
+    by_k: dict[int, list] = {}
+    for c, col in cols.items():
+        for k, b in col:
+            by_k.setdefault(k, []).append((c, b))
     out = {}
-    for k, (others, nums, dens) in lines.items():
-        scaled, den = over_common_denominator(nums, dens)
-        out[k] = den, list(zip(others, scaled))
+    for r, row in rows.items():
+        acc: dict = {}
+        for k, a in row:
+            for c, b in by_k.get(k, ()):
+                acc[c] = acc.get(c, 0) + a * b
+        for c, s in acc.items():
+            if s:
+                out[r, c] = s
     return out
+
+
+# A matrix cleared of denominators is the pair ({(r, c): numerator}, one
+# common denominator).  The operator-word checks multiply, sum and compare
+# these over Z and build a field element only for a differing entry.
+
+
+def cleared(m: "ExactMatrix") -> tuple[dict, FieldElement]:
+    """m cleared of denominators."""
+    vals = m.entries.values()
+    nums, den = over_common_denominator([v.numerator for v in vals], [v.denominator for v in vals])
+    return dict(zip(m.entries, nums)), den
+
+
+def cleared_product(x: tuple, y: tuple) -> tuple[dict, FieldElement]:
+    """The product of two cleared matrices, over the product of their
+    denominators."""
+    return _line_product(_split(x[0], 0), _split(y[0], 1)), x[1] * y[1]
+
+
+def cleared_combination(terms: Sequence[tuple]) -> tuple[dict, FieldElement]:
+    """The sum of s X over the (scalar s, cleared X) terms, over the lcm of
+    the terms' denominators."""
+    mults, den = over_common_denominator(
+        [s.numerator for s, _ in terms], [s.denominator * x[1] for s, x in terms]
+    )
+    out: dict = {}
+    for m, (_, (nums, _)) in zip(mults, terms):
+        for k, a in nums.items():
+            out[k] = out.get(k, 0) + m * a
+    return out, den
+
+
+def cleared_commutator(x: tuple, y: tuple) -> tuple[dict, FieldElement]:
+    return cleared_combination([(1, cleared_product(x, y)), (-1, cleared_product(y, x))])
+
+
+def cleared_difference(lhs: tuple, rhs: tuple, basis: Sequence[MultiIndex]):
+    """(row index, col index, lhs value, rhs value) of the first entry in
+    storage order where two cleared matrices differ, compared by
+    cross-multiplying their denominators, or None when they are equal."""
+    (ln, ld), (rn, rd) = lhs, rhs
+    for r, c in sorted(ln.keys() | rn.keys()):
+        a, b = ln.get((r, c), 0), rn.get((r, c), 0)
+        if a * rd != b * ld:
+            return basis[r], basis[c], pair_value(a, ld), pair_value(b, rd)
+    return None
 
 
 class ExactMatrix:
@@ -507,27 +579,17 @@ class ExactMatrix:
         return ExactMatrix(self.basis, {k: s * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Entry (r, c) is the sum of numerator products over L_r * M_c,
-        L_r and M_c the common denominators of row r of self and column c
-        of other."""
+        """Entry (r, c) is the `_line_product` sum of numerator products over
+        L_r * M_c, L_r and M_c the common denominators of row r of self and
+        column c of other."""
         self._check_same_basis(other)
-        col_den: dict[int, int] = {}
-        by_row: dict[int, list] = {}
-        for c, (den, col) in _lines(other.entries, 1).items():
-            col_den[c] = den
-            for k, b in col:
-                by_row.setdefault(k, []).append((c, b))
-        out: dict[tuple[int, int], FieldElement] = {}
-        for r, (den, row) in _lines(self.entries, 0).items():
-            acc: dict[int, FieldElement] = {}
-            for k, a in row:
-                for c, b in by_row.get(k, ()):
-                    acc[c] = acc.get(c, 0) + a * b
-            for c, s in acc.items():
-                if s:
-                    out[(r, c)] = pair_value(s, den * col_den[c])
+        row_den, rows = _lines(self.entries, 0)
+        col_den, cols = _lines(other.entries, 1)
         m = ExactMatrix(self.basis)
-        m.entries = out
+        m.entries = {
+            (r, c): pair_value(s, row_den[r] * col_den[c])
+            for (r, c), s in _line_product(rows, cols).items()
+        }
         return m
 
     def transpose(self) -> "ExactMatrix":
@@ -552,17 +614,18 @@ class ExactMatrix:
             raise ValueError("matrix is not upper triangular in storage order")
         if any(self.item(k, k) == 0 for k in range(self.dimension)):
             raise ZeroDivisionError("upper-triangular solve with zero diagonal entry")
-        rows = _lines(self.entries, 0)
-        upper = {r: [(cc, v) for cc, v in row if cc > r] for r, (_, row) in rows.items()}
-        diag = {r: v for r, (_, row) in rows.items() for cc, v in row if cc == r}
+        row_den, rows = _lines(self.entries, 0)
+        upper = {r: [(cc, v) for cc, v in row if cc > r] for r, row in rows.items()}
+        diag = {r: v for r, row in rows.items() for cc, v in row if cc == r}
         out: dict[tuple[int, int], FieldElement] = {}
-        for c, (bden, col) in _lines(rhs.entries, 1).items():
-            b = dict(col)
+        col_den, cols = _lines(rhs.entries, 1)
+        for c, col in cols.items():
+            bden, b = col_den[c], dict(col)
             xcol: dict[int, FieldElement] = {}
             for r in range(self.dimension - 1, -1, -1):
                 nums, dens = [], []
                 if r in b:
-                    nums.append(b[r] * rows[r][0])
+                    nums.append(b[r] * row_den[r])
                     dens.append(bden)
                 for cc, v in upper[r]:
                     x = xcol.get(cc)

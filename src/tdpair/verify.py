@@ -4,6 +4,12 @@ Every algebraic identity the construction promises is phrased as a named
 check returning a CheckResult with a reproducible witness on failure.
 All comparisons are exact field equalities; there are no tolerances.
 
+The operator-word checks (eigen, td_relations, r3l, sas_conjugation) run
+over Z with the `cleared_*` helpers of tdcore: each operand is cleared of
+denominators once, every product is the sparse kernel on integer numerators,
+and the two sides are compared exactly, in storage order, by cross-multiplying
+their common denominators.  Only a witness entry is built as a rational.
+
 Check names, in canonical report order:
 
   constraints          the three parameter constraint families
@@ -71,6 +77,11 @@ from .tdcore import (
     ExactMatrix,
     TDParameters,
     _assemble_operator,
+    cleared,
+    cleared_combination,
+    cleared_commutator,
+    cleared_difference,
+    cleared_product,
     eigenvalue,
     substituted_for_involution,
     validate_parameters,
@@ -112,23 +123,17 @@ class SamplingExhausted(RuntimeError):
 # witness helpers
 
 
-def _entry_witness(diff) -> dict:
+def _entry_witness(diff, label: str) -> Optional[dict]:
+    if diff is None:
+        return None
     row, col, lhs, rhs = diff
     return {
         "row": format_multiindex(row),
         "col": format_multiindex(col),
         "lhs": format_scalar(lhs),
         "rhs": format_scalar(rhs),
+        "identity": label,
     }
-
-
-def _matrices_equal(lhs: ExactMatrix, rhs: ExactMatrix, label: str) -> Optional[dict]:
-    diff = lhs.first_difference(rhs)
-    if diff is None:
-        return None
-    w = _entry_witness(diff)
-    w["identity"] = label
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +164,15 @@ class _Context:
     @cached_property
     def As(self) -> ExactMatrix:
         return _assemble_operator(self.params, "Astar")
+
+    @cached_property
+    def A_cleared(self) -> tuple:
+        """A cleared of denominators, read by eigen, td_relations and sas_conjugation."""
+        return cleared(self.A)
+
+    @cached_property
+    def As_cleared(self) -> tuple:
+        return cleared(self.As)
 
     @cached_property
     def S(self) -> ExactMatrix:
@@ -202,54 +216,62 @@ def _check_eigen(ctx: _Context):
                         "levels": [u, v],
                         "value": format_scalar(vals[u]),
                     }
-    dt = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight))
-    dts = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight, starred=True))
-    w = _matrices_equal(ctx.A @ ctx.MC, ctx.MC @ dt, "A on its eigenbasis")
-    if w is None:
-        w = _matrices_equal(ctx.As @ ctx.MD, ctx.MD @ dts, "A* on its eigenbasis")
-    return w is None, w
+    for X, family, starred, label in (
+        (ctx.A_cleared, ctx.MC, False, "A on its eigenbasis"),
+        (ctx.As_cleared, ctx.MD, True, "A* on its eigenbasis"),
+    ):
+        M = cleared(family)
+        dt = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight, starred=starred))
+        diff = cleared_difference(
+            cleared_product(X, M), cleared_product(M, cleared(dt)), ctx.basis
+        )
+        if diff is not None:
+            return False, _entry_witness(diff, label)
+    return True, None
 
 
 def _check_inverse(ctx: _Context):
     I = ExactMatrix.identity(ctx.basis)
-    w = _matrices_equal(ctx.MC @ ctx.MCb, I, "raising family inverse")
+    w = _entry_witness((ctx.MC @ ctx.MCb).first_difference(I), "raising family inverse")
     if w is None:
-        w = _matrices_equal(ctx.MD @ ctx.MDb, I, "lowering family inverse")
+        w = _entry_witness((ctx.MD @ ctx.MDb).first_difference(I), "lowering family inverse")
     return w is None, w
 
 
 def _check_td_relations(ctx: _Context, beta: FieldElement):
     p = ctx.params
-    A, As = ctx.A, ctx.As
+    A, As = ctx.A_cleared, ctx.As_cleared
     gamma, rho = 2 * p.h, p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
     gamma_s = 2 * p.h_star
     rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
     # A A* and A* A once, shared by both relations
-    AAs, AsA = A @ As, As @ A
-    P1 = (A @ AAs) - (AAs @ A).scale(beta) + (AsA @ A)
-    P1 = P1 - (AAs + AsA).scale(gamma) - As.scale(rho)
-    w = _matrices_equal(
-        A.commutator(P1), ExactMatrix.zero(ctx.basis), "plain cubic relation"
-    )
-    if w is None:
-        P2 = (As @ AsA) - (AsA @ As).scale(beta) + (AAs @ As)
-        P2 = P2 - (AsA + AAs).scale(gamma_s) - A.scale(rho_s)
-        w = _matrices_equal(
-            As.commutator(P2), ExactMatrix.zero(ctx.basis), "starred cubic relation"
+    AAs, AsA = cleared_product(A, As), cleared_product(As, A)
+    for X, Y, XY, YX, g, r, label in (
+        (A, As, AAs, AsA, gamma, rho, "plain cubic relation"),
+        (As, A, AsA, AAs, gamma_s, rho_s, "starred cubic relation"),
+    ):
+        # P = X X Y - beta X Y X + Y X X - g (X Y + Y X) - r Y
+        P = cleared_combination(
+            [(1, cleared_product(X, XY)), (-beta, cleared_product(XY, X)),
+             (1, cleared_product(YX, X)), (-g, XY), (-g, YX), (-r, Y)]
         )
-    return w is None, w
+        diff = cleared_difference(cleared_commutator(X, P), ({}, 1), ctx.basis)
+        if diff is not None:
+            return False, _entry_witness(diff, label)
+    return True, None
 
 
 def _check_r3l(ctx: _Context):
     p = ctx.params
-    R, L = ctx.R, ctx.L
-    lhs = R.commutator(R.commutator(R.commutator(L)))
+    R, lhs = cleared(ctx.R), cleared(ctx.L)
+    for _ in range(3):
+        lhs = cleared_commutator(R, lhs)
     level_factor = ExactMatrix.diagonal(
         ctx.basis,
         lambda m: -6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4),
     )
-    rhs = (R @ R) @ level_factor
-    w = _matrices_equal(lhs, rhs, "triple commutator collapse")
+    rhs = cleared_product(cleared_product(R, R), cleared(level_factor))
+    w = _entry_witness(cleared_difference(lhs, rhs, ctx.basis), "triple commutator collapse")
     return w is None, w
 
 
@@ -269,13 +291,17 @@ def _check_block_structure(ctx: _Context):
 
 
 def _check_sas(ctx: _Context):
-    p, S = ctx.params, ctx.S
-    star_side = _assemble_operator(substituted_for_involution(p, starred=False), "Astar")
-    w = _matrices_equal(S @ ctx.A @ S, star_side, "involution on the raising side")
-    if w is None:
-        plain_side = _assemble_operator(substituted_for_involution(p, starred=True), "A")
-        w = _matrices_equal(S @ ctx.As @ S, plain_side, "involution on the lowering side")
-    return w is None, w
+    p, S = ctx.params, cleared(ctx.S)
+    for X, starred, target, label in (
+        (ctx.A_cleared, False, "Astar", "involution on the raising side"),
+        (ctx.As_cleared, True, "A", "involution on the lowering side"),
+    ):
+        other = _assemble_operator(substituted_for_involution(p, starred=starred), target)
+        lhs = cleared_product(cleared_product(S, X), S)
+        diff = cleared_difference(lhs, cleared(other), ctx.basis)
+        if diff is not None:
+            return False, _entry_witness(diff, label)
+    return True, None
 
 
 def _check_overlap_consistency(ctx: _Context):
@@ -305,9 +331,8 @@ def _check_biorthogonality(ctx: _Context):
     # T by the product reads Cbar and D, U by the direct sum no coefficient
     # table: a planted Cbar or D entry breaks T Uᵀ = I
     mt, mu = ctx.table("T", "matrix_product"), ctx.table("U", "direct_sum")
-    w = _matrices_equal(
-        mt @ mu.transpose(), ExactMatrix.identity(ctx.basis), "biorthogonality"
-    )
+    diff = (mt @ mu.transpose()).first_difference(ExactMatrix.identity(ctx.basis))
+    w = _entry_witness(diff, "biorthogonality")
     return w is None, w
 
 

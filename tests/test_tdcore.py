@@ -15,6 +15,13 @@ from tdpair.tdcore import (
     StringSet,
     TDParameters,
     _assemble_operator,
+    _line_product,
+    _split,
+    cleared,
+    cleared_combination,
+    cleared_commutator,
+    cleared_difference,
+    cleared_product,
     build_operator,
     eigenvalue,
     parameters_from_json_obj,
@@ -565,6 +572,86 @@ class TestExactMatrixOverQ:
         # and a Q(t) right-hand side against a Q matrix
         uq = ExactMatrix(_BASIS6, {k: v for k, v in u.entries.items() if k not in ((0, 3), (4, 5))})
         _assert_matches(uq.solve_upper_triangular(rhs), _reference_solve(uq, rhs), over_q=False)
+
+
+_int_entries = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-3, 3), max_size=18
+)
+
+
+def _dense_product(a: dict, b: dict, zero) -> dict:
+    sums = {
+        (r, c): sum((a.get((r, k), 0) * b.get((k, c), 0) for k in range(6)), zero)
+        for r in range(6)
+        for c in range(6)
+    }
+    return {k: v for k, v in sums.items() if v != 0}
+
+
+class TestLineProduct:
+    """The one sparse product kernel, on the stored rows of one matrix and
+    the stored columns of the other, against the dense definition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_int_entries, _int_entries)
+    def test_int_entries_match_the_dense_product(self, a, b):
+        got = _line_product(_split(a, 0), _split(b, 1))
+        assert got == _dense_product(a, b, 0)
+        assert all(type(v) is int for v in got.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(_int_entries, _int_entries, _int_entries)
+    def test_q_t_numerators_match_the_dense_product(self, a0, a1, b):
+        # entries c0 + c1 t, and ints against them
+        t = variable_t()
+        at = {k: v + a1.get(k, 0) * t for k, v in a0.items()}
+        at = {k: v for k, v in at.items() if v != 0}
+        for x, y in ((at, at), (at, b), (b, at)):
+            assert _line_product(_split(x, 0), _split(y, 1)) == _dense_product(x, y, 0 * t)
+
+    def test_lines_with_no_shared_index_give_nothing(self):
+        assert _line_product({0: [(1, 2)]}, {0: [(0, 3)], 1: [(2, 5)]}) == {}
+        assert _line_product({}, {0: [(0, 1)]}) == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse(_q_scalar), _sparse(_q_scalar), st.integers(0, 5), st.integers(0, 5))
+    def test_matmul_keeps_the_value_and_type_of_every_entry(self, a, b, r, c):
+        # each entry is the sum of its stored terms: a Fraction over Q, a
+        # RationalFunction once a Q(t) term enters it, and never a zero
+        t = variable_t()
+        at = ExactMatrix(_BASIS6, {**a.entries, (r, c): t - 1})
+        for x, y in ((a, b), (at, b), (b, at), (at, at)):
+            terms: dict = {}
+            for (i, k), u in x.entries.items():
+                for (kk, j), v in y.entries.items():
+                    if k == kk:
+                        terms[i, j] = terms.get((i, j), F(0)) + u * v
+            expected = {k: (v, type(v)) for k, v in terms.items() if v != 0}
+            assert {k: (v, type(v)) for k, v in (x @ y).entries.items()} == expected
+
+
+class TestClearedMatrices:
+    """Products, sums and commutators of matrices cleared of denominators
+    equal the ExactMatrix ones, and their first difference is the
+    ExactMatrix one, over Q and with a Q(t) entry."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_sparse(_q_scalar), _sparse(_q_scalar), _q_scalar, st.integers(0, 5), st.booleans())
+    def test_words_match_exact_matrix_algebra(self, a, b, s, r, with_t):
+        if with_t:
+            t = variable_t()
+            a, s = ExactMatrix(_BASIS6, {**a.entries, (r, r): t - 1}), s * t
+        x, y = cleared(a), cleared(b)
+        for got, want in (
+            (cleared_product(x, y), a @ b),
+            (cleared_product(y, x), b @ a),
+            (cleared_commutator(x, y), a.commutator(b)),
+            (cleared_combination([(s, x), (-1, y), (F(1, 3), x)]), a.scale(s) - b + a.scale(F(1, 3))),
+        ):
+            assert cleared_difference(got, cleared(want), _BASIS6) is None
+            assert ExactMatrix(_BASIS6, {k: v * F(1, got[1]) for k, v in got[0].items()}) == want
+        assert cleared_difference(x, y, _BASIS6) == a.first_difference(b)
+        assert cleared_difference(y, x, _BASIS6) == b.first_difference(a)
 
 
 class TestParameterSerialization:

@@ -18,7 +18,14 @@ from tdpair.exactfield import (
     variable_t,
 )
 from tdpair.multiindex import Shape, enumerate_box, format_multiindex
-from tdpair.tdcore import ExactMatrix, TDParameters, _assemble_operator, validate_parameters
+from tdpair.tdcore import (
+    ExactMatrix,
+    TDParameters,
+    _assemble_operator,
+    eigenvalue,
+    substituted_for_involution,
+    validate_parameters,
+)
 from tdpair.verify import (
     CHECK_NAMES,
     DEFAULT_CHECKS,
@@ -603,6 +610,9 @@ class TestOperatorMutation:
     they are."""
 
     IDENTITY = {"A": "A on its eigenbasis", "As": "A* on its eigenbasis"}
+    # every check that reads A or A*; the rest read coefficient or route
+    # tables built from the parameters
+    CAUGHT_BY = {"eigen", "td_relations", "r3l", "sas_conjugation"}
 
     @pytest.mark.parametrize("attr", ["A", "As"])
     def test_planted_operator_error_is_caught(self, monkeypatch, attr):
@@ -619,17 +629,146 @@ class TestOperatorMutation:
         monkeypatch.setattr(
             verify, "_Context", type("Planted", (verify._Context,), {attr: cached_property(plant)})
         )
-        p = random_valid_parameters(Shape((3, 2)), 1)
-        report = run_suite(p)
-        (r, c), = planted
-        basis = enumerate_box(p.shape)
-        eigen = report.result("eigen")
-        assert eigen.passed is False
-        assert eigen.witness["identity"] == self.IDENTITY[attr]
-        assert eigen.witness["row"] == format_multiindex(basis[r])
-        assert eigen.witness["col"] == format_multiindex(basis[c])
-        for name in ("td_relations", "r3l", "sas_conjugation"):
-            assert report.result(name).passed is False, name
+        for ell in ((3, 2), (2, 2, 1)):
+            planted.clear()
+            p = random_valid_parameters(Shape(ell), 1)
+            report = run_suite(p)
+            (r, c), = planted
+            basis = enumerate_box(p.shape)
+            eigen = report.result("eigen")
+            assert eigen.witness["identity"] == self.IDENTITY[attr]
+            assert eigen.witness["row"] == format_multiindex(basis[r])
+            assert eigen.witness["col"] == format_multiindex(basis[c])
+            failed = {res.check for res in report.results if res.passed is False}
+            assert failed == self.CAUGHT_BY, ell
+
+
+# the four operator-word checks as they were written in ExactMatrix algebra,
+# one Fraction per entry of every intermediate matrix: the oracles of the
+# checks over Z
+
+
+def _oracle_witness(lhs, rhs, label):
+    diff = lhs.first_difference(rhs)
+    if diff is None:
+        return None
+    row, col, left, right = diff
+    return {
+        "row": format_multiindex(row),
+        "col": format_multiindex(col),
+        "lhs": format_scalar(left),
+        "rhs": format_scalar(right),
+        "identity": label,
+    }
+
+
+def _oracle_eigen(ctx):
+    p = ctx.params
+    dt = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight))
+    dts = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight, starred=True))
+    w = _oracle_witness(ctx.A @ ctx.MC, ctx.MC @ dt, "A on its eigenbasis")
+    if w is None:
+        w = _oracle_witness(ctx.As @ ctx.MD, ctx.MD @ dts, "A* on its eigenbasis")
+    return w
+
+
+def _oracle_td_relations(ctx, beta):
+    p = ctx.params
+    A, As = ctx.A, ctx.As
+    gamma, rho = 2 * p.h, p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
+    gamma_s = 2 * p.h_star
+    rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
+    AAs, AsA = A @ As, As @ A
+    P1 = (A @ AAs) - (AAs @ A).scale(beta) + (AsA @ A)
+    P1 = P1 - (AAs + AsA).scale(gamma) - As.scale(rho)
+    zero = ExactMatrix.zero(ctx.basis)
+    w = _oracle_witness(A.commutator(P1), zero, "plain cubic relation")
+    if w is None:
+        P2 = (As @ AsA) - (AsA @ As).scale(beta) + (AAs @ As)
+        P2 = P2 - (AsA + AAs).scale(gamma_s) - A.scale(rho_s)
+        w = _oracle_witness(As.commutator(P2), zero, "starred cubic relation")
+    return w
+
+
+def _oracle_r3l(ctx):
+    p, R, L = ctx.params, ctx.R, ctx.L
+    lhs = R.commutator(R.commutator(R.commutator(L)))
+    level_factor = ExactMatrix.diagonal(
+        ctx.basis,
+        lambda m: -6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4),
+    )
+    return _oracle_witness(lhs, (R @ R) @ level_factor, "triple commutator collapse")
+
+
+def _oracle_sas(ctx):
+    p, S = ctx.params, ctx.S
+    star_side = _assemble_operator(substituted_for_involution(p, starred=False), "Astar")
+    w = _oracle_witness(S @ ctx.A @ S, star_side, "involution on the raising side")
+    if w is None:
+        plain_side = _assemble_operator(substituted_for_involution(p, starred=True), "A")
+        w = _oracle_witness(S @ ctx.As @ S, plain_side, "involution on the lowering side")
+    return w
+
+
+class TestWitnessParity:
+    """The checks over Z report the witness, key for key, that the same
+    words in ExactMatrix algebra give."""
+
+    @pytest.mark.parametrize("beta", [F(3), F(5, 7)])
+    @pytest.mark.parametrize("ell", [(1,), (3, 2), (2, 2, 1), (2, 1, 1)])
+    def test_mutated_beta(self, ell, beta):
+        p = _mutation_instance() if ell == (1,) else random_valid_parameters(Shape(ell), 1)
+        ctx = verify._Context(p)
+        expected = _oracle_td_relations(verify._Context(p), beta)
+        assert expected is not None
+        assert verify._check_td_relations(ctx, beta) == (False, expected)
+
+    def test_mutated_beta_over_q_t(self):
+        # a Q(t) entry rides through the same path as the pair (entry, 1)
+        t = variable_t()
+        p = random_valid_parameters(Shape((2, 1)), 1)
+        q = replace(p, h=p.h * t, omega=1 / t)
+        expected = _oracle_td_relations(verify._Context(q), F(3))
+        assert expected is not None
+        assert verify._check_td_relations(verify._Context(q), F(3)) == (False, expected)
+
+    ORACLES = {
+        "eigen": (verify._check_eigen, _oracle_eigen),
+        "td_relations": (lambda ctx: verify._check_td_relations(ctx, F(2)),
+                         lambda ctx: _oracle_td_relations(ctx, F(2))),
+        "r3l": (verify._check_r3l, _oracle_r3l),
+        "sas_conjugation": (verify._check_sas, _oracle_sas),
+    }
+
+    @staticmethod
+    def _planted(p, attr, where):
+        # one entry of A or A* off by 1/3, the first stored off-diagonal one
+        # or the last diagonal one, or that off-diagonal entry removed, so
+        # that only the right-hand side stores the witness entry
+        ctx = verify._Context(p)
+        m = getattr(ctx, attr)
+        d = m.dimension
+        key = (d - 1, d - 1) if where == "diagonal" else next(k for k in sorted(m.entries) if k[0] != k[1])
+        entries = dict(m.entries)
+        entries[key] = 0 if where == "removed" else m.item(*key) + F(1, 3)
+        setattr(ctx, attr, ExactMatrix(m.basis, entries))
+        return ctx
+
+    @pytest.mark.parametrize("where", ["off", "diagonal", "removed"])
+    @pytest.mark.parametrize("attr", ["A", "As"])
+    @pytest.mark.parametrize("ell", [(3, 2), (2, 2, 1)])
+    def test_planted_operator_entry(self, ell, attr, where):
+        p = random_valid_parameters(Shape(ell), 1)
+        failed = set()
+        for name, (check, oracle) in self.ORACLES.items():
+            expected = oracle(self._planted(p, attr, where))
+            passed, witness = check(self._planted(p, attr, where))
+            assert witness == expected, name
+            assert passed is (expected is None), name
+            if not passed:
+                failed.add(name)
+        # the diagonal of A and A* is outside R and L
+        assert failed == set(self.ORACLES) - ({"r3l"} if where == "diagonal" else set())
 
 
 class TestReportShape:
