@@ -36,12 +36,12 @@ the package (the verifier's context, the block formulas, the whole-table
 matrix_product and linear_solve overlap routes) goes through it, so one
 suite builds each family once.
 
-`block_tridiagonal_form` expresses the opposite operator in an eigenbasis
-two independent ways (conjugation by a triangular solve with C or D, and an
-explicit five-term block formula, the only reader of Cbar and Dbar, with
-each entry one common-denominator sum of its terms) and insists they agree
-entrywise with zero far blocks.  The eigen and inverse checks test the
-tables themselves against A and A*, assembled independently.
+`block_tridiagonal_form` writes the opposite operator in an eigenbasis by
+the explicit five-term block formula B (the only reader of Cbar and Dbar,
+each entry one common-denominator sum of its terms) and proves fwd B =
+op fwd over Z, fwd = M_C or M_D; fwd has a unit diagonal, so B is the
+conjugate without a triangular solve.  The eigen and inverse checks test
+the tables themselves against A and A*, assembled independently.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .exactfield import (
     ZeroDenominatorPochhammer,
     _pair,
     _rising,
-    is_zero,
     over_common_denominator,
     pair_value,
 )
@@ -68,6 +67,9 @@ from .tdcore import (
     InvalidParameters,
     TDParameters,
     _assemble_operator,
+    cleared,
+    cleared_difference,
+    cleared_product,
     eigenvalue,
     substituted_for_involution,
     validate_parameters,
@@ -87,8 +89,8 @@ COEFFICIENT_KINDS = ("C", "Cbar", "D", "Dbar")
 
 
 class StructureViolation(ArithmeticError):
-    """Two routes to the same block matrix produced different entries,
-    or an entry appeared outside the tridiagonal band of levels."""
+    """The two sides of fwd B = op fwd differ at an entry, or an entry of
+    the block form B lies outside the tridiagonal band of levels."""
 
     def __init__(self, row, col, lhs, rhs, detail: str = ""):
         self.row = row
@@ -248,43 +250,42 @@ BLOCK_FORMS = ("Astar_in_Vx", "A_in_Vi")
 
 
 def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
-    """The opposite operator written in an eigenbasis, computed two ways.
+    """The opposite operator in an eigenbasis, by the explicit block formula.
 
-    "Astar_in_Vx" is A* over the V(x) basis; "A_in_Vi" is A over the V_i
-    basis.  The conjugated matrix and the explicit block formula must agree
-    entrywise, and every entry linking levels |row| and |col| with
+    "Astar_in_Vx" is A* over the V(x) basis, the B* with M_C B* = A* M_C;
+    "A_in_Vi" is A over the V_i basis, the B with M_D B = A M_D.  Both sides
+    are products over Z, and every entry linking levels |row| and |col| with
     ||row| - |col|| >= 2 must vanish; any discrepancy raises
-    StructureViolation.
-    """
+    StructureViolation, with the entries of fwd B and op fwd."""
     if which not in BLOCK_FORMS:
         raise ValueError(f"unknown block form {which!r}; expected one of {BLOCK_FORMS}")
     report = validate_parameters(params)
     if not report.passed:
         raise InvalidParameters(report)
-    # the conjugation solves fwd X = op fwd, so only the block formula reads
-    # the inverse family
     if which == "Astar_in_Vx":
         fwd = coefficient_matrix(params, "C")
-        explicit = _explicit_star_blocks(params, fwd, coefficient_matrix(params, "Cbar"))
-        # C is lower triangular in graded order and its mirror upper
-        # triangular: solve on the mirrors
-        rhs = _mirrored(_assemble_operator(params, "Astar") @ fwd)
-        conj = _mirrored(_mirrored(fwd).solve_upper_triangular(rhs))
+        form = _explicit_star_blocks(params, fwd, coefficient_matrix(params, "Cbar"))
+        op, identity = _assemble_operator(params, "Astar"), "M_C B* vs A* M_C"
     else:
         fwd = coefficient_matrix(params, "D")
         # the mirrors of D and Dbar are C and Cbar at the swapped parameters
         inv = _mirrored(coefficient_matrix(params, "Dbar"))
-        explicit = _mirrored(_explicit_star_blocks(_swapped(params), _mirrored(fwd), inv))
-        conj = fwd.solve_upper_triangular(_assemble_operator(params, "A") @ fwd)
-    diff = conj.first_difference(explicit)
+        form = _mirrored(_explicit_star_blocks(_swapped(params), _mirrored(fwd), inv))
+        op, identity = _assemble_operator(params, "A"), "M_D B vs A M_D"
+    # fwd is triangular with a unit diagonal, so this holds exactly when
+    # form is fwd^-1 op fwd
+    f = cleared(fwd)
+    diff = cleared_difference(
+        cleared_product(f, cleared(form)), cleared_product(cleared(op), f), form.basis
+    )
     if diff is not None:
-        raise StructureViolation(*diff, detail=f"{which}: conjugation vs block formula")
-    for (r, c), v in conj.entries.items():
-        if abs(conj.basis[r].weight - conj.basis[c].weight) >= 2 and not is_zero(v):
+        raise StructureViolation(*diff, detail=f"{which}: {identity}")
+    for (r, c), v in form.entries.items():
+        if abs(form.basis[r].weight - form.basis[c].weight) >= 2:
             raise StructureViolation(
-                conj.basis[r], conj.basis[c], v, Fraction(0), detail=f"{which}: far block"
+                form.basis[r], form.basis[c], v, Fraction(0), detail=f"{which}: far block"
             )
-    return conj
+    return form
 
 
 def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatrix) -> ExactMatrix:

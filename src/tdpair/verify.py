@@ -4,11 +4,12 @@ Every algebraic identity the construction promises is phrased as a named
 check returning a CheckResult with a reproducible witness on failure.
 All comparisons are exact field equalities; there are no tolerances.
 
-The operator-word checks (eigen, td_relations, r3l, sas_conjugation) run
-over Z with the `cleared_*` helpers of tdcore: each operand is cleared of
-denominators once, every product is the sparse kernel on integer numerators,
-and the two sides are compared exactly, in storage order, by cross-multiplying
-their common denominators.  Only a witness entry is built as a rational.
+Every matrix identity (the operator words, the inverse pairs, the block
+forms of `cob.block_tridiagonal_form`, biorthogonality) runs over Z with the
+`cleared_*` helpers of tdcore: each operand is cleared of denominators once,
+every product is the sparse kernel on integer numerators, and the two sides
+are compared exactly, in storage order, by cross-multiplying their common
+denominators.  Only a witness entry is built as a rational.
 
 Check names, in canonical report order:
 
@@ -20,8 +21,8 @@ Check names, in canonical report order:
                        mutated value visibly breaks them)
   r3l                  the triple commutator [R,[R,[R,L]]] collapses onto
                        R^2 times a level diagonal
-  block_structure      conjugated operators match the explicit block
-                       formulas with zero far blocks
+  block_structure      the explicit block formulas are the conjugated
+                       operators, with zero far blocks
   sas_conjugation      the antidiagonal involution swaps the operators up
                        to the parameter substitution
   overlap_consistency  every T route agrees; every U route agrees
@@ -166,15 +167,6 @@ class _Context:
         return _assemble_operator(self.params, "Astar")
 
     @cached_property
-    def A_cleared(self) -> tuple:
-        """A cleared of denominators, read by eigen, td_relations and sas_conjugation."""
-        return cleared(self.A)
-
-    @cached_property
-    def As_cleared(self) -> tuple:
-        return cleared(self.As)
-
-    @cached_property
     def S(self) -> ExactMatrix:
         return _assemble_operator(self.params, "S")
 
@@ -217,13 +209,13 @@ def _check_eigen(ctx: _Context):
                         "value": format_scalar(vals[u]),
                     }
     for X, family, starred, label in (
-        (ctx.A_cleared, ctx.MC, False, "A on its eigenbasis"),
-        (ctx.As_cleared, ctx.MD, True, "A* on its eigenbasis"),
+        (ctx.A, ctx.MC, False, "A on its eigenbasis"),
+        (ctx.As, ctx.MD, True, "A* on its eigenbasis"),
     ):
         M = cleared(family)
         dt = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight, starred=starred))
         diff = cleared_difference(
-            cleared_product(X, M), cleared_product(M, cleared(dt)), ctx.basis
+            cleared_product(cleared(X), M), cleared_product(M, cleared(dt)), ctx.basis
         )
         if diff is not None:
             return False, _entry_witness(diff, label)
@@ -231,16 +223,17 @@ def _check_eigen(ctx: _Context):
 
 
 def _check_inverse(ctx: _Context):
-    I = ExactMatrix.identity(ctx.basis)
-    w = _entry_witness((ctx.MC @ ctx.MCb).first_difference(I), "raising family inverse")
-    if w is None:
-        w = _entry_witness((ctx.MD @ ctx.MDb).first_difference(I), "lowering family inverse")
-    return w is None, w
+    I = cleared(ExactMatrix.identity(ctx.basis))
+    for fwd, inv, side in ((ctx.MC, ctx.MCb, "raising"), (ctx.MD, ctx.MDb, "lowering")):
+        diff = cleared_difference(cleared_product(cleared(fwd), cleared(inv)), I, ctx.basis)
+        if diff is not None:
+            return False, _entry_witness(diff, f"{side} family inverse")
+    return True, None
 
 
 def _check_td_relations(ctx: _Context, beta: FieldElement):
     p = ctx.params
-    A, As = ctx.A_cleared, ctx.As_cleared
+    A, As = cleared(ctx.A), cleared(ctx.As)
     gamma, rho = 2 * p.h, p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
     gamma_s = 2 * p.h_star
     rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
@@ -293,11 +286,11 @@ def _check_block_structure(ctx: _Context):
 def _check_sas(ctx: _Context):
     p, S = ctx.params, cleared(ctx.S)
     for X, starred, target, label in (
-        (ctx.A_cleared, False, "Astar", "involution on the raising side"),
-        (ctx.As_cleared, True, "A", "involution on the lowering side"),
+        (ctx.A, False, "Astar", "involution on the raising side"),
+        (ctx.As, True, "A", "involution on the lowering side"),
     ):
         other = _assemble_operator(substituted_for_involution(p, starred=starred), target)
-        lhs = cleared_product(cleared_product(S, X), S)
+        lhs = cleared_product(cleared_product(S, cleared(X)), S)
         diff = cleared_difference(lhs, cleared(other), ctx.basis)
         if diff is not None:
             return False, _entry_witness(diff, label)
@@ -328,10 +321,12 @@ def _check_overlap_consistency(ctx: _Context):
 
 
 def _check_biorthogonality(ctx: _Context):
-    # T by the product reads Cbar and D, U by the direct sum no coefficient
-    # table: a planted Cbar or D entry breaks T Uᵀ = I
-    mt, mu = ctx.table("T", "matrix_product"), ctx.table("U", "direct_sum")
-    diff = (mt @ mu.transpose()).first_difference(ExactMatrix.identity(ctx.basis))
+    # T Uᵀ = ((U Cbar) D)ᵀ with T = (Cbar D)ᵀ; U by the direct sum reads no
+    # coefficient table, so a planted Cbar or D entry breaks it
+    mu = cleared(ctx.table("U", "direct_sum"))
+    nums, den = cleared_product(cleared_product(mu, cleared(ctx.MCb)), cleared(ctx.MD))
+    tu = ({(c, r): v for (r, c), v in nums.items()}, den)
+    diff = cleared_difference(tu, cleared(ExactMatrix.identity(ctx.basis)), ctx.basis)
     w = _entry_witness(diff, "biorthogonality")
     return w is None, w
 

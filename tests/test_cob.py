@@ -463,9 +463,22 @@ class TestCoefficientKernel:
         assert (raised.value.k, raised.value.detail) == expect[:2]
 
 
+def _oracle_conjugate(params, which):
+    # fwd^-1 op fwd by a triangular solve: C is lower triangular in graded
+    # order and its mirror upper triangular, so A* on V(x) is solved on the
+    # mirrors
+    if which == "Astar_in_Vx":
+        fwd = coefficient_matrix(params, "C")
+        rhs = cob._mirrored(build_operator(params, "Astar") @ fwd)
+        return cob._mirrored(cob._mirrored(fwd).solve_upper_triangular(rhs))
+    fwd = coefficient_matrix(params, "D")
+    return fwd.solve_upper_triangular(build_operator(params, "A") @ fwd)
+
+
 class TestFiveTermBlockFormula:
     """The block formula on basis positions against the same formula on
-    multi-indices, term by term."""
+    multi-indices, term by term, and both forms against the conjugate by a
+    triangular solve."""
 
     @given(_shapes_to_18(), st.integers(min_value=0, max_value=10**6))
     @example(Shape((2, 2, 1)), 1)
@@ -477,6 +490,14 @@ class TestFiveTermBlockFormula:
             mc, mcb = coefficient_matrix(params, "C"), coefficient_matrix(params, "Cbar")
             got = cob._explicit_star_blocks(params, mc, mcb)
             assert _typed(got) == _typed(_oracle_star_blocks(params, mc, mcb))
+
+    @given(_shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((2, 2, 1)), 1)
+    @settings(max_examples=15, deadline=None)
+    def test_both_forms_are_the_solved_conjugate(self, shape, seed):
+        p = random_valid_parameters(shape, seed)
+        for which in cob.BLOCK_FORMS:
+            assert _typed(block_tridiagonal_form(p, which)) == _typed(_oracle_conjugate(p, which))
 
     @pytest.mark.parametrize("kind, which", [("Cbar", "Astar_in_Vx"), ("Dbar", "A_in_Vi")])
     def test_planted_inverse_entry_gives_the_oracle_violation(self, monkeypatch, kind, which):

@@ -318,46 +318,47 @@ class TestSharedCoefficientTables:
             cob.coefficient_matrix(cold, kind)
         assert cob._coefficient_table.cache_info().misses == 4
 
-    # planted family -> (checks that must fail, checks whose witness names
-    # the planted entry, with the identity each reports)
+    # planted family -> (exactly the checks that fail, checks whose witness
+    # names the planted entry, with the identity each reports)
     PLANTED = {
         "C": (
-            ("eigen", "inverse", "block_structure"),
-            {"eigen": "A on its eigenbasis"},
+            {"eigen", "inverse", "block_structure", "overlap_consistency"},
+            {"eigen": "A on its eigenbasis", "inverse": "raising family inverse"},
         ),
         "Cbar": (
-            ("inverse", "block_structure", "overlap_consistency", "biorthogonality"),
+            {"inverse", "block_structure", "overlap_consistency", "biorthogonality"},
             {"inverse": "raising family inverse"},
         ),
         "D": (
-            ("eigen", "inverse", "block_structure", "overlap_consistency", "biorthogonality"),
+            {"eigen", "inverse", "block_structure", "overlap_consistency", "biorthogonality"},
             {"eigen": "A* on its eigenbasis", "inverse": "lowering family inverse"},
         ),
         "Dbar": (
-            ("inverse", "block_structure"),
+            {"inverse", "block_structure"},
             {"inverse": "lowering family inverse"},
         ),
     }
 
     @pytest.mark.parametrize("kind", cob.COEFFICIENT_KINDS)
     def test_planted_coefficient_error_is_caught(self, cold, kind):
-        others = {k: cob.coefficient_matrix(cold, k) for k in cob.COEFFICIENT_KINDS}
-        table = cob._coefficient_table(cold, kind)
-        r, c = next(k for k in sorted(table.entries) if k[0] != k[1])
-        table.entries[(r, c)] += 1
-        # the tables of the other families are not views of the planted one
-        for k, before in others.items():
-            if k != kind:
-                assert cob.coefficient_matrix(cold, k) == before, k
-        report = run_suite(cold)
         failing, named = self.PLANTED[kind]
-        for name in failing:
-            assert report.result(name).passed is False, name
-        for name, identity in named.items():
-            witness = report.result(name).witness
-            assert witness["identity"] == identity
-            assert witness["row"] == format_multiindex(table.basis[r])
-            assert witness["col"] == format_multiindex(table.basis[c])
+        for p in (cold, random_valid_parameters(Shape((2, 2, 1)), 1)):
+            cob._coefficient_table.cache_clear()
+            others = {k: cob.coefficient_matrix(p, k) for k in cob.COEFFICIENT_KINDS}
+            table = cob._coefficient_table(p, kind)
+            r, c = next(k for k in sorted(table.entries) if k[0] != k[1])
+            table.entries[(r, c)] += 1
+            # the tables of the other families are not views of the planted one
+            for k, before in others.items():
+                if k != kind:
+                    assert cob.coefficient_matrix(p, k) == before, k
+            report = run_suite(p)
+            assert {res.check for res in report.results if res.passed is False} == failing, p.shape
+            for name, identity in named.items():
+                witness = report.result(name).witness
+                assert witness["identity"] == identity
+                assert witness["row"] == format_multiindex(table.basis[r])
+                assert witness["col"] == format_multiindex(table.basis[c])
 
     def test_limits_alone_builds_no_matrix(self, monkeypatch):
         def refuse(*args):
@@ -398,6 +399,31 @@ class TestOverlapTableMutation:
         assert consistency.witness["i"] == format_multiindex(i)
         assert consistency.witness["x"] == format_multiindex(x)
         assert report.result("biorthogonality").passed is True
+
+    # route table -> exactly the checks that fail.  biorthogonality reads U
+    # by the direct sum and Cbar and D, not the T matrix_product table, so
+    # that table is caught by the route comparison alone
+    ROUTE_FAILS = {
+        ("T", "direct_sum"): {"overlap_consistency"},
+        ("T", "matrix_product"): {"overlap_consistency"},
+        ("T", "shift_operator"): {"overlap_consistency"},
+        ("U", "direct_sum"): {"overlap_consistency", "biorthogonality"},
+        ("U", "shift_operator"): {"overlap_consistency"},
+        ("U", "linear_solve"): {"overlap_consistency"},
+    }
+
+    @pytest.mark.parametrize("which, method", list(ROUTE_FAILS))
+    def test_planted_route_entry_fails_exactly(self, monkeypatch, which, method):
+        planted = self._plant(monkeypatch, which, method)
+        for ell in ((3, 2), (2, 2, 1)):
+            planted.clear()
+            report = run_suite(random_valid_parameters(Shape(ell), 1))
+            (i, x), = planted
+            failed = {res.check for res in report.results if res.passed is False}
+            assert failed == self.ROUTE_FAILS[which, method], ell
+            witness = report.result("overlap_consistency").witness
+            assert witness["identity"] == f"{which} route agreement"
+            assert (witness["i"], witness["x"]) == (format_multiindex(i), format_multiindex(x))
 
     def test_planted_u_direct_sum_entry_breaks_biorthogonality(self, cold, monkeypatch):
         # T Uᵀ differs from I in column i
@@ -700,6 +726,19 @@ def _oracle_r3l(ctx):
     return _oracle_witness(lhs, (R @ R) @ level_factor, "triple commutator collapse")
 
 
+def _oracle_inverse(ctx):
+    I = ExactMatrix.identity(ctx.basis)
+    w = _oracle_witness(ctx.MC @ ctx.MCb, I, "raising family inverse")
+    if w is None:
+        w = _oracle_witness(ctx.MD @ ctx.MDb, I, "lowering family inverse")
+    return w
+
+
+def _oracle_biorthogonality(ctx):
+    mt, mu = ctx.table("T", "matrix_product"), ctx.table("U", "direct_sum")
+    return _oracle_witness(mt @ mu.transpose(), ExactMatrix.identity(ctx.basis), "biorthogonality")
+
+
 def _oracle_sas(ctx):
     p, S = ctx.params, ctx.S
     star_side = _assemble_operator(substituted_for_involution(p, starred=False), "Astar")
@@ -769,6 +808,28 @@ class TestWitnessParity:
                 failed.add(name)
         # the diagonal of A and A* is outside R and L
         assert failed == set(self.ORACLES) - ({"r3l"} if where == "diagonal" else set())
+
+    @pytest.mark.parametrize("planted", [*cob.COEFFICIENT_KINDS, "U"])
+    @pytest.mark.parametrize("ell", [(3, 2), (2, 2, 1)])
+    def test_planted_table_entry(self, cold, monkeypatch, ell, planted):
+        # one off-diagonal entry of a coefficient family, or of U by the
+        # direct sum, off by one; the oracles read the planted tables too
+        p = random_valid_parameters(Shape(ell), 1)
+        if planted == "U":
+            TestOverlapTableMutation._plant(monkeypatch, "U", "direct_sum")
+        else:
+            table = cob._coefficient_table(p, planted)
+            table.entries[next(k for k in sorted(table.entries) if k[0] != k[1])] += 1
+        failed = set()
+        for name, check, oracle in (
+            ("inverse", verify._check_inverse, _oracle_inverse),
+            ("biorthogonality", verify._check_biorthogonality, _oracle_biorthogonality),
+        ):
+            expected = oracle(verify._Context(p))
+            assert check(verify._Context(p)) == (expected is None, expected), name
+            if expected is not None:
+                failed.add(name)
+        assert failed
 
 
 class TestReportShape:
