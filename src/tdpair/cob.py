@@ -40,8 +40,9 @@ suite builds each family once.
 the explicit five-term block formula B (the only reader of Cbar and Dbar,
 each entry one common-denominator sum of its terms) and proves fwd B =
 op fwd over Z, fwd = M_C or M_D; fwd has a unit diagonal, so B is the
-conjugate without a triangular solve.  The eigen and inverse checks test
-the tables themselves against A and A*, assembled independently.
+conjugate without a triangular solve, and B is block tridiagonal by
+construction.  The eigen and inverse checks test the tables themselves
+against A and A*, assembled independently.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ COEFFICIENT_KINDS = ("C", "Cbar", "D", "Dbar")
 
 
 class StructureViolation(ArithmeticError):
-    """The two sides of fwd B = op fwd differ at an entry, or an entry of
-    the block form B lies outside the tridiagonal band of levels."""
+    """The two sides of fwd B = op fwd differ at an entry."""
 
     def __init__(self, row, col, lhs, rhs, detail: str = ""):
         self.row = row
@@ -254,9 +254,10 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
 
     "Astar_in_Vx" is A* over the V(x) basis, the B* with M_C B* = A* M_C;
     "A_in_Vi" is A over the V_i basis, the B with M_D B = A M_D.  Both sides
-    are products over Z, and every entry linking levels |row| and |col| with
-    ||row| - |col|| >= 2 must vanish; any discrepancy raises
-    StructureViolation, with the entries of fwd B and op fwd."""
+    are products over Z; a discrepancy raises StructureViolation, with the
+    entries of fwd B and op fwd.  B has no far blocks (no entry linking
+    levels two or more apart) by construction, and the identity makes B
+    the conjugate, so the conjugate is block tridiagonal."""
     if which not in BLOCK_FORMS:
         raise ValueError(f"unknown block form {which!r}; expected one of {BLOCK_FORMS}")
     report = validate_parameters(params)
@@ -280,11 +281,6 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
     )
     if diff is not None:
         raise StructureViolation(*diff, detail=f"{which}: {identity}")
-    for (r, c), v in form.entries.items():
-        if abs(form.basis[r].weight - form.basis[c].weight) >= 2:
-            raise StructureViolation(
-                form.basis[r], form.basis[c], v, Fraction(0), detail=f"{which}: far block"
-            )
     return form
 
 
