@@ -41,15 +41,16 @@ the explicit five-term block formula B (the only reader of Cbar and Dbar,
 each entry one common-denominator sum of its terms) and proves fwd B =
 op fwd over Z, fwd = M_C or M_D; fwd has a unit diagonal, so B is the
 conjugate without a triangular solve, and B is block tridiagonal by
-construction.  The eigen and inverse checks test the tables themselves
-against A and A*, assembled independently.
+construction.  It reads xi* from `tdcore._xi_kernel`, which also assembles
+A and A*; the eigen and inverse checks test the tables themselves against
+A and A*, assembled independently of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Sequence
@@ -68,13 +69,13 @@ from .tdcore import (
     InvalidParameters,
     TDParameters,
     _assemble_operator,
+    _xi_kernel,
     cleared,
     cleared_difference,
     cleared_product,
     eigenvalue,
     substituted_for_involution,
     validate_parameters,
-    xi,
 )
 
 __all__ = [
@@ -290,9 +291,9 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
 
     The formula runs on basis positions: plus[p][k] and minus[p][k] are the
     positions of basis[k] +- e_p, or `out` outside the box, theta*_w is kept
-    per level and xi*_{n,p} per (position, p).  Every term is a product of
-    pairs, and each entry is one sum of its terms over their common
-    denominator."""
+    per level and xi*_{n,p} per (position, p), a `tdcore._xi_kernel` pair.
+    Every term is a product of pairs, and each entry is one sum of its terms
+    over their common denominator."""
     basis = enumerate_box(params.shape)
     N = params.N
     m = ExactMatrix(basis)
@@ -303,7 +304,8 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
 
     plus, minus = [moved(p, 1) for p in range(N)], [moved(p, -1) for p in range(N)]
     ths = [_pair(eigenvalue(params, w, starred=True)) for w in range(params.diameter + 1)]
-    xs = cache(lambda k, p: _pair(xi(params, basis[k], p + 1, starred=True)))
+    xi_star = _xi_kernel(params, True)
+    xs = [[xi_star(x, p) for p in range(N)] for x in basis]
     cp = {key: _pair(v) for key, v in mc.entries.items()}
     cbp = {key: _pair(v) for key, v in mcb.entries.items()}
     terms: dict[tuple[int, int], list] = {}
@@ -320,7 +322,7 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
         for p in range(N):
             yk = minus[p][xk]
             if yk != out:
-                put(yk, xk, xs(yk, p))
+                put(yk, xk, xs[yk][p])
             yk = plus[p][xk]
             if (yk, xk) in cbp:
                 put(yk, xk, ths[w], cbp[(yk, xk)])
@@ -332,9 +334,9 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
                 yk = xk if p == q else minus[q][plus[p][xk]]
                 xmq, xpp = minus[q][xk], plus[p][xk]
                 if yk != out and (yk, xmq) in cbp:
-                    put(yk, xk, xs(xmq, q), cbp[(yk, xmq)])
+                    put(yk, xk, xs[xmq][q], cbp[(yk, xmq)])
                 if yk != out and (xpp, xk) in cp:
-                    put(yk, xk, xs(yk, q), cp[(xpp, xk)])
+                    put(yk, xk, xs[yk][q], cp[(xpp, xk)])
                 for r in range(p, N):
                     # y = x + e_p + e_r - e_q, summed over x <= n <= x + e_p + e_r
                     # with n and n - e_q in the box; x + e_p + e_r may lie
@@ -351,7 +353,7 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
                     for nk in ns:
                         nm = minus[q][nk]
                         if (nk, xk) in cp and (yk, nm) in cbp:
-                            put(yk, xk, xs(nm, q), cp[(nk, xk)], cbp[(yk, nm)])
+                            put(yk, xk, xs[nm][q], cp[(nk, xk)], cbp[(yk, nm)])
     for key, pairs in terms.items():
         scaled, den = over_common_denominator(*zip(*pairs))
         v = pair_value(sum(scaled), den)

@@ -10,6 +10,9 @@ and the off-diagonal data are the xi coefficients defined below.  A raises
 the level by one, A* lowers it by one; terms that would leave the box are
 dropped (the out-of-box index stands for the zero vector).
 
+xi and xi* are written once, as the int pair of `_xi_kernel`; the public
+`xi`, the operator assembly and the five-term formula of `cob` read it.
+
 Validity of a parameter set means three constraint families hold:
 
   cond1   h and h* nonzero; omega, omega* outside {-2|ell|+1, ..., -1}
@@ -33,6 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from .exactfield import (
     FieldElement,
+    _pair,
     as_integer,
     format_scalar,
     over_common_denominator,
@@ -43,13 +47,9 @@ from .multiindex import (
     IndexOutOfRange,
     MultiIndex,
     Shape,
-    add,
     enumerate_box,
     format_multiindex,
     in_box,
-    partial_sum,
-    sub,
-    unit,
 )
 from .report import CheckResult, VerificationReport
 
@@ -189,19 +189,39 @@ def xi(params: TDParameters, n: Sequence[int], p: int, starred: bool = False) ->
 
     xi_{n,p}  = h  (|n|_1^{p-1} + |n|_1^p + |ell|_p^N     + a_p + omega ) n_p
     xi*_{n,p} = h* (|n|_1^{p-1} + |n|_1^p + |ell|_{p+1}^N - a_p + omega*) (n_p - ell_p)
-    """
+
+    Its value is that of the `_xi_kernel` pair."""
     shape = params.shape
     if not 1 <= p <= shape.N:
         raise IndexOutOfRange(f"coordinate {p} outside 1..{shape.N}")
     if not in_box(n, shape):
         raise IndexOutOfRange(f"index {tuple(n)} outside the box of {shape!r}")
-    ell = shape.ell
-    head = partial_sum(n, 1, p - 1) + partial_sum(n, 1, p)
+    return pair_value(*_xi_kernel(params, starred)(n, p - 1))
+
+
+def _xi_kernel(params: TDParameters, starred: bool) -> Callable[[tuple, int], tuple]:
+    """xi_{t,p}, or xi*_{t,p} when starred, as a pair linear in t: the
+    function (t, p) -> (h_n ((2|t|_1^{p-1} + t_p) c_d + c_n) m_p, h_d c_d)
+    of a box index t and a 0-based coordinate p.  (h_n, h_d) is the pair of
+    h (h*), (c_n, c_d) that of c_p = |ell|_p^N + a_p + omega
+    (|ell|_{p+1}^N - a_p + omega*), taken once per p, and m_p = t_p
+    (t_p - ell_p).  A Q(t) parameter rides as the pair (value, 1)."""
+    ell = params.ell
     if starred:
-        factor = head + partial_sum(ell, p + 1, shape.N) - params.a[p - 1] + params.omega_star
-        return params.h_star * factor * (n[p - 1] - ell[p - 1])
-    factor = head + partial_sum(ell, p, shape.N) + params.a[p - 1] + params.omega
-    return params.h * factor * n[p - 1]
+        h, lows = params.h_star, ell
+        cs = [sum(ell[p + 1 :]) - ap + params.omega_star for p, ap in enumerate(params.a)]
+    else:
+        h, lows = params.h, (0,) * len(ell)
+        cs = [sum(ell[p:]) + ap + params.omega for p, ap in enumerate(params.a)]
+    hn, hd = _pair(h)
+    consts = [(*_pair(c), lo) for c, lo in zip(cs, lows)]
+
+    def kernel(t: tuple, p: int) -> tuple:
+        cn, cd, lo = consts[p]
+        tp = t[p]
+        return hn * ((2 * sum(t[:p]) + tp) * cd + cn) * (tp - lo), hd * cd
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +545,6 @@ class ExactMatrix:
     def item(self, r: int, c: int) -> FieldElement:
         return self.entries.get((r, c), Fraction(0))
 
-    def column(self, col: MultiIndex) -> dict[MultiIndex, FieldElement]:
-        c = self.pos[col]
-        return {self.basis[r]: v for (r, cc), v in self.entries.items() if cc == c}
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -537,14 +553,13 @@ class ExactMatrix:
     def __hash__(self):
         raise TypeError("ExactMatrix is not hashable")
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
-
     def first_difference(self, other: "ExactMatrix"):
         """(row index, col index, self value, other value) of the first
-        differing entry in storage order, or None when equal."""
-        keys = sorted(set(self.entries) | set(other.entries))
-        for r, c in keys:
+        differing entry in storage order, or None when equal.  The walk runs
+        only when the entry dicts differ (a stored zero is no difference)."""
+        if self.entries == other.entries:
+            return None
+        for r, c in sorted(self.entries.keys() | other.entries.keys()):
             a, b = self.item(r, c), other.item(r, c)
             if a != b:
                 return (self.basis[r], self.basis[c], a, b)
@@ -555,28 +570,6 @@ class ExactMatrix:
     def _check_same_basis(self, other: "ExactMatrix"):
         if self.basis != other.basis:
             raise ValueError("matrices over different bases")
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_basis(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ExactMatrix(self.basis, out)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_basis(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return ExactMatrix(self.basis, out)
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.basis, {k: -v for k, v in self.entries.items()})
-
-    def scale(self, s: FieldElement) -> "ExactMatrix":
-        if s == 0:
-            return ExactMatrix(self.basis)
-        return ExactMatrix(self.basis, {k: s * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Entry (r, c) is the `_line_product` sum of numerator products over
@@ -594,9 +587,6 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.basis, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self @ other - other @ self
 
     def off_diagonal_part(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -673,31 +663,38 @@ class ExactMatrix:
 
 
 def _assemble_operator(params: TDParameters, which: str) -> ExactMatrix:
-    """Build the operator matrix without re-validating the parameters."""
+    """Build the operator matrix without re-validating the parameters.
+
+    The walk runs on tuples: each column n reaches its targets t = n +- e_p
+    by replacing one coordinate, checked against its own bound.  theta (or
+    theta*) is read once per level, and each off-diagonal entry is the value
+    of one `_xi_kernel` pair.  S is the reversal of the graded order."""
     shape = params.shape
     basis = enumerate_box(shape)
     m = ExactMatrix(basis)
-    N = shape.N
     if which == "S":
-        for n in basis:
-            mirrored = MultiIndex(sub(shape.ell, n))
-            m.entries[(m.pos[mirrored], m.pos[n])] = Fraction(1)
+        last = len(basis) - 1
+        m.entries = {(last - c, c): Fraction(1) for c in range(len(basis))}
         return m
-    diagonal = which in ("A", "Astar")
+    entries, pos = m.entries, m.pos
     starred = which in ("Astar", "L")
-    for n in basis:
-        c = m.pos[n]
-        if diagonal:
-            v = eigenvalue(params, n.weight, starred=starred)
+    levels = range(shape.diameter + 1) if which in ("A", "Astar") else ()
+    thetas = [eigenvalue(params, w, starred=starred) for w in levels]
+    kernel = _xi_kernel(params, starred)
+    step = -1 if starred else 1
+    for c, n in enumerate(basis):
+        if thetas:
+            v = thetas[sum(n)]
             if v != 0:
-                m.entries[(c, c)] = v
-        for p in range(1, N + 1):
-            target = sub(n, unit(p, N)) if starred else add(n, unit(p, N))
-            if not in_box(target, shape):
+                entries[(c, c)] = v
+        for p, lp in enumerate(shape.ell):
+            tp = n[p] + step
+            if not 0 <= tp <= lp:
                 continue
-            coeff = xi(params, target, p, starred=starred)
-            if coeff != 0:
-                m.entries[(m.pos[MultiIndex(target)], c)] = coeff
+            t = n[:p] + (tp,) + n[p + 1 :]
+            u, v = kernel(t, p)
+            if u != 0:
+                entries[(pos[t], c)] = pair_value(u, v)
     return m
 
 

@@ -1,0 +1,50 @@
+"""Entrywise sums, scalings and commutators of ExactMatrix objects.
+
+The package proves its operator identities on matrices cleared of
+denominators (`tdcore.cleared_product`, `cleared_combination`) and never adds
+two ExactMatrix objects; the tests write their oracle words with these.
+"""
+
+from fractions import Fraction
+
+from tdpair.tdcore import ExactMatrix
+
+
+def plus(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    a._check_same_basis(b)
+    out = dict(a.entries)
+    for k, v in b.entries.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return ExactMatrix(a.basis, out)
+
+
+def minus(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    a._check_same_basis(b)
+    out = dict(a.entries)
+    for k, v in b.entries.items():
+        out[k] = out.get(k, Fraction(0)) - v
+    return ExactMatrix(a.basis, out)
+
+
+def negated(a: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.basis, {k: -v for k, v in a.entries.items()})
+
+
+def scaled(a: ExactMatrix, s) -> ExactMatrix:
+    if s == 0:
+        return ExactMatrix(a.basis)
+    return ExactMatrix(a.basis, {k: s * v for k, v in a.entries.items()})
+
+
+def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return minus(a @ b, b @ a)
+
+
+def all_zero(a: ExactMatrix) -> bool:
+    return all(v == 0 for v in a.entries.values())
+
+
+def column(a: ExactMatrix, col) -> dict:
+    """Column col as {row index: value}, stored entries only."""
+    c = a.pos[col]
+    return {a.basis[r]: v for (r, cc), v in a.entries.items() if cc == c}

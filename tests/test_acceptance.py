@@ -31,6 +31,8 @@ from tdpair.tdcore import (
 )
 from tdpair.verify import random_valid_parameters
 
+from matrix_ops import all_zero, commutator, minus, plus, scaled
+
 SWEEP_SHAPES = (
     (1,),
     (2,),
@@ -96,8 +98,8 @@ def test_criterion_02_inverse_pairs():
 
 def _cubic_combination(X, Y, beta, gamma, rho):
     # X^2 Y - beta X Y X + Y X^2 - gamma (XY + YX) - rho Y
-    out = (X @ X @ Y) - (X @ Y @ X).scale(beta) + (Y @ X @ X)
-    return out - ((X @ Y) + (Y @ X)).scale(gamma) - Y.scale(rho)
+    out = plus(minus(X @ X @ Y, scaled(X @ Y @ X, beta)), Y @ X @ X)
+    return minus(minus(out, scaled(plus(X @ Y, Y @ X), gamma)), scaled(Y, rho))
 
 
 def test_criterion_03_tridiagonal_relations_and_mutation():
@@ -109,8 +111,8 @@ def test_criterion_03_tridiagonal_relations_and_mutation():
         rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
         p1 = _cubic_combination(m.A, m.As, beta, 2 * p.h, rho)
         p2 = _cubic_combination(m.As, m.A, beta, 2 * p.h_star, rho_s)
-        assert m.A.commutator(p1).is_zero(), m.tag
-        assert m.As.commutator(p2).is_zero(), m.tag
+        assert all_zero(commutator(m.A, p1)), m.tag
+        assert all_zero(commutator(m.As, p2)), m.tag
     # mutating beta to 3 must break the relation on the reference instance
     ref = TDParameters(
         shape=Shape((1,)),
@@ -127,8 +129,8 @@ def test_criterion_03_tridiagonal_relations_and_mutation():
     rho = ref.h * (ref.h * (ref.omega**2 - 1) - 4 * ref.theta0)
     good = _cubic_combination(A, As, F(2), 2 * ref.h, rho)
     mutated = _cubic_combination(A, As, F(3), 2 * ref.h, rho)
-    assert A.commutator(good).is_zero()
-    assert not A.commutator(mutated).is_zero()
+    assert all_zero(commutator(A, good))
+    assert not all_zero(commutator(A, mutated))
 
 
 def test_criterion_04_triple_commutator():
@@ -137,7 +139,7 @@ def test_criterion_04_triple_commutator():
         p = m.params
         R = m.A.off_diagonal_part()
         L = m.As.off_diagonal_part()
-        lhs = R.commutator(R.commutator(R.commutator(L)))
+        lhs = commutator(R, commutator(R, commutator(R, L)))
         level_factor = ExactMatrix.diagonal(
             m.basis,
             lambda mi: -6

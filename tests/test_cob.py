@@ -4,7 +4,6 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -46,9 +45,11 @@ from tdpair.tdcore import (
     build_operator,
     eigenvalue,
     substituted_for_involution,
-    xi,
 )
 from tdpair.verify import random_valid_parameters, run_suite
+
+from matrix_ops import column
+from operator_oracle import oracle_xi, shapes_to_18
 
 F = Fraction
 
@@ -232,7 +233,7 @@ class TestBlockTridiagonalForm:
     def test_lowering_operator_blocks(self):
         m = block_tridiagonal_form(_params_2d(), "Astar_in_Vx")
         n00, n01, n10, n11 = (MultiIndex(v) for v in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        assert m.column(n11) == {
+        assert column(m, n11) == {
             n01: F(-111, 35),
             n10: F(-318, 55),
             n11: F(1396189, 889350),
@@ -243,7 +244,7 @@ class TestBlockTridiagonalForm:
     def test_raising_operator_blocks(self):
         m = block_tridiagonal_form(_params_2d(), "A_in_Vi")
         n00, n01, n10, n11 = (MultiIndex(v) for v in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        assert m.column(n00) == {
+        assert column(m, n00) == {
             n00: F(673291, 106722),
             n01: F(172, 33),
             n10: F(146, 21),
@@ -345,7 +346,7 @@ def _oracle_star_blocks(params, mc, mcb):
     def ths(j):
         return eigenvalue(params, j, starred=True)
 
-    xs = cache(lambda n, p: xi(params, n, p, starred=True))
+    xs = cache(lambda n, p: oracle_xi(params, n, p, starred=True))
     cC, cCb = mc.entry, mcb.entry
 
     for x in basis:
@@ -385,20 +386,6 @@ def _oracle_star_blocks(params, mc, mcb):
     return m
 
 
-@st.composite
-def _shapes_to_18(draw):
-    # every shape of at most 4 coordinates and 18 basis elements; each ell_p
-    # is drawn within the room the later coordinates leave (a factor of at
-    # least 2 each), so no draw is filtered out
-    n_coords = draw(st.integers(min_value=1, max_value=4))
-    ell, room = [], 18
-    for later in range(n_coords - 1, -1, -1):
-        ell.append(draw(st.integers(min_value=1, max_value=room // 2**later - 1)))
-        room //= ell[-1] + 1
-    assert prod(v + 1 for v in ell) <= 18
-    return Shape(tuple(ell))
-
-
 def _typed(m):
     return {k: (type(v), v) for k, v in m.entries.items()}
 
@@ -420,7 +407,7 @@ def _assert_kernel_matches_oracle(params, kinds=COEFFICIENT_KINDS):
 class TestCoefficientKernel:
     """The one table kernel against the per-entry product formulas."""
 
-    @given(_shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
     @example(Shape((2, 2, 1)), 1)
     @example(Shape((1, 1, 1, 1)), 2)
     @settings(max_examples=15, deadline=None)
@@ -480,7 +467,7 @@ class TestFiveTermBlockFormula:
     multi-indices, term by term, and both forms against the conjugate by a
     triangular solve."""
 
-    @given(_shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
     @example(Shape((2, 2, 1)), 1)
     @example(Shape((1, 1, 1, 1)), 2)
     @settings(max_examples=15, deadline=None)
@@ -491,7 +478,7 @@ class TestFiveTermBlockFormula:
             got = cob._explicit_star_blocks(params, mc, mcb)
             assert _typed(got) == _typed(_oracle_star_blocks(params, mc, mcb))
 
-    @given(_shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
     @example(Shape((2, 2, 1)), 1)
     @settings(max_examples=15, deadline=None)
     def test_both_forms_are_the_solved_conjugate(self, shape, seed):

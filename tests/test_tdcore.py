@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdpair.exactfield import RationalFunction, as_integer, rational, variable_t
@@ -12,6 +12,7 @@ from tdpair.multiindex import IndexOutOfRange, MultiIndex, Shape, enumerate_box
 from tdpair.tdcore import (
     ExactMatrix,
     InvalidParameters,
+    OPERATOR_NAMES,
     StringSet,
     TDParameters,
     _assemble_operator,
@@ -31,6 +32,10 @@ from tdpair.tdcore import (
     validate_parameters,
     xi,
 )
+from tdpair.verify import random_valid_parameters
+
+from matrix_ops import all_zero, column, commutator, minus, negated, plus, scaled
+from operator_oracle import oracle_operator, oracle_xi, shapes_to_18
 
 F = Fraction
 
@@ -126,26 +131,26 @@ class TestOperatorAssembly:
         A = build_operator(p, "A")
         As = build_operator(p, "Astar")
         v0, v1 = MultiIndex((0,)), MultiIndex((1,))
-        assert A.column(v0) == {v1: F(3)}
-        assert A.column(v1) == {v1: F(1)}
-        assert As.column(v0) == {}
-        assert As.column(v1) == {v0: F(1), v1: F(1)}
+        assert column(A, v0) == {v1: F(3)}
+        assert column(A, v1) == {v1: F(1)}
+        assert column(As, v0) == {}
+        assert column(As, v1) == {v0: F(1), v1: F(1)}
 
     def test_two_coordinate_raising_columns(self):
         A = build_operator(_params_2d(), "A")
         n00, n01, n10, n11 = (MultiIndex(v) for v in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        assert A.column(n00) == {n00: F(1, 2), n01: F(172, 33), n10: F(146, 21)}
-        assert A.column(n01) == {n01: F(19, 6), n11: F(146, 21)}
-        assert A.column(n10) == {n10: F(19, 6), n11: F(304, 33)}
-        assert A.column(n11) == {n11: F(59, 6)}
+        assert column(A, n00) == {n00: F(1, 2), n01: F(172, 33), n10: F(146, 21)}
+        assert column(A, n01) == {n01: F(19, 6), n11: F(146, 21)}
+        assert column(A, n10) == {n10: F(19, 6), n11: F(304, 33)}
+        assert column(A, n11) == {n11: F(59, 6)}
 
     def test_two_coordinate_lowering_columns(self):
         As = build_operator(_params_2d(), "Astar")
         n00, n01, n10, n11 = (MultiIndex(v) for v in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        assert As.column(n00) == {n00: F(-1, 3)}
-        assert As.column(n01) == {n00: F(12, 55), n01: F(49, 15)}
-        assert As.column(n10) == {n00: F(-111, 35), n10: F(49, 15)}
-        assert As.column(n11) == {n01: F(-111, 35), n10: F(-318, 55), n11: F(193, 15)}
+        assert column(As, n00) == {n00: F(-1, 3)}
+        assert column(As, n01) == {n00: F(12, 55), n01: F(49, 15)}
+        assert column(As, n10) == {n00: F(-111, 35), n10: F(49, 15)}
+        assert column(As, n11) == {n01: F(-111, 35), n10: F(-318, 55), n11: F(193, 15)}
 
     def test_split_parts(self):
         p = _params_2d()
@@ -157,10 +162,10 @@ class TestOperatorAssembly:
         assert L == As.off_diagonal_part()
         # the diagonal entries are the eigenvalues at each level
         basis = A.basis
-        assert A == ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight)) + R
-        assert As == ExactMatrix.diagonal(
-            basis, lambda m: eigenvalue(p, m.weight, starred=True)
-        ) + L
+        assert A == plus(ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight)), R)
+        assert As == plus(
+            ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight, starred=True)), L
+        )
 
     def test_antidiagonal_involution(self):
         p = _params_2d()
@@ -168,7 +173,7 @@ class TestOperatorAssembly:
         basis = enumerate_box(p.shape)
         assert S @ S == ExactMatrix.identity(basis)
         n01, n10 = MultiIndex((0, 1)), MultiIndex((1, 0))
-        assert S.column(n01) == {n10: F(1)}
+        assert column(S, n01) == {n10: F(1)}
 
     def test_conjugation_by_involution(self):
         # S A S matches the lowering assembly at substituted parameters,
@@ -198,6 +203,55 @@ class TestOperatorAssembly:
         with pytest.raises(InvalidParameters) as exc:
             build_operator(bad, "A")
         assert exc.value.report.result("cond1").passed is False
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except IndexOutOfRange:
+        return IndexOutOfRange
+    return type(v), v
+
+
+def _listed(m):
+    # entries with their types, in insertion order
+    return [(k, type(v), v) for k, v in m.entries.items()]
+
+
+class TestAssemblyOracle:
+    """The int-pair xi kernel against the per-entry Fraction oracle: every
+    entry of A, A*, R, L and S, with its type and in insertion order, and xi
+    and xi* at every (n, p) with the out-of-range cases, over Q and at both
+    Q(t) substitutions of the limits check."""
+
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((2, 2, 1)), 1)
+    @example(Shape((1, 1, 1, 1, 1, 1, 1)), 1)
+    @settings(max_examples=25, deadline=None)
+    def test_kernel_matches_the_oracle(self, shape, seed):
+        p = random_valid_parameters(shape, seed)
+        t = variable_t()
+        N = shape.N
+        beyond = [
+            n[:q] + (v,) + n[q + 1 :]
+            for n in ((0,) * N, shape.ell)
+            for q in range(N)
+            for v in (-1, shape.ell[q] + 1)
+        ]
+        indices = enumerate_box(shape) + beyond + [(0,) * (N + 1)]
+        for q in (
+            p,
+            replace(p, h_star=p.h_star * t, omega_star=1 / t),
+            replace(p, h=p.h * t, omega=1 / t),
+        ):
+            for which in OPERATOR_NAMES:
+                assert _listed(_assemble_operator(q, which)) == _listed(oracle_operator(q, which))
+            for n in indices:
+                for k in range(N + 2):
+                    for starred in (False, True):
+                        assert _outcome(xi, q, n, k, starred) == _outcome(
+                            oracle_xi, q, n, k, starred
+                        ), (n, k, starred)
 
 
 class TestValidation:
@@ -394,13 +448,13 @@ class TestExactMatrix:
         p = _params_2d()
         A = build_operator(p, "A")
         As = build_operator(p, "Astar")
-        assert A.commutator(As) == -(As.commutator(A))
-        assert A.commutator(A).is_zero()
+        assert commutator(A, As) == negated(commutator(As, A))
+        assert all_zero(commutator(A, A))
 
     def test_scale(self):
         A = build_operator(_params_2d(), "A")
-        assert A.scale(F(0)).is_zero()
-        assert A.scale(F(2)) == A + A
+        assert all_zero(scaled(A, F(0)))
+        assert scaled(A, F(2)) == plus(A, A)
 
     def test_mixed_bases_rejected(self):
         a = ExactMatrix.identity(enumerate_box(Shape((1,))))
@@ -416,6 +470,10 @@ class TestExactMatrix:
         assert (row, col) == (basis[1], basis[1])
         assert (lhs, rhs) == (F(1), F(2))
         assert a.first_difference(a) is None
+        # a stored zero makes the entry dicts differ; the walk finds no witness
+        c = ExactMatrix.identity(basis)
+        c.entries[(0, 1)] = F(0)
+        assert a.first_difference(c) is None and c.first_difference(a) is None
 
     def test_solve_upper_triangular(self):
         basis = self._basis()
@@ -645,8 +703,11 @@ class TestClearedMatrices:
         for got, want in (
             (cleared_product(x, y), a @ b),
             (cleared_product(y, x), b @ a),
-            (cleared_commutator(x, y), a.commutator(b)),
-            (cleared_combination([(s, x), (-1, y), (F(1, 3), x)]), a.scale(s) - b + a.scale(F(1, 3))),
+            (cleared_commutator(x, y), commutator(a, b)),
+            (
+                cleared_combination([(s, x), (-1, y), (F(1, 3), x)]),
+                plus(minus(scaled(a, s), b), scaled(a, F(1, 3))),
+            ),
         ):
             assert cleared_difference(got, cleared(want), _BASIS6) is None
             assert ExactMatrix(_BASIS6, {k: v * F(1, got[1]) for k, v in got[0].items()}) == want

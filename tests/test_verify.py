@@ -34,6 +34,8 @@ from tdpair.verify import (
     run_suite,
 )
 
+from matrix_ops import commutator, minus, plus, scaled
+
 
 def _params_1d() -> TDParameters:
     return TDParameters(
@@ -170,9 +172,9 @@ class TestBetaMutation:
             (A, As, 2 * p.h, rho, "plain cubic relation"),
             (As, A, 2 * p.h_star, rho_s, "starred cubic relation"),
         ):
-            P = (X @ X @ Y) - (X @ Y @ X).scale(beta) + (Y @ X @ X)
-            P = P - ((X @ Y) + (Y @ X)).scale(gamma) - Y.scale(r)
-            diff = X.commutator(P).first_difference(zero)
+            P = plus(minus(X @ X @ Y, scaled(X @ Y @ X, beta)), Y @ X @ X)
+            P = minus(minus(P, scaled(plus(X @ Y, Y @ X), gamma)), scaled(Y, r))
+            diff = commutator(X, P).first_difference(zero)
             if diff is not None:
                 row, col, lhs, rhs = diff
                 return {
@@ -705,20 +707,20 @@ def _oracle_td_relations(ctx, beta):
     gamma_s = 2 * p.h_star
     rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
     AAs, AsA = A @ As, As @ A
-    P1 = (A @ AAs) - (AAs @ A).scale(beta) + (AsA @ A)
-    P1 = P1 - (AAs + AsA).scale(gamma) - As.scale(rho)
+    P1 = plus(minus(A @ AAs, scaled(AAs @ A, beta)), AsA @ A)
+    P1 = minus(minus(P1, scaled(plus(AAs, AsA), gamma)), scaled(As, rho))
     zero = ExactMatrix.zero(ctx.basis)
-    w = _oracle_witness(A.commutator(P1), zero, "plain cubic relation")
+    w = _oracle_witness(commutator(A, P1), zero, "plain cubic relation")
     if w is None:
-        P2 = (As @ AsA) - (AsA @ As).scale(beta) + (AAs @ As)
-        P2 = P2 - (AsA + AAs).scale(gamma_s) - A.scale(rho_s)
-        w = _oracle_witness(As.commutator(P2), zero, "starred cubic relation")
+        P2 = plus(minus(As @ AsA, scaled(AsA @ As, beta)), AAs @ As)
+        P2 = minus(minus(P2, scaled(plus(AsA, AAs), gamma_s)), scaled(A, rho_s))
+        w = _oracle_witness(commutator(As, P2), zero, "starred cubic relation")
     return w
 
 
 def _oracle_r3l(ctx):
     p, R, L = ctx.params, ctx.R, ctx.L
-    lhs = R.commutator(R.commutator(R.commutator(L)))
+    lhs = commutator(R, commutator(R, commutator(R, L)))
     level_factor = ExactMatrix.diagonal(
         ctx.basis,
         lambda m: -6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4),
