@@ -25,36 +25,24 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cob import COEFFICIENT_KINDS, coefficient_matrix
 from .exactfield import rational
-from .multiindex import Shape, enumerate_box
-from .overlap import (
-    LIMIT_KINDS,
-    T_METHODS,
-    U_METHODS,
-    overlap_limit_kind,
-    overlap_table,
-)
+from .multiindex import Shape
+from .overlap import LIMIT_KINDS, T_METHODS, U_METHODS, _limit_kind_table, overlap_table
 from .report import VerificationReport
 from .tdcore import (
     ExactMatrix,
     InvalidParameters,
     OPERATOR_NAMES,
     TDParameters,
+    _ensure_valid,
     build_operator,
     parameters_from_json_obj,
     validate_parameters,
 )
-from .verify import (
-    CHECK_NAMES,
-    DEFAULT_CHECKS,
-    SamplingExhausted,
-    random_valid_parameters,
-    run_suite,
-)
+from .verify import CHECK_NAMES, SamplingExhausted, random_valid_parameters, run_suite
 
 __all__ = ["main"]
 
@@ -304,9 +292,7 @@ def _cmd_build(args) -> tuple[str, int]:
     if args.operator in OPERATOR_NAMES:
         m = build_operator(params, args.operator)
     else:
-        report = validate_parameters(params)
-        if not report.passed:
-            raise InvalidParameters(report)
+        _ensure_valid(params)
         m = coefficient_matrix(params, args.operator)
     return _emit_matrix(m, args.format), 0
 
@@ -355,11 +341,7 @@ def _cmd_overlap(args) -> tuple[str, int]:
     params = _load_parameters(args)
     tables: list[tuple[str, ExactMatrix]] = []
     if args.kind != "racah":
-        basis = enumerate_box(params.shape)
-        m = ExactMatrix.from_function(
-            basis, lambda i, x: overlap_limit_kind(params, args.kind, i, x)
-        )
-        tables.append((f"T {args.kind}", m))
+        tables.append((f"T {args.kind}", _limit_kind_table(params, args.kind)))
     else:
         for which in which_list:
             methods = (

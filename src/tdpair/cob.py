@@ -66,16 +66,15 @@ from .exactfield import (
 from .multiindex import IndexOutOfRange, enumerate_box, in_box
 from .tdcore import (
     ExactMatrix,
-    InvalidParameters,
     TDParameters,
     _assemble_operator,
+    _ensure_valid,
     _xi_kernel,
     cleared,
     cleared_difference,
     cleared_product,
     eigenvalue,
     substituted_for_involution,
-    validate_parameters,
 )
 
 __all__ = [
@@ -241,9 +240,7 @@ def eigenbasis_matrix(params: TDParameters, which: str) -> ExactMatrix:
     """
     if which not in EIGENBASIS_NAMES:
         raise ValueError(f"unknown eigenbasis {which!r}; expected one of {EIGENBASIS_NAMES}")
-    report = validate_parameters(params)
-    if not report.passed:
-        raise InvalidParameters(report)
+    _ensure_valid(params)
     return coefficient_matrix(params, "C" if which == "A_basis" else "D")
 
 
@@ -261,9 +258,7 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
     the conjugate, so the conjugate is block tridiagonal."""
     if which not in BLOCK_FORMS:
         raise ValueError(f"unknown block form {which!r}; expected one of {BLOCK_FORMS}")
-    report = validate_parameters(params)
-    if not report.passed:
-        raise InvalidParameters(report)
+    _ensure_valid(params)
     if which == "Astar_in_Vx":
         fwd = coefficient_matrix(params, "C")
         form = _explicit_star_blocks(params, fwd, coefficient_matrix(params, "Cbar"))

@@ -32,8 +32,14 @@ one line per row and one per column, each built once over one common
 denominator, and over Q one integer dot product per entry (`_dot_table`).
 Each route keeps its own term formula; the line-and-dot helper is a shared
 primitive like `over_common_denominator`, and the matrix routes do not use
-it.  Parameters enter as integer pairs (n, d) (`_pair`).  `overlap_T` and
-`overlap_U` run the table kernel on one entry.  Each matrix route has one
+it.  Parameters enter as integer pairs (n, d) (`_pair`).
+
+Every formula is one table kernel (params, rows, cols) -> rows of values,
+and a pointwise function runs its kernel on one entry: `overlap_T` and
+`overlap_U` the route kernels, `overlap_limit_kind` the degenerate kinds
+(`_hahn_table`, `_krawtchouk_table`) and `univariate_t_racah` the shift
+product, which at N = 1 is the single Racah factor at unit argument.  Only
+the two univariate U forms are written pointwise.  Each matrix route has one
 implementation: T = (M_Cbar M_D)^T is one product and U = M_D^{-1} M_C one
 back-substitution, and a single entry runs the same code on the one column
 of M_D (for T) or of M_C (for U) that it reads.
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, factorial, perm, prod
 from operator import mul
@@ -70,12 +75,7 @@ from .multiindex import (
     in_box,
 )
 from .cob import _swapped, coefficient_matrix
-from .tdcore import (
-    ExactMatrix,
-    InvalidParameters,
-    TDParameters,
-    validate_parameters,
-)
+from .tdcore import ExactMatrix, TDParameters, _ensure_valid
 
 __all__ = [
     "T_METHODS",
@@ -94,13 +94,6 @@ __all__ = [
 T_METHODS = ("direct_sum", "matrix_product", "shift_operator")
 U_METHODS = ("direct_sum", "shift_operator", "linear_solve")
 LIMIT_KINDS = ("hahn", "krawtchouk")
-
-
-@lru_cache(maxsize=32)
-def _ensure_valid(params: TDParameters):
-    report = validate_parameters(params)
-    if not report.passed:
-        raise InvalidParameters(report)
 
 
 def _point(params: TDParameters, n: Sequence[int]) -> MultiIndex:
@@ -466,15 +459,17 @@ def overlap_table(params: TDParameters, which: str, method: str) -> ExactMatrix:
     methods = T_METHODS if which == "T" else U_METHODS
     if method not in methods:
         raise ValueError(f"unknown method {method!r}; expected one of {methods}")
-    basis = enumerate_box(params.shape)
     if method == "matrix_product":
         return _t_product(params)
     if method == "linear_solve":
         return _u_solved(params)
     if which == "T":
-        kernel = _t_direct if method == "direct_sum" else _t_shift
-    else:
-        kernel = _u_direct if method == "direct_sum" else _u_shift
+        return _kernel_table(params, _t_direct if method == "direct_sum" else _t_shift)
+    return _kernel_table(params, _u_direct if method == "direct_sum" else _u_shift)
+
+
+def _kernel_table(params: TDParameters, kernel: Callable) -> ExactMatrix:
+    basis = enumerate_box(params.shape)
     m = ExactMatrix(basis)
     for r, row in enumerate(kernel(params, basis, basis)):
         for c, v in enumerate(row):
@@ -498,14 +493,11 @@ def _coords_1d(params: TDParameters, i, x) -> tuple[int, int]:
 
 
 def univariate_t_racah(params: TDParameters, i, x) -> FieldElement:
-    """T for N = 1 as one Racah factor at unit argument."""
+    """T for N = 1 as one Racah factor at unit argument: the shift product
+    with a single factor, so the shift_operator kernel on one entry."""
     _require_univariate(params)
     _ensure_valid(params)
-    iv, xv = _coords_1d(params, i, x)
-    ell, om, oms, a = params.ell[0], params.omega, params.omega_star, params.a[0]
-    factor = RacahFactorSpec(iv, xv, iv + oms, xv + om, oms - a, ell + om + a + 1, ell)
-    head = Fraction((-1) ** iv) / (_inv_poch(iv + oms, iv, "T head") * _inv_poch(xv + om, xv, "T head"))
-    return head * factor.value_at_unit()
+    return _t_shift(params, [_point(params, i)], [_point(params, x)])[0][0]
 
 
 def univariate_u_balanced(params: TDParameters, i, x) -> FieldElement:
@@ -598,22 +590,39 @@ def _hahn_table(
     return _dot_table(params, rows, cols, row_line, col_line)
 
 
-def _krawtchouk_value(params: TDParameters, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    total = Fraction(1)
-    for p in range(params.N):
-        lp, ip, xp = params.ell[p], i[p], x[p]
-        total *= pochhammer(-lp, ip) / pochhammer(Fraction(1), ip)
-        total *= pfq_terminating([-ip, -xp], [-lp], Fraction(1), min(ip, xp))
-    return total
+def _krawtchouk_table(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """The Krawtchouk kind for every i of rows, x of cols: the product over p
+    of (-ell_p)_{i_p} / i_p! 2F1(-i_p, -x_p; -ell_p; 1), each factor
+    computed once per (ell_p, i_p, x_p) in the call."""
+    memo: dict[tuple, FieldElement] = {}
+
+    def factor(lp: int, ip: int, xp: int) -> FieldElement:
+        if (lp, ip, xp) not in memo:
+            head = pochhammer(-lp, ip) / pochhammer(Fraction(1), ip)
+            memo[lp, ip, xp] = head * pfq_terminating([-ip, -xp], [-lp], Fraction(1), min(ip, xp))
+        return memo[lp, ip, xp]
+
+    return [[prod(map(factor, params.ell, i, x), start=Fraction(1)) for x in cols] for i in rows]
+
+
+def _limit_kernel(kind: str) -> Callable:
+    if kind not in LIMIT_KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {LIMIT_KINDS}")
+    return _hahn_table if kind == "hahn" else _krawtchouk_table
 
 
 def overlap_limit_kind(params: TDParameters, kind: str, i: Sequence[int], x: Sequence[int]) -> FieldElement:
     """The degenerate-spectrum closed forms: truncated Hahn (level-linear
     starred spectrum) and Krawtchouk (both spectra linear)."""
-    if kind not in LIMIT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {LIMIT_KINDS}")
+    kernel = _limit_kernel(kind)
     _ensure_valid(params)
-    mi, mx = _point(params, i), _point(params, x)
-    if kind == "hahn":
-        return _hahn_table(params, [mi], [mx])[0][0]
-    return _krawtchouk_value(params, mi, mx)
+    return kernel(params, [_point(params, i)], [_point(params, x)])[0][0]
+
+
+def _limit_kind_table(params: TDParameters, kind: str) -> ExactMatrix:
+    """The whole table of a degenerate kind, as `overlap_table` fills one."""
+    kernel = _limit_kernel(kind)
+    _ensure_valid(params)
+    return _kernel_table(params, kernel)

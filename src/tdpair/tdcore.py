@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .exactfield import (
@@ -365,6 +366,15 @@ def validate_parameters(params: TDParameters) -> VerificationReport:
     return report
 
 
+@lru_cache(maxsize=32)
+def _ensure_valid(params: TDParameters) -> None:
+    """Raise InvalidParameters unless params pass every constraint; a
+    passing set is remembered, so a repeated gate costs one lookup."""
+    report = validate_parameters(params)
+    if not report.passed:
+        raise InvalidParameters(report)
+
+
 def _ms(start: float) -> int:
     return int((time.perf_counter() - start) * 1000)
 
@@ -516,21 +526,6 @@ class ExactMatrix:
             v = value_at(mi)
             if v != 0:
                 m.entries[(k, k)] = v
-        return m
-
-    @classmethod
-    def from_function(
-        cls,
-        basis: Sequence[MultiIndex],
-        value_at: Callable[[MultiIndex, MultiIndex], FieldElement],
-    ) -> "ExactMatrix":
-        """Dense assembly: value_at(row_index, col_index) for every pair."""
-        m = cls(basis)
-        for r, rm in enumerate(m.basis):
-            for c, cm in enumerate(m.basis):
-                v = value_at(rm, cm)
-                if v != 0:
-                    m.entries[(r, c)] = v
         return m
 
     # -- access -----------------------------------------------------------
@@ -709,9 +704,7 @@ def build_operator(params: TDParameters, which: str) -> ExactMatrix:
     """
     if which not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {which!r}; expected one of {OPERATOR_NAMES}")
-    report = validate_parameters(params)
-    if not report.passed:
-        raise InvalidParameters(report)
+    _ensure_valid(params)
     return _assemble_operator(params, which)
 
 

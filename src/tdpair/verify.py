@@ -69,11 +69,9 @@ from . import overlap
 from .overlap import (
     T_METHODS,
     U_METHODS,
-    _ensure_valid,
     _hahn_table,
     _t_direct,
     overlap_table,
-    univariate_t_racah,
     univariate_u_balanced,
     univariate_u_racah_normalized,
 )
@@ -81,6 +79,7 @@ from .tdcore import (
     ExactMatrix,
     TDParameters,
     _assemble_operator,
+    _ensure_valid,
     cleared,
     cleared_combination,
     cleared_commutator,
@@ -335,11 +334,13 @@ def _check_racah_reduction(ctx: _Context):
     p = ctx.params
     if p.N != 1:
         return None, "skipped: single-coordinate reduction needs N = 1"
+    # the N = 1 T form is one Racah factor at unit argument: the shift table
     mt, mu = ctx.table("T", "direct_sum"), ctx.table("U", "direct_sum")
+    ms = ctx.table("T", "shift_operator")
     for r, i in enumerate(ctx.basis):
         for c, x in enumerate(ctx.basis):
             for label, ref, got in (
-                ("univariate T form", mt.item(r, c), univariate_t_racah(p, i, x)),
+                ("univariate T form", mt.item(r, c), ms.item(r, c)),
                 ("balanced U form", mu.item(r, c), univariate_u_balanced(p, i, x)),
                 ("normalized U form", mu.item(r, c), univariate_u_racah_normalized(p, i, x)),
             ):
@@ -424,21 +425,21 @@ def _check_limits(ctx: _Context):
     rows: dict = {}
     for i, x in _limit_pairs(ctx.basis):
         rows.setdefault(i, []).append(x)
-    # the closed forms over Q, the Hahn kinds as one table; read from the
-    # overlap module, as `_hahn_table` here is the series kernel of `_row_limits`
-    at = {x: c for c, x in enumerate(dict.fromkeys(x for cols in rows.values() for x in cols))}
-    hahn = dict(zip(rows, overlap._hahn_table(p, list(rows), list(at))))
     for i, cols in rows.items():
-        for x, *lims in zip(cols, *_row_limits(p, i, cols)):
-            closed_forms = (hahn[i][at[x]], overlap._krawtchouk_value(p, i, x))
-            for lim, closed, identity in zip(lims, closed_forms, _LIMIT_IDENTITIES):
-                if lim != closed:
+        lims = _row_limits(p, i, cols)
+        # the closed forms over Q, one kernel call per row and kind; read from
+        # the overlap module, as `_hahn_table` here is the series kernel of
+        # `_row_limits`
+        closed = (overlap._hahn_table(p, [i], cols)[0], overlap._krawtchouk_table(p, [i], cols)[0])
+        for c, x in enumerate(cols):
+            for lim, form, identity in zip(lims, closed, _LIMIT_IDENTITIES):
+                if lim[c] != form[c]:
                     return False, {
                         "identity": identity,
                         "i": format_multiindex(i),
                         "x": format_multiindex(x),
-                        "lhs": format_scalar(lim),
-                        "rhs": format_scalar(closed),
+                        "lhs": format_scalar(lim[c]),
+                        "rhs": format_scalar(form[c]),
                     }
     return True, None
 

@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from tdpair.cli import MAX_DIMENSION, MAX_IRREDUCIBILITY_DIMENSION, main
+from tdpair.cli import MAX_DIMENSION, MAX_IRREDUCIBILITY_DIMENSION, _emit_tables, main
+from tdpair.multiindex import Shape, enumerate_box
+from tdpair.tdcore import ExactMatrix
+from tdpair.verify import random_valid_parameters
+from overlap_oracle import oracle_hahn, oracle_krawtchouk
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,6 +181,23 @@ class TestOverlap:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.splitlines()[0] == "# T krawtchouk"
+
+    @pytest.mark.parametrize("shape", ["2,1", "3,3,2"])
+    @pytest.mark.parametrize("kind", ["hahn", "krawtchouk"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_degenerate_kind_is_the_pointwise_table(self, shape, kind, fmt, capsys):
+        # the same bytes as a table filled entry by entry from the oracle
+        oracle = oracle_hahn if kind == "hahn" else oracle_krawtchouk
+        p = random_valid_parameters(Shape(tuple(map(int, shape.split(",")))), 1)
+        m = ExactMatrix(enumerate_box(p.shape))
+        for r, i in enumerate(m.basis):
+            for c, x in enumerate(m.basis):
+                v = oracle(p, i, x)
+                if v != 0:
+                    m.entries[(r, c)] = v
+        rc = main(["overlap", "--shape", shape, "--seed", "1", "--kind", kind, "--format", fmt])
+        assert rc == 0
+        assert capsys.readouterr().out == _emit_tables([(f"T {kind}", m)], fmt)
 
     def test_kind_conflicts_with_method(self, capsys):
         rc = main(["overlap", "--shape", "1", "--seed", "1", "--kind", "hahn", "--method", "direct_sum"])

@@ -18,12 +18,9 @@ from tdpair.exactfield import (
     ZeroDenominatorPochhammer,
     _inv_poch,
     _pair,
-    _rising,
-    _term_pairs,
     binomial,
     hypergeometric_term_pairs,
     limit_at_zero,
-    over_common_denominator,
     pair_value,
     pochhammer,
     variable_t,
@@ -48,6 +45,8 @@ from tdpair.overlap import (
     univariate_u_balanced,
     univariate_u_racah_normalized,
 )
+from operator_oracle import shapes_to_18
+from overlap_oracle import oracle_hahn, oracle_krawtchouk, oracle_t_racah
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -445,6 +444,20 @@ class TestUnivariateForms:
                 assert univariate_u_balanced(p, (i,), (x,)) == ref
                 assert univariate_u_racah_normalized(p, (i,), (x,)) == ref
 
+    @pytest.mark.parametrize("ell", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_t_form_matches_the_racah_factor(self, ell, seed):
+        # the shift kernel on one entry against one RacahFactorSpec at unit
+        # argument, value and type, over Q and at both Q(t) substitutions of
+        # the limits check
+        p, t = random_valid_parameters(Shape((ell,)), seed), variable_t()
+        sides = [p, replace(p, h_star=p.h_star * t, omega_star=1 / t), replace(p, h=p.h * t, omega=1 / t)]
+        for q in sides:
+            for i in range(ell + 1):
+                for x in range(ell + 1):
+                    want, got = oracle_t_racah(q, (i,), (x,)), univariate_t_racah(q, (i,), (x,))
+                    assert (type(got), got) == (type(want), want), (q, i, x)
+
     def test_multivariate_rejected(self):
         p = _params_2d()
         with pytest.raises(ValueError, match="single coordinate"):
@@ -622,48 +635,6 @@ class TestRacahFactorSpec:
         assert spec.value_at_unit() == pochhammer(F(3), 2)
 
 
-# ---------------------------------------------------------------------------
-# oracle for the truncated Hahn kind: the shift walk as it ran before the
-# kernels were written as dot products of lines, factor 1 outermost over a
-# table of accumulated shift offsets
-
-
-def _walk(N, factor_terms):
-    table, den = {(0,) * N: 1}, 1
-    for p in range(1, N + 1):
-        keys, nums, dens = [], [], []
-        for offsets, w in table.items():
-            (pu, pv), terms = factor_terms(p, offsets)
-            wu, wv = w * pu, den * pv
-            for k, u, v in terms:
-                keys.append(offsets[: p - 1] + (offsets[p - 1] + k,) + offsets[p:])
-                nums.append(wu * u)
-                dens.append(wv * v)
-        scaled, den = over_common_denominator(nums, dens)
-        table = {}
-        for key, weight in zip(keys, scaled):
-            table[key] = table[key] + weight if key in table else weight
-    return pair_value(sum(table.values()), den)
-
-
-def _oracle_hahn(params, i, x):
-    ell, N, om, a = params.ell, params.N, params.omega, params.a
-    no, do = _pair(om)
-    c = [_pair(sum(ell[p - 1 :]) + a[p - 1] + 1 + om) for p in range(1, N + 1)]
-
-    def factor_terms(p, offsets):
-        xsh = tuple(v + k for v, k in zip(x, offsets))
-        lp, ip, xp = ell[p - 1], i[p - 1], xsh[p - 1]
-        (nb, db), aa = c[p - 1], (no + sum(xsh) * do, do)
-        b = (nb + sum(xsh[: p - 1]) * db, db)
-        terms = _term_pairs([(-ip, 1), (-xp, 1), aa], [(-lp, 1), b], min(ip, xp), (1, 1), "Hahn factor series")
-        u, v = _rising(*b, xp)
-        return (binomial(lp, ip) * u, v), terms
-
-    head = Fraction((-1) ** sum(i)) / _inv_poch(sum(x) + om, sum(x), "Hahn head")
-    return head * _walk(N, factor_terms)
-
-
 def _scalar(v):
     # the value with its type; a series by its known coefficients, whatever
     # common denominator they are kept over
@@ -685,12 +656,27 @@ class TestHahnKernel:
         sides = [p, replace(p, h=p.h * t, omega=1 / t)]
         sides += [replace(p, omega=LaurentSeries(-1, (1,) + (0,) * (r - 1))) for r in (1, 2)]
         for q in sides:
-            expect = [[_scalar(_oracle_hahn(q, i, x)) for x in basis] for i in basis]
+            expect = [[_scalar(oracle_hahn(q, i, x)) for x in basis] for i in basis]
             assert [[_scalar(v) for v in row] for row in overlap._hahn_table(q, basis, basis)] == expect
             for i, row in zip(basis, expect):
                 assert [_scalar(v) for v in overlap._hahn_table(q, [i], basis)[0]] == row
                 for x, v in zip(basis, row):
                     assert _scalar(overlap._hahn_table(q, [i], [x])[0][0]) == v
+
+
+class TestKrawtchoukKernel:
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((3, 2)), 1)
+    @settings(max_examples=15, deadline=None)
+    def test_kernel_matches_the_per_pair_value(self, shape, seed):
+        # the table, each row and each entry, value and type
+        p, basis = random_valid_parameters(shape, seed), enumerate_box(shape)
+        expect = [[_scalar(oracle_krawtchouk(p, i, x)) for x in basis] for i in basis]
+        assert [[_scalar(v) for v in row] for row in overlap._krawtchouk_table(p, basis, basis)] == expect
+        for i, row in zip(basis, expect):
+            assert [_scalar(v) for v in overlap._krawtchouk_table(p, [i], basis)[0]] == row
+            for x, v in zip(basis, row):
+                assert _scalar(overlap_limit_kind(p, "krawtchouk", i, x)) == v
 
 
 class TestRouteIndependence:

@@ -462,6 +462,30 @@ class TestRouteTablesPerSuite:
         p = random_valid_parameters(Shape((5,)), 1)
         assert run_suite(p, checks=["racah_reduction"]).passed
 
+    def test_planted_t_form_value_is_named(self, monkeypatch):
+        # the N = 1 T form is read from the shift_operator table
+        p = random_valid_parameters(Shape((5,)), 1)
+        i, x = (2,), (3,)
+        ref = overlap.overlap_T(p, i, x, "direct_sum")
+        original = verify.overlap_table
+
+        def planted(params, which, method):
+            m = original(params, which, method)
+            if (which, method) == ("T", "shift_operator"):
+                m.entries[m.pos[i], m.pos[x]] += 1
+            return m
+
+        monkeypatch.setattr(verify, "overlap_table", planted)
+        result = run_suite(p, checks=["racah_reduction"]).result("racah_reduction")
+        assert result.passed is False
+        assert result.witness == {
+            "identity": "univariate T form",
+            "i": format_multiindex(i),
+            "x": format_multiindex(x),
+            "lhs": format_scalar(ref),
+            "rhs": format_scalar(ref + 1),
+        }
+
     def test_planted_balanced_u_value_is_named(self, monkeypatch):
         p = random_valid_parameters(Shape((5,)), 1)
         i, x = (2,), (3,)
@@ -533,13 +557,16 @@ class TestLimitsMutation:
         p = random_valid_parameters(Shape((3, 2)), 1)
         i, x = self._sampled_pair(p, lambda i, x: i != x)
         closed = overlap.overlap_limit_kind(p, "krawtchouk", i, x)
-        original = overlap._krawtchouk_value
+        original = overlap._krawtchouk_table
 
-        def planted(params, mi, mx):
-            v = original(params, mi, mx)
-            return v + self.DELTA if (mi, mx) == (i, x) else v
+        def planted(params, rows, cols):
+            table = original(params, rows, cols)
+            return [
+                [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
+                for mi, row in zip(rows, table)
+            ]
 
-        monkeypatch.setattr(overlap, "_krawtchouk_value", planted)
+        monkeypatch.setattr(overlap, "_krawtchouk_table", planted)
         result = run_suite(p, checks=["limits"]).result("limits")
         assert result.passed is False
         assert result.witness == {
