@@ -31,8 +31,8 @@ value at the end.
 
 The module also provides the handful of combinatorial primitives that all
 closed formulas in the package are assembled from: Pochhammer symbols
-(memoized over Q in a bounded cache), binomial coefficients, and terminating
-generalized hypergeometric series, advanced term by term.
+(over Q one integer product, `_rising`), binomial coefficients, and
+terminating generalized hypergeometric series, advanced term by term.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -607,19 +606,7 @@ def pochhammer(x: FieldElement, k: int) -> FieldElement:
         return _pochhammer_qt(x, k)
     if isinstance(x, LaurentSeries):
         return math.prod((x + j for j in range(1, k)), start=x)
-    return _pochhammer_q(x.numerator, x.denominator, k)
-
-
-# Keyed on the rational's integer parts, never on a RationalFunction: a
-# constant one equals and hashes like its Fraction, so the cache would hand
-# back a value of the wrong type.
-@lru_cache(maxsize=4096)
-def _pochhammer_q(num: int, den: int, k: int) -> Fraction:
-    x = Fraction(num, den)
-    acc = x
-    for j in range(1, k):
-        acc = acc * (x + j)
-    return acc
+    return pair_value(*_rising(x.numerator, x.denominator, k))
 
 
 def _pochhammer_qt(x: RationalFunction, k: int) -> RationalFunction:

@@ -34,12 +34,14 @@ Each route keeps its own term formula; the line-and-dot helper is a shared
 primitive like `over_common_denominator`, and the matrix routes do not use
 it.  Parameters enter as integer pairs (n, d) (`_pair`).
 
-Every formula is one table kernel (params, rows, cols) -> rows of values,
-and a pointwise function runs its kernel on one entry: `overlap_T` and
-`overlap_U` the route kernels, `overlap_limit_kind` the degenerate kinds
-(`_hahn_table`, `_krawtchouk_table`) and `univariate_t_racah` the shift
-product, which at N = 1 is the single Racah factor at unit argument.  Only
-the two univariate U forms are written pointwise.  Each matrix route has one
+Every overlap formula is one table kernel (params, rows, cols) -> rows of
+values, and a pointwise function runs its kernel on one entry: `overlap_T`
+and `overlap_U` the route kernels, `overlap_limit_kind` the degenerate kinds
+(`_hahn_table`, `_krawtchouk_table`), and the univariate forms the shift
+products, which at N = 1 are single Racah factors at unit argument:
+`univariate_t_racah` is T's, `univariate_u_balanced` U's, and
+`univariate_u_racah_normalized` is T's times a row factor f(i) and a column
+factor g(x) (`_u_row_factor`, `_u_col_factor`).  Each matrix route has one
 implementation: T = (M_Cbar M_D)^T is one product and U = M_D^{-1} M_C one
 back-substitution, and a single entry runs the same code on the one column
 of M_D (for T) or of M_C (for U) that it reads.
@@ -487,11 +489,6 @@ def _require_univariate(params: TDParameters):
         raise ValueError("closed form defined for a single coordinate only")
 
 
-def _coords_1d(params: TDParameters, i, x) -> tuple[int, int]:
-    mi, mx = _point(params, i), _point(params, x)
-    return mi[0], mx[0]
-
-
 def univariate_t_racah(params: TDParameters, i, x) -> FieldElement:
     """T for N = 1 as one Racah factor at unit argument: the shift product
     with a single factor, so the shift_operator kernel on one entry."""
@@ -501,68 +498,71 @@ def univariate_t_racah(params: TDParameters, i, x) -> FieldElement:
 
 
 def univariate_u_balanced(params: TDParameters, i, x) -> FieldElement:
-    """U for N = 1 as the balanced 4F3 the mirrored sum collapses to."""
+    """U for N = 1 as the balanced 4F3 the mirrored sum collapses to: T's
+    Racah factor at the S-swapped parameters on (ell - x, ell - i), so the
+    U shift_operator kernel on one entry."""
     _require_univariate(params)
     _ensure_valid(params)
-    iv, xv = _coords_1d(params, i, x)
-    ell = params.ell[0]
-    om, oms, a = params.omega, params.omega_star, params.a[0]
-    pref = (
-        Fraction((-1) ** ell)
-        * pochhammer(-ell, xv)
-        * pochhammer(xv + ell + a + om + 1, ell - xv)
-        * pochhammer(iv - a + oms, ell - iv)
+    return _u_shift(params, [_point(params, i)], [_point(params, x)])[0][0]
+
+
+# At N = 1, T_i(x) = tau(i) sigma(x) S(i, x) with S the Racah 4F3
+# (-i, i + omega*, -x, x + omega; -ell, omega* - a, ell + a + omega + 1; 1),
+# tau(i) = (-1)^i binom(ell, i) (omega* - a)_i / (i + omega*)_i and sigma(x) =
+# (ell + 1 + a + omega)_x / (x + omega)_x.  The normalized U form is
+# nu(i) mu(x) S(i, x), so U_i(x) = f(i) g(x) T_i(x) with f = nu / tau and
+# g = mu / sigma: the duality between U and T.
+
+
+def _u_row_factor(params: TDParameters, i: int) -> FieldElement:
+    """f(i) = nu(i) / tau(i), nu the i-part of the normalized prefactor with
+    its sign (-1)^ell."""
+    ell, om, oms, a = params.ell[0], params.omega, params.omega_star, params.a[0]
+    m, detail = ell - i, "U normalized denominator"
+    num = (
+        pochhammer(i - a + oms, m)
+        * pochhammer(i - ell - a - om + oms, m)
+        * pochhammer(i + a + 1, m)
+        * pochhammer(i + oms, i)
     )
-    pref /= (
-        pochhammer(Fraction(1), xv)
-        * _inv_poch(2 * xv + om + 1, ell - xv, "U balanced denominator")
-        * _inv_poch(2 * iv + oms + 1, ell - iv, "U balanced denominator")
+    den = (
+        _inv_poch(2 * i + oms + 1, m, detail)
+        * _inv_poch(-2 * ell - a - om, m, detail)
+        * _inv_poch(-ell + a - oms + 1, m, detail)
+        * _inv_poch(oms - a, i, detail)
     )
-    series = pfq_terminating(
-        [iv - ell, xv - ell, -xv - ell - om, -iv - ell - oms],
-        [-ell, -2 * ell - a - om, -ell + a + 1 - oms],
-        Fraction(1),
-        ell,
+    return Fraction((-1) ** m, comb(ell, i)) * num / den
+
+
+def _u_col_factor(params: TDParameters, x: int) -> FieldElement:
+    """g(x) = mu(x) / sigma(x), mu the x-part of the normalized prefactor."""
+    ell, om, oms, a = params.ell[0], params.omega, params.omega_star, params.a[0]
+    detail = "U normalized denominator"
+    num = (
+        pochhammer(-ell, x)
+        * pochhammer(x + ell + a + om + 1, ell - x)
+        * pochhammer(-x + a - oms + 1, x)
+        * pochhammer(-x - ell - a - om, x)
+        * pochhammer(x + om, x)
     )
-    return pref * series
+    den = (
+        _inv_poch(2 * x + om + 1, ell - x, detail)
+        * _inv_poch(a + om - oms + 1, x, detail)
+        * _inv_poch(-ell - a, x, detail)
+        * _inv_poch(ell + 1 + a + om, x, detail)
+    )
+    return num / (factorial(x) * den)
 
 
 def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
-    """U for N = 1 rewritten so the same Racah-type 4F3 kernel as T appears;
-    must agree exactly with the balanced form."""
+    """U for N = 1 rewritten so the same Racah-type 4F3 kernel as T appears:
+    f(i) g(x) T_i(x), T_i(x) the shift_operator kernel on one entry; must
+    agree exactly with the balanced form."""
     _require_univariate(params)
     _ensure_valid(params)
-    iv, xv = _coords_1d(params, i, x)
-    ell = params.ell[0]
-    om, oms, a = params.omega, params.omega_star, params.a[0]
-    norm = Fraction((-1) ** ell) * pochhammer(-ell, xv) / pochhammer(Fraction(1), xv)
-    norm *= (
-        pochhammer(iv - a + oms, ell - iv)
-        * pochhammer(iv - ell - a - om + oms, ell - iv)
-        * pochhammer(iv + a + 1, ell - iv)
-    )
-    norm /= (
-        _inv_poch(2 * iv + oms + 1, ell - iv, "U normalized denominator")
-        * _inv_poch(-2 * ell - a - om, ell - iv, "U normalized denominator")
-        * _inv_poch(-ell + a - oms + 1, ell - iv, "U normalized denominator")
-    )
-    norm *= (
-        pochhammer(xv + ell + a + om + 1, ell - xv)
-        * pochhammer(-xv + a - oms + 1, xv)
-        * pochhammer(-xv - ell - a - om, xv)
-    )
-    norm /= (
-        _inv_poch(2 * xv + om + 1, ell - xv, "U normalized denominator")
-        * _inv_poch(a + om - oms + 1, xv, "U normalized denominator")
-        * _inv_poch(-ell - a, xv, "U normalized denominator")
-    )
-    series = pfq_terminating(
-        [-iv, iv + oms, -xv, xv + om],
-        [-ell, -a + oms, ell + a + om + 1],
-        Fraction(1),
-        min(iv, xv),
-    )
-    return norm * series
+    mi, mx = _point(params, i), _point(params, x)
+    t = _t_shift(params, [mi], [mx])[0][0]
+    return _u_row_factor(params, mi[0]) * _u_col_factor(params, mx[0]) * t
 
 
 # ---------------------------------------------------------------------------

@@ -550,15 +550,12 @@ class ExactMatrix:
 
     def first_difference(self, other: "ExactMatrix"):
         """(row index, col index, self value, other value) of the first
-        differing entry in storage order, or None when equal.  The walk runs
-        only when the entry dicts differ (a stored zero is no difference)."""
+        differing entry in storage order, or None when equal: the walk of
+        `cleared_difference` over denominator 1, run only when the entry
+        dicts differ (a stored zero is no difference)."""
         if self.entries == other.entries:
             return None
-        for r, c in sorted(self.entries.keys() | other.entries.keys()):
-            a, b = self.item(r, c), other.item(r, c)
-            if a != b:
-                return (self.basis[r], self.basis[c], a, b)
-        return None
+        return cleared_difference((self.entries, 1), (other.entries, 1), self.basis)
 
     # -- arithmetic ---------------------------------------------------------
 

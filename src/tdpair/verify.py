@@ -71,9 +71,9 @@ from .overlap import (
     U_METHODS,
     _hahn_table,
     _t_direct,
+    _u_col_factor,
+    _u_row_factor,
     overlap_table,
-    univariate_u_balanced,
-    univariate_u_racah_normalized,
 )
 from .tdcore import (
     ExactMatrix,
@@ -334,15 +334,19 @@ def _check_racah_reduction(ctx: _Context):
     p = ctx.params
     if p.N != 1:
         return None, "skipped: single-coordinate reduction needs N = 1"
-    # the N = 1 T form is one Racah factor at unit argument: the shift table
+    # at N = 1 the T form is one Racah factor at unit argument, the shift
+    # table; the balanced U form is its S-mirror, the U shift table; and the
+    # normalized U form is f(i) g(x) T_i(x)
     mt, mu = ctx.table("T", "direct_sum"), ctx.table("U", "direct_sum")
-    ms = ctx.table("T", "shift_operator")
+    ms, mb = ctx.table("T", "shift_operator"), ctx.table("U", "shift_operator")
+    f = [_u_row_factor(p, i[0]) for i in ctx.basis]
+    g = [_u_col_factor(p, x[0]) for x in ctx.basis]
     for r, i in enumerate(ctx.basis):
         for c, x in enumerate(ctx.basis):
             for label, ref, got in (
                 ("univariate T form", mt.item(r, c), ms.item(r, c)),
-                ("balanced U form", mu.item(r, c), univariate_u_balanced(p, i, x)),
-                ("normalized U form", mu.item(r, c), univariate_u_racah_normalized(p, i, x)),
+                ("balanced U form", mu.item(r, c), mb.item(r, c)),
+                ("normalized U form", mu.item(r, c), f[r] * g[c] * ms.item(r, c)),
             ):
                 if got != ref:
                     return False, {

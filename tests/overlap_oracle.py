@@ -1,6 +1,6 @@
 """Per-entry oracles for the overlap closed forms that `tdpair.overlap`
 computes as table kernels: the truncated Hahn kind, the Krawtchouk kind and
-the single-coordinate T form.  Each evaluates one (i, x) by itself, as the
+the single-coordinate T and U forms.  Each evaluates one (i, x) by itself, as the
 formula reads, so a table kernel must reproduce it value for value and type
 for type.
 """
@@ -86,3 +86,65 @@ def oracle_t_racah(params, i, x):
     factor = RacahFactorSpec(iv, xv, iv + oms, xv + om, oms - a, ell + om + a + 1, ell)
     head = Fraction((-1) ** iv) / (_inv_poch(iv + oms, iv, "T head") * _inv_poch(xv + om, xv, "T head"))
     return head * factor.value_at_unit()
+
+
+# ---------------------------------------------------------------------------
+# U at N = 1 as the two closed 4F3 forms, evaluated pointwise in field
+# arithmetic as the formulas read
+
+
+def oracle_u_balanced(params, i, x):
+    (iv,), (xv,) = i, x
+    ell, om, oms, a = params.ell[0], params.omega, params.omega_star, params.a[0]
+    pref = (
+        Fraction((-1) ** ell)
+        * pochhammer(-ell, xv)
+        * pochhammer(xv + ell + a + om + 1, ell - xv)
+        * pochhammer(iv - a + oms, ell - iv)
+    )
+    pref /= (
+        pochhammer(Fraction(1), xv)
+        * _inv_poch(2 * xv + om + 1, ell - xv, "U balanced denominator")
+        * _inv_poch(2 * iv + oms + 1, ell - iv, "U balanced denominator")
+    )
+    series = pfq_terminating(
+        [iv - ell, xv - ell, -xv - ell - om, -iv - ell - oms],
+        [-ell, -2 * ell - a - om, -ell + a + 1 - oms],
+        Fraction(1),
+        ell,
+    )
+    return pref * series
+
+
+def oracle_u_normalized(params, i, x):
+    (iv,), (xv,) = i, x
+    ell, om, oms, a = params.ell[0], params.omega, params.omega_star, params.a[0]
+    detail = "U normalized denominator"
+    norm = Fraction((-1) ** ell) * pochhammer(-ell, xv) / pochhammer(Fraction(1), xv)
+    norm *= (
+        pochhammer(iv - a + oms, ell - iv)
+        * pochhammer(iv - ell - a - om + oms, ell - iv)
+        * pochhammer(iv + a + 1, ell - iv)
+    )
+    norm /= (
+        _inv_poch(2 * iv + oms + 1, ell - iv, detail)
+        * _inv_poch(-2 * ell - a - om, ell - iv, detail)
+        * _inv_poch(-ell + a - oms + 1, ell - iv, detail)
+    )
+    norm *= (
+        pochhammer(xv + ell + a + om + 1, ell - xv)
+        * pochhammer(-xv + a - oms + 1, xv)
+        * pochhammer(-xv - ell - a - om, xv)
+    )
+    norm /= (
+        _inv_poch(2 * xv + om + 1, ell - xv, detail)
+        * _inv_poch(a + om - oms + 1, xv, detail)
+        * _inv_poch(-ell - a, xv, detail)
+    )
+    series = pfq_terminating(
+        [-iv, iv + oms, -xv, xv + om],
+        [-ell, -a + oms, ell + a + om + 1],
+        Fraction(1),
+        min(iv, xv),
+    )
+    return norm * series

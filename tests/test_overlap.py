@@ -46,7 +46,13 @@ from tdpair.overlap import (
     univariate_u_racah_normalized,
 )
 from operator_oracle import shapes_to_18
-from overlap_oracle import oracle_hahn, oracle_krawtchouk, oracle_t_racah
+from overlap_oracle import (
+    oracle_hahn,
+    oracle_krawtchouk,
+    oracle_t_racah,
+    oracle_u_balanced,
+    oracle_u_normalized,
+)
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -458,12 +464,36 @@ class TestUnivariateForms:
                     want, got = oracle_t_racah(q, (i,), (x,)), univariate_t_racah(q, (i,), (x,))
                     assert (type(got), got) == (type(want), want), (q, i, x)
 
+    @pytest.mark.parametrize("ell", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_u_forms_match_the_closed_4f3s(self, ell, seed):
+        # the U shift kernel and f(i) g(x) times the T shift kernel on one
+        # entry against the two 4F3 closed forms evaluated pointwise, over Q
+        # and at both Q(t) substitutions of the limits check; value
+        # everywhere, and type but at (ell, 0) with omega* = 1/t, where the
+        # normalized form's row factor is a constant rational function
+        p, t = random_valid_parameters(Shape((ell,)), seed), variable_t()
+        sides = [p, replace(p, h_star=p.h_star * t, omega_star=1 / t), replace(p, h=p.h * t, omega=1 / t)]
+        for k, q in enumerate(sides):
+            for i in range(ell + 1):
+                for x in range(ell + 1):
+                    for oracle, public in (
+                        (oracle_u_balanced, univariate_u_balanced),
+                        (oracle_u_normalized, univariate_u_racah_normalized),
+                    ):
+                        want, got = oracle(q, (i,), (x,)), public(q, (i,), (x,))
+                        assert got == want, (q, i, x, public)
+                        if (k, i, x, public) != (1, ell, 0, univariate_u_racah_normalized):
+                            assert type(got) is type(want), (q, i, x, public)
+
     def test_multivariate_rejected(self):
         p = _params_2d()
         with pytest.raises(ValueError, match="single coordinate"):
             univariate_t_racah(p, (0, 0), (0, 0))
         with pytest.raises(ValueError, match="single coordinate"):
             univariate_u_balanced(p, (0, 0), (0, 0))
+        with pytest.raises(ValueError, match="single coordinate"):
+            univariate_u_racah_normalized(p, (0, 0), (0, 0))
 
 
 class TestLimitKinds:

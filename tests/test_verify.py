@@ -456,8 +456,9 @@ class TestRouteTablesPerSuite:
         def refuse(*args):
             raise AssertionError("pointwise overlap evaluated")
 
+        pointwise = ("overlap_T", "overlap_U", "univariate_u_balanced", "univariate_u_racah_normalized")
         for module in (overlap, verify):
-            for name in ("overlap_T", "overlap_U"):
+            for name in pointwise:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         p = random_valid_parameters(Shape((5,)), 1)
         assert run_suite(p, checks=["racah_reduction"]).passed
@@ -487,16 +488,19 @@ class TestRouteTablesPerSuite:
         }
 
     def test_planted_balanced_u_value_is_named(self, monkeypatch):
+        # the balanced U form is read from the U shift_operator table
         p = random_valid_parameters(Shape((5,)), 1)
         i, x = (2,), (3,)
         ref = overlap.overlap_U(p, i, x, "direct_sum")
-        original = verify.univariate_u_balanced
+        original = verify.overlap_table
 
-        def planted(params, mi, mx):
-            v = original(params, mi, mx)
-            return v + 1 if (tuple(mi), tuple(mx)) == (i, x) else v
+        def planted(params, which, method):
+            m = original(params, which, method)
+            if (which, method) == ("U", "shift_operator"):
+                m.entries[m.pos[i], m.pos[x]] += 1
+            return m
 
-        monkeypatch.setattr(verify, "univariate_u_balanced", planted)
+        monkeypatch.setattr(verify, "overlap_table", planted)
         result = run_suite(p, checks=["racah_reduction"]).result("racah_reduction")
         assert result.passed is False
         assert result.witness == {
@@ -505,6 +509,35 @@ class TestRouteTablesPerSuite:
             "x": format_multiindex(x),
             "lhs": format_scalar(ref),
             "rhs": format_scalar(ref + 1),
+        }
+
+    @pytest.mark.parametrize(
+        "name, planted_at, i, x",
+        [("_u_row_factor", 2, (2,), (0,)), ("_u_col_factor", 3, (0,), (3,))],
+    )
+    def test_planted_normalized_u_value_is_named(self, monkeypatch, name, planted_at, i, x):
+        # the normalized U form is f(i) g(x) T_i(x); T_i(0) and T_0(x) are
+        # nonzero, so a planted f(2) fails first at (2, 0) and a planted g(3)
+        # at (0, 3), each by the other factor times T
+        p = random_valid_parameters(Shape((5,)), 1)
+        ref = overlap.overlap_U(p, i, x, "direct_sum")
+        t = overlap.overlap_T(p, i, x, "shift_operator")
+        other = overlap._u_col_factor(p, x[0]) if name == "_u_row_factor" else overlap._u_row_factor(p, i[0])
+        original = getattr(verify, name)
+
+        def planted(params, n):
+            v = original(params, n)
+            return v + 1 if n == planted_at else v
+
+        monkeypatch.setattr(verify, name, planted)
+        result = run_suite(p, checks=["racah_reduction"]).result("racah_reduction")
+        assert result.passed is False
+        assert result.witness == {
+            "identity": "normalized U form",
+            "i": format_multiindex(i),
+            "x": format_multiindex(x),
+            "lhs": format_scalar(ref),
+            "rhs": format_scalar(ref + other * t),
         }
 
 
