@@ -19,7 +19,10 @@ precision.  It is exact (int coefficients over one denominator, no floats,
 no gcd of polynomials), and it raises `PrecisionExhausted` rather than guess a
 coefficient that its precision does not determine.  It enters the same
 series primitives and `pochhammer`, and `limit_at_zero` reads its t^0
-coefficient.
+coefficient.  At relative precision 1, where the limits of `verify` are
+taken, a series is one valuation, one numerator and one denominator, and
+`+`, `*` and division build their result from those directly; the
+coefficient loops serve only the higher precisions of a retry.
 
 A value may also ride as a pair (numerator, denominator): two ints for a
 rational, (v, 1) for a rational function or series v, which answers the
@@ -426,6 +429,12 @@ class LaurentSeries:
     and sums put two denominators over their lcm.  Only the precision is
     ever cut, never a known coefficient guessed: ``== 0`` and division raise
     PrecisionExhausted on a zero that is not known to be one.
+
+    Operands of relative precision at most 1 take a short path with the
+    same semantics and no coefficient loop: a product is the product of the
+    leading terms, an inverse swaps numerator and denominator, and a sum
+    keeps the operand known to less absolute precision, or adds two leading
+    terms at the same t^v, an exact cancellation leaving O(t^(v+1)).
     """
 
     __slots__ = ("val", "nums", "den")
@@ -445,10 +454,22 @@ class LaurentSeries:
         if type(other) is LaurentSeries:
             top, (v2, b, d2) = min(self._abs(), other._abs()), (other.val, other.nums, other.den)
         elif isinstance(other, (int, Fraction)):
-            top, (v2, b, d2) = self._abs(), (0, (other.numerator,), other.denominator)
+            n = other.numerator
+            top, (v2, b, d2) = self._abs(), (0, (n,) if n else (), other.denominator)
         else:
             return NotImplemented
-        (v1, a, d1), den = (self.val, self.nums, self.den), math.lcm(self.den, d2)
+        v1, a, d1 = self.val, self.nums, self.den
+        if len(a) <= 1 and len(b) <= 1:
+            # precision 1: each operand has at most one known term, which
+            # counts only below top; a known series term lies at top - 1
+            ka, kb = a and v1 < top, b and v2 < top
+            if ka and kb and v1 == v2:
+                return _lead_sum(v1, a[0], d1, b[0], d2)
+            if not kb:
+                return self if ka else _series(top, (), d1)
+            if not ka and v2 + 1 == top:
+                return _series(v2, b, d2)
+        den = math.lcm(d1, d2)
         low = min(top, v1 if a else top, v2 if b else top)
         out = [0] * (top - low)
         for v, cs, d in ((v1, a, d1), (v2, b, d2)):
@@ -460,7 +481,7 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.val, [-c for c in self.nums], self.den)
+        return _series(self.val, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -472,6 +493,10 @@ class LaurentSeries:
         # a series first: isinstance against Fraction's ABC is the slow test
         if type(other) is LaurentSeries:
             a, b = self.nums, other.nums
+            if len(a) <= 1 or len(b) <= 1:
+                # precision 1: the leading terms' product, or nothing known
+                nums = (a[0] * b[0],) if a and b else ()
+                return _series(self.val + other.val, nums, self.den * other.den)
             out = [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(min(len(a), len(b)))]
             return LaurentSeries(self.val + other.val, out, self.den * other.den)
         if not isinstance(other, (int, Fraction)):
@@ -480,8 +505,9 @@ class LaurentSeries:
             return Fraction(0)
         if other == 1:
             return self
-        n = other.numerator
-        return LaurentSeries(self.val, [c * n for c in self.nums], self.den * other.denominator)
+        n, a = other.numerator, self.nums
+        nums = (a[0] * n,) if len(a) == 1 else tuple(c * n for c in a)
+        return _series(self.val, nums, self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -491,6 +517,9 @@ class LaurentSeries:
         b, r = self.nums, len(self.nums)
         if not b:
             raise PrecisionExhausted(f"division by O(t^{self.val}), not known to be nonzero")
+        if r == 1:
+            sign = 1 if b[0] > 0 else -1
+            return _series(-self.val, (sign * self.den,), sign * b[0])
         e = [1]
         for k in range(1, r):
             e.append(-sum(b[j] * b[0] ** (j - 1) * e[k - j] for j in range(1, k + 1)))
@@ -531,6 +560,25 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries({self.val}, {self.nums!r}, {self.den})"
+
+
+def _series(val: int, nums: tuple, den: int) -> LaurentSeries:
+    """A series from parts already in its normal form (a nonzero leading
+    coefficient, den > 0), built without `LaurentSeries.__init__`."""
+    s = object.__new__(LaurentSeries)
+    s.val, s.nums, s.den = val, nums, den
+    return s
+
+
+def _lead_sum(v: int, n1: int, d1: int, n2: int, d2: int) -> LaurentSeries:
+    """(n1 / d1 + n2 / d2) t^v + O(t^(v+1)); an exact cancellation leaves
+    O(t^(v+1))."""
+    if d1 == d2:
+        c, den = n1 + n2, d1
+    else:
+        den = math.lcm(d1, d2)
+        c = n1 * (den // d1) + n2 * (den // d2)
+    return _series(v, (c,), den) if c else _series(v + 1, (), den)
 
 
 FieldElement = Union[int, Fraction, RationalFunction]

@@ -375,33 +375,40 @@ def _limit_pairs(basis: Sequence[MultiIndex]) -> list:
     return [(basis[j * a % d], basis[(j * b + j // d) % d]) for j in range(10)]
 
 
-def _series_limits(kernel: Callable, cols: list, cap: int) -> list:
-    """The t -> 0 limits of kernel(s, cols), one value per column of cols,
-    with s = 1/t a Laurent series of relative precision 1.  The columns
-    whose t^0 coefficient that precision leaves unknown are redone with s
-    at twice the precision, until precision cap; past it
-    PrecisionExhausted propagates, as it does at once from a kernel that
-    compares or divides by an unknown zero."""
+def _series_limits(kernel: Callable, rows: Sequence, cols: Sequence, cap: int) -> list:
+    """The t -> 0 limits of kernel(s, rows, cols), one row of values per row
+    of rows, with s = 1/t a Laurent series of relative precision 1.  The
+    rows and columns that hold an entry whose t^0 coefficient that precision
+    leaves unknown are redone with s at twice the precision, until precision
+    cap; past it PrecisionExhausted propagates, as it does at once from a
+    kernel that compares or divides by an unknown zero."""
     limits: dict = {}
-    precision = 1
-    while len(limits) < len(cols):
+    todo_rows, todo_cols, precision = rows, cols, 1
+    while True:
+        s = LaurentSeries(-1, (1,) + (0,) * (precision - 1))
+        for i, line in zip(todo_rows, kernel(s, todo_rows, todo_cols)):
+            for x, v in zip(todo_cols, line):
+                if (i, x) not in limits:
+                    with suppress(PrecisionExhausted):
+                        limits[i, x] = limit_at_zero(v)
+        unknown = [(i, x) for i in rows for x in cols if (i, x) not in limits]
+        if not unknown:
+            return [[limits[i, x] for x in cols] for i in rows]
+        precision *= 2
         if precision > cap:
             raise PrecisionExhausted(f"t -> 0 limit beyond relative precision {cap}")
-        todo = [x for x in cols if x not in limits]
-        s = LaurentSeries(-1, (1,) + (0,) * (precision - 1))
-        for x, v in zip(todo, kernel(s, todo)):
-            with suppress(PrecisionExhausted):
-                limits[x] = limit_at_zero(v)
-        precision *= 2
-    return [limits[x] for x in cols]
+        unknown_rows, unknown_cols = {i for i, _ in unknown}, {x for _, x in unknown}
+        todo_rows = [i for i in rows if i in unknown_rows]
+        todo_cols = [x for x in cols if x in unknown_cols]
 
 
-def _row_limits(p: TDParameters, i: MultiIndex, cols: list) -> tuple[list, list]:
-    """For each x of cols, the t -> 0 limits of T_i(x) at omega* = 1/t and of
-    the truncated Hahn kind at omega = 1/t, both taken in Laurent series by
-    one table-kernel call for the row.
+def _row_limits(p: TDParameters, rows: Sequence, cols: Sequence) -> tuple[list, list]:
+    """For each i of rows and x of cols, the t -> 0 limits of T_i(x) at
+    omega* = 1/t and of the truncated Hahn kind at omega = 1/t, both taken
+    in Laurent series by one table-kernel call for the whole group of rows.
 
-    Relative precision r = 1 always suffices.  Call the sum of a term's
+    Relative precision r = 1 always suffices, and there every series
+    operation takes `LaurentSeries`' short path.  Call the sum of a term's
     factors' valuations its nominal valuation.  With every factor known to
     relative precision r, a product is known below t^(nominal + r), so is a
     quotient by a Pochhammer product in 1/t (its valuation is exact), and a
@@ -409,13 +416,15 @@ def _row_limits(p: TDParameters, i: MultiIndex, cols: list) -> tuple[list, list]
     of T is an int times ratios (omega* - a_p + m)_k / (omega* + m')_k of
     nominal valuation 0; every path term of the Hahn kind has -|x| and its
     head 1 / (|x| + omega)_{|x|} has +|x|.  So every entry is known below
-    t^r.  The cap 2|ell| + 1 holds whatever the valuations: a factor of
-    positive valuation only raises the bound, and the Pochhammer numerators
-    in 1/t of one term have total length at most |i| + |x| <= 2|ell|.
+    t^r.  Should an entry still be unknown, only the rows and columns that
+    hold one are redone at a higher precision.  The cap 2|ell| + 1 holds
+    whatever the valuations: a factor of positive valuation only raises the
+    bound, and the Pochhammer numerators in 1/t of one term have total
+    length at most |i| + |x| <= 2|ell|.
     """
     cap = 2 * p.diameter + 1
-    hahn = _series_limits(lambda s, xs: _t_direct(replace(p, omega_star=s), [i], xs)[0], cols, cap)
-    kraw = _series_limits(lambda s, xs: _hahn_table(replace(p, omega=s), [i], xs)[0], cols, cap)
+    hahn = _series_limits(lambda s, rs, xs: _t_direct(replace(p, omega_star=s), rs, xs), rows, cols, cap)
+    kraw = _series_limits(lambda s, rs, xs: _hahn_table(replace(p, omega=s), rs, xs), rows, cols, cap)
     return hahn, kraw
 
 
@@ -426,25 +435,31 @@ def _check_limits(ctx: _Context):
     _ensure_valid(replace(p, h_star=p.h_star * t, omega_star=1 / t))
     _ensure_valid(replace(p, h=p.h * t, omega=1 / t))
     _ensure_valid(p)
-    rows: dict = {}
+    by_row: dict = {}
     for i, x in _limit_pairs(ctx.basis):
-        rows.setdefault(i, []).append(x)
-    for i, cols in rows.items():
-        lims = _row_limits(p, i, cols)
-        # the closed forms over Q, one kernel call per row and kind; read from
-        # the overlap module, as `_hahn_table` here is the series kernel of
-        # `_row_limits`
-        closed = (overlap._hahn_table(p, [i], cols)[0], overlap._krawtchouk_table(p, [i], cols)[0])
-        for c, x in enumerate(cols):
-            for lim, form, identity in zip(lims, closed, _LIMIT_IDENTITIES):
-                if lim[c] != form[c]:
-                    return False, {
-                        "identity": identity,
-                        "i": format_multiindex(i),
-                        "x": format_multiindex(x),
-                        "lhs": format_scalar(lim[c]),
-                        "rhs": format_scalar(form[c]),
-                    }
+        by_row.setdefault(i, []).append(x)
+    # rows that share their column list form one group: every row when every
+    # pair is checked, one row per group for the sample
+    groups: dict = {}
+    for i, cols in by_row.items():
+        groups.setdefault(tuple(cols), []).append(i)
+    for cols, rows in groups.items():
+        lims = _row_limits(p, rows, cols)
+        # the closed forms over Q, one kernel call per group and kind; read
+        # from the overlap module, as `_hahn_table` here is the series kernel
+        # of `_row_limits`
+        closed = (overlap._hahn_table(p, rows, cols), overlap._krawtchouk_table(p, rows, cols))
+        for r, i in enumerate(rows):
+            for c, x in enumerate(cols):
+                for lim, form, identity in zip(lims, closed, _LIMIT_IDENTITIES):
+                    if lim[r][c] != form[r][c]:
+                        return False, {
+                            "identity": identity,
+                            "i": format_multiindex(i),
+                            "x": format_multiindex(x),
+                            "lhs": format_scalar(lim[r][c]),
+                            "rhs": format_scalar(form[r][c]),
+                        }
     return True, None
 
 
@@ -537,8 +552,10 @@ def run_suite(
 ) -> VerificationReport:
     """Run the selected checks (default: all but irreducibility).
 
-    Failures never raise; they are report entries with witnesses.  When the
-    constraints check fails, dependent checks are reported as skipped.
+    Failures are report entries with witnesses, not errors; only
+    PrecisionExhausted propagates, from limits, when a t -> 0 limit stays
+    unknown past the precision cap.  When the constraints check fails,
+    dependent checks are reported as skipped.
     overlap_consistency compares whole route tables, one per route, each
     built by a single call of that route's table kernel.  Each operator,
     coefficient matrix and route table is built when a selected check first

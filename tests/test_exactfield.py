@@ -299,6 +299,13 @@ def _outcome(f):
         return PoleAtZero
 
 
+def _leading_term(v):
+    # (valuation, leading coefficient) of a known value, None for O(t^k)
+    if isinstance(v, LaurentSeries):
+        return (v.val, Fraction(v.nums[0], v.den)) if v.nums else None
+    return (0, Fraction(v)) if v else (None, Fraction(0))
+
+
 class TestLaurentSeries:
     @given(_expressions)
     @settings(max_examples=150, deadline=None)
@@ -317,6 +324,30 @@ class TestLaurentSeries:
                 precision *= 2
                 assert precision <= 64
         assert got == _outcome(exact)
+
+    @given(_expressions)
+    @settings(max_examples=150, deadline=None)
+    # O(t^2) + O(t^0) is O(t^0), so adding t leaves the constant term
+    # unknown at precision 1; at precision 4 it is 1
+    @example(
+        (
+            "+",
+            ("+", ("-", ("lin", Fraction(1), Fraction(1)), ("lin", Fraction(1), Fraction(1))),
+             ("-", ("inv", Fraction(1)), ("inv", Fraction(0)))),
+            ("lin", Fraction(0), Fraction(1)),
+        )
+    )
+    def test_precision_one_keeps_the_leading_term(self, expr):
+        # where the short path of relative precision 1 knows a value, its
+        # valuation and leading coefficient are those at precision 4; a wrong
+        # leading term of positive valuation would leave the limit unchanged
+        try:
+            short = _evaluate(expr, _series_t(1, 1), _series_t(1, -1))
+        except (PrecisionExhausted, ZeroDivisionError):
+            return
+        lead = _leading_term(short)
+        if lead is not None:
+            assert lead == _leading_term(_evaluate(expr, _series_t(4, 1), _series_t(4, -1)))
 
     def test_cancellation_exhausts_precision_one_only(self):
         def expr(precision):

@@ -630,16 +630,19 @@ class TestLimitsMutation:
         assert covered == [count]
 
 
-def _reduced_row_limits(p, i, cols):
+def _reduced_row_limits(p, rows, cols):
     """The limits as `limits` took them before series: every value a reduced
     RationalFunction, sent to t = 0 by `limit_at_zero`."""
     t = variable_t()
     hahn_side = replace(p, h_star=p.h_star * t, omega_star=1 / t)
     kraw_side = replace(p, h=p.h * t, omega=1 / t)
     return (
-        [limit_at_zero(overlap.overlap_T(hahn_side, i, x, "direct_sum")) for x in cols],
-        [limit_at_zero(overlap.overlap_limit_kind(kraw_side, "hahn", i, x)) for x in cols],
+        [[limit_at_zero(overlap.overlap_T(hahn_side, i, x, "direct_sum")) for x in cols] for i in rows],
+        [[limit_at_zero(overlap.overlap_limit_kind(kraw_side, "hahn", i, x)) for x in cols] for i in rows],
     )
+
+
+_SERIES_SHAPES = [(5,), (2, 1), (1, 2), (2, 2), (3, 2)]
 
 
 class TestSeriesLimits:
@@ -647,12 +650,33 @@ class TestSeriesLimits:
     equal the limits of the reduced rational functions."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    @pytest.mark.parametrize("ell", [(5,), (2, 1), (1, 2), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("ell", _SERIES_SHAPES)
     def test_every_pair_equals_the_rational_function_path(self, ell, seed):
         p = random_valid_parameters(Shape(ell), seed)
         basis = enumerate_box(p.shape)
-        for i in basis:
-            assert verify._row_limits(p, i, basis) == _reduced_row_limits(p, i, basis)
+        assert verify._row_limits(p, basis, basis) == _reduced_row_limits(p, basis, basis)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ell", _SERIES_SHAPES)
+    def test_every_kernel_call_runs_at_precision_one(self, monkeypatch, ell, seed):
+        # the `_row_limits` docstring's claim: precision 1 always suffices,
+        # so each kernel runs once, on every row and column of the group
+        seen = []
+
+        def recorded(kernel, side):
+            def run(params, rows, cols):
+                seen.append((side, len(getattr(params, side).nums), len(rows), len(cols)))
+                return kernel(params, rows, cols)
+
+            return run
+
+        monkeypatch.setattr(verify, "_t_direct", recorded(verify._t_direct, "omega_star"))
+        monkeypatch.setattr(verify, "_hahn_table", recorded(verify._hahn_table, "omega"))
+        p = random_valid_parameters(Shape(ell), seed)
+        basis = enumerate_box(p.shape)
+        verify._row_limits(p, basis, basis)
+        d = len(basis)
+        assert seen == [("omega_star", 1, d, d), ("omega", 1, d, d)]
 
     def test_a_forced_retry_doubles_the_precision(self, monkeypatch):
         # (v + s) - s loses v at precision 1 and keeps it at precision 2
@@ -670,12 +694,31 @@ class TestSeriesLimits:
         monkeypatch.setattr(verify, "_hahn_table", lossy(verify._hahn_table, "omega"))
         p = random_valid_parameters(Shape((2, 1)), 1)
         basis = enumerate_box(p.shape)
-        for i in basis:
-            seen.clear()
-            assert verify._row_limits(p, i, basis) == _reduced_row_limits(p, i, basis)
-            assert [k for side, k in seen if side == "omega_star"] == [1, 2]
-            assert sorted({k for side, k in seen if side == "omega"}) == [1, 2]
+        assert verify._row_limits(p, basis, basis) == _reduced_row_limits(p, basis, basis)
+        assert [k for side, k in seen if side == "omega_star"] == [1, 2]
+        assert sorted({k for side, k in seen if side == "omega"}) == [1, 2]
         assert run_suite(p, checks=["limits"]).passed
+
+    def test_a_retry_redoes_only_the_unknown_row_and_column(self, monkeypatch):
+        # one entry left O(t^0) at precision 1: the precision-2 call gets
+        # exactly its row and its column
+        p = random_valid_parameters(Shape((2, 1)), 1)
+        basis = enumerate_box(p.shape)
+        i, x = basis[2], basis[4]
+        calls = []
+        original = verify._t_direct
+
+        def planted(params, rows, cols):
+            precision = len(params.omega_star.nums)
+            calls.append((precision, list(rows), list(cols)))
+            table = original(params, rows, cols)
+            if precision == 1:
+                table[rows.index(i)][cols.index(x)] = LaurentSeries(0)
+            return table
+
+        monkeypatch.setattr(verify, "_t_direct", planted)
+        assert verify._row_limits(p, basis, basis) == _reduced_row_limits(p, basis, basis)
+        assert calls == [(1, basis, basis), (2, [i], [x])]
 
     def test_past_the_cap_the_precision_error_propagates(self, monkeypatch):
         # O(t^0) at every precision; at ell = (1,) the cap is 2|ell| + 1 = 3
