@@ -160,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_shape(text: str) -> Shape:
     try:
-        parts = [int(piece) for piece in text.split(",") if piece.strip() != ""]
+        parts = [int(piece) for piece in text.split(",")]
         return Shape(parts)
     except ValueError as err:
         raise ConfigError(f"bad --shape {text!r}: {err}") from None

@@ -14,15 +14,12 @@ below means any of the three.  All operations are pure and every value is
 immutable, so everything in this module is safe to use concurrently.
 
 A third scalar kind serves only to take limits at t = 0:
-:class:`LaurentSeries`, a Laurent series over Q truncated at a tracked
-precision.  It is exact (int coefficients over one denominator, no floats,
-no gcd of polynomials), and it raises `PrecisionExhausted` rather than guess a
-coefficient that its precision does not determine.  It enters the same
-series primitives and `pochhammer`, and `limit_at_zero` reads its t^0
-coefficient.  At relative precision 1, where the limits of `verify` are
-taken, a series is one valuation, one numerator and one denominator, and
-`+`, `*` and division build their result from those directly; the
-coefficient loops serve only the higher precisions of a retry.
+:class:`LaurentSeries`, a Laurent series over Q known to relative precision
+1, that is one valuation, one numerator and one denominator.  It is exact
+(no floats, no gcd of polynomials), and it raises `PrecisionExhausted`
+rather than guess a coefficient that its precision does not determine.  It
+enters the same series primitives and `pochhammer`, and `limit_at_zero`
+reads its t^0 coefficient.
 
 A value may also ride as a pair (numerator, denominator): two ints for a
 rational, (v, 1) for a rational function or series v, which answers the
@@ -414,74 +411,57 @@ def _as_rf(v):
 
 
 class LaurentSeries:
-    """A Laurent series at t = 0 over Q, known to a finite precision.
+    """A Laurent series at t = 0 over Q, known to relative precision 1.
 
-    ``t^val (n_0 + n_1 t + ... + n_{r-1} t^{r-1} + O(t^r)) / den`` with int
-    ``nums`` = (n_0, ..., n_{r-1}), a known leading coefficient n_0 != 0, an
-    int ``den`` > 0 and relative precision r; with no known coefficient it
-    is ``O(t^val)``, a zero known below t^val only.  The absolute precision
-    ``val + r`` follows the semantics of PARI/GP's power series (Knuth,
-    TAOCP vol. 2, 4.7): a product keeps the smaller relative precision, and
-    a sum is known below the smaller absolute precision, so a cancellation
-    of leading terms shrinks the relative precision by exactly the terms it
-    removes.  An int or Fraction operand is exact.  As over Q elsewhere in
-    this module, the coefficients stay unreduced ints over one denominator,
-    and sums put two denominators over their lcm.  Only the precision is
-    ever cut, never a known coefficient guessed: ``== 0`` and division raise
-    PrecisionExhausted on a zero that is not known to be one.
-
-    Operands of relative precision at most 1 take a short path with the
-    same semantics and no coefficient loop: a product is the product of the
-    leading terms, an inverse swaps numerator and denominator, and a sum
-    keeps the operand known to less absolute precision, or adds two leading
-    terms at the same t^v, an exact cancellation leaving O(t^(v+1)).
+    ``t^val (num / den) + O(t^(val+1))`` with an int ``num`` != 0 and an
+    int ``den`` > 0; with ``num`` = 0 it is ``O(t^val)``, a zero known below
+    t^val only.  An int or Fraction operand is exact.  A product is the
+    product of the leading terms and an inverse swaps numerator and
+    denominator.  A sum is known below the smaller absolute precision
+    (PARI/GP's power series): it keeps the lowest term known there, the sum
+    of the two leading terms when they sit at one t^v, where an exact
+    cancellation leaves O(t^(v+1)); a higher known term is cut, so 3 + t is
+    3 + O(t).  Only the precision is ever cut, never a coefficient guessed:
+    ``== 0`` and division raise PrecisionExhausted on a zero that is not
+    known to be one.
     """
 
-    __slots__ = ("val", "nums", "den")
+    __slots__ = ("val", "num", "den")
 
-    def __init__(self, val: int, nums: Sequence[int] = (), den: int = 1):
-        k = 0
-        while k < len(nums) and not nums[k]:
-            k += 1
+    def __init__(self, val: int, num: int = 0, den: int = 1):
         if den < 0:
-            nums, den = [-c for c in nums], -den
-        self.val, self.nums, self.den = val + k, tuple(nums[k:]), den
+            num, den = -num, -den
+        self.val, self.num, self.den = val, num, den
 
     def _abs(self) -> int:
-        return self.val + len(self.nums)
+        return self.val + 1 if self.num else self.val
 
     def __add__(self, other):
         if type(other) is LaurentSeries:
-            top, (v2, b, d2) = min(self._abs(), other._abs()), (other.val, other.nums, other.den)
+            top, v2, b, d2 = min(self._abs(), other._abs()), other.val, other.num, other.den
         elif isinstance(other, (int, Fraction)):
-            n = other.numerator
-            top, (v2, b, d2) = self._abs(), (0, (n,) if n else (), other.denominator)
+            top, v2, b, d2 = self._abs(), 0, other.numerator, other.denominator
         else:
             return NotImplemented
-        v1, a, d1 = self.val, self.nums, self.den
-        if len(a) <= 1 and len(b) <= 1:
-            # precision 1: each operand has at most one known term, which
-            # counts only below top; a known series term lies at top - 1
-            ka, kb = a and v1 < top, b and v2 < top
-            if ka and kb and v1 == v2:
-                return _lead_sum(v1, a[0], d1, b[0], d2)
-            if not kb:
-                return self if ka else _series(top, (), d1)
-            if not ka and v2 + 1 == top:
-                return _series(v2, b, d2)
-        den = math.lcm(d1, d2)
-        low = min(top, v1 if a else top, v2 if b else top)
-        out = [0] * (top - low)
-        for v, cs, d in ((v1, a, d1), (v2, b, d2)):
-            f = den // d
-            for k, c in enumerate(cs[: max(0, top - v)], v - low):
-                out[k] += c * f
-        return LaurentSeries(low, out, den)
+        v1, a, d1 = self.val, self.num, self.den
+        # a known term counts only below top: a series term lies at top - 1,
+        # an exact constant at t^0, and a constant below a series term cuts it
+        ka, kb = a and v1 < top, b and v2 < top
+        if ka and kb and v1 == v2:
+            if d1 == d2:
+                c, den = a + b, d1
+            else:
+                den = math.lcm(d1, d2)
+                c = a * (den // d1) + b * (den // d2)
+            return LaurentSeries(v1, c, den) if c else LaurentSeries(v1 + 1, 0, den)
+        if kb:
+            return LaurentSeries(v2, b, d2)
+        return self if ka else LaurentSeries(top, 0, d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _series(self.val, tuple(-c for c in self.nums), self.den)
+        return LaurentSeries(self.val, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -492,39 +472,21 @@ class LaurentSeries:
     def __mul__(self, other):
         # a series first: isinstance against Fraction's ABC is the slow test
         if type(other) is LaurentSeries:
-            a, b = self.nums, other.nums
-            if len(a) <= 1 or len(b) <= 1:
-                # precision 1: the leading terms' product, or nothing known
-                nums = (a[0] * b[0],) if a and b else ()
-                return _series(self.val + other.val, nums, self.den * other.den)
-            out = [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(min(len(a), len(b)))]
-            return LaurentSeries(self.val + other.val, out, self.den * other.den)
+            return LaurentSeries(self.val + other.val, self.num * other.num, self.den * other.den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not other:
             return Fraction(0)
         if other == 1:
             return self
-        n, a = other.numerator, self.nums
-        nums = (a[0] * n,) if len(a) == 1 else tuple(c * n for c in a)
-        return _series(self.val, nums, self.den * other.denominator)
+        return LaurentSeries(self.val, self.num * other.numerator, self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "LaurentSeries":
-        # den / (b_0 + b_1 t + ...): e_k = b_0^(k+1) times the t^k coefficient
-        # of 1 / (b_0 + b_1 t + ...) is an int, e_0 = 1
-        b, r = self.nums, len(self.nums)
-        if not b:
+        if not self.num:
             raise PrecisionExhausted(f"division by O(t^{self.val}), not known to be nonzero")
-        if r == 1:
-            sign = 1 if b[0] > 0 else -1
-            return _series(-self.val, (sign * self.den,), sign * b[0])
-        e = [1]
-        for k in range(1, r):
-            e.append(-sum(b[j] * b[0] ** (j - 1) * e[k - j] for j in range(1, k + 1)))
-        nums = [self.den * c * b[0] ** (r - 1 - k) for k, c in enumerate(e)]
-        return LaurentSeries(-self.val, nums, b[0] ** r)
+        return LaurentSeries(-self.val, self.den, self.num)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -540,7 +502,7 @@ class LaurentSeries:
         # only a comparison with 0 is decided; an unknown zero raises
         if not isinstance(other, (int, Fraction)) or other != 0:
             raise TypeError("a Laurent series is only compared with 0")
-        if not self.nums:
+        if not self.num:
             raise PrecisionExhausted(f"O(t^{self.val}) is not known to be zero")
         return False
 
@@ -559,26 +521,7 @@ class LaurentSeries:
         return 1
 
     def __repr__(self):
-        return f"LaurentSeries({self.val}, {self.nums!r}, {self.den})"
-
-
-def _series(val: int, nums: tuple, den: int) -> LaurentSeries:
-    """A series from parts already in its normal form (a nonzero leading
-    coefficient, den > 0), built without `LaurentSeries.__init__`."""
-    s = object.__new__(LaurentSeries)
-    s.val, s.nums, s.den = val, nums, den
-    return s
-
-
-def _lead_sum(v: int, n1: int, d1: int, n2: int, d2: int) -> LaurentSeries:
-    """(n1 / d1 + n2 / d2) t^v + O(t^(v+1)); an exact cancellation leaves
-    O(t^(v+1))."""
-    if d1 == d2:
-        c, den = n1 + n2, d1
-    else:
-        den = math.lcm(d1, d2)
-        c = n1 * (den // d1) + n2 * (den // d2)
-    return _series(v, (c,), den) if c else _series(v + 1, (), den)
+        return f"LaurentSeries({self.val}, {self.num}, {self.den})"
 
 
 FieldElement = Union[int, Fraction, RationalFunction]
@@ -823,11 +766,11 @@ def limit_at_zero(f) -> Fraction:
     if isinstance(f, (int, Fraction)):
         return Fraction(f)
     if isinstance(f, LaurentSeries):
-        if f.nums and f.val < 0:
+        if f.num and f.val < 0:
             raise PoleAtZero(f"pole at t = 0: {f!r}")
-        if f.val <= 0 and not f.nums:
+        if f.val <= 0 and not f.num:
             raise PrecisionExhausted(f"t^0 coefficient of {f!r} unknown")
-        return Fraction(f.nums[0], f.den) if f.val == 0 else Fraction(0)
+        return Fraction(f.num, f.den) if f.val == 0 else Fraction(0)
     if not isinstance(f, RationalFunction):
         raise TypeError(f"not a rational function: {type(f).__name__}")
     den0 = f.den[0]  # canonical form, so num/den share no factor of t

@@ -11,6 +11,7 @@ import pytest
 
 from tdpair.cli import MAX_DIMENSION, MAX_IRREDUCIBILITY_DIMENSION, _emit_tables, main
 from tdpair.multiindex import Shape, enumerate_box
+from tdpair import verify
 from tdpair.tdcore import ExactMatrix
 from tdpair.verify import random_valid_parameters
 from overlap_oracle import oracle_hahn, oracle_krawtchouk
@@ -228,6 +229,25 @@ class TestLimits:
         assert rc == 1
         assert "SKIP  limits" in out
 
+    def test_a_raising_series_kernel_fails_with_a_witness(self, monkeypatch, capsys):
+        # division by s - s = O(t^0) in the Krawtchouk side's series kernel:
+        # status 1 and the JSON witness, not a traceback
+        original = verify._hahn_table
+
+        def dividing(params, rows, cols):
+            s = params.omega
+            return [[v / (s - s) for v in row] for row in original(params, rows, cols)]
+
+        monkeypatch.setattr(verify, "_hahn_table", dividing)
+        rc = main(["limits", "--shape", "2,1", "--seed", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        limits = json.loads(captured.out)["checks"][-1]
+        assert (limits["check"], limits["pass"]) == ("limits", False)
+        assert limits["witness"]["identity"] == "both spectra linear limit"
+        assert limits["witness"]["lhs"] == "unknown: division by O(t^0), not known to be nonzero"
+
 
 class TestConfigErrors:
     def test_params_and_shape_conflict(self, params_file, capsys):
@@ -260,6 +280,10 @@ class TestConfigErrors:
     def test_bad_shape_text(self, capsys):
         assert main(["verify", "--shape", "2,x", "--seed", "1"]) == 2
         assert main(["verify", "--shape", "0", "--seed", "1"]) == 2
+        # an empty entry is an error, not dropped
+        for text in ("1,,2", "3,", ",3"):
+            assert main(["limits", "--shape", text, "--seed", "1"]) == 2
+            assert "bad --shape" in capsys.readouterr().err
 
     def test_bound_too_small(self, capsys):
         assert main(["verify", "--shape", "1", "--seed", "1", "--bound", "2"]) == 2

@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdpair.exactfield import (
@@ -262,9 +262,8 @@ class TestLimitAtZero:
         assert limit_at_zero(Fraction(5, 7)) == Fraction(5, 7)
 
 
-def _series_t(precision: int, val: int) -> LaurentSeries:
-    # t (val 1) or 1/t (val -1), known to relative precision `precision`
-    return LaurentSeries(val, (1,) + (0,) * (precision - 1))
+# t and 1/t as Laurent series
+_T, _INV_T = LaurentSeries(1, 1), LaurentSeries(-1, 1)
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -300,98 +299,86 @@ def _outcome(f):
 
 
 def _leading_term(v):
-    # (valuation, leading coefficient) of a known value, None for O(t^k)
+    # (valuation, leading coefficient) at t = 0 of a known nonzero value,
+    # None for a zero or for O(t^k)
     if isinstance(v, LaurentSeries):
-        return (v.val, Fraction(v.nums[0], v.den)) if v.nums else None
-    return (0, Fraction(v)) if v else (None, Fraction(0))
+        return (v.val, Fraction(v.num, v.den)) if v.num else None
+    if isinstance(v, RationalFunction):
+        if not v:
+            return None
+        vn, vd = (next(k for k, c in enumerate(p) if c) for p in (v.num, v.den))
+        return vn - vd, Fraction(v.num[vn], v.den[vd])
+    return (0, Fraction(v)) if v else None
+
+
+def _series_and_exact(expr):
+    # the expression in series and over Q(t); hypothesis drops it where either
+    # divides by a zero or the series leaves its value unknown
+    try:
+        return _evaluate(expr, _T, _INV_T), _evaluate(expr, variable_t(), 1 / variable_t())
+    except (PrecisionExhausted, ZeroDivisionError):
+        assume(False)
 
 
 class TestLaurentSeries:
     @given(_expressions)
     @settings(max_examples=150, deadline=None)
     def test_limit_matches_the_reduced_rational_function(self, expr):
-        t = variable_t()
+        series, exact = _series_and_exact(expr)
         try:
-            exact = _evaluate(expr, t, 1 / t)
-        except ZeroDivisionError:
-            return  # a quotient by an exact zero has no limit to compare
-        precision = 1
-        while True:
-            try:
-                got = _outcome(_evaluate(expr, _series_t(precision, 1), _series_t(precision, -1)))
-                break
-            except PrecisionExhausted:
-                precision *= 2
-                assert precision <= 64
+            got = _outcome(series)
+        except PrecisionExhausted:
+            assume(False)
         assert got == _outcome(exact)
 
     @given(_expressions)
     @settings(max_examples=150, deadline=None)
-    # O(t^2) + O(t^0) is O(t^0), so adding t leaves the constant term
-    # unknown at precision 1; at precision 4 it is 1
-    @example(
-        (
-            "+",
-            ("+", ("-", ("lin", Fraction(1), Fraction(1)), ("lin", Fraction(1), Fraction(1))),
-             ("-", ("inv", Fraction(1)), ("inv", Fraction(0)))),
-            ("lin", Fraction(0), Fraction(1)),
-        )
-    )
+    # 2t (3 + t): the constant 3 cuts the t of 3 + t, and the product keeps
+    # the leading term 6t of positive valuation
+    @example(("*", ("lin", Fraction(0), Fraction(2)), ("lin", Fraction(3), Fraction(1))))
     def test_precision_one_keeps_the_leading_term(self, expr):
-        # where the short path of relative precision 1 knows a value, its
-        # valuation and leading coefficient are those at precision 4; a wrong
-        # leading term of positive valuation would leave the limit unchanged
-        try:
-            short = _evaluate(expr, _series_t(1, 1), _series_t(1, -1))
-        except (PrecisionExhausted, ZeroDivisionError):
-            return
-        lead = _leading_term(short)
-        if lead is not None:
-            assert lead == _leading_term(_evaluate(expr, _series_t(4, 1), _series_t(4, -1)))
+        # where the series knows a term, it is the leading term of the
+        # reduced rational function; a wrong leading term of positive
+        # valuation would leave the limit unchanged
+        series, exact = _series_and_exact(expr)
+        lead = _leading_term(series)
+        assume(lead is not None)
+        assert lead == _leading_term(exact)
 
     def test_cancellation_exhausts_precision_one_only(self):
-        def expr(precision):
-            inv_t = _series_t(precision, -1)
-            return ((inv_t + 1) - inv_t) * inv_t
-
+        # the cancellation of 1/t loses exactly the constant below it: the
+        # product is O(1/t), while the reduced rational function has a pole
+        f = ((_INV_T + 1) - _INV_T) * _INV_T
+        assert (f.val, f.num) == (-1, 0)
         with pytest.raises(PrecisionExhausted):
-            limit_at_zero(expr(1))
-        # at precision 2 the value is 1/t exactly in its known terms, and
-        # its limit is the pole of the reduced rational function
-        f = expr(2)
-        assert (f.val, f.nums, f.den) == (-1, (1,), 1)
-        with pytest.raises(PoleAtZero):
             limit_at_zero(f)
         with pytest.raises(PoleAtZero):
             limit_at_zero(((1 / variable_t() + 1) - 1 / variable_t()) / variable_t())
 
     def test_a_known_zero_limit_after_two_cancellations(self):
-        def expr(precision):
-            inv_t = _series_t(precision, -1)
-            return (((inv_t + 1) - inv_t) - 1) * inv_t
-
-        for precision in (1, 2):
-            with pytest.raises(PrecisionExhausted):
-                limit_at_zero(expr(precision))
-        assert limit_at_zero(expr(3)) == 0
+        # the reduced rational function is 0; the series never guesses it
+        with pytest.raises(PrecisionExhausted):
+            limit_at_zero((((_INV_T + 1) - _INV_T) - 1) * _INV_T)
+        inv_t = 1 / variable_t()
+        assert limit_at_zero((((inv_t + 1) - inv_t) - 1) * inv_t) == 0
 
     def test_only_a_known_nonzero_is_decided(self):
-        inv_t = _series_t(1, -1)
-        assert inv_t != 0 and bool(inv_t)
+        assert _INV_T != 0 and bool(_INV_T)
         with pytest.raises(PrecisionExhausted):
-            _ = inv_t - inv_t == 0
+            _ = _INV_T - _INV_T == 0
         with pytest.raises(PrecisionExhausted):
-            _ = 1 / (inv_t - inv_t)
+            _ = 1 / (_INV_T - _INV_T)
         with pytest.raises(TypeError):
-            _ = inv_t == 1
-        assert inv_t * 0 == 0 and type(inv_t * 0) is Fraction
+            _ = _INV_T == 1
+        assert _INV_T * 0 == 0 and type(_INV_T * 0) is Fraction
 
     def test_pochhammer_and_pair_protocol(self):
-        s = _series_t(3, -1) + Fraction(1, 2)
-        # t^-3 (1 + t/2)(1 + 3t/2)(1 + 5t/2), known to t^0
-        got = pochhammer(s, 3)
-        assert got.val == -3
-        assert [Fraction(n, got.den) for n in got.nums] == [1, Fraction(9, 2), Fraction(23, 4)]
+        # (1/t + 1/2)_3 = t^-3 + O(t^-2): the constant lies beyond the precision
+        got = pochhammer(_INV_T + Fraction(1, 2), 3)
+        assert (got.val, Fraction(got.num, got.den)) == (-3, 1)
+        # (1/2 + t)_3 = (1/2)(3/2)(5/2) + O(t)
+        s = _T + Fraction(1, 2)
+        assert limit_at_zero(pochhammer(s, 3)) == Fraction(15, 8)
         assert (s.numerator, s.denominator) == (s, 1)
 
 

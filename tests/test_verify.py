@@ -10,7 +10,6 @@ import pytest
 from tdpair import cob, overlap, verify
 from tdpair.exactfield import (
     LaurentSeries,
-    PrecisionExhausted,
     RationalFunction,
     as_integer,
     format_scalar,
@@ -660,12 +659,12 @@ class TestSeriesLimits:
     @pytest.mark.parametrize("ell", _SERIES_SHAPES)
     def test_every_kernel_call_runs_at_precision_one(self, monkeypatch, ell, seed):
         # the `_row_limits` docstring's claim: precision 1 always suffices,
-        # so each kernel runs once, on every row and column of the group
+        # so each kernel runs once per kind, on every row and column
         seen = []
 
         def recorded(kernel, side):
             def run(params, rows, cols):
-                seen.append((side, len(getattr(params, side).nums), len(rows), len(cols)))
+                seen.append((side, type(getattr(params, side)), len(rows), len(cols)))
                 return kernel(params, rows, cols)
 
             return run
@@ -676,63 +675,90 @@ class TestSeriesLimits:
         basis = enumerate_box(p.shape)
         verify._row_limits(p, basis, basis)
         d = len(basis)
-        assert seen == [("omega_star", 1, d, d), ("omega", 1, d, d)]
+        assert seen == [("omega_star", LaurentSeries, d, d), ("omega", LaurentSeries, d, d)]
 
-    def test_a_forced_retry_doubles_the_precision(self, monkeypatch):
-        # (v + s) - s loses v at precision 1 and keeps it at precision 2
-        seen = []
 
-        def lossy(kernel, side):
-            def run(params, rows, cols):
-                s = getattr(params, side)
-                seen.append((side, len(s.nums)))
-                return [[(v + s) - s for v in row] for row in kernel(params, rows, cols)]
+class TestUnknownLimits:
+    """A limit that precision 1 leaves unknown, or a series kernel that
+    raises, fails `limits` with a witness; nothing propagates out of the
+    suite and no value is guessed."""
 
-            return run
-
-        monkeypatch.setattr(verify, "_t_direct", lossy(verify._t_direct, "omega_star"))
-        monkeypatch.setattr(verify, "_hahn_table", lossy(verify._hahn_table, "omega"))
+    @staticmethod
+    def _limits_witness(monkeypatch, name, wrap):
+        # the limits witness at (2,1), seed 1, with verify.<name> wrapped
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda params, rows, cols: wrap(params, rows, cols, original))
         p = random_valid_parameters(Shape((2, 1)), 1)
-        basis = enumerate_box(p.shape)
-        assert verify._row_limits(p, basis, basis) == _reduced_row_limits(p, basis, basis)
-        assert [k for side, k in seen if side == "omega_star"] == [1, 2]
-        assert sorted({k for side, k in seen if side == "omega"}) == [1, 2]
-        assert run_suite(p, checks=["limits"]).passed
+        result = run_suite(p, checks=["limits"]).result("limits")
+        assert result.passed is False
+        return p, result.witness
 
-    def test_a_retry_redoes_only_the_unknown_row_and_column(self, monkeypatch):
-        # one entry left O(t^0) at precision 1: the precision-2 call gets
-        # exactly its row and its column
-        p = random_valid_parameters(Shape((2, 1)), 1)
-        basis = enumerate_box(p.shape)
+    def test_a_lossy_kernel_fails_with_an_unknown_witness(self, monkeypatch):
+        # (v + s) - s loses v below 1/t: every entry's limit is unknown
+        def lossy(params, rows, cols, kernel):
+            s = params.omega_star
+            return [[(v + s) - s for v in row] for row in kernel(params, rows, cols)]
+
+        p, witness = self._limits_witness(monkeypatch, "_t_direct", lossy)
+        i = enumerate_box(p.shape)[0]
+        assert witness == {
+            "identity": "level-linear starred spectrum limit",
+            "i": format_multiindex(i),
+            "x": format_multiindex(i),
+            "lhs": "unknown: t^0 coefficient of LaurentSeries(0, 0, 1) unknown",
+            "rhs": format_scalar(overlap.overlap_limit_kind(p, "hahn", i, i)),
+        }
+
+    def test_a_planted_unknown_entry_is_named(self, monkeypatch):
+        basis = enumerate_box(Shape((2, 1)))
         i, x = basis[2], basis[4]
-        calls = []
-        original = verify._t_direct
 
-        def planted(params, rows, cols):
-            precision = len(params.omega_star.nums)
-            calls.append((precision, list(rows), list(cols)))
-            table = original(params, rows, cols)
-            if precision == 1:
-                table[rows.index(i)][cols.index(x)] = LaurentSeries(0)
+        def planted(params, rows, cols, kernel):
+            table = kernel(params, rows, cols)
+            table[rows.index(i)][cols.index(x)] = LaurentSeries(0)
             return table
 
-        monkeypatch.setattr(verify, "_t_direct", planted)
-        assert verify._row_limits(p, basis, basis) == _reduced_row_limits(p, basis, basis)
-        assert calls == [(1, basis, basis), (2, [i], [x])]
+        p, witness = self._limits_witness(monkeypatch, "_t_direct", planted)
+        assert (witness["i"], witness["x"]) == (format_multiindex(i), format_multiindex(x))
+        assert witness["lhs"] == "unknown: t^0 coefficient of LaurentSeries(0, 0, 1) unknown"
+        assert witness["rhs"] == format_scalar(overlap.overlap_limit_kind(p, "hahn", i, x))
 
-    def test_past_the_cap_the_precision_error_propagates(self, monkeypatch):
-        # O(t^0) at every precision; at ell = (1,) the cap is 2|ell| + 1 = 3
-        seen = []
+    def test_a_kernel_that_raises_fails_the_check(self, monkeypatch):
+        # division by s - s = O(t^0) raises inside the Krawtchouk side's
+        # call; the witness is the group's first pair with the error
+        def dividing(params, rows, cols, kernel):
+            s = params.omega
+            return [[v / (s - s) for v in row] for row in kernel(params, rows, cols)]
 
-        def unknown(params, rows, cols):
-            seen.append(len(params.omega_star.nums))
-            return [[LaurentSeries(0) for _ in cols] for _ in rows]
+        p, witness = self._limits_witness(monkeypatch, "_hahn_table", dividing)
+        i = enumerate_box(p.shape)[0]
+        assert witness == {
+            "identity": "both spectra linear limit",
+            "i": format_multiindex(i),
+            "x": format_multiindex(i),
+            "lhs": "unknown: division by O(t^0), not known to be nonzero",
+            "rhs": format_scalar(overlap.overlap_limit_kind(p, "krawtchouk", i, i)),
+        }
 
-        monkeypatch.setattr(verify, "_t_direct", unknown)
-        p = random_valid_parameters(Shape((1,)), 1)
-        with pytest.raises(PrecisionExhausted):
-            run_suite(p, checks=["limits"])
-        assert seen == [1, 2]
+
+class TestParametersOutsideQ:
+    """With one parameter made free (its value + t), every default check
+    proves its identity over Q(t); `limits`, which substitutes its own t,
+    is skipped."""
+
+    @pytest.mark.parametrize("name", ["omega", "omega_star", "a1", "h", "h_star"])
+    @pytest.mark.parametrize("ell", [(2, 1), (2, 2, 1)])
+    def test_default_suite_passes_with_limits_skipped(self, ell, name):
+        p = random_valid_parameters(Shape(ell), 1)
+        t = variable_t()
+        if name == "a1":
+            free = replace(p, a=(p.a[0] + t, *p.a[1:]))
+        else:
+            free = replace(p, **{name: getattr(p, name) + t})
+        report = run_suite(free)
+        assert report.passed
+        limits = report.result("limits")
+        assert (limits.passed, limits.witness) == (None, "skipped: parameters outside Q")
 
 
 class TestOperatorMutation:
