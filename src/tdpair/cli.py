@@ -13,8 +13,9 @@ Parameters come from a JSON file (--params) or from a seeded draw
 a box of more than MAX_DIMENSION points before it builds anything, and
 verify with the irreducibility check one of more than
 MAX_IRREDUCIBILITY_DIMENSION points.  Exit
-status: 0 when every requested check passes, 1 when a check fails, 2 on
-malformed or oversized configuration.
+status: 0 when every requested check passes, 1 when a check fails (or
+overlap or build meets a vanishing denominator), 2 on malformed or
+oversized configuration.
 All rationals are printed as exact strings like "-3/7".
 """
 
@@ -28,7 +29,7 @@ import sys
 from typing import Optional, Sequence
 
 from .cob import COEFFICIENT_KINDS, coefficient_matrix
-from .exactfield import rational
+from .exactfield import ZeroDenominatorPochhammer, rational
 from .multiindex import Shape
 from .overlap import LIMIT_KINDS, T_METHODS, U_METHODS, _limit_kind_table, overlap_table
 from .report import VerificationReport
@@ -166,11 +167,11 @@ def _parse_shape(text: str) -> Shape:
         raise ConfigError(f"bad --shape {text!r}: {err}") from None
 
 
-def _within_budget(args, shape: Shape) -> None:
+def _within_budget(args, shape: Shape, checks: Optional[list[str]]) -> None:
     if args.command == "validate":
         return
     limit, scope = MAX_DIMENSION, args.command
-    if args.command == "verify" and "irreducibility" in (_parse_checks(args.checks) or ()):
+    if "irreducibility" in (checks or ()):
         limit, scope = MAX_IRREDUCIBILITY_DIMENSION, "verify with the irreducibility check"
     if shape.dimension > limit:
         raise ConfigError(
@@ -179,7 +180,8 @@ def _within_budget(args, shape: Shape) -> None:
         )
 
 
-def _load_parameters(args) -> TDParameters:
+def _load_parameters(args, checks: Optional[list[str]] = None) -> TDParameters:
+    """The parameter set of args; checks are verify's parsed --checks."""
     from_file = args.params is not None
     generated = args.shape is not None or args.seed is not None
     if from_file == generated:
@@ -196,12 +198,12 @@ def _load_parameters(args) -> TDParameters:
             params = parameters_from_json_obj(obj)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"bad parameter document: {err}") from None
-        _within_budget(args, params.shape)
+        _within_budget(args, params.shape, checks)
         return params
     if args.shape is None or args.seed is None:
         raise ConfigError("generated mode needs both --shape and --seed")
     shape = _parse_shape(args.shape)
-    _within_budget(args, shape)
+    _within_budget(args, shape, checks)
     if args.bound < 4:
         raise ConfigError("--bound must be at least 4")
     try:
@@ -302,9 +304,9 @@ def _parse_checks(text: str) -> Optional[list[str]]:
         return None
     if text == "all":
         return list(CHECK_NAMES)
-    names = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not names:
-        raise ConfigError("--checks is empty")
+    names = [piece.strip() for piece in text.split(",")]
+    if not all(names):
+        raise ConfigError(f"bad --checks {text!r}: empty check name")
     unknown = [n for n in names if n not in CHECK_NAMES]
     if unknown:
         raise ConfigError(
@@ -322,7 +324,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     except ValueError as err:
         raise ConfigError(f"bad --beta: {err}") from None
     checks = _parse_checks(args.checks)
-    params = _load_parameters(args)
+    params = _load_parameters(args, checks)
     report = run_suite(params, checks=checks, beta=beta)
     return _emit_report(report, args.format), 0 if report.passed else 1
 
@@ -387,6 +389,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidParameters as err:
         print(f"tdpair: {err}", file=sys.stderr)
         print(err.report.to_text(), file=sys.stderr)
+        return 1
+    except ZeroDenominatorPochhammer as err:
+        # a valid parameter set where the requested formula is undefined
+        print(f"tdpair: {err}", file=sys.stderr)
         return 1
     sys.stdout.write(output)
     return status

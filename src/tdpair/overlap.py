@@ -34,17 +34,18 @@ Each route keeps its own term formula; the line-and-dot helper is a shared
 primitive like `over_common_denominator`, and the matrix routes do not use
 it.  Parameters enter as integer pairs (n, d) (`_pair`).
 
-Every overlap formula is one table kernel (params, rows, cols) -> rows of
-values, and a pointwise function runs its kernel on one entry: `overlap_T`
-and `overlap_U` the route kernels, `overlap_limit_kind` the degenerate kinds
-(`_hahn_table`, `_krawtchouk_table`), and the univariate forms the shift
-products, which at N = 1 are single Racah factors at unit argument:
+Every overlap formula, the matrix routes included, is one table kernel
+(params, rows, cols) -> rows of values, named by one lookup (`_kernel`) of
+the six routes and the two degenerate kinds (`_hahn_table`,
+`_krawtchouk_table`).  `_entry` runs a kernel on one entry and `_table` on
+the box, each validating once: `overlap_T`, `overlap_U`, `overlap_limit_kind`
+and the univariate forms are entries, `overlap_table` is a table.  At N = 1
+the shift product is a single Racah factor at unit argument:
 `univariate_t_racah` is T's, `univariate_u_balanced` U's, and
-`univariate_u_racah_normalized` is T's times a row factor f(i) and a column
-factor g(x) (`_u_row_factor`, `_u_col_factor`).  Each matrix route has one
-implementation: T = (M_Cbar M_D)^T is one product and U = M_D^{-1} M_C one
-back-substitution, and a single entry runs the same code on the one column
-of M_D (for T) or of M_C (for U) that it reads.
+`univariate_u_racah_normalized` T's times a row factor f(i) and a column
+factor g(x) (`_u_row_factor`, `_u_col_factor`).  The matrix routes are one
+product, T = (M_Cbar M_D)^T, and one back-substitution, M_D U = M_C, reading
+only the columns of M_D (rows of T) or of M_C (columns of U) asked for.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from math import comb, factorial, perm, prod
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exactfield import (
     FieldElement,
@@ -96,12 +97,6 @@ __all__ = [
 T_METHODS = ("direct_sum", "matrix_product", "shift_operator")
 U_METHODS = ("direct_sum", "shift_operator", "linear_solve")
 LIMIT_KINDS = ("hahn", "krawtchouk")
-
-
-def _point(params: TDParameters, n: Sequence[int]) -> MultiIndex:
-    if not in_box(n, params.shape):
-        raise IndexOutOfRange(f"index {tuple(n)} outside the box of {params.shape!r}")
-    return MultiIndex(n)
 
 
 # ---------------------------------------------------------------------------
@@ -401,76 +396,68 @@ _u_shift = _mirror_of(_t_shift)
 # matrix routes
 
 
-def _one_column(m: ExactMatrix, col: Optional[MultiIndex]) -> ExactMatrix:
-    if col is None:
+def _columns(m: ExactMatrix, cols: Sequence[MultiIndex]) -> ExactMatrix:
+    """m with only the columns at the indices of cols stored."""
+    keep = {m.pos[c] for c in cols}
+    if len(keep) == m.dimension:
         return m
-    c = m.pos[col]
-    return ExactMatrix(m.basis, {k: v for k, v in m.entries.items() if k[1] == c})
+    return ExactMatrix(m.basis, {k: v for k, v in m.entries.items() if k[1] in keep})
 
 
-def _t_product(params: TDParameters, i: Optional[MultiIndex] = None) -> ExactMatrix:
-    # T = (M_Cbar M_D)^T; row i of T reads column i of M_D only
-    md = _one_column(coefficient_matrix(params, "D"), i)
-    return (coefficient_matrix(params, "Cbar") @ md).transpose()
+def _t_product(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """T_i(x) for every i of rows, x of cols as one product: T = (M_Cbar
+    M_D)^T, and row i of T reads column i of M_D only."""
+    m = coefficient_matrix(params, "Cbar") @ _columns(coefficient_matrix(params, "D"), rows)
+    return [[m.entry(x, i) for x in cols] for i in rows]
 
 
-def _u_solved(params: TDParameters, x: Optional[MultiIndex] = None) -> ExactMatrix:
-    # M_D is unit upper triangular in graded order, so M_D U = M_C is one
-    # exact back-substitution; column x of U reads column x of M_C only
-    mc = _one_column(coefficient_matrix(params, "C"), x)
-    return coefficient_matrix(params, "D").solve_upper_triangular(mc)
+def _u_solved(
+    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
+) -> list[list[FieldElement]]:
+    """U_i(x) for every i of rows, x of cols as one back-substitution: M_D is
+    unit upper triangular in graded order, so M_D U = M_C is solved exactly,
+    and column x of U reads column x of M_C only."""
+    mc = _columns(coefficient_matrix(params, "C"), cols)
+    m = coefficient_matrix(params, "D").solve_upper_triangular(mc)
+    return [[m.entry(i, x) for x in cols] for i in rows]
 
 
 # ---------------------------------------------------------------------------
-# public evaluators
+# public evaluators: one lookup, one entry runner, one table builder
 
 
-def overlap_T(
-    params: TDParameters, i: Sequence[int], x: Sequence[int], method: str = "direct_sum"
-) -> FieldElement:
-    """T_i(x) by the chosen route; all routes agree on valid parameters."""
-    if method not in T_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {T_METHODS}")
+def _kernel(family: str, name: str) -> Callable:
+    """The table kernel of route `name` of family "T" or "U", or of the
+    degenerate kind `name` (family "kind").  The lookup is built when called,
+    so a kernel replaced on the module is the one run; the routes share this
+    dispatch only, never a formula."""
+    kernels = {
+        "T": dict(zip(T_METHODS, (_t_direct, _t_product, _t_shift))),
+        "U": dict(zip(U_METHODS, (_u_direct, _u_shift, _u_solved))),
+        "kind": dict(zip(LIMIT_KINDS, (_hahn_table, _krawtchouk_table))),
+    }[family]
+    if name not in kernels:
+        noun = "kind" if family == "kind" else "method"
+        raise ValueError(f"unknown {noun} {name!r}; expected one of {tuple(kernels)}")
+    return kernels[name]
+
+
+def _entry(params: TDParameters, family: str, name: str, i, x) -> FieldElement:
+    """One entry of a kernel: the kernel run on rows [i] and columns [x]."""
+    kernel = _kernel(family, name)
     _ensure_valid(params)
-    mi, mx = _point(params, i), _point(params, x)
-    if method == "matrix_product":
-        return _t_product(params, mi).entry(mi, mx)
-    kernel = _t_direct if method == "direct_sum" else _t_shift
-    return kernel(params, [mi], [mx])[0][0]
+    for n in (i, x):
+        if not in_box(n, params.shape):
+            raise IndexOutOfRange(f"index {tuple(n)} outside the box of {params.shape!r}")
+    return kernel(params, [MultiIndex(i)], [MultiIndex(x)])[0][0]
 
 
-def overlap_U(
-    params: TDParameters, i: Sequence[int], x: Sequence[int], method: str = "direct_sum"
-) -> FieldElement:
-    """U_i(x) by the chosen route; all routes agree on valid parameters."""
-    if method not in U_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {U_METHODS}")
+def _table(params: TDParameters, family: str, name: str) -> ExactMatrix:
+    """The whole table of a kernel, rows i and columns x in graded order."""
+    kernel = _kernel(family, name)
     _ensure_valid(params)
-    mi, mx = _point(params, i), _point(params, x)
-    if method == "linear_solve":
-        return _u_solved(params, mx).entry(mi, mx)
-    kernel = _u_direct if method == "direct_sum" else _u_shift
-    return kernel(params, [mi], [mx])[0][0]
-
-
-def overlap_table(params: TDParameters, which: str, method: str) -> ExactMatrix:
-    """Full table as a matrix with rows i and columns x in graded order."""
-    if which not in ("T", "U"):
-        raise ValueError(f"unknown overlap family {which!r}; expected 'T' or 'U'")
-    _ensure_valid(params)
-    methods = T_METHODS if which == "T" else U_METHODS
-    if method not in methods:
-        raise ValueError(f"unknown method {method!r}; expected one of {methods}")
-    if method == "matrix_product":
-        return _t_product(params)
-    if method == "linear_solve":
-        return _u_solved(params)
-    if which == "T":
-        return _kernel_table(params, _t_direct if method == "direct_sum" else _t_shift)
-    return _kernel_table(params, _u_direct if method == "direct_sum" else _u_shift)
-
-
-def _kernel_table(params: TDParameters, kernel: Callable) -> ExactMatrix:
     basis = enumerate_box(params.shape)
     m = ExactMatrix(basis)
     for r, row in enumerate(kernel(params, basis, basis)):
@@ -478,6 +465,27 @@ def _kernel_table(params: TDParameters, kernel: Callable) -> ExactMatrix:
             if not is_zero(v):
                 m.entries[(r, c)] = v
     return m
+
+
+def overlap_T(
+    params: TDParameters, i: Sequence[int], x: Sequence[int], method: str = "direct_sum"
+) -> FieldElement:
+    """T_i(x) by the chosen route; all routes agree on valid parameters."""
+    return _entry(params, "T", method, i, x)
+
+
+def overlap_U(
+    params: TDParameters, i: Sequence[int], x: Sequence[int], method: str = "direct_sum"
+) -> FieldElement:
+    """U_i(x) by the chosen route; all routes agree on valid parameters."""
+    return _entry(params, "U", method, i, x)
+
+
+def overlap_table(params: TDParameters, which: str, method: str) -> ExactMatrix:
+    """Full table as a matrix with rows i and columns x in graded order."""
+    if which not in ("T", "U"):
+        raise ValueError(f"unknown overlap family {which!r}; expected 'T' or 'U'")
+    return _table(params, which, method)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +501,7 @@ def univariate_t_racah(params: TDParameters, i, x) -> FieldElement:
     """T for N = 1 as one Racah factor at unit argument: the shift product
     with a single factor, so the shift_operator kernel on one entry."""
     _require_univariate(params)
-    _ensure_valid(params)
-    return _t_shift(params, [_point(params, i)], [_point(params, x)])[0][0]
+    return _entry(params, "T", "shift_operator", i, x)
 
 
 def univariate_u_balanced(params: TDParameters, i, x) -> FieldElement:
@@ -502,8 +509,7 @@ def univariate_u_balanced(params: TDParameters, i, x) -> FieldElement:
     Racah factor at the S-swapped parameters on (ell - x, ell - i), so the
     U shift_operator kernel on one entry."""
     _require_univariate(params)
-    _ensure_valid(params)
-    return _u_shift(params, [_point(params, i)], [_point(params, x)])[0][0]
+    return _entry(params, "U", "shift_operator", i, x)
 
 
 # At N = 1, T_i(x) = tau(i) sigma(x) S(i, x) with S the Racah 4F3
@@ -562,10 +568,8 @@ def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
     entries at ell = 12, seed 1), as each call rebuilds f(i) and g(x): for
     many entries, build the T shift table and scale it instead."""
     _require_univariate(params)
-    _ensure_valid(params)
-    mi, mx = _point(params, i), _point(params, x)
-    t = _t_shift(params, [mi], [mx])[0][0]
-    return _u_row_factor(params, mi[0]) * _u_col_factor(params, mx[0]) * t
+    t = _entry(params, "T", "shift_operator", i, x)
+    return _u_row_factor(params, i[0]) * _u_col_factor(params, x[0]) * t
 
 
 # ---------------------------------------------------------------------------
@@ -610,22 +614,12 @@ def _krawtchouk_table(
     return [[prod(map(factor, params.ell, i, x), start=Fraction(1)) for x in cols] for i in rows]
 
 
-def _limit_kernel(kind: str) -> Callable:
-    if kind not in LIMIT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {LIMIT_KINDS}")
-    return _hahn_table if kind == "hahn" else _krawtchouk_table
-
-
 def overlap_limit_kind(params: TDParameters, kind: str, i: Sequence[int], x: Sequence[int]) -> FieldElement:
     """The degenerate-spectrum closed forms: truncated Hahn (level-linear
     starred spectrum) and Krawtchouk (both spectra linear)."""
-    kernel = _limit_kernel(kind)
-    _ensure_valid(params)
-    return kernel(params, [_point(params, i)], [_point(params, x)])[0][0]
+    return _entry(params, "kind", kind, i, x)
 
 
 def _limit_kind_table(params: TDParameters, kind: str) -> ExactMatrix:
     """The whole table of a degenerate kind, as `overlap_table` fills one."""
-    kernel = _limit_kernel(kind)
-    _ensure_valid(params)
-    return _kernel_table(params, kernel)
+    return _table(params, "kind", kind)

@@ -475,6 +475,10 @@ def cleared_difference(lhs: tuple, rhs: tuple, basis: Sequence[MultiIndex]):
     return None
 
 
+# the value of an absent entry, shared: a Fraction is immutable
+_ZERO = Fraction(0)
+
+
 class ExactMatrix:
     """A square matrix over an exact field, indexed by the box basis.
 
@@ -535,10 +539,10 @@ class ExactMatrix:
         return len(self.basis)
 
     def entry(self, row: MultiIndex, col: MultiIndex) -> FieldElement:
-        return self.entries.get((self.pos[row], self.pos[col]), Fraction(0))
+        return self.entries.get((self.pos[row], self.pos[col]), _ZERO)
 
     def item(self, r: int, c: int) -> FieldElement:
-        return self.entries.get((r, c), Fraction(0))
+        return self.entries.get((r, c), _ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

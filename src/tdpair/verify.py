@@ -56,6 +56,7 @@ from .exactfield import (
     FieldElement,
     LaurentSeries,
     PrecisionExhausted,
+    ZeroDenominatorPochhammer,
     as_integer,
     format_scalar,
     limit_at_zero,
@@ -300,12 +301,20 @@ def _check_sas(ctx: _Context):
 
 def _check_overlap_consistency(ctx: _Context):
     # one whole table per route; within a family the witness is the first
-    # disagreeing (i, x) in graded order, the earlier method on a tie
+    # disagreeing (i, x) in graded order, the earlier method on a tie.  A
+    # route that meets a vanishing denominator fails the check: agreement
+    # cannot be shown where a route is undefined
     for which, methods in (("T", T_METHODS), ("U", U_METHODS)):
-        ref = ctx.table(which, methods[0])
-        diffs = []
+        tables = {}
+        for method in methods:
+            try:
+                tables[method] = ctx.table(which, method)
+            except ZeroDenominatorPochhammer as err:
+                identity = f"{which} route agreement"
+                return False, {"identity": identity, "method": method, "error": str(err)}
+        ref, diffs = tables[methods[0]], []
         for method in methods[1:]:
-            diff = ref.first_difference(ctx.table(which, method))
+            diff = ref.first_difference(tables[method])
             if diff is not None:
                 diffs.append((ref.pos[diff[0]], ref.pos[diff[1]], method, diff))
         if diffs:
@@ -516,8 +525,13 @@ def _check_irreducibility(ctx: _Context):
 
 
 def _timed(fn: Callable[[], tuple]) -> tuple[Optional[bool], object, int]:
+    # a formula that meets a vanishing denominator fails its check, which
+    # proves nothing there; the other checks still run
     start = time.perf_counter()
-    passed, witness = fn()
+    try:
+        passed, witness = fn()
+    except ZeroDenominatorPochhammer as err:
+        passed, witness = False, {"error": str(err)}
     millis = int((time.perf_counter() - start) * 1000)
     return passed, witness, millis
 
@@ -546,7 +560,8 @@ def run_suite(
     """Run the selected checks (default: all but irreducibility).
 
     Failures are report entries with witnesses, not errors: a t -> 0 limit
-    that limits cannot determine fails that check too.  When the
+    that limits cannot determine fails that check too, and so does a
+    vanishing denominator (ZeroDenominatorPochhammer).  When the
     constraints check fails, dependent checks are reported as skipped.
     overlap_consistency compares whole route tables, one per route, each
     built by a single call of that route's table kernel.  Each operator,

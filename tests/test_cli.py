@@ -129,6 +129,11 @@ class TestVerify:
         assert rc == 2
         assert "unknown checks" in capsys.readouterr().err
 
+    def test_empty_check_name_is_config_error(self, capsys):
+        rc = main(["verify", "--shape", "1", "--seed", "1", "--checks", "eigen,,inverse,"])
+        assert rc == 2
+        assert "empty check name" in capsys.readouterr().err
+
     def test_bad_beta_is_config_error(self, params_file, capsys):
         rc = main(["verify", "--params", params_file, "--beta", "x/y"])
         assert rc == 2
@@ -335,6 +340,59 @@ class TestDimensionBudget:
         # the ROADMAP table run
         assert MAX_DIMENSION >= 48
         assert main(["build", "--operator", "A", "--shape", "3,3,2", "--seed", "1"]) == 0
+
+
+# valid parameter sets where a formula meets a vanishing denominator: at
+# (1,1) the shift route at ([0,1],[0,1]) and ([0,1],[1,1]), at (2,1) the
+# shift route and the closed Hahn kind
+UNDEFINED_SHIFT = dict(VALID_N1, ell=[1, 1], a=["0", "0"])
+UNDEFINED_HAHN = dict(VALID_N1, ell=[2, 1], omega="-9", omega_star="-9", a=["-4", "4"])
+RACAH_SERIES = "denominator Pochhammer symbol vanished at k=1 (Racah factor series)"
+HAHN_SERIES = "denominator Pochhammer symbol vanished at k=1 (Hahn factor series)"
+
+
+class TestVanishingDenominators:
+    """A check that meets a vanishing denominator fails with a witness that
+    names the error; the other checks still run, and nothing raises."""
+
+    def _run(self, tmp_path, capsys, obj, args):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        rc = main(args + ["--params", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return rc, captured
+
+    def _failed(self, out):
+        return {c["check"]: c["witness"] for c in json.loads(out)["checks"] if c["pass"] is False}
+
+    def test_an_undefined_route_fails_overlap_consistency(self, tmp_path, capsys):
+        rc, captured = self._run(tmp_path, capsys, UNDEFINED_SHIFT, ["verify"])
+        assert rc == 1
+        assert self._failed(captured.out) == {
+            "overlap_consistency": {
+                "identity": "T route agreement",
+                "method": "shift_operator",
+                "error": RACAH_SERIES,
+            }
+        }
+
+    def test_an_undefined_closed_form_fails_limits(self, tmp_path, capsys):
+        rc, captured = self._run(tmp_path, capsys, UNDEFINED_HAHN, ["limits"])
+        assert rc == 1
+        assert self._failed(captured.out) == {"limits": {"error": HAHN_SERIES}}
+        rc, captured = self._run(tmp_path, capsys, UNDEFINED_HAHN, ["verify"])
+        assert rc == 1
+        failed = self._failed(captured.out)
+        assert sorted(failed) == ["limits", "overlap_consistency"]
+        assert failed["limits"] == {"error": HAHN_SERIES}
+
+    def test_an_undefined_overlap_table_is_one_line(self, tmp_path, capsys):
+        args = ["overlap", "--which", "T", "--method", "shift_operator"]
+        rc, captured = self._run(tmp_path, capsys, UNDEFINED_SHIFT, args)
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"tdpair: {RACAH_SERIES}\n"
 
 
 class TestEntryPoint:

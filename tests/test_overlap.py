@@ -240,13 +240,14 @@ class TestTableKernels:
     @example(Shape((2, 2, 1)), 1)
     @settings(max_examples=15, deadline=None)
     def test_kernels_match_the_oracle(self, shape, seed):
+        # every route, the matrix ones included, as a table and entry by entry
         p = random_valid_parameters(shape, seed)
         basis = enumerate_box(shape)
         for which, (oracle, pointwise) in _ORACLES.items():
             expect = {
                 (r, c): oracle(p, i, x) for r, i in enumerate(basis) for c, x in enumerate(basis)
             }
-            for method in ("direct_sum", "shift_operator"):
+            for method in T_METHODS if which == "T" else U_METHODS:
                 _assert_table_is(overlap_table(p, which, method), expect)
                 for (r, c), v in expect.items():
                     got = pointwise(p, basis[r], basis[c], method)
