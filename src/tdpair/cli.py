@@ -50,12 +50,13 @@ __all__ = ["main"]
 FORMATS = ("text", "json", "csv")
 
 # The largest box dimension d = prod(ell_p + 1) that build, verify, overlap
-# and limits accept: the most a run can cost in about a minute.  Wall times,
-# seed 1, 2-core host: the default verify suite took 4.3 s at d = 48, 20 s
-# at d = 100 and 68-81 s at d = 144, growing about as d^3.4, so about an
-# hour at the d = 441 of (20,20); `overlap --which both --method all` took
-# 3.3, 18 and 48 s; limits and build stayed under 15 s.  validate stays
-# unbounded: the constraint checks cost little even at d = 22,801.
+# and limits accept: the most a run can cost in under a minute.  Wall times
+# at one coordinate, seed 1, 2-core host: the default verify suite took
+# 0.8 s at d = 48, 5.1 s at d = 100 and 21 s at d = 144 (32-35 s at seeds 2
+# and 3), growing about as d^3.2, so a quarter of an hour or more at the
+# d = 441 of (20,20); `overlap --which both --method all` took 0.9, 4.1 and
+# 12 s; limits and build stayed under 15 s.  validate stays unbounded: the
+# constraint checks cost little even at d = 22,801.
 MAX_DIMENSION = 144
 # The same budget for verify with the opt-in irreducibility check, which
 # spans words in {A, A*} as d^2-long vectors.  Wall times of

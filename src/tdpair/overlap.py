@@ -29,17 +29,21 @@ over k! (-ell_p)_k (`_racah_side`; `_racah_factor` and `RacahFactorSpec`
 compose the two).  The direct sum's terms and the truncated Hahn kind split
 the same way.  So a pointwise table is head(i) head(x) sum_n R_i(n) C_x(n):
 one line per row and one per column, each built once over one common
-denominator, and over Q one integer dot product per entry (`_dot_table`).
-Each route keeps its own term formula; the line-and-dot helper is a shared
-primitive like `over_common_denominator`, and the matrix routes do not use
-it.  Parameters enter as integer pairs (n, d) (`_pair`).
+denominator, and over Q made primitive (its content moved into the head)
+with one integer dot product per entry (`_dot_table`, `_line`).  Each route
+keeps its own term formula; the line-and-dot helper is a shared primitive
+like `over_common_denominator`, and the matrix routes do not use it.
+Parameters enter as integer pairs (n, d) (`_pair`).
 
 Every overlap formula, the matrix routes included, is one table kernel
-(params, rows, cols) -> rows of values, named by one lookup (`_kernel`) of
-the six routes and the two degenerate kinds (`_hahn_table`,
-`_krawtchouk_table`).  `_entry` runs a kernel on one entry and `_table` on
-the box, each validating once: `overlap_T`, `overlap_U`, `overlap_limit_kind`
-and the univariate forms are entries, `overlap_table` is a table.  At N = 1
+(params, rows, cols) -> factored table (`tdcore.Factored`: row heads,
+column heads and rows of dots, entry (r, c) = ru cu z / (rv cv)), named by
+one lookup (`_kernel`) of the six routes and the two degenerate kinds
+(`_hahn_table`, `_krawtchouk_table`).  The matrix routes and the Krawtchouk
+kind return their values under unit heads.  `_entry` runs a kernel on one
+entry and `_table` on the box, each validating once: `overlap_T`,
+`overlap_U`, `overlap_limit_kind` and the univariate forms are entries,
+`overlap_table` is a table, and `verify` reads `_factored_table`.  At N = 1
 the shift product is a single Racah factor at unit argument:
 `univariate_t_racah` is T's, `univariate_u_balanced` U's, and
 `univariate_u_racah_normalized` T's times a row factor f(i) and a column
@@ -53,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from math import comb, factorial, perm, prod
+from math import comb, factorial, gcd, perm, prod
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -65,7 +69,6 @@ from .exactfield import (
     _rising,
     _term_pairs,
     binomial,
-    is_zero,
     over_common_denominator,
     pair_value,
     pfq_terminating,
@@ -78,7 +81,15 @@ from .multiindex import (
     in_box,
 )
 from .cob import _swapped, coefficient_matrix
-from .tdcore import ExactMatrix, TDParameters, _ensure_valid
+from .tdcore import (
+    ExactMatrix,
+    Factored,
+    TDParameters,
+    _ensure_valid,
+    factored_value,
+    factored_values,
+    unit_factored,
+)
 
 __all__ = [
     "T_METHODS",
@@ -103,34 +114,21 @@ LIMIT_KINDS = ("hahn", "krawtchouk")
 # tables as dot products of lines
 
 
-def _dot_table(params, rows, cols, row_line, col_line) -> list[list[FieldElement]]:
+def _dot_table(params, rows, cols, row_line, col_line) -> Factored:
     """Every head(i) head(x) sum_n R_i(n) C_x(n), i of rows, x of cols, n in
     the box up to the componentwise minimum `top` of the largest row and
-    column.  row_line(i, top, strides) gives (head(i) as a pair, a dict from
-    the position sum_q n_q strides_q of each n <= i with a term to R_i(n) as
-    a pair, faults); col_line likewise.  A fault (key, pos, error) is a term
+    column, as the factored table of the line heads and the dots (`_line`).
+    row_line(i, top, strides) gives (head(i) as a pair, a dict from the
+    position sum_q n_q strides_q of each n <= i with a term to R_i(n) as a
+    pair, faults); col_line likewise.  A fault (key, pos, error) is a term
     whose denominator vanished: an entry raises the row's head error, the
     column's, then the fault of least key whose partner term is there."""
     top = [min(max(a), max(b)) for a, b in zip(zip(*rows), zip(*cols))]
     strides = [prod(t + 1 for t in top[q + 1 :]) for q in range(len(top))]
     # rational parameters make every pair two ints: dense lines, one int dot product
     over_q = all(type(v) in (int, Fraction) for v in (params.omega, params.omega_star, *params.a))
-
-    def line(make, index):
-        try:
-            (hu, hv), terms, faults = make(index, top, strides)
-        except ZeroDenominatorPochhammer as err:
-            return err, None, None, {}, []
-        nums, den = over_common_denominator(*zip(*terms.values()))
-        if not over_q:
-            return hu, hv * den, dict(zip(terms, nums)), terms, faults
-        dense = [0] * (max(terms) + 1)
-        for pos, u in zip(terms, nums):
-            dense[pos] = u
-        return hu, hv * den, dense, terms, faults
-
-    cs, out = [line(col_line, x) for x in cols], []
-    for ru, rv, rn, rt, rf in (line(row_line, i) for i in rows):
+    cs, heads, dots = [_line(col_line, x, top, strides, over_q) for x in cols], [], []
+    for ru, rv, rn, rt, rf in (_line(row_line, i, top, strides, over_q) for i in rows):
         row = []
         for cu, cv, cn, ct, cf in cs:
             if rv is None or cv is None or rf or cf:
@@ -139,12 +137,34 @@ def _dot_table(params, rows, cols, row_line, col_line) -> list[list[FieldElement
                 if heads or met:
                     raise heads[0] if heads else min(met, key=lambda f: f[0])[2]
             if over_q:
-                dot = sum(map(mul, rn, cn))
+                row.append(sum(map(mul, rn, cn)))
             else:
-                dot = sum(u * cn[pos] for pos, u in rn.items() if pos in cn)
-            row.append(pair_value(ru * cu * dot, rv * cv))
-        out.append(row)
-    return out
+                row.append(sum(u * cn[pos] for pos, u in rn.items() if pos in cn))
+        heads.append((ru, rv))
+        dots.append(row)
+    return Factored(heads, [(cu, cv) for cu, cv, *_ in cs], dots)
+
+
+def _line(make, index: MultiIndex, top, strides, over_q: bool) -> tuple:
+    """make's line over one common denominator: (head numerator, head
+    denominator, numerators, terms, faults), or its head error first.  Over
+    Q the numerators are a dense int list made primitive: their gcd g leaves
+    them, g / gcd(g, den) joins the head and den becomes den / gcd(g, den)."""
+    try:
+        (hu, hv), terms, faults = make(index, top, strides)
+    except ZeroDenominatorPochhammer as err:
+        return err, None, None, {}, []
+    nums, den = over_common_denominator(*zip(*terms.values()))
+    if not over_q:
+        return hu, hv * den, dict(zip(terms, nums)), terms, faults
+    g = gcd(*nums)
+    if g > 1:
+        k = gcd(g, den)
+        nums, hu, den = [u // g for u in nums], hu * (g // k), den // k
+    dense = [0] * (max(terms) + 1)
+    for pos, u in zip(terms, nums):
+        dense[pos] = u
+    return hu, hv * den, dense, terms, faults
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +301,7 @@ def _racah_line(base: tuple, c: list, details: tuple, ell=None) -> Callable:
     return line
 
 
-def _t_shift(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
+def _t_shift(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) by the shift-operator product for every i of rows, x of cols:
     factor p at shifts K before it has a1 = |i| + K + omega*, a2 = |x| + K +
     omega, b1 = |i|_1^{p-1} + K + c1_p and b2 = |x|_1^{p-1} + K + c2_p."""
@@ -327,9 +345,7 @@ def _direct_ratios(params: TDParameters, detail: str) -> Callable[..., tuple]:
     return ratio
 
 
-def _t_direct(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
+def _t_direct(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) by the nested sum over 0 <= n <= min(i, x) for every i of
     rows, x of cols.  Term n is a product over q of (-x_q)_{n_q} (-i_q)_{n_q}
     / (n_q! (-ell_q)_{n_q}) and two ratios, one of x and n (C_x) and one of
@@ -372,18 +388,16 @@ def _t_direct(
 def _mirror_of(t_kernel: Callable) -> Callable:
     """The U kernel U(p)_i(x) = T(q)_{ell-x}(ell-i), q = _swapped(p): t_kernel,
     bound here, runs at q on rows ell - cols and columns ell - rows, and its
-    table comes back transposed."""
+    table comes back transposed, heads and all."""
 
-    def u_kernel(
-        params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-    ) -> list[list[FieldElement]]:
+    def u_kernel(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
         ell = params.ell
 
         def flip(n):
             return MultiIndex(lp - v for lp, v in zip(ell, n))
 
-        table = t_kernel(_swapped(params), [flip(x) for x in cols], [flip(i) for i in rows])
-        return [[row[r] for row in table] for r in range(len(rows))]
+        t = t_kernel(_swapped(params), [flip(x) for x in cols], [flip(i) for i in rows])
+        return Factored(t.cols, t.rows, [[row[r] for row in t.dots] for r in range(len(rows))])
 
     return u_kernel
 
@@ -404,24 +418,20 @@ def _columns(m: ExactMatrix, cols: Sequence[MultiIndex]) -> ExactMatrix:
     return ExactMatrix(m.basis, {k: v for k, v in m.entries.items() if k[1] in keep})
 
 
-def _t_product(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
+def _t_product(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) for every i of rows, x of cols as one product: T = (M_Cbar
     M_D)^T, and row i of T reads column i of M_D only."""
     m = coefficient_matrix(params, "Cbar") @ _columns(coefficient_matrix(params, "D"), rows)
-    return [[m.entry(x, i) for x in cols] for i in rows]
+    return unit_factored([[m.entry(x, i) for x in cols] for i in rows])
 
 
-def _u_solved(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
+def _u_solved(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """U_i(x) for every i of rows, x of cols as one back-substitution: M_D is
     unit upper triangular in graded order, so M_D U = M_C is solved exactly,
     and column x of U reads column x of M_C only."""
     mc = _columns(coefficient_matrix(params, "C"), cols)
     m = coefficient_matrix(params, "D").solve_upper_triangular(mc)
-    return [[m.entry(i, x) for x in cols] for i in rows]
+    return unit_factored([[m.entry(i, x) for x in cols] for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +461,23 @@ def _entry(params: TDParameters, family: str, name: str, i, x) -> FieldElement:
     for n in (i, x):
         if not in_box(n, params.shape):
             raise IndexOutOfRange(f"index {tuple(n)} outside the box of {params.shape!r}")
-    return kernel(params, [MultiIndex(i)], [MultiIndex(x)])[0][0]
+    return factored_value(kernel(params, [MultiIndex(i)], [MultiIndex(x)]), 0, 0)
 
 
-def _table(params: TDParameters, family: str, name: str) -> ExactMatrix:
-    """The whole table of a kernel, rows i and columns x in graded order."""
+def _factored_table(params: TDParameters, family: str, name: str) -> Factored:
+    """The kernel run on the whole box, rows i and columns x in graded
+    order, as it returns it."""
     kernel = _kernel(family, name)
     _ensure_valid(params)
     basis = enumerate_box(params.shape)
-    m = ExactMatrix(basis)
-    for r, row in enumerate(kernel(params, basis, basis)):
-        for c, v in enumerate(row):
-            if not is_zero(v):
-                m.entries[(r, c)] = v
-    return m
+    return kernel(params, basis, basis)
+
+
+def _table(params: TDParameters, family: str, name: str) -> ExactMatrix:
+    """The whole table of a kernel as a matrix of its nonzero values."""
+    values = factored_values(_factored_table(params, family, name))
+    entries = {(r, c): v for r, row in enumerate(values) for c, v in enumerate(row)}
+    return ExactMatrix(enumerate_box(params.shape), entries)
 
 
 def overlap_T(
@@ -576,9 +589,7 @@ def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
 # degenerate kinds
 
 
-def _hahn_table(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
+def _hahn_table(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """The truncated Hahn kind for every i of rows, x of cols: the shift
     product with T's x-side at omega and the i-side of factor p reduced to
     binom(ell_p, i_p) (-i_p)_k / (k! (-ell_p)_k), head (-1)^|i|."""
@@ -599,7 +610,7 @@ def _hahn_table(
 
 def _krawtchouk_table(
     params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> list[list[FieldElement]]:
+) -> Factored:
     """The Krawtchouk kind for every i of rows, x of cols: the product over p
     of (-ell_p)_{i_p} / i_p! 2F1(-i_p, -x_p; -ell_p; 1), each factor
     computed once per (ell_p, i_p, x_p) in the call."""
@@ -611,7 +622,9 @@ def _krawtchouk_table(
             memo[lp, ip, xp] = head * pfq_terminating([-ip, -xp], [-lp], Fraction(1), min(ip, xp))
         return memo[lp, ip, xp]
 
-    return [[prod(map(factor, params.ell, i, x), start=Fraction(1)) for x in cols] for i in rows]
+    return unit_factored(
+        [[prod(map(factor, params.ell, i, x), start=Fraction(1)) for x in cols] for i in rows]
+    )
 
 
 def overlap_limit_kind(params: TDParameters, kind: str, i: Sequence[int], x: Sequence[int]) -> FieldElement:

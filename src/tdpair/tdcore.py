@@ -33,7 +33,8 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from math import gcd
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactfield import (
     FieldElement,
@@ -271,11 +272,17 @@ def strings_general_position(s1: StringSet, s2: StringSet, params: TDParameters)
     integer they share no element and no union of them is a string.
     """
     om, oms = params.omega, params.omega_star
-    d = as_integer(s2.lowest(om, oms) - s1.lowest(om, oms))
+    return _general_position(s1.length, s1.lowest(om, oms), s2.length, s2.lowest(om, oms))
+
+
+def _general_position(len1: int, low1: FieldElement, len2: int, low2: FieldElement) -> bool:
+    """The test of `strings_general_position` on two strings given by their
+    lengths and least elements."""
+    d = as_integer(low2 - low1)
     if d is None:
         return True
     # s1 covers offsets 0..hi1 and s2 covers d..hi2
-    hi1, hi2 = s1.length - 1, d + s2.length - 1
+    hi1, hi2 = len1 - 1, d + len2 - 1
     if (d >= 0 and hi2 <= hi1) or (d <= 0 and hi1 <= hi2):
         return True
     return max(0, d) > min(hi1, hi2) + 1
@@ -347,10 +354,11 @@ def validate_parameters(params: TDParameters) -> VerificationReport:
         for p in range(1, N + 1)
         for sign in (1, -1)
     ]
+    # each string's least element once, not once per pair
+    ends = [(s.length, s.lowest(params.omega, params.omega_star)) for _, _, s in strings]
     for u in range(len(strings)):
         for v in range(u + 1, len(strings)):
-            s1, s2 = strings[u][2], strings[v][2]
-            if not strings_general_position(s1, s2, params):
+            if not _general_position(*ends[u], *ends[v]):
                 tag1 = f"S{'+' if strings[u][0] == 1 else '-'}(ell_{strings[u][1]}, a_{strings[u][1]})"
                 tag2 = f"S{'+' if strings[v][0] == 1 else '-'}(ell_{strings[v][1]}, a_{strings[v][1]})"
                 bad3.append(f"{tag1} and {tag2} are not in general position")
@@ -475,6 +483,95 @@ def cleared_difference(lhs: tuple, rhs: tuple, basis: Sequence[MultiIndex]):
     return None
 
 
+# A factored table, as every overlap route kernel returns it, holds entry
+# (r, c) as ru cu z / (rv cv): (ru, rv) the head of row r, (cu, cv) that of
+# column c, z the dot.  The checks compare and multiply tables by these
+# helpers and build a field element only for an entry they report.
+
+
+class Factored(NamedTuple):
+    rows: list  # (ru, rv) per row
+    cols: list  # (cu, cv) per column
+    dots: list  # one list of dots per row
+
+
+def unit_factored(values: list) -> Factored:
+    """Rows of values under unit heads."""
+    return Factored([(1, 1)] * len(values), [(1, 1)] * len(values[0] if values else ()), values)
+
+
+def factored_value(t: Factored, r: int, c: int) -> FieldElement:
+    (ru, rv), (cu, cv) = t.rows[r], t.cols[c]
+    return pair_value(ru * cu * t.dots[r][c], rv * cv)
+
+
+def factored_values(t: Factored) -> list[list[FieldElement]]:
+    return [
+        [pair_value(ru * cu * z, rv * cv) for (cu, cv), z in zip(t.cols, line)]
+        for (ru, rv), line in zip(t.rows, t.dots)
+    ]
+
+
+def factored_scaled(t: Factored, row_factors: Sequence, col_factors: Sequence) -> Factored:
+    """t with row r times row_factors[r] and column c times col_factors[c]."""
+
+    def scaled(heads, factors):
+        return [(u * f.numerator, v * f.denominator) for (u, v), f in zip(heads, factors)]
+
+    return Factored(scaled(t.rows, row_factors), scaled(t.cols, col_factors), t.dots)
+
+
+def _cross_heads(a: list, b: list) -> list[tuple]:
+    # (au bv, bu av) per line, int pairs divided by their gcd
+    out = []
+    for (au, av), (bu, bv) in zip(a, b):
+        ka, kb = au * bv, bu * av
+        g = gcd(ka, kb) if type(ka) is int and type(kb) is int else 0
+        out.append((ka // g, kb // g) if g > 1 else (ka, kb))
+    return out
+
+
+def _first_unequal(a: Factored, b: Factored) -> Optional[tuple[int, int]]:
+    # cross-multiplied, each pair of cross heads divided by its gcd: two
+    # formula routes' pairs all reduce to units, and the others lose about
+    # half their bits or more
+    rows, cols = _cross_heads(a.rows, b.rows), _cross_heads(a.cols, b.cols)
+    for r, ((ka, kb), la, lb) in enumerate(zip(rows, a.dots, b.dots)):
+        for c, ((ma, mb), x, y) in enumerate(zip(cols, la, lb)):
+            if x.numerator * y.denominator * ka * ma != y.numerator * x.denominator * kb * mb:
+                return r, c
+    return None
+
+
+def factored_difference(pairs: Sequence[tuple[Factored, Factored]]) -> Optional[tuple]:
+    """(k, r, c, lhs, rhs) of the first entry (r, c) in row-major order
+    where the tables of a pair differ, k the least such pair, or None."""
+    diffs = [(at, k) for k, (a, b) in enumerate(pairs) if (at := _first_unequal(a, b)) is not None]
+    if not diffs:
+        return None
+    (r, c), k = min(diffs)
+    a, b = pairs[k]
+    return k, r, c, factored_value(a, r, c), factored_value(b, r, c)
+
+
+def factored_product(t: Factored, m: "ExactMatrix") -> "ExactMatrix":
+    """t m: the column heads of t scale the rows of m, each column over its
+    own common denominator, times the rows of dots of t (`_line_product`);
+    one field element per nonzero entry."""
+    cols, col_den = {}, {}
+    for k, line in _split(m.entries, 1).items():
+        nums, col_den[k] = over_common_denominator(
+            [t.cols[c][0] * v.numerator for c, v in line], [t.cols[c][1] * v.denominator for c, v in line]
+        )
+        cols[k] = [(c, u) for (c, _), u in zip(line, nums)]
+    rows = {r: [(c, z) for c, z in enumerate(line) if z] for r, line in enumerate(t.dots)}
+    out = ExactMatrix(m.basis)
+    for (r, k), s in _line_product(rows, cols).items():
+        ru, rv = t.rows[r]
+        out.entries[r, k] = pair_value(ru * s, rv * col_den[k])
+    return out
+
+
 # the value of an absent entry, shared: a Fraction is immutable
 _ZERO = Fraction(0)
 
@@ -594,7 +691,9 @@ class ExactMatrix:
         order with nonzero diagonal.  Exact back-substitution: with row r
         of self over its common denominator L_r (diagonal D_r, entries V),
         x_r = (L_r b_r - sum V x) / D_r, one sum of numerators over the
-        common denominator of b_r and the x it reads."""
+        column's running denominator q, the lcm of the denominators of b and
+        of the x solved so far: a new x costs one gcd and scales the earlier
+        numerators by what it adds to q, with no lcm over the row."""
         self._check_same_basis(rhs)
         if any(r > c for r, c in self.entries):
             raise ValueError("matrix is not upper triangular in storage order")
@@ -606,24 +705,21 @@ class ExactMatrix:
         out: dict[tuple[int, int], FieldElement] = {}
         col_den, cols = _lines(rhs.entries, 1)
         for c, col in cols.items():
-            bden, b = col_den[c], dict(col)
-            xcol: dict[int, FieldElement] = {}
+            # b_r = b[r] bscale / q and x_cc = xnum[cc] / q
+            b, q, bscale = dict(col), col_den[c], 1
+            xnum: dict[int, FieldElement] = {}
             for r in range(self.dimension - 1, -1, -1):
-                nums, dens = [], []
-                if r in b:
-                    nums.append(b[r] * row_den[r])
-                    dens.append(bden)
-                for cc, v in upper[r]:
-                    x = xcol.get(cc)
-                    if x is not None:
-                        nums.append(-v * x.numerator)
-                        dens.append(x.denominator)
-                if not nums:
+                num = b[r] * bscale * row_den[r] if r in b else 0
+                num -= sum(v * xnum[cc] for cc, v in upper[r] if cc in xnum)
+                if not num:
                     continue
-                scaled, den = over_common_denominator(nums, dens)
-                num = sum(scaled)
-                if num:
-                    xcol[r] = out[(r, c)] = pair_value(num, den * diag[r])
+                x = out[(r, c)] = pair_value(num, q * diag[r])
+                grow = x.denominator // gcd(q, x.denominator)
+                if grow != 1:
+                    q, bscale = q * grow, bscale * grow
+                    for cc in xnum:
+                        xnum[cc] *= grow
+                xnum[r] = x.numerator * (q // x.denominator)
         m = ExactMatrix(self.basis)
         m.entries = out
         return m

@@ -9,10 +9,15 @@ over Z with the `cleared_*` helpers of tdcore: each operand is cleared of
 denominators once, every product is the sparse kernel on integer numerators,
 and the two sides are compared exactly, in storage order, by
 cross-multiplying their common denominators.  Only a witness entry is built
-as a rational.  `inverse` and `biorthogonality` multiply `ExactMatrix`es,
-the same kernel with each row or column over its own denominator: the lcm
-over a whole C, Cbar or U runs to thousands of bits at one coordinate
-(1,770 bits for C at (143,)) and made both about twice as slow there.
+as a rational.  `inverse` multiplies `ExactMatrix`es, the same kernel with
+each row or column over its own denominator: the lcm over a whole C or Cbar
+runs to thousands of bits at one coordinate (1,770 bits for C at (143,))
+and made it about twice as slow there.
+
+The overlap route tables stay factored (`tdcore.Factored`).
+`overlap_consistency` and `racah_reduction` cross-multiply heads and dots,
+and `biorthogonality` takes U Cbar on U's integer dots
+(`factored_product`), then multiplies by D.
 
 Check names, in canonical report order:
 
@@ -69,14 +74,15 @@ from . import overlap
 from .overlap import (
     T_METHODS,
     U_METHODS,
+    _factored_table,
     _hahn_table,
     _t_direct,
     _u_col_factor,
     _u_row_factor,
-    overlap_table,
 )
 from .tdcore import (
     ExactMatrix,
+    Factored,
     TDParameters,
     _PARAM_KEYS,
     _assemble_operator,
@@ -87,6 +93,10 @@ from .tdcore import (
     cleared_difference,
     cleared_product,
     eigenvalue,
+    factored_difference,
+    factored_product,
+    factored_scaled,
+    factored_values,
     substituted_for_involution,
     validate_parameters,
 )
@@ -153,12 +163,12 @@ class _Context:
     def __init__(self, params: TDParameters):
         self.params = params
         self.basis = enumerate_box(params.shape)
-        self.tables: dict[tuple[str, str], ExactMatrix] = {}
+        self.tables: dict[tuple[str, str], Factored] = {}
 
-    def table(self, which: str, method: str) -> ExactMatrix:
+    def table(self, which: str, method: str) -> Factored:
         """The (which, method) overlap route table, kept for the suite."""
         if (which, method) not in self.tables:
-            self.tables[which, method] = overlap_table(self.params, which, method)
+            self.tables[which, method] = _factored_table(self.params, which, method)
         return self.tables[which, method]
 
     @cached_property
@@ -312,18 +322,14 @@ def _check_overlap_consistency(ctx: _Context):
             except ZeroDenominatorPochhammer as err:
                 identity = f"{which} route agreement"
                 return False, {"identity": identity, "method": method, "error": str(err)}
-        ref, diffs = tables[methods[0]], []
-        for method in methods[1:]:
-            diff = ref.first_difference(tables[method])
-            if diff is not None:
-                diffs.append((ref.pos[diff[0]], ref.pos[diff[1]], method, diff))
-        if diffs:
-            _, _, method, (i, x, lhs, rhs) = min(diffs, key=lambda d: d[:2])
+        diff = factored_difference([(tables[methods[0]], tables[m]) for m in methods[1:]])
+        if diff is not None:
+            k, r, c, lhs, rhs = diff
             return False, {
                 "identity": f"{which} route agreement",
-                "method": method,
-                "i": format_multiindex(i),
-                "x": format_multiindex(x),
+                "method": methods[k + 1],
+                "i": format_multiindex(ctx.basis[r]),
+                "x": format_multiindex(ctx.basis[c]),
                 "lhs": format_scalar(lhs),
                 "rhs": format_scalar(rhs),
             }
@@ -333,7 +339,7 @@ def _check_overlap_consistency(ctx: _Context):
 def _check_biorthogonality(ctx: _Context):
     # T Uᵀ = ((U Cbar) D)ᵀ with T = (Cbar D)ᵀ; U by the direct sum reads no
     # coefficient table, so a planted Cbar or D entry breaks it
-    tu = ((ctx.table("U", "direct_sum") @ ctx.MCb) @ ctx.MD).transpose()
+    tu = (factored_product(ctx.table("U", "direct_sum"), ctx.MCb) @ ctx.MD).transpose()
     diff = tu.first_difference(ExactMatrix.identity(ctx.basis))
     w = _entry_witness(diff, "biorthogonality")
     return w is None, w
@@ -345,26 +351,23 @@ def _check_racah_reduction(ctx: _Context):
         return None, "skipped: single-coordinate reduction needs N = 1"
     # at N = 1 the T form is one Racah factor at unit argument, the shift
     # table; the balanced U form is its S-mirror, the U shift table; and the
-    # normalized U form is f(i) g(x) T_i(x)
+    # normalized U form is f(i) g(x) T_i(x).  The witness is the first (i, x)
+    # in graded order, the earlier form on a tie
     mt, mu = ctx.table("T", "direct_sum"), ctx.table("U", "direct_sum")
     ms, mb = ctx.table("T", "shift_operator"), ctx.table("U", "shift_operator")
     f = [_u_row_factor(p, i[0]) for i in ctx.basis]
     g = [_u_col_factor(p, x[0]) for x in ctx.basis]
-    for r, i in enumerate(ctx.basis):
-        for c, x in enumerate(ctx.basis):
-            for label, ref, got in (
-                ("univariate T form", mt.item(r, c), ms.item(r, c)),
-                ("balanced U form", mu.item(r, c), mb.item(r, c)),
-                ("normalized U form", mu.item(r, c), f[r] * g[c] * ms.item(r, c)),
-            ):
-                if got != ref:
-                    return False, {
-                        "identity": label,
-                        "i": format_multiindex(i),
-                        "x": format_multiindex(x),
-                        "lhs": format_scalar(ref),
-                        "rhs": format_scalar(got),
-                    }
+    labels = ("univariate T form", "balanced U form", "normalized U form")
+    diff = factored_difference([(mt, ms), (mu, mb), (mu, factored_scaled(ms, f, g))])
+    if diff is not None:
+        k, r, c, lhs, rhs = diff
+        return False, {
+            "identity": labels[k],
+            "i": format_multiindex(ctx.basis[r]),
+            "x": format_multiindex(ctx.basis[c]),
+            "lhs": format_scalar(lhs),
+            "rhs": format_scalar(rhs),
+        }
     return True, None
 
 
@@ -390,7 +393,7 @@ def _series_limits(kernel: Callable, rows: Sequence, cols: Sequence) -> list:
     is unknown is the PrecisionExhausted that says so, never a guessed
     value; so is every entry when the kernel itself raises it."""
     try:
-        table = kernel(LaurentSeries(-1, 1), rows, cols)
+        table = factored_values(kernel(LaurentSeries(-1, 1), rows, cols))
     except PrecisionExhausted as err:
         return [[err] * len(cols) for _ in rows]
     return [[_limit_or_error(v) for v in line] for line in table]
@@ -448,7 +451,8 @@ def _check_limits(ctx: _Context):
         # the closed forms over Q, one kernel call per group and kind; read
         # from the overlap module, as `_hahn_table` here is the series kernel
         # of `_row_limits`
-        closed = (overlap._hahn_table(p, rows, cols), overlap._krawtchouk_table(p, rows, cols))
+        kinds = (overlap._hahn_table, overlap._krawtchouk_table)
+        closed = [factored_values(kind(p, rows, cols)) for kind in kinds]
         for r, i in enumerate(rows):
             for c, x in enumerate(cols):
                 for lim, form, identity in zip(lims, closed, _LIMIT_IDENTITIES):
@@ -564,11 +568,11 @@ def run_suite(
     vanishing denominator (ZeroDenominatorPochhammer).  When the
     constraints check fails, dependent checks are reported as skipped.
     overlap_consistency compares whole route tables, one per route, each
-    built by a single call of that route's table kernel.  Each operator,
-    coefficient matrix and route table is built when a selected check first
-    needs it, so its cost shows in that check's millis, and is kept on the
-    suite's context: overlap_consistency, biorthogonality and
-    racah_reduction read one table per route.
+    built by a single call of that route's table kernel and kept factored.
+    Each operator, coefficient matrix and route table is built when a
+    selected check first needs it, so its cost shows in that check's millis,
+    and is kept on the suite's context: overlap_consistency,
+    biorthogonality and racah_reduction read one table per route.
     """
     if checks is None:
         selected = list(DEFAULT_CHECKS)

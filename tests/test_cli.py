@@ -12,6 +12,7 @@ import pytest
 from tdpair.cli import MAX_DIMENSION, MAX_IRREDUCIBILITY_DIMENSION, _emit_tables, main
 from tdpair.multiindex import Shape, enumerate_box
 from tdpair import verify
+from tdpair.tdcore import factored_values, unit_factored
 from tdpair.tdcore import ExactMatrix
 from tdpair.verify import random_valid_parameters
 from overlap_oracle import oracle_hahn, oracle_krawtchouk
@@ -241,7 +242,8 @@ class TestLimits:
 
         def dividing(params, rows, cols):
             s = params.omega
-            return [[v / (s - s) for v in row] for row in original(params, rows, cols)]
+            values = factored_values(original(params, rows, cols))
+            return unit_factored([[v / (s - s) for v in row] for row in values])
 
         monkeypatch.setattr(verify, "_hahn_table", dividing)
         rc = main(["limits", "--shape", "2,1", "--seed", "1", "--format", "json"])

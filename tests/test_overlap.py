@@ -1,6 +1,7 @@
 """Overlap function routes, closed forms, and degenerate kinds."""
 
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +33,8 @@ from tdpair.tdcore import (
     ExactMatrix,
     InvalidParameters,
     TDParameters,
+    factored_scaled,
+    factored_values,
     substituted_for_involution,
 )
 from tdpair.verify import random_valid_parameters, run_suite
@@ -687,11 +690,12 @@ class TestHahnKernel:
         sides = [p, replace(p, h=p.h * t, omega=1 / t), replace(p, omega=LaurentSeries(-1, 1))]
         for q in sides:
             expect = [[_scalar(oracle_hahn(q, i, x)) for x in basis] for i in basis]
-            assert [[_scalar(v) for v in row] for row in overlap._hahn_table(q, basis, basis)] == expect
+            table = factored_values(overlap._hahn_table(q, basis, basis))
+            assert [[_scalar(v) for v in row] for row in table] == expect
             for i, row in zip(basis, expect):
-                assert [_scalar(v) for v in overlap._hahn_table(q, [i], basis)[0]] == row
+                assert [_scalar(v) for v in factored_values(overlap._hahn_table(q, [i], basis))[0]] == row
                 for x, v in zip(basis, row):
-                    assert _scalar(overlap._hahn_table(q, [i], [x])[0][0]) == v
+                    assert _scalar(factored_values(overlap._hahn_table(q, [i], [x]))[0][0]) == v
 
 
 class TestKrawtchoukKernel:
@@ -702,11 +706,74 @@ class TestKrawtchoukKernel:
         # the table, each row and each entry, value and type
         p, basis = random_valid_parameters(shape, seed), enumerate_box(shape)
         expect = [[_scalar(oracle_krawtchouk(p, i, x)) for x in basis] for i in basis]
-        assert [[_scalar(v) for v in row] for row in overlap._krawtchouk_table(p, basis, basis)] == expect
+        table = factored_values(overlap._krawtchouk_table(p, basis, basis))
+        assert [[_scalar(v) for v in row] for row in table] == expect
         for i, row in zip(basis, expect):
-            assert [_scalar(v) for v in overlap._krawtchouk_table(p, [i], basis)[0]] == row
+            assert [_scalar(v) for v in factored_values(overlap._krawtchouk_table(p, [i], basis))[0]] == row
             for x, v in zip(basis, row):
                 assert _scalar(overlap_limit_kind(p, "krawtchouk", i, x)) == v
+
+
+class TestFactoredTables:
+    """Every route kernel and degenerate kind returns a factored table: over
+    Q each line `_dot_table` dots is primitive, and the table's values are
+    the oracles', value for value and type for type."""
+
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((3, 2)), 1)
+    @example(Shape((7,)), 2)
+    @settings(max_examples=12, deadline=None)
+    def test_every_dotted_line_is_primitive(self, shape, seed):
+        # content 1 on every int line, and each term's value kept: the head
+        # times the line's numerator over their denominator
+        lines, original = [], overlap._line
+
+        def recorded(make, index, top, strides, over_q):
+            out = original(make, index, top, strides, over_q)
+            lines.append((make(index, top, strides), out))
+            return out
+
+        p, basis = random_valid_parameters(shape, seed), enumerate_box(shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(overlap, "_line", recorded)
+            for family, name in (("T", "direct_sum"), ("T", "shift_operator"), ("U", "direct_sum"),
+                                 ("U", "shift_operator"), ("kind", "hahn")):
+                overlap._kernel(family, name)(p, basis, basis)
+        assert len(lines) == 10 * len(basis)
+        for ((u0, v0), terms, _), (hu, hv, dense, _, _) in lines:
+            assert math.gcd(*dense) == 1
+            assert all(F(hu * dense[pos], hv) == F(u0 * u, v0 * v) for pos, (u, v) in terms.items())
+
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((2, 2, 1)), 1)
+    @example(Shape((6,)), 1)
+    @settings(max_examples=10, deadline=None)
+    def test_values_match_the_oracles(self, shape, seed):
+        self._assert_values(random_valid_parameters(shape, seed))
+
+    @pytest.mark.parametrize("ell, name", [((2, 1), "omega_star"), ((4,), "omega")])
+    def test_values_match_the_oracles_over_qt(self, ell, name):
+        # one parameter made free: heads and dots are rational functions
+        p = random_valid_parameters(Shape(ell), 1)
+        self._assert_values(replace(p, **{name: getattr(p, name) + variable_t()}))
+
+    @staticmethod
+    def _assert_values(p):
+        basis = enumerate_box(p.shape)
+        kernels = [("T", m, _oracle_t) for m in T_METHODS] + [("U", m, _oracle_u) for m in U_METHODS]
+        kernels += [("kind", "hahn", oracle_hahn), ("kind", "krawtchouk", oracle_krawtchouk)]
+        if p.N == 1:
+            kernels += [("T", "shift_operator", oracle_t_racah), ("U", "shift_operator", oracle_u_balanced)]
+        for family, name, oracle in kernels:
+            got = factored_values(overlap._kernel(family, name)(p, basis, basis))
+            expect = [[_scalar(oracle(p, i, x)) for x in basis] for i in basis]
+            assert [[_scalar(v) for v in row] for row in got] == expect, (family, name, oracle.__name__)
+        if p.N == 1:
+            f = [overlap._u_row_factor(p, i[0]) for i in basis]
+            g = [overlap._u_col_factor(p, x[0]) for x in basis]
+            got = factored_values(factored_scaled(overlap._t_shift(p, basis, basis), f, g))
+            expect = [[_scalar(oracle_u_normalized(p, i, x)) for x in basis] for i in basis]
+            assert [[_scalar(v) for v in row] for row in got] == expect
 
 
 class TestRouteIndependence:
@@ -719,7 +786,7 @@ class TestRouteIndependence:
 
         def planted(*args):
             table = original(*args)
-            table[0][0] += 1
+            table.dots[0][0] += 1
             return table
 
         monkeypatch.setattr(overlap, "_dot_table", planted)

@@ -385,6 +385,41 @@ class TestStringsGeneralPosition:
                 or None
             )
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.fractions(min_value=-4, max_value=4, max_denominator=2)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+        st.booleans(),
+    )
+    @example([(1, F(2)), (1, F(3))], 0, 0, False)
+    @example([(1, F(2)), (1, F(3))], 0, 0, True)
+    def test_cond3_is_the_pairwise_test(self, coords, twice_omega, twice_omega_star, inverse_t):
+        # cond3 takes each string's least element once; its verdict and
+        # witness are those of `strings_general_position` on every pair, in
+        # order, over Q and with omega* = 1/t
+        ell, a = zip(*coords)
+        p = TDParameters(Shape(ell), 0, 0, 1, 1, F(twice_omega, 2), F(twice_omega_star, 2), a)
+        if inverse_t:
+            p = replace(p, omega_star=RationalFunction((F(1),), (F(0), F(1))))
+        strings = [
+            (f"S{'+' if g == 1 else '-'}(ell_{q}, a_{q})", StringSet(sign=g, length=ell[q - 1], anchor=a[q - 1]))
+            for q in range(1, len(ell) + 1)
+            for g in (1, -1)
+        ]
+        expect = [
+            f"{tag1} and {tag2} are not in general position"
+            for u, (tag1, s1) in enumerate(strings)
+            for tag2, s2 in strings[u + 1 :]
+            if not strings_general_position(s1, s2, p)
+        ]
+        r = validate_parameters(p).result("cond3")
+        assert (r.passed, r.witness) == (not expect, expect or None)
+
     @pytest.mark.parametrize("ell", [(2000,), (1000, 1000)])
     def test_validation_never_lists_string_values(self, monkeypatch, ell):
         # cond3 is constant time per pair: long strings are never enumerated

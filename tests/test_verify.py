@@ -22,7 +22,9 @@ from tdpair.tdcore import (
     TDParameters,
     _assemble_operator,
     eigenvalue,
+    factored_values,
     substituted_for_involution,
+    unit_factored,
     validate_parameters,
 )
 from tdpair.verify import (
@@ -34,6 +36,14 @@ from tdpair.verify import (
 )
 
 from matrix_ops import commutator, minus, plus, scaled
+
+
+def _entries_changed(table, change):
+    # the factored table's rows of values, edited in place by change, under
+    # unit heads: a plant in a route kernel's table
+    values = factored_values(table)
+    change(values)
+    return unit_factored(values)
 
 
 def _params_1d() -> TDParameters:
@@ -257,15 +267,18 @@ class TestOverlapConsistencyMutation:
     I, X = (1, 0), (0, 1)
 
     def _perturb(self, monkeypatch, name, i, x, delta=F(1, 1000)):
-        # the route kernels return a row per index of rows, a value per index
-        # of cols
+        # the route kernels return a factored table: a row per index of rows,
+        # a column per index of cols
         original = getattr(overlap, name)
 
         def perturbed(params, rows, cols):
-            return [
-                [v + delta if (tuple(mi), tuple(mx)) == (i, x) else v for mx, v in zip(cols, row)]
-                for mi, row in zip(rows, original(params, rows, cols))
-            ]
+            def change(values):
+                for mi, row in zip(rows, values):
+                    for c, mx in enumerate(cols):
+                        if (tuple(mi), tuple(mx)) == (i, x):
+                            row[c] += delta
+
+            return _entries_changed(original(params, rows, cols), change)
 
         monkeypatch.setattr(overlap, name, perturbed)
 
@@ -373,18 +386,24 @@ class TestSharedCoefficientTables:
 class TestOverlapTableMutation:
     @staticmethod
     def _plant(monkeypatch, which, method):
-        # one off-diagonal entry (i, x) of the route's table off by one
-        original, planted = verify.overlap_table, []
+        # the first nonzero off-diagonal entry (i, x) of the route's table,
+        # in storage order, off by one
+        original, planted = verify._factored_table, []
 
         def plant(params, w, m):
             table = original(params, w, m)
-            if (w, m) == (which, method):
-                key = next(k for k in sorted(table.entries) if k[0] != k[1])
-                table.entries[key] += 1
-                planted.append([table.basis[r] for r in key])
-            return table
+            if (w, m) != (which, method):
+                return table
+            basis = enumerate_box(params.shape)
 
-        monkeypatch.setattr(verify, "overlap_table", plant)
+            def change(values):
+                r, c = next((r, c) for r, row in enumerate(values) for c, v in enumerate(row) if r != c and v)
+                values[r][c] += 1
+                planted.append([basis[r], basis[c]])
+
+            return _entries_changed(table, change)
+
+        monkeypatch.setattr(verify, "_factored_table", plant)
         return planted
 
     def test_planted_u_table_error_is_caught(self, cold, monkeypatch):
@@ -440,13 +459,13 @@ class TestRouteTablesPerSuite:
     read only those tables."""
 
     def test_each_route_table_is_built_once(self, monkeypatch):
-        original, built = verify.overlap_table, []
+        original, built = verify._factored_table, []
 
         def counted(params, which, method):
             built.append((which, method))
             return original(params, which, method)
 
-        monkeypatch.setattr(verify, "overlap_table", counted)
+        monkeypatch.setattr(verify, "_factored_table", counted)
         assert run_suite(random_valid_parameters(Shape((3, 2)), 1)).passed
         routes = [("T", m) for m in overlap.T_METHODS] + [("U", m) for m in overlap.U_METHODS]
         assert sorted(built) == sorted(routes)
@@ -467,15 +486,19 @@ class TestRouteTablesPerSuite:
         p = random_valid_parameters(Shape((5,)), 1)
         i, x = (2,), (3,)
         ref = overlap.overlap_T(p, i, x, "direct_sum")
-        original = verify.overlap_table
+        original, basis = verify._factored_table, enumerate_box(p.shape)
 
         def planted(params, which, method):
             m = original(params, which, method)
-            if (which, method) == ("T", "shift_operator"):
-                m.entries[m.pos[i], m.pos[x]] += 1
-            return m
+            if (which, method) != ("T", "shift_operator"):
+                return m
 
-        monkeypatch.setattr(verify, "overlap_table", planted)
+            def change(values):
+                values[basis.index(i)][basis.index(x)] += 1
+
+            return _entries_changed(m, change)
+
+        monkeypatch.setattr(verify, "_factored_table", planted)
         result = run_suite(p, checks=["racah_reduction"]).result("racah_reduction")
         assert result.passed is False
         assert result.witness == {
@@ -491,15 +514,19 @@ class TestRouteTablesPerSuite:
         p = random_valid_parameters(Shape((5,)), 1)
         i, x = (2,), (3,)
         ref = overlap.overlap_U(p, i, x, "direct_sum")
-        original = verify.overlap_table
+        original, basis = verify._factored_table, enumerate_box(p.shape)
 
         def planted(params, which, method):
             m = original(params, which, method)
-            if (which, method) == ("U", "shift_operator"):
-                m.entries[m.pos[i], m.pos[x]] += 1
-            return m
+            if (which, method) != ("U", "shift_operator"):
+                return m
 
-        monkeypatch.setattr(verify, "overlap_table", planted)
+            def change(values):
+                values[basis.index(i)][basis.index(x)] += 1
+
+            return _entries_changed(m, change)
+
+        monkeypatch.setattr(verify, "_factored_table", planted)
         result = run_suite(p, checks=["racah_reduction"]).result("racah_reduction")
         assert result.passed is False
         assert result.witness == {
@@ -567,11 +594,11 @@ class TestLimitsMutation:
 
         def planted(params, rows, cols):
             # the t-side kernel call of `limits`, whatever its scalar type
-            table = original(params, rows, cols)
-            return [
-                [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
-                for mi, row in zip(rows, table)
-            ]
+            def change(values):
+                for mi, row in zip(rows, values):
+                    row[:] = [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
+
+            return _entries_changed(original(params, rows, cols), change)
 
         monkeypatch.setattr(verify, "_t_direct", planted)
         closed = overlap.overlap_limit_kind(p, "hahn", i, x)
@@ -592,11 +619,11 @@ class TestLimitsMutation:
         original = overlap._krawtchouk_table
 
         def planted(params, rows, cols):
-            table = original(params, rows, cols)
-            return [
-                [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
-                for mi, row in zip(rows, table)
-            ]
+            def change(values):
+                for mi, row in zip(rows, values):
+                    row[:] = [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
+
+            return _entries_changed(original(params, rows, cols), change)
 
         monkeypatch.setattr(overlap, "_krawtchouk_table", planted)
         result = run_suite(p, checks=["limits"]).result("limits")
@@ -697,7 +724,8 @@ class TestUnknownLimits:
         # (v + s) - s loses v below 1/t: every entry's limit is unknown
         def lossy(params, rows, cols, kernel):
             s = params.omega_star
-            return [[(v + s) - s for v in row] for row in kernel(params, rows, cols)]
+            values = factored_values(kernel(params, rows, cols))
+            return unit_factored([[(v + s) - s for v in row] for row in values])
 
         p, witness = self._limits_witness(monkeypatch, "_t_direct", lossy)
         i = enumerate_box(p.shape)[0]
@@ -714,9 +742,10 @@ class TestUnknownLimits:
         i, x = basis[2], basis[4]
 
         def planted(params, rows, cols, kernel):
-            table = kernel(params, rows, cols)
-            table[rows.index(i)][cols.index(x)] = LaurentSeries(0)
-            return table
+            def change(values):
+                values[rows.index(i)][cols.index(x)] = LaurentSeries(0)
+
+            return _entries_changed(kernel(params, rows, cols), change)
 
         p, witness = self._limits_witness(monkeypatch, "_t_direct", planted)
         assert (witness["i"], witness["x"]) == (format_multiindex(i), format_multiindex(x))
@@ -728,7 +757,8 @@ class TestUnknownLimits:
         # call; the witness is the group's first pair with the error
         def dividing(params, rows, cols, kernel):
             s = params.omega
-            return [[v / (s - s) for v in row] for row in kernel(params, rows, cols)]
+            values = factored_values(kernel(params, rows, cols))
+            return unit_factored([[v / (s - s) for v in row] for row in values])
 
         p, witness = self._limits_witness(monkeypatch, "_hahn_table", dividing)
         i = enumerate_box(p.shape)[0]
@@ -746,13 +776,27 @@ class TestParametersOutsideQ:
     proves its identity over Q(t); `limits`, which substitutes its own t,
     is skipped."""
 
-    @pytest.mark.parametrize("name", ["omega", "omega_star", "a1", "h", "h_star"])
-    @pytest.mark.parametrize("ell", [(2, 1), (2, 2, 1)])
+    # also a_2, and a two-coordinate shape with 20 basis elements (ell2):
+    # the route tables' heads and dots are rational functions, 0.3-0.4 s and
+    # 1.6-2.3 s CPU on a shared 2-core host
+    @pytest.mark.parametrize(
+        "ell, name",
+        [
+            pytest.param(ell, name, id=f"ell{k}-{name}")
+            for k, ell, names in (
+                (0, (2, 1), ["omega", "omega_star", "a1", "h", "h_star"]),
+                (1, (2, 2, 1), ["omega", "omega_star", "a1", "h", "h_star", "a2"]),
+                (2, (4, 3), ["omega_star"]),
+            )
+            for name in names
+        ],
+    )
     def test_default_suite_passes_with_limits_skipped(self, ell, name):
         p = random_valid_parameters(Shape(ell), 1)
         t = variable_t()
-        if name == "a1":
-            free = replace(p, a=(p.a[0] + t, *p.a[1:]))
+        if name.startswith("a"):
+            k = int(name[1:]) - 1
+            free = replace(p, a=tuple(v + t if q == k else v for q, v in enumerate(p.a)))
         else:
             free = replace(p, **{name: getattr(p, name) + t})
         report = run_suite(free)
@@ -858,7 +902,11 @@ def _oracle_r3l(ctx):
 
 
 def _oracle_biorthogonality(ctx):
-    mt, mu = ctx.table("T", "matrix_product"), ctx.table("U", "direct_sum")
+    def matrix(which, method):
+        values = factored_values(ctx.table(which, method))
+        return ExactMatrix(ctx.basis, {(r, c): v for r, row in enumerate(values) for c, v in enumerate(row)})
+
+    mt, mu = matrix("T", "matrix_product"), matrix("U", "direct_sum")
     return _oracle_witness(mt @ mu.transpose(), ExactMatrix.identity(ctx.basis), "biorthogonality")
 
 
