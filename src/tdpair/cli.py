@@ -10,9 +10,10 @@ Subcommands:
 
 Parameters come from a JSON file (--params) or from a seeded draw
 (--shape with --seed), never both.  Every subcommand but validate refuses
-a box of more than MAX_DIMENSION points before it builds anything, and
-verify with the irreducibility check one of more than
-MAX_IRREDUCIBILITY_DIMENSION points.  Exit
+a box of more than MAX_DIMENSION points, or a parameter (or --bound) with
+a numerator or denominator of more than MAX_PARAMETER_BITS bits, before it
+builds anything, and verify with the irreducibility check a box of more
+than MAX_IRREDUCIBILITY_DIMENSION points.  Exit
 status: 0 when every requested check passes, 1 when a check fails (or
 overlap or build meets a vanishing denominator), 2 on malformed or
 oversized configuration.
@@ -38,6 +39,7 @@ from .tdcore import (
     InvalidParameters,
     OPERATOR_NAMES,
     TDParameters,
+    _PARAM_KEYS,
     _ensure_valid,
     build_operator,
     parameters_from_json_obj,
@@ -64,6 +66,12 @@ MAX_DIMENSION = 144
 # 3.0 s at d = 10, 12.7 s at d = 12, 26 s at d = 14, 51-58 s at d = 15
 # and 94 s at d = 16.
 MAX_IRREDUCIBILITY_DIMENSION = 15
+# The longest numerator or denominator, in bits, of a parameter (and of
+# --bound) that build, verify, overlap and limits accept.  Default verify
+# suite, seed 1, --bound 2^b - 1, same host: at ell = (40,) 0.6 s at the
+# default bound, 0.7 s at b = 8, 1.4 s at 16, 4.0 s at 32 and 11 s at 64
+# (95 s with 100-digit rationals); at (143,) 106 s at 8 and 274 s at 16.
+MAX_PARAMETER_BITS = 16
 BUILD_TARGETS = OPERATOR_NAMES + COEFFICIENT_KINDS
 OVERLAP_KINDS = ("racah",) + LIMIT_KINDS
 
@@ -168,9 +176,12 @@ def _parse_shape(text: str) -> Shape:
         raise ConfigError(f"bad --shape {text!r}: {err}") from None
 
 
-def _within_budget(args, shape: Shape, checks: Optional[list[str]]) -> None:
+def _within_budget(args, shape: Shape, checks: Optional[list[str]], bits: int) -> None:
+    # bits: the longest numerator or denominator of a parameter or of --bound
     if args.command == "validate":
         return
+    if bits > MAX_PARAMETER_BITS:
+        raise ConfigError(f"a {bits}-bit rational exceeds the limit of {MAX_PARAMETER_BITS} bits")
     limit, scope = MAX_DIMENSION, args.command
     if "irreducibility" in (checks or ()):
         limit, scope = MAX_IRREDUCIBILITY_DIMENSION, "verify with the irreducibility check"
@@ -199,12 +210,14 @@ def _load_parameters(args, checks: Optional[list[str]] = None) -> TDParameters:
             params = parameters_from_json_obj(obj)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"bad parameter document: {err}") from None
-        _within_budget(args, params.shape, checks)
+        values = [*(getattr(params, key) for key in _PARAM_KEYS), *params.a]
+        bits = max(max(abs(v.numerator), v.denominator).bit_length() for v in values)
+        _within_budget(args, params.shape, checks, bits)
         return params
     if args.shape is None or args.seed is None:
         raise ConfigError("generated mode needs both --shape and --seed")
     shape = _parse_shape(args.shape)
-    _within_budget(args, shape, checks)
+    _within_budget(args, shape, checks, args.bound.bit_length())
     if args.bound < 4:
         raise ConfigError("--bound must be at least 4")
     try:

@@ -219,14 +219,11 @@ def _coefficient_table(params: TDParameters, kind: str) -> ExactMatrix:
 def _raising_table(params: TDParameters, kind: str) -> ExactMatrix:
     # C and Cbar vanish unless row >= col pointwise: the kernel runs over
     # the dominance sub-box of each column
-    m = ExactMatrix(enumerate_box(params.shape))
-    pos = m.pos
-    tops = [lp + 1 for lp in params.ell]
-    pairs = [(row, col) for col in m.basis for row in product(*map(range, col, tops))]
-    for (row, col), v in zip(pairs, _raising_values(params, kind, pairs)):
-        if v != 0:
-            m.entries[(pos[row], pos[col])] = v
-    return m
+    basis = enumerate_box(params.shape)
+    pos, tops = {m: k for k, m in enumerate(basis)}, [lp + 1 for lp in params.ell]
+    pairs = [(row, col) for col in basis for row in product(*map(range, col, tops))]
+    values = zip(pairs, _raising_values(params, kind, pairs))
+    return ExactMatrix(basis, {(pos[row], pos[col]): v for (row, col), v in values})
 
 
 EIGENBASIS_NAMES = ("A_basis", "Astar_basis")
@@ -291,8 +288,7 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
     over their common denominator."""
     basis = enumerate_box(params.shape)
     N = params.N
-    m = ExactMatrix(basis)
-    pos, out = m.pos, len(basis)
+    pos, out = {x: k for k, x in enumerate(basis)}, len(basis)
 
     def moved(p, step):
         return [pos.get(x[:p] + (x[p] + step,) + x[p + 1 :], out) for x in basis] + [out]
@@ -349,9 +345,5 @@ def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatri
                         nm = minus[q][nk]
                         if (nk, xk) in cp and (yk, nm) in cbp:
                             put(yk, xk, xs[nm][q], cp[(nk, xk)], cbp[(yk, nm)])
-    for key, pairs in terms.items():
-        scaled, den = over_common_denominator(*zip(*pairs))
-        v = pair_value(sum(scaled), den)
-        if v != 0:
-            m.entries[key] = v
-    return m
+    sums = {key: over_common_denominator(*zip(*pairs)) for key, pairs in terms.items()}
+    return ExactMatrix(basis, {key: pair_value(sum(scaled), den) for key, (scaled, den) in sums.items()})

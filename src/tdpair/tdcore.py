@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactfield import (
@@ -391,67 +391,68 @@ def _ms(start: float) -> int:
 # exact matrices over the enumerated basis
 
 
-def _split(entries: dict, axis: int) -> dict[int, list]:
-    """The stored rows (axis 0) or columns (axis 1) of a sparse matrix
-    {(r, c): v}, as {index: [(other index, v)]}."""
-    lines: dict[int, list] = {}
-    for key, v in entries.items():
-        lines.setdefault(key[axis], []).append((key[1 - axis], v))
-    return lines
+def _rows(items) -> dict[int, dict]:
+    """The stored rows {r: {c: v}} of the ((r, c), v) items of a matrix."""
+    rows: dict[int, dict] = {}
+    for (r, c), v in items:
+        rows.setdefault(r, {})[c] = v
+    return rows
 
 
-def _lines(entries: dict, axis: int) -> tuple[dict, dict]:
-    """The stored rows or columns of a sparse matrix, each over one common
-    denominator, as ({index: den}, {index: [(other index, numerator)]}).
-    Over Q the numerators are ints over the lcm of the line's denominators; a
-    Q(t) entry rides as the pair (entry, 1)."""
-    dens, out = {}, {}
-    for k, line in _split(entries, axis).items():
-        others, vals = zip(*line)
-        nums, dens[k] = over_common_denominator(
-            [v.numerator for v in vals], [v.denominator for v in vals]
-        )
-        out[k] = list(zip(others, nums))
-    return dens, out
+def _terms(entries: dict):
+    return ((k, v.numerator, v.denominator) for k, v in entries.items())
 
 
-def _line_product(rows: dict, cols: dict) -> dict:
-    """The sparse product kernel: {(r, c): sum of a b over the k shared by
-    row r and column c}, from the stored rows {r: [(k, a)]} of one matrix
-    and the stored columns {c: [(k, b)]} of the other.  The values are ints
-    or field elements; a zero sum is left out."""
-    by_k: dict[int, list] = {}
-    for c, col in cols.items():
-        for k, b in col:
-            by_k.setdefault(k, []).append((c, b))
+def _lines(terms, axis: int) -> tuple[dict, dict]:
+    """({index: den}, {r: {c: numerator}}): the values u / v of the ((r, c),
+    u, v) terms of a matrix as stored rows, each row (axis 0) or column
+    (axis 1) over den, the lcm of its v.  The v are ints: a Q(t) entry
+    rides as the pair (entry, 1)."""
+    terms, dens = list(terms), {}
+    for key, _, v in terms:
+        d = dens.get(key[axis])
+        if d is None or d % v:
+            dens[key[axis]] = v if d is None else lcm(d, v)
+    rows: dict[int, dict] = {}
+    for (r, c), u, v in terms:
+        den = dens[c if axis else r]
+        rows.setdefault(r, {})[c] = u if v == den else u * (den // v)
+    return dens, rows
+
+
+def _line_product(rows: dict, right_rows: dict) -> dict:
+    """The sparse product kernel, row by row (Gustavson), of the stored rows
+    {r: {k: a}} and {k: {c: b}} of two matrices, as rows {r: {c: sum}} of
+    ints or field elements; a zero sum and an empty row are left out."""
     out = {}
     for r, row in rows.items():
         acc: dict = {}
-        for k, a in row:
-            for c, b in by_k.get(k, ()):
+        for k, a in row.items():
+            for c, b in right_rows.get(k, {}).items():
                 acc[c] = acc.get(c, 0) + a * b
-        for c, s in acc.items():
-            if s:
-                out[r, c] = s
+        acc = {c: s for c, s in acc.items() if s}
+        if acc:
+            out[r] = acc
     return out
 
 
-# A matrix cleared of denominators is the pair ({(r, c): numerator}, one
+# A matrix cleared of denominators is the pair ({r: {c: numerator}}, one
 # common denominator).  The operator-word checks multiply, sum and compare
-# these over Z and build a field element only for a differing entry.
+# these over Z, a product's rows feeding the next product as they are, and
+# build a field element only for a differing entry.
 
 
 def cleared(m: "ExactMatrix") -> tuple[dict, FieldElement]:
     """m cleared of denominators."""
     vals = m.entries.values()
     nums, den = over_common_denominator([v.numerator for v in vals], [v.denominator for v in vals])
-    return dict(zip(m.entries, nums)), den
+    return _rows(zip(m.entries, nums)), den
 
 
 def cleared_product(x: tuple, y: tuple) -> tuple[dict, FieldElement]:
     """The product of two cleared matrices, over the product of their
     denominators."""
-    return _line_product(_split(x[0], 0), _split(y[0], 1)), x[1] * y[1]
+    return _line_product(x[0], y[0]), x[1] * y[1]
 
 
 def cleared_combination(terms: Sequence[tuple]) -> tuple[dict, FieldElement]:
@@ -461,9 +462,11 @@ def cleared_combination(terms: Sequence[tuple]) -> tuple[dict, FieldElement]:
         [s.numerator for s, _ in terms], [s.denominator * x[1] for s, x in terms]
     )
     out: dict = {}
-    for m, (_, (nums, _)) in zip(mults, terms):
-        for k, a in nums.items():
-            out[k] = out.get(k, 0) + m * a
+    for m, (_, (rows, _)) in zip(mults, terms):
+        for r, row in rows.items():
+            acc = out.setdefault(r, {})
+            for c, a in row.items():
+                acc[c] = acc.get(c, 0) + m * a
     return out, den
 
 
@@ -476,10 +479,12 @@ def cleared_difference(lhs: tuple, rhs: tuple, basis: Sequence[MultiIndex]):
     storage order where two cleared matrices differ, compared by
     cross-multiplying their denominators, or None when they are equal."""
     (ln, ld), (rn, rd) = lhs, rhs
-    for r, c in sorted(ln.keys() | rn.keys()):
-        a, b = ln.get((r, c), 0), rn.get((r, c), 0)
-        if a * rd != b * ld:
-            return basis[r], basis[c], pair_value(a, ld), pair_value(b, rd)
+    for r in sorted(ln.keys() | rn.keys()):
+        lrow, rrow = ln.get(r, {}), rn.get(r, {})
+        bad = [c for c in lrow.keys() | rrow.keys() if lrow.get(c, 0) * rd != rrow.get(c, 0) * ld]
+        if bad:
+            c = min(bad)
+            return basis[r], basis[c], pair_value(lrow.get(c, 0), ld), pair_value(rrow.get(c, 0), rd)
     return None
 
 
@@ -554,24 +559,6 @@ def factored_difference(pairs: Sequence[tuple[Factored, Factored]]) -> Optional[
     return k, r, c, factored_value(a, r, c), factored_value(b, r, c)
 
 
-def factored_product(t: Factored, m: "ExactMatrix") -> "ExactMatrix":
-    """t m: the column heads of t scale the rows of m, each column over its
-    own common denominator, times the rows of dots of t (`_line_product`);
-    one field element per nonzero entry."""
-    cols, col_den = {}, {}
-    for k, line in _split(m.entries, 1).items():
-        nums, col_den[k] = over_common_denominator(
-            [t.cols[c][0] * v.numerator for c, v in line], [t.cols[c][1] * v.denominator for c, v in line]
-        )
-        cols[k] = [(c, u) for (c, _), u in zip(line, nums)]
-    rows = {r: [(c, z) for c, z in enumerate(line) if z] for r, line in enumerate(t.dots)}
-    out = ExactMatrix(m.basis)
-    for (r, k), s in _line_product(rows, cols).items():
-        ru, rv = t.rows[r]
-        out.entries[r, k] = pair_value(ru * s, rv * col_den[k])
-    return out
-
-
 # the value of an absent entry, shared: a Fraction is immutable
 _ZERO = Fraction(0)
 
@@ -585,12 +572,11 @@ class ExactMatrix:
     objects.  Equality is exact and entrywise.
 
     Products and upper-triangular solves take one path over Q and Q(t):
-    each row or column is brought over one common denominator
-    (`over_common_denominator`), the dot products are sums of numerators,
-    and each result entry is built once from its numerator and denominator.
-    Over Q the numerators are ints and every result entry is a Fraction
-    (one gcd); a Q(t) entry is carried as the pair (entry, 1).  No zero is
-    stored.
+    each row or column is brought over one common denominator (`_lines`),
+    the products are `_line_product` sums of numerators, and each result
+    entry is built once from its numerator and denominator.  Over Q the
+    numerators are ints and every result entry is a Fraction (one gcd); a
+    Q(t) entry is carried as the pair (entry, 1).  No zero is stored.
     """
 
     __slots__ = ("basis", "pos", "entries")
@@ -598,11 +584,8 @@ class ExactMatrix:
     def __init__(self, basis: Sequence[MultiIndex], entries: Optional[dict] = None):
         self.basis = tuple(basis)
         self.pos = {m: k for k, m in enumerate(self.basis)}
-        self.entries: dict[tuple[int, int], FieldElement] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if v != 0:
-                    self.entries[(r, c)] = v
+        # a zero of every field type is falsy
+        self.entries: dict = {k: v for k, v in entries.items() if v} if entries else {}
 
     # -- constructors -----------------------------------------------------
 
@@ -612,22 +595,13 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, basis: Sequence[MultiIndex]) -> "ExactMatrix":
-        m = cls(basis)
-        one = Fraction(1)
-        for k in range(len(m.basis)):
-            m.entries[(k, k)] = one
-        return m
+        return cls(basis, dict.fromkeys(((k, k) for k in range(len(basis))), Fraction(1)))
 
     @classmethod
     def diagonal(
         cls, basis: Sequence[MultiIndex], value_at: Callable[[MultiIndex], FieldElement]
     ) -> "ExactMatrix":
-        m = cls(basis)
-        for k, mi in enumerate(m.basis):
-            v = value_at(mi)
-            if v != 0:
-                m.entries[(k, k)] = v
-        return m
+        return cls(basis, {(k, k): value_at(mi) for k, mi in enumerate(basis)})
 
     # -- access -----------------------------------------------------------
 
@@ -656,7 +630,8 @@ class ExactMatrix:
         dicts differ (a stored zero is no difference)."""
         if self.entries == other.entries:
             return None
-        return cleared_difference((self.entries, 1), (other.entries, 1), self.basis)
+        lhs, rhs = ((_rows(m.entries.items()), 1) for m in (self, other))
+        return cleared_difference(lhs, rhs, self.basis)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -669,12 +644,13 @@ class ExactMatrix:
         L_r * M_c, L_r and M_c the common denominators of row r of self and
         column c of other."""
         self._check_same_basis(other)
-        row_den, rows = _lines(self.entries, 0)
-        col_den, cols = _lines(other.entries, 1)
+        row_den, rows = _lines(_terms(self.entries), 0)
+        col_den, right = _lines(_terms(other.entries), 1)
         m = ExactMatrix(self.basis)
         m.entries = {
             (r, c): pair_value(s, row_den[r] * col_den[c])
-            for (r, c), s in _line_product(rows, cols).items()
+            for r, row in _line_product(rows, right).items()
+            for c, s in row.items()
         }
         return m
 
@@ -682,9 +658,7 @@ class ExactMatrix:
         return ExactMatrix(self.basis, {(c, r): v for (r, c), v in self.entries.items()})
 
     def off_diagonal_part(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.basis, {k: v for k, v in self.entries.items() if k[0] != k[1]}
-        )
+        return ExactMatrix(self.basis, {k: v for k, v in self.entries.items() if k[0] != k[1]})
 
     def solve_upper_triangular(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Solve self X = rhs for X, with self upper triangular in storage
@@ -699,14 +673,15 @@ class ExactMatrix:
             raise ValueError("matrix is not upper triangular in storage order")
         if any(self.item(k, k) == 0 for k in range(self.dimension)):
             raise ZeroDivisionError("upper-triangular solve with zero diagonal entry")
-        row_den, rows = _lines(self.entries, 0)
-        upper = {r: [(cc, v) for cc, v in row if cc > r] for r, row in rows.items()}
-        diag = {r: v for r, row in rows.items() for cc, v in row if cc == r}
+        row_den, rows = _lines(_terms(self.entries), 0)
+        upper = {r: [(cc, v) for cc, v in row.items() if cc > r] for r, row in rows.items()}
+        diag = {r: row[r] for r, row in rows.items()}
         out: dict[tuple[int, int], FieldElement] = {}
-        col_den, cols = _lines(rhs.entries, 1)
-        for c, col in cols.items():
+        # the columns of rhs over their denominators, as rows of its transpose
+        col_den, cols = _lines((((c, r), u, v) for (r, c), u, v in _terms(rhs.entries)), 0)
+        for c, b in cols.items():
             # b_r = b[r] bscale / q and x_cc = xnum[cc] / q
-            b, q, bscale = dict(col), col_den[c], 1
+            q, bscale = col_den[c], 1
             xnum: dict[int, FieldElement] = {}
             for r in range(self.dimension - 1, -1, -1):
                 num = b[r] * bscale * row_den[r] if r in b else 0
@@ -763,12 +738,9 @@ def _assemble_operator(params: TDParameters, which: str) -> ExactMatrix:
     of one `_xi_kernel` pair.  S is the reversal of the graded order."""
     shape = params.shape
     basis = enumerate_box(shape)
-    m = ExactMatrix(basis)
     if which == "S":
-        last = len(basis) - 1
-        m.entries = {(last - c, c): Fraction(1) for c in range(len(basis))}
-        return m
-    entries, pos = m.entries, m.pos
+        return ExactMatrix(basis, {(len(basis) - 1 - c, c): Fraction(1) for c in range(len(basis))})
+    entries, pos = {}, {n: k for k, n in enumerate(basis)}
     starred = which in ("Astar", "L")
     levels = range(shape.diameter + 1) if which in ("A", "Astar") else ()
     thetas = [eigenvalue(params, w, starred=starred) for w in levels]
@@ -776,18 +748,13 @@ def _assemble_operator(params: TDParameters, which: str) -> ExactMatrix:
     step = -1 if starred else 1
     for c, n in enumerate(basis):
         if thetas:
-            v = thetas[sum(n)]
-            if v != 0:
-                entries[(c, c)] = v
+            entries[(c, c)] = thetas[sum(n)]
         for p, lp in enumerate(shape.ell):
             tp = n[p] + step
-            if not 0 <= tp <= lp:
-                continue
-            t = n[:p] + (tp,) + n[p + 1 :]
-            u, v = kernel(t, p)
-            if u != 0:
-                entries[(pos[t], c)] = pair_value(u, v)
-    return m
+            if 0 <= tp <= lp:
+                t = n[:p] + (tp,) + n[p + 1 :]
+                entries[(pos[t], c)] = pair_value(*kernel(t, p))
+    return ExactMatrix(basis, entries)
 
 
 def build_operator(params: TDParameters, which: str) -> ExactMatrix:

@@ -6,18 +6,16 @@ All comparisons are exact field equalities; there are no tolerances.
 
 The operator words and the block forms of `cob.block_tridiagonal_form` run
 over Z with the `cleared_*` helpers of tdcore: each operand is cleared of
-denominators once, every product is the sparse kernel on integer numerators,
-and the two sides are compared exactly, in storage order, by
-cross-multiplying their common denominators.  Only a witness entry is built
-as a rational.  `inverse` multiplies `ExactMatrix`es, the same kernel with
-each row or column over its own denominator: the lcm over a whole C or Cbar
-runs to thousands of bits at one coordinate (1,770 bits for C at (143,))
-and made it about twice as slow there.
-
-The overlap route tables stay factored (`tdcore.Factored`).
+denominators once into rows of integer numerators, every product is the
+row-by-row kernel, whose rows feed the next product, and the two sides are
+compared exactly, in storage order, by cross-multiplying their common
+denominators.  Only a witness entry is built as a rational.  `inverse`
+multiplies `ExactMatrix`es, the same kernel with each row or column over its
+own denominator: the lcm over a whole C or Cbar runs to thousands of bits at
+one coordinate (1,770 bits for C at (143,)) and made it about twice as slow
+there.  The overlap route tables stay factored (`tdcore.Factored`):
 `overlap_consistency` and `racah_reduction` cross-multiply heads and dots,
-and `biorthogonality` takes U Cbar on U's integer dots
-(`factored_product`), then multiplies by D.
+and `biorthogonality` runs on ints from U's dots to I.
 
 Check names, in canonical report order:
 
@@ -65,6 +63,7 @@ from .exactfield import (
     as_integer,
     format_scalar,
     limit_at_zero,
+    pair_value,
     variable_t,
 )
 from .multiindex import MultiIndex, Shape, enumerate_box, format_multiindex
@@ -87,6 +86,8 @@ from .tdcore import (
     _PARAM_KEYS,
     _assemble_operator,
     _ensure_valid,
+    _line_product,
+    _lines,
     cleared,
     cleared_combination,
     cleared_commutator,
@@ -94,7 +95,6 @@ from .tdcore import (
     cleared_product,
     eigenvalue,
     factored_difference,
-    factored_product,
     factored_scaled,
     factored_values,
     substituted_for_involution,
@@ -337,12 +337,39 @@ def _check_overlap_consistency(ctx: _Context):
 
 
 def _check_biorthogonality(ctx: _Context):
-    # T Uᵀ = ((U Cbar) D)ᵀ with T = (Cbar D)ᵀ; U by the direct sum reads no
-    # coefficient table, so a planted Cbar or D entry breaks it
-    tu = (factored_product(ctx.table("U", "direct_sum"), ctx.MCb) @ ctx.MD).transpose()
-    diff = tu.first_difference(ExactMatrix.identity(ctx.basis))
-    w = _entry_witness(diff, "biorthogonality")
-    return w is None, w
+    # T Uᵀ = ((U Cbar) D)ᵀ, T = (Cbar D)ᵀ; U by the direct sum reads no
+    # coefficient table, so a planted Cbar or D entry breaks it.  With U_rc =
+    # ru cu z / (rv cv), U Cbar = ru P / (rv e_k), P the dots times Cbar's rows
+    # scaled by cu / cv, column k over e_k.  U Cbar is Dbar: column k of P
+    # shares nearly all of e_k (1,905 of 1,915 bits, median at (143,)), so it
+    # is divided out before U Cbar D = ru Q / (rv f_j), column j over f_j
+    u = ctx.table("U", "direct_sum")
+    dots = {r: {c: z for c, z in enumerate(line) if z} for r, line in enumerate(u.dots)}
+    e, cbar = _lines(
+        (((c, k), u.cols[c][0] * v.numerator, u.cols[c][1] * v.denominator)
+         for (c, k), v in ctx.MCb.entries.items()), 1
+    )
+    p, g = _line_product(dots, cbar), dict(e)
+    for row in p.values():
+        for k, x in row.items():
+            if g[k] > 1:
+                g[k] = gcd(g[k], x) if type(x) is int else 1
+    p = {r: {k: x // g[k] if g[k] > 1 else x for k, x in row.items()} for r, row in p.items()}
+    f, d = _lines(
+        (((k, j), v.numerator, e[k] // g[k] * v.denominator)
+         for (k, j), v in ctx.MD.entries.items() if k in e), 1
+    )
+    q, bad = _line_product(p, d), []
+    # each entry against I, cross-multiplied, in the storage order of the transpose
+    for r, (ru, rv) in enumerate(u.rows):
+        row, one = q.get(r, {}), rv * f.get(r, 1)
+        bad += [(j, r) for j in row.keys() | {r} if ru * row.get(j, 0) != (one if j == r else 0)]
+    if not bad:
+        return True, None
+    j, r = min(bad)
+    (ru, rv), s = u.rows[r], q.get(r, {}).get(j, 0)
+    lhs = pair_value(ru * s, rv * f[j]) if s else 0
+    return False, _entry_witness((ctx.basis[j], ctx.basis[r], lhs, int(j == r)), "biorthogonality")
 
 
 def _check_racah_reduction(ctx: _Context):

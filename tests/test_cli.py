@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from tdpair.cli import MAX_DIMENSION, MAX_IRREDUCIBILITY_DIMENSION, _emit_tables, main
+from tdpair.cli import (
+    MAX_DIMENSION,
+    MAX_IRREDUCIBILITY_DIMENSION,
+    MAX_PARAMETER_BITS,
+    _emit_tables,
+    main,
+)
 from tdpair.multiindex import Shape, enumerate_box
 from tdpair import verify
 from tdpair.tdcore import factored_values, unit_factored
@@ -336,6 +342,26 @@ class TestDimensionBudget:
         assert main(["validate", "--shape", "20,20", "--seed", "1"]) == 0
         assert main(["validate", "--params", big_params_file]) in (0, 1)
         assert "exceeds" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", BOUNDED)
+    def test_oversized_rationals_exit_2_at_once(self, command, tmp_path, capsys):
+        # a 4,000-digit numerator in a document, and a --bound one bit over
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(VALID_N1, theta0="1" * 4000 + "/7")))
+        over = ["--shape", "1", "--seed", "1", "--bound", str(2**MAX_PARAMETER_BITS)]
+        for source in (["--params", str(path)], over):
+            start = time.perf_counter()
+            assert main(command + source) == 2
+            assert time.perf_counter() - start < 1.0
+            assert f"exceeds the limit of {MAX_PARAMETER_BITS} bits" in capsys.readouterr().err
+        assert main(["validate", "--params", str(path)]) == 0
+
+    def test_rationals_at_the_bit_limit_are_admitted(self, tmp_path, capsys):
+        top = 2**MAX_PARAMETER_BITS - 1
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(dict(VALID_N1, h=f"{top}/{top - 1}", omega=f"-{top}")))
+        assert main(["build", "--operator", "A", "--params", str(path)]) == 0
+        assert main(["build", "--operator", "A", "--shape", "1", "--seed", "1", "--bound", str(top)]) == 0
 
     def test_largest_shape_in_use_is_admitted(self, capsys):
         # (3,3,2), d = 48, is the largest shape the tests, the benchmark and

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdpair.exactfield import RationalFunction, as_integer, rational, variable_t
+from tdpair.exactfield import (
+    LaurentSeries,
+    PrecisionExhausted,
+    RationalFunction,
+    as_integer,
+    rational,
+    variable_t,
+)
 from tdpair.multiindex import IndexOutOfRange, MultiIndex, Shape, enumerate_box
 from tdpair.tdcore import (
     ExactMatrix,
@@ -17,7 +24,7 @@ from tdpair.tdcore import (
     TDParameters,
     _assemble_operator,
     _line_product,
-    _split,
+    _rows,
     cleared,
     cleared_combination,
     cleared_commutator,
@@ -465,6 +472,18 @@ class TestExactMatrix:
         assert (0, 0) not in m.entries
         assert m.item(1, 2) == 5
 
+    def test_a_stored_zero_of_each_field_type_is_dropped(self):
+        t = variable_t()
+        for zero, nonzero in ((0, -2), (F(0), F(1, 3)), (t - t, t - 1), (0 * t, F(0) + t)):
+            m = ExactMatrix(self._basis(), {(0, 1): zero, (2, 3): nonzero})
+            assert m.entries == {(2, 3): nonzero}
+        # a Laurent series: a known nonzero is kept, and a zero not known to
+        # be one raises, as its comparison with 0 does
+        s = LaurentSeries(-1, 3, 2)
+        assert ExactMatrix(self._basis(), {(1, 1): s}).entries == {(1, 1): s}
+        with pytest.raises(PrecisionExhausted):
+            ExactMatrix(self._basis(), {(1, 1): LaurentSeries(2)})
+
     def test_product_against_hand_computation(self):
         basis = enumerate_box(Shape((1,)))
         a = ExactMatrix(basis, {(0, 0): F(1), (0, 1): F(2), (1, 1): F(3)})
@@ -681,14 +700,20 @@ def _dense_product(a: dict, b: dict, zero) -> dict:
     return {k: v for k, v in sums.items() if v != 0}
 
 
+def _flat(rows: dict) -> dict:
+    # stored rows {r: {c: v}} as {(r, c): v}; no row is stored empty
+    assert all(rows.values())
+    return {(r, c): v for r, row in rows.items() for c, v in row.items()}
+
+
 class TestLineProduct:
-    """The one sparse product kernel, on the stored rows of one matrix and
-    the stored columns of the other, against the dense definition."""
+    """The one sparse product kernel, row by row on the stored rows of both
+    operands, against the dense definition."""
 
     @settings(max_examples=150, deadline=None)
     @given(_int_entries, _int_entries)
     def test_int_entries_match_the_dense_product(self, a, b):
-        got = _line_product(_split(a, 0), _split(b, 1))
+        got = _flat(_line_product(_rows(a.items()), _rows(b.items())))
         assert got == _dense_product(a, b, 0)
         assert all(type(v) is int for v in got.values())
 
@@ -700,11 +725,14 @@ class TestLineProduct:
         at = {k: v + a1.get(k, 0) * t for k, v in a0.items()}
         at = {k: v for k, v in at.items() if v != 0}
         for x, y in ((at, at), (at, b), (b, at)):
-            assert _line_product(_split(x, 0), _split(y, 1)) == _dense_product(x, y, 0 * t)
+            got = _flat(_line_product(_rows(x.items()), _rows(y.items())))
+            assert got == _dense_product(x, y, 0 * t)
 
     def test_lines_with_no_shared_index_give_nothing(self):
-        assert _line_product({0: [(1, 2)]}, {0: [(0, 3)], 1: [(2, 5)]}) == {}
-        assert _line_product({}, {0: [(0, 1)]}) == {}
+        assert _line_product({0: {1: 2}}, {0: {0: 3}, 2: {1: 5}}) == {}
+        assert _line_product({}, {0: {0: 1}}) == {}
+        # a row whose sums all cancel is left out
+        assert _line_product({0: {0: 1, 1: 1}, 1: {0: 2}}, {0: {3: 1}, 1: {3: -1}}) == {1: {3: 2}}
 
     @settings(max_examples=60, deadline=None)
     @given(_sparse(_q_scalar), _sparse(_q_scalar), st.integers(0, 5), st.integers(0, 5))
@@ -723,10 +751,15 @@ class TestLineProduct:
             assert {k: (v, type(v)) for k, v in (x @ y).entries.items()} == expected
 
 
+def _uncleared(x: tuple) -> ExactMatrix:
+    return ExactMatrix(_BASIS6, {k: v * F(1, x[1]) for k, v in _flat(x[0]).items()})
+
+
 class TestClearedMatrices:
-    """Products, sums and commutators of matrices cleared of denominators
-    equal the ExactMatrix ones, and their first difference is the
-    ExactMatrix one, over Q and with a Q(t) entry."""
+    """Products, sums and commutators of matrices cleared of denominators,
+    kept as stored rows of numerators, equal the ExactMatrix ones, and
+    their first difference is the ExactMatrix one, over Q and with a Q(t)
+    entry."""
 
     @settings(max_examples=80, deadline=None)
     @given(_sparse(_q_scalar), _sparse(_q_scalar), _q_scalar, st.integers(0, 5), st.booleans())
@@ -735,6 +768,7 @@ class TestClearedMatrices:
             t = variable_t()
             a, s = ExactMatrix(_BASIS6, {**a.entries, (r, r): t - 1}), s * t
         x, y = cleared(a), cleared(b)
+        assert _uncleared(x) == a and _uncleared(y) == b
         for got, want in (
             (cleared_product(x, y), a @ b),
             (cleared_product(y, x), b @ a),
@@ -745,9 +779,32 @@ class TestClearedMatrices:
             ),
         ):
             assert cleared_difference(got, cleared(want), _BASIS6) is None
-            assert ExactMatrix(_BASIS6, {k: v * F(1, got[1]) for k, v in got[0].items()}) == want
+            assert _uncleared(got) == want
         assert cleared_difference(x, y, _BASIS6) == a.first_difference(b)
         assert cleared_difference(y, x, _BASIS6) == b.first_difference(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _sparse(_q_scalar), _sparse(_q_scalar), _sparse(_q_scalar), st.integers(0, 5), st.booleans()
+    )
+    def test_chained_words_match_exact_matrix_algebra(self, a, b, c, r, with_t):
+        # a product's rows go straight into the next product: X (X Y),
+        # (X Y) Z and [X, [X, Y]], and their first difference from Z
+        if with_t:
+            a = ExactMatrix(_BASIS6, {**a.entries, (r, 5 - r): variable_t() + 1})
+        x, y, z = cleared(a), cleared(b), cleared(c)
+        for got, want in (
+            (cleared_product(x, cleared_product(x, y)), a @ (a @ b)),
+            (cleared_product(cleared_product(x, y), z), (a @ b) @ c),
+            (cleared_commutator(x, cleared_commutator(x, y)), commutator(a, commutator(a, b))),
+            (
+                cleared_product(cleared_commutator(y, x), cleared_product(z, x)),
+                commutator(b, a) @ (c @ a),
+            ),
+        ):
+            assert _uncleared(got) == want
+            assert cleared_difference(got, cleared(want), _BASIS6) is None
+            assert cleared_difference(got, z, _BASIS6) == want.first_difference(c)
 
 
 class TestParameterSerialization:

@@ -997,6 +997,30 @@ class TestWitnessParity:
         # C and Dbar are not read by either side
         assert (expected is None) == (planted in ("C", "Dbar"))
 
+    @pytest.mark.parametrize("planted", [None, "U", "Cbar", "D"])
+    @pytest.mark.parametrize(
+        "ell, free", [((2, 1), False), ((3, 2), False), ((2, 2, 1), False), ((2, 1), True), ((2, 2, 1), True)]
+    )
+    def test_integer_biorthogonality_matches_the_oracle(self, cold, ell, free, planted):
+        # the check on U's integer dots and heads against T Uᵀ in ExactMatrix
+        # algebra, with omega* free over Q(t) or not, and one off-diagonal
+        # dot of the U direct_sum table, or one entry of Cbar or D, off by
+        # one; both read the same planted tables
+        p = random_valid_parameters(Shape(ell), 1)
+        if free:
+            p = replace(p, omega_star=p.omega_star + variable_t())
+        ctx = verify._Context(p)
+        if planted == "U":
+            dots = ctx.table("U", "direct_sum").dots
+            r, c = next((r, c) for r, row in enumerate(dots) for c, z in enumerate(row) if r != c and z)
+            dots[r][c] += 1
+        elif planted:
+            table = cob._coefficient_table(p, planted)
+            table.entries[next(k for k in sorted(table.entries) if k[0] != k[1])] += 1
+        expected = _oracle_biorthogonality(ctx)
+        assert verify._check_biorthogonality(ctx) == (expected is None, expected)
+        assert (expected is None) == (planted is None)
+
 
 class TestReportShape:
     def test_json_fields_stable(self):
