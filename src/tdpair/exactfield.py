@@ -638,10 +638,10 @@ def _pair(v: FieldElement) -> tuple:
 
 
 def _rising(n, d, k: int) -> tuple:
-    """(n / d)_k as a pair: over Q the ints prod (n + s d) and d**k, over
-    Q(t) (a rational function n over d = 1) its `pochhammer` over 1."""
+    """(n / d)_k as a pair: over Q (d > 0) the ints prod (n + s d) and d**k,
+    over Q(t) (a rational function n over d = 1) its `pochhammer` over 1."""
     if type(n) is int:
-        return math.prod(n + s * d for s in range(k)), d**k
+        return math.prod(range(n, n + k * d, d)), d**k
     return pochhammer(n, k), 1
 
 

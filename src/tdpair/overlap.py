@@ -26,14 +26,15 @@ kappa <= min(i, x) of the product of the factors' Z^{kappa_p} terms.  Each
 term is an i-side binom(ell_p, i_p) (b1)_{i_p} (-i_p)_k (a1)_k / (b1)_k of
 i and K, times an x-side (b2)_{x_p} (-x_p)_k (a2)_k / (b2)_k of x and K,
 over k! (-ell_p)_k (`_racah_side`; `_racah_factor` and `RacahFactorSpec`
-compose the two).  The direct sum's terms and the truncated Hahn kind split
-the same way.  So a pointwise table is head(i) head(x) sum_n R_i(n) C_x(n):
-one line per row and one per column, each built once over one common
-denominator, and over Q made primitive (its content moved into the head)
-with one integer dot product per entry (`_dot_table`, `_line`).  Each route
-keeps its own term formula; the line-and-dot helper is a shared primitive
-like `over_common_denominator`, and the matrix routes do not use it.
-Parameters enter as integer pairs (n, d) (`_pair`).
+compose the two).  The truncated Hahn kind splits the same way, and so
+does the direct sum, its denominators telescoped to one Pochhammer symbol
+per term (`_t_direct`).  So a pointwise table is head(i) head(x) sum_n
+R_i(n) C_x(n): one line per row and one per column, each built once over
+one common denominator, and over Q made primitive (its content moved into
+the head) with one integer dot product per entry (`_dot_table`, `_line`).
+Each route keeps its own term formula; the line-and-dot helper, which the
+matrix routes do not use, is a shared primitive like
+`over_common_denominator`.  Parameters enter as integer pairs (`_pair`).
 
 Every overlap formula, the matrix routes included, is one table kernel
 (params, rows, cols) -> factored table (`tdcore.Factored`: row heads,
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, factorial, gcd, perm, prod
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -317,62 +318,61 @@ def _t_shift(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[Mu
 # direct nested sums
 
 
-def _direct_ratios(params: TDParameters, detail: str) -> Callable[..., tuple]:
-    """ratio(j, m, jd, md, k) = (b_j + m)_k / (b_jd + md)_k as a pair (u, v),
-    memoized for one table.  Every rational Pochhammer symbol of the direct
-    sums has an integer m and a base b_j among omega (j = 0), omega* (1),
-    a_p + omega + 1 (2p) and omega* - a_p (2p + 1).  Over Q, u and v are
-    ints, so each term is a product of ints; a vanishing denominator raises
-    ZeroDenominatorPochhammer(k, detail)."""
-    om, oms = params.omega, params.omega_star
-    bases = [om, oms]
-    for ap in params.a:
-        bases += [ap + 1 + om, oms - ap]
-    parts = [_pair(b) for b in bases]
-    memo: dict[tuple, tuple] = {}
-
-    def ratio(j, m, jd, md, k):
-        key = (j, m, jd, md, k)
-        hit = memo.get(key)
-        if hit is None:
-            (n, d), (dn, dd) = parts[j], parts[jd]
-            (u, v), (du, dv) = _rising(n + m * d, d, k), _rising(dn + md * dd, dd, k)
-            if du == 0:
-                raise ZeroDenominatorPochhammer(k, detail)
-            hit = memo[key] = (u * dv, v * du)
-        return hit
-
-    return ratio
-
-
 def _t_direct(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) by the nested sum over 0 <= n <= min(i, x) for every i of
-    rows, x of cols.  Term n is a product over q of (-x_q)_{n_q} (-i_q)_{n_q}
-    / (n_q! (-ell_q)_{n_q}) and two ratios, one of x and n (C_x) and one of
-    i and n (R_i, the rank-1 side); head(i) = prod_q (-ell_q)_{i_q} / i_q!.
-    A term meets its denominators in order of q, C's before R's."""
-    ell, N = params.ell, params.N
-    ratio = _direct_ratios(params, "T direct denominator")
+    rows, x of cols: head(i) sum_n R_i(n) C_x(n), head(i) = prod_q (-1)^{i_q}
+    C(ell_q, i_q) / ell_q!.  On the line of j = x (C, rank 0) or i (R, rank
+    1), term n is prod_q c_q (beta_q + m_q)_{k_q} / (b + mu_q)_{k_q}, with
+    k_q = j_q - n_q, m_q = |j|_1^{q-1} + |n|_1^q + |ell|_{q+rank}^N and mu_q
+    = |j| + |n| + |j|_1^{q-1} - |n|_1^{q-1}; C has c_q = (-1)^{n_q}
+    perm(x_q, n_q), beta_q = a_q + omega + 1 and b = omega, R has c_q =
+    C(i_q, n_q) (ell_q - n_q)!, beta_q = omega* - a_q and b = omega*.  As
+    mu_{q+1} = mu_q + k_q, the denominators telescope to one (b + |j| +
+    |n|)_{|j| - |n|}, and a numerator reads n only through n_q and |n|_1^q:
+    a line is prefix products over q and one quotient per term, memoized.
+
+    A denominator factor b + u has |j| <= u <= 2|j| - 1, so cond1 keeps it
+    nonzero on valid parameters, for U too (the swap maps the omega band
+    onto the omega* band): only with validation off can it vanish.  The
+    factors are distinct, so one q at most holds a zero; the walk over q
+    finds it and records ZeroDenominatorPochhammer(k_q) under (pos, q, rank),
+    so an entry meets its denominators in order of q, C's before R's."""
+    ell, N, om, oms = params.ell, params.N, params.omega, params.omega_star
     tail = [sum(ell[q:]) for q in range(N + 1)]
+    betas = ([_pair(ap + 1 + om) for ap in params.a], [_pair(oms - ap) for ap in params.a])
+    bases, memo = (_pair(om), _pair(oms)), {}
 
     def side(rank):
+        (bn, bd), beta = bases[rank], betas[rank]
+
         def line(index, top, strides):
-            s, w = list(accumulate(index, initial=0)), index.weight
+            s, w, paths = list(accumulate(index, initial=0)), index.weight, [(0, 0, 1, 1)]
+            for q, (jq, step, (n, d)) in enumerate(zip(index, strides, beta)):
+                m0, longer = s[q] + tail[q + rank], []
+                for pos, sn, u, v in paths:
+                    for nq in range(min(jq, top[q]) + 1):
+                        key = (rank, q, m0 + sn + nq, jq, nq)
+                        f = memo.get(key)
+                        if f is None:
+                            # R's (-i_q)_{n_q} / (n_q! (-ell_q)_{n_q}) is C(i_q, n_q) (ell_q - n_q)! / ell_q!
+                            c = comb(jq, nq) * factorial(ell[q] - nq) if rank else (-1) ** nq * perm(jq, nq)
+                            fu, fv = _rising(n + key[2] * d, d, jq - nq)
+                            f = memo[key] = (c * fu, fv)
+                        longer.append((pos + nq * step, sn + nq, u * f[0], v * f[1]))
+                paths = longer
             terms, faults = {}, []
-            for n in product(*(range(min(v, t) + 1) for v, t in zip(index, top))):
-                sn, pos, u, v = list(accumulate(n, initial=0)), sum(map(mul, n, strides)), 1, 1
-                try:
-                    for q, (nq, iq, lq) in enumerate(zip(n, index, ell)):
-                        m, md = s[q] + sn[q + 1] + tail[q + rank], w + sn[N] + s[q] - sn[q]
-                        ru, rv = ratio(2 * q + 2 + rank, m, rank, md, iq - nq)
-                        # R: (-i_q)_{n_q} / (n_q! (-ell_q)_{n_q}) = C(i_q, n_q) (ell_q - n_q)! / ell_q!
-                        u *= (comb(iq, nq) * factorial(lq - nq) if rank else (-1) ** nq * perm(iq, nq)) * ru
-                        v *= rv
-                except ZeroDenominatorPochhammer as err:
-                    faults.append(((pos, q, rank), pos, err))
-                    u, v = 0, 1
-                terms[pos] = (u, v)
-            # R's head: prod_q (-1)^{i_q} C(ell_q, i_q) / ell_q!
+            for pos, sn, u, v in paths:
+                g = (rank, w, sn)
+                du, dv = memo.get(g) or memo.setdefault(g, _rising(bn + (w + sn) * bd, bd, w - sn))
+                if du != 0:
+                    terms[pos] = (u * dv, v * du)
+                    continue
+                terms[pos], mu = (0, 1), w + sn  # walk q from mu_0 (n_q read back from pos)
+                for q, (jq, t, step) in enumerate(zip(index, top, strides)):
+                    k = jq - pos // step % (t + 1)
+                    if _rising(bn + mu * bd, bd, k)[0] == 0:
+                        faults.append(((pos, q, rank), pos, ZeroDenominatorPochhammer(k, "T direct denominator")))
+                    mu += k
             head = ((-1) ** w * prod(map(comb, ell, index)), prod(map(factorial, ell))) if rank else (1, 1)
             return head, terms, faults
 

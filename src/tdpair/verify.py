@@ -441,14 +441,16 @@ def _row_limits(p: TDParameters, rows: Sequence, cols: Sequence) -> tuple[list, 
     Relative precision 1, the only one `LaurentSeries` has, always
     suffices.  Call the sum of a term's factors' valuations its nominal
     valuation.  With every factor known to relative precision 1, a product
-    is known below t^(nominal + 1), so is a quotient by a Pochhammer product
+    is known below t^(nominal + 1), so is a quotient by a Pochhammer symbol
     in 1/t (its valuation is exact), and a sum below the least bound of its
-    terms, whatever cancels.  Every term of T is an int times ratios
-    (omega* - a_p + m)_k / (omega* + m')_k of nominal valuation 0; every
-    path term of the Hahn kind has -|x| and its head 1 / (|x| + omega)_{|x|}
-    has +|x|.  So every entry is known below t^1.  An entry left unknown
-    means a kernel broke this premise, a defect that `_check_limits`
-    reports as a failure.
+    terms, whatever cancels.  Every term of T's direct sum is an int times
+    the numerators prod_q (omega* - a_q + m_q)_{k_q}, k_q = i_q - n_q, of
+    valuation -sum_q k_q, over the one telescoped denominator (omega* + |i|
+    + |n|)_{|i| - |n|}, of valuation -(|i| - |n|) = -sum_q k_q: nominal
+    valuation 0.  Every path term of the Hahn kind has -|x| and its head 1
+    / (|x| + omega)_{|x|} has +|x|.  So every entry is known below t^1.  An
+    entry left unknown means a kernel broke this premise, a defect that
+    `_check_limits` reports as a failure.
     """
     hahn = _series_limits(lambda s, rs, xs: _t_direct(replace(p, omega_star=s), rs, xs), rows, cols)
     kraw = _series_limits(lambda s, rs, xs: _hahn_table(replace(p, omega=s), rs, xs), rows, cols)

@@ -230,6 +230,46 @@ def _assert_table_is(m, expect):
     assert got == {k: (type(v).__name__, v) for k, v in expect.items() if v != 0}
 
 
+def _assert_direct_raises_as_the_oracle(p, which):
+    """Every direct_sum outcome, pointwise and as a table, equals the
+    oracle's, a value or the raised k and detail; returns the outcomes in
+    the order the table kernel meets them: i outer for T, x outer for U.
+    U_i(x) is T(q)_{ell-x}(ell-i) at the swapped parameters q: it raises
+    exactly where that T oracle raises and equals the U oracle elsewhere."""
+    oracle, pointwise = _ORACLES[which]
+    basis = enumerate_box(p.shape)
+    if which == "T":
+        pairs = [(i, x) for i in basis for x in basis]
+        expect = [_outcome(oracle, p, i, x) for i, x in pairs]
+    else:
+        q, flip = _swapped(p), _flip(p.ell)
+        pairs = [(i, x) for x in basis for i in basis]
+        expect = []
+        for i, x in pairs:
+            mirrored = _outcome(_oracle_t, q, flip(x), flip(i))
+            expect.append(mirrored if mirrored[0] == "raised" else _outcome(oracle, p, i, x))
+    assert any(o[0] == "raised" for o in expect)
+    got = [_outcome(pointwise, p, i, x, "direct_sum") for i, x in pairs]
+    assert got == expect
+    first = next(o for o in expect if o[0] == "raised")
+    assert _outcome(overlap_table, p, which, "direct_sum") == first
+    return expect
+
+
+def _first_vanishing(params, i, x):
+    """(q, k) of the first vanishing denominator (b + mu_q)_k of T_i(x)'s
+    direct sum in the oracle's order (terms n in order, then q, C's before
+    R's), or None: mu_q = |j| + |n| + |j|_1^{q-1} - |n|_1^{q-1}, k = j_q -
+    n_q, with (j, b) = (x, omega) or (i, omega*)."""
+    for n in product(*(range(min(a, b) + 1) for a, b in zip(i, x))):
+        for q in range(params.N):
+            for j, b in ((x, params.omega), (i, params.omega_star)):
+                mu = sum(j) + sum(n) + sum(j[:q]) - sum(n[:q])
+                if pochhammer(b + mu, j[q] - n[q]) == 0:
+                    return q, j[q] - n[q]
+    return None
+
+
 @st.composite
 def _small_shapes(draw):
     n_coords = draw(st.integers(min_value=1, max_value=3))
@@ -275,29 +315,31 @@ class TestTableKernels:
     @pytest.mark.parametrize("omegas", [(-1, F(1, 3)), (F(1, 3), -1), (-2, -3)])
     def test_zero_denominator_raises_as_the_oracle(self, monkeypatch, which, omegas):
         # omega or omega* in the cond1 band makes a direct denominator vanish;
-        # validation is switched off to reach it.  U_i(x) is T(q)_{ell-x}(ell-i)
-        # at the swapped parameters q: it raises exactly where that T oracle
-        # raises and equals the U oracle everywhere else.  Pairs run in the
-        # order the table kernel meets them: i outer for T, x outer for U
+        # validation is switched off to reach it
         monkeypatch.setattr(overlap, "_ensure_valid", lambda params: None)
         p = TDParameters(Shape((2, 1)), 0, 0, 1, 1, *omegas, (F(1, 7), F(3, 11)))
-        oracle, pointwise = _ORACLES[which]
+        _assert_direct_raises_as_the_oracle(p, which)
+
+    @pytest.mark.parametrize("which", ["T", "U"])
+    @pytest.mark.parametrize("omegas", [(-2, F(1, 3)), (F(1, 3), -2), (-1, -2)])
+    def test_zero_denominator_past_the_first_coordinate(self, monkeypatch, which, omegas):
+        # at three coordinates the vanishing factor of a telescoped
+        # denominator lies at q >= 1 for some entries, of T's own table or of
+        # the T table at the swapped parameters that U mirrors
+        monkeypatch.setattr(overlap, "_ensure_valid", lambda params: None)
+        p = TDParameters(Shape((1, 2, 1)), 0, 0, 1, 1, *omegas, (F(1, 7), F(3, 11), F(2, 13)))
+        expect = _assert_direct_raises_as_the_oracle(p, which)
         basis = enumerate_box(p.shape)
         if which == "T":
-            pairs = [(i, x) for i in basis for x in basis]
-            expect = [_outcome(oracle, p, i, x) for i, x in pairs]
+            at = [_first_vanishing(p, i, x) for i in basis for x in basis]
         else:
             q, flip = _swapped(p), _flip(p.ell)
-            pairs = [(i, x) for x in basis for i in basis]
-            expect = []
-            for i, x in pairs:
-                mirrored = _outcome(_oracle_t, q, flip(x), flip(i))
-                expect.append(mirrored if mirrored[0] == "raised" else _outcome(oracle, p, i, x))
-        assert any(o[0] == "raised" for o in expect)
-        got = [_outcome(pointwise, p, i, x, "direct_sum") for i, x in pairs]
-        assert got == expect
-        first = next(o for o in expect if o[0] == "raised")
-        assert _outcome(overlap_table, p, which, "direct_sum") == first
+            at = [_first_vanishing(q, flip(x), flip(i)) for x in basis for i in basis]
+        # the walk in the oracle's order finds the oracle's k, and some q >= 1
+        assert [o[:2] if o[0] == "raised" else None for o in expect] == [
+            ("raised", v[1]) if v else None for v in at
+        ]
+        assert any(v and v[0] >= 1 for v in at)
 
     @pytest.mark.parametrize("which", ["T", "U"])
     @pytest.mark.parametrize("omegas", [(-1, F(1, 3)), (F(1, 3), -1), (-2, -3), (F(-1, 2), F(-3, 2))])
@@ -341,6 +383,40 @@ class TestTableKernels:
         }
         assert any(isinstance(v, RationalFunction) for v in expect.values())
         _assert_table_is(overlap_table(hahn_side, which, "shift_operator"), expect)
+
+
+@st.composite
+def _index_and_below(draw):
+    # an index i of up to four coordinates and an n <= i
+    i = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4))
+    return tuple(i), tuple(draw(st.integers(min_value=0, max_value=v)) for v in i)
+
+
+class TestTelescopedDenominator:
+    """The identity the direct-sum kernel rests on, with no kernel call:
+    with k_q = i_q - n_q and mu_q = |i| + |n| + |i|_1^{q-1} - |n|_1^{q-1},
+    mu_{q+1} = mu_q + k_q, so prod_q (b + mu_q)_{k_q} = (b + |i| +
+    |n|)_{|i| - |n|}, and where that vanishes exactly one q holds the
+    vanishing factor."""
+
+    @given(
+        _index_and_below(),
+        st.one_of(
+            st.integers(min_value=-16, max_value=4),
+            st.fractions(min_value=-16, max_value=4, max_denominator=7),
+        ),
+    )
+    @example(((0, 1, 2), (0, 0, 0)), -4)
+    @example(((2, 1, 1, 3), (1, 0, 1, 2)), -13)
+    @settings(max_examples=300, deadline=None)
+    def test_the_denominators_telescope(self, index, b):
+        i, n = index
+        k = [iq - nq for iq, nq in zip(i, n)]
+        mu = [sum(i) + sum(n) + sum(i[:q]) - sum(n[:q]) for q in range(len(i))]
+        factors = [pochhammer(b + m, kq) for m, kq in zip(mu, k)]
+        whole = pochhammer(b + sum(i) + sum(n), sum(i) - sum(n))
+        assert prod(factors, start=F(1)) == whole
+        assert sum(f == 0 for f in factors) == (whole == 0)
 
 
 class TestMirrorIdentity:
