@@ -21,7 +21,8 @@ swaps A and A*: at the parameter set q = `_swapped(p)`
   D(p)[n,i] = C(q)[ell-n, ell-i]      Dbar(p)[i,n] = Cbar(q)[ell-i, ell-n]
   (A on V_i)(p)[j,i] = (A* on V(x))(q)[ell-j, ell-i]
 
-and in graded order n -> ell - n reverses the positions (`_mirrored`).
+and in graded order n -> ell - n reverses the positions (`_mirrored`, and
+`_reversed` on cleared rows).
 
 One kernel, `_raising_values`, builds every table over int pairs: each
 Pochhammer symbol of C and Cbar is (c + M)_k with an integer M and c either
@@ -37,13 +38,15 @@ matrix_product and linear_solve overlap routes) goes through it, so one
 suite builds each family once.
 
 `block_tridiagonal_form` writes the opposite operator in an eigenbasis by
-the explicit five-term block formula B (the only reader of Cbar and Dbar,
-each entry one common-denominator sum of its terms) and proves fwd B =
-op fwd over Z, fwd = M_C or M_D; fwd has a unit diagonal, so B is the
-conjugate without a triangular solve, and B is block tridiagonal by
-construction.  It reads xi* from `tdcore._xi_kernel`, which also assembles
-A and A*; the eigen and inverse checks test the tables themselves against
-A and A*, assembled independently of them.
+the explicit five-term block formula B (the only reader of Cbar and Dbar)
+and proves fwd B = op fwd over Z, fwd = M_C or M_D; fwd has a unit
+diagonal, so B is the conjugate without a triangular solve, and B is block
+tridiagonal by construction.  Its kernel writes every term as an int
+product into rows over one denominator, and divides out their content, so
+the rows are B cleared; the verifier's block_structure runs it on its own
+cleared operands.  It reads xi* from `tdcore._xi_kernel`, which also
+assembles A and A*; the eigen and inverse checks test the tables
+themselves against A and A*, assembled independently of them.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 from .exactfield import (
@@ -256,94 +259,102 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
     if which not in BLOCK_FORMS:
         raise ValueError(f"unknown block form {which!r}; expected one of {BLOCK_FORMS}")
     _ensure_valid(params)
+    fwd, inv, op = ("C", "Cbar", "Astar") if which == "Astar_in_Vx" else ("D", "Dbar", "A")
+    cleared_tables = (cleared(coefficient_matrix(params, kind)) for kind in (fwd, inv))
+    rows, den = _block_form_rows(params, which, *cleared_tables, cleared(_assemble_operator(params, op)))
+    entries = {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()}
+    return ExactMatrix(enumerate_box(params.shape), entries)
+
+
+def _block_form_rows(params: TDParameters, which: str, fwd: tuple, inv: tuple, op: tuple) -> tuple:
+    """The block form `which` cleared, from fwd (M_C or M_D), its inverse
+    family and op (A* or A), all cleared; raises StructureViolation unless
+    fwd B = op fwd.  A on V_i is the kernel at the swapped parameters on the
+    reversed rows of D and Dbar, reversed back: compared in the order of params."""
+    basis = enumerate_box(params.shape)
     if which == "Astar_in_Vx":
-        fwd = coefficient_matrix(params, "C")
-        form = _explicit_star_blocks(params, fwd, coefficient_matrix(params, "Cbar"))
-        op, identity = _assemble_operator(params, "Astar"), "M_C B* vs A* M_C"
+        form, identity = _star_block_rows(params, fwd, inv), "M_C B* vs A* M_C"
     else:
-        fwd = coefficient_matrix(params, "D")
-        # the mirrors of D and Dbar are C and Cbar at the swapped parameters
-        inv = _mirrored(coefficient_matrix(params, "Dbar"))
-        form = _mirrored(_explicit_star_blocks(_swapped(params), _mirrored(fwd), inv))
-        op, identity = _assemble_operator(params, "A"), "M_D B vs A M_D"
+        last = len(basis) - 1
+        mirrors = (_reversed(x, last) for x in (fwd, inv))
+        form = _reversed(_star_block_rows(_swapped(params), *mirrors), last)
+        identity = "M_D B vs A M_D"
     # fwd is triangular with a unit diagonal, so this holds exactly when
     # form is fwd^-1 op fwd
-    f = cleared(fwd)
-    diff = cleared_difference(
-        cleared_product(f, cleared(form)), cleared_product(cleared(op), f), form.basis
-    )
+    diff = cleared_difference(cleared_product(fwd, form), cleared_product(op, fwd), basis)
     if diff is not None:
         raise StructureViolation(*diff, detail=f"{which}: {identity}")
     return form
 
 
-def _explicit_star_blocks(params: TDParameters, mc: ExactMatrix, mcb: ExactMatrix) -> ExactMatrix:
-    """A* on the V(x) basis from the five-term block formula, with the C and
-    Cbar coefficients read from their tables.
+def _reversed(x: tuple, last: int) -> tuple:
+    """S X S of a cleared X: entry [r, c] moves to [last - r, last - c]."""
+    rows, den = x
+    return {last - r: {last - c: v for c, v in row.items()} for r, row in rows.items()}, den
 
-    The formula runs on basis positions: plus[p][k] and minus[p][k] are the
-    positions of basis[k] +- e_p, or `out` outside the box, theta*_w is kept
-    per level and xi*_{n,p} per (position, p), a `tdcore._xi_kernel` pair.
-    Every term is a product of pairs, and each entry is one sum of its terms
-    over their common denominator."""
-    basis = enumerate_box(params.shape)
-    N = params.N
+
+def _star_block_rows(params: TDParameters, c: tuple, cbar: tuple) -> tuple:
+    """A* on the V(x) basis from the five-term block formula, cleared, from
+    C and Cbar cleared, on basis positions: plus[p][k] and minus[p][k] are
+    those of basis[k] +- e_p, or `out` outside the box.  theta*_w and
+    xi*_{n,p} are put over their lcm, dt and dx, once; with dc and dcb those
+    of C and Cbar, each term is an int product over den = dt dx dc dcb, each
+    kind scaled by the factors of den it lacks.  Dividing out g = gcd(den,
+    every numerator) leaves `cleared` of the form, as lcm_e(den / g_e) = den
+    / gcd_e(g_e); a field-element numerator (over Q(t)) stays out of g and
+    is divided as one, since `cleared` keeps such an entry over 1."""
+    basis, N = enumerate_box(params.shape), params.N
     pos, out = {x: k for k, x in enumerate(basis)}, len(basis)
-
-    def moved(p, step):
-        return [pos.get(x[:p] + (x[p] + step,) + x[p + 1 :], out) for x in basis] + [out]
-
-    plus, minus = [moved(p, 1) for p in range(N)], [moved(p, -1) for p in range(N)]
-    ths = [_pair(eigenvalue(params, w, starred=True)) for w in range(params.diameter + 1)]
+    plus, minus = (
+        [[pos.get(x[:p] + (x[p] + s,) + x[p + 1 :], out) for x in basis] + [out] for p in range(N)]
+        for s in (1, -1)
+    )
+    (c_rows, dc), (cb_rows, dcb) = c, cbar
+    cp = {(r, k): v for r, row in c_rows.items() for k, v in row.items()}
+    cbp = {(r, k): v for r, row in cb_rows.items() for k, v in row.items()}
+    levels = range(params.diameter + 1)
+    th, dt = over_common_denominator(*zip(*(_pair(eigenvalue(params, w, True)) for w in levels)))
     xi_star = _xi_kernel(params, True)
-    xs = [[xi_star(x, p) for p in range(N)] for x in basis]
-    cp = {key: _pair(v) for key, v in mc.entries.items()}
-    cbp = {key: _pair(v) for key, v in mcb.entries.items()}
-    terms: dict[tuple[int, int], list] = {}
-
-    def put(yk, xk, *factors):
-        u, v = 1, 1
-        for fu, fv in factors:
-            u, v = u * fu, v * fv
-        terms.setdefault((yk, xk), []).append((u, v))
-
+    # xi*_{n,p} at n N + p
+    xs, dx = over_common_denominator(*zip(*(xi_star(x, p) for x in basis for p in range(N))))
+    # theta* alone, times Cbar, times C; xi* alone, times Cbar, times C, times C Cbar
+    th1, thb, thc = ([u * k for u in th] for k in (dx * dc * dcb, dx * dc, dx * dcb))
+    xi1, xib, xic, xicc = ([u * k for u in xs] for k in (dt * dc * dcb, dt * dc, dt * dcb, dt))
+    rows: dict[int, dict] = {}
     for xk, x in enumerate(basis):
         w = x.weight
-        put(xk, xk, ths[w])
+        acc = {xk: th1[w]}
         for p in range(N):
             yk = minus[p][xk]
             if yk != out:
-                put(yk, xk, xs[yk][p])
+                acc[yk] = acc.get(yk, 0) + xi1[yk * N + p]
             yk = plus[p][xk]
-            if (yk, xk) in cbp:
-                put(yk, xk, ths[w], cbp[(yk, xk)])
-            if (yk, xk) in cp:
-                put(yk, xk, ths[w + 1], cp[(yk, xk)])
+            if yk != out:
+                acc[yk] = acc.get(yk, 0) + thb[w] * cbp.get((yk, xk), 0) + thc[w + 1] * cp.get((yk, xk), 0)
         for p in range(N):
+            xpp = plus[p][xk]
             for q in range(N):
                 # y = x + e_p - e_q
-                yk = xk if p == q else minus[q][plus[p][xk]]
-                xmq, xpp = minus[q][xk], plus[p][xk]
-                if yk != out and (yk, xmq) in cbp:
-                    put(yk, xk, xs[xmq][q], cbp[(yk, xmq)])
+                yk, xmq = xk if p == q else minus[q][xpp], minus[q][xk]
+                if (yk, xmq) in cbp:
+                    acc[yk] = acc.get(yk, 0) + xib[xmq * N + q] * cbp[yk, xmq]
                 if yk != out and (xpp, xk) in cp:
-                    put(yk, xk, xs[yk][q], cp[(xpp, xk)])
+                    acc[yk] = acc.get(yk, 0) + xic[yk * N + q] * cp[xpp, xk]
                 for r in range(p, N):
                     # y = x + e_p + e_r - e_q, summed over x <= n <= x + e_p + e_r
-                    # with n and n - e_q in the box; x + e_p + e_r may lie
-                    # outside it while y lies inside
-                    if q == p:
-                        yk = plus[r][xk]
-                    elif q == r:
-                        yk = xpp
-                    else:
-                        yk = minus[q][plus[r][xpp]]
-                    if yk == out:
-                        continue
+                    # with n and n - e_q in the box (Cbar has no row `out`);
+                    # x + e_p + e_r may lie outside it while y lies inside
+                    yk = plus[r][xk] if q == p else xpp if q == r else minus[q][plus[r][xpp]]
                     ns = (xk, xpp, plus[p][xpp]) if p == r else (xk, xpp, plus[r][xk], plus[r][xpp])
                     for nk in ns:
                         nm = minus[q][nk]
                         if (nk, xk) in cp and (yk, nm) in cbp:
-                            put(yk, xk, xs[nm][q], cp[(nk, xk)], cbp[(yk, nm)])
-    sums = {key: over_common_denominator(*zip(*pairs)) for key, pairs in terms.items()}
-    return ExactMatrix(basis, {key: pair_value(sum(scaled), den) for key, (scaled, den) in sums.items()})
+                            acc[yk] = acc.get(yk, 0) + xicc[nm * N + q] * cp[nk, xk] * cbp[yk, nm]
+        for yk, s in acc.items():
+            if s:
+                rows.setdefault(yk, {})[xk] = s
+    den = dt * dx * dc * dcb
+    g = gcd(den, *(v for row in rows.values() for v in row.values() if type(v) is int))
+    if g > 1:
+        rows = {r: {k: v // g if type(v) is int else v / g for k, v in row.items()} for r, row in rows.items()}
+    return rows, den // g

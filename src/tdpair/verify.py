@@ -4,18 +4,19 @@ Every algebraic identity the construction promises is phrased as a named
 check returning a CheckResult with a reproducible witness on failure.
 All comparisons are exact field equalities; there are no tolerances.
 
-The operator words and the block forms of `cob.block_tridiagonal_form` run
-over Z with the `cleared_*` helpers of tdcore: each operand is cleared of
-denominators once into rows of integer numerators, every product is the
-row-by-row kernel, whose rows feed the next product, and the two sides are
-compared exactly, in storage order, by cross-multiplying their common
-denominators.  Only a witness entry is built as a rational.  `inverse`
-multiplies `ExactMatrix`es, the same kernel with each row or column over its
-own denominator: the lcm over a whole C or Cbar runs to thousands of bits at
-one coordinate (1,770 bits for C at (143,)) and made it about twice as slow
-there.  The overlap route tables stay factored (`tdcore.Factored`):
-`overlap_consistency` and `racah_reduction` cross-multiply heads and dots,
-and `biorthogonality` runs on ints from U's dots to I.
+The operator words and the block forms run over Z with the `cleared_*`
+helpers of tdcore: each operand is cleared of denominators into rows of
+integer numerators, A, A*, M_C and M_D once per suite for every check that
+reads them.  Every product is the row-by-row kernel, whose rows feed the
+next product; `block_structure` builds its block forms with the five-term
+kernel of `cob` straight into rows.  The two sides are compared exactly, in
+storage order, by cross-multiplying their denominators; only a witness entry
+is built as a rational.  `inverse` multiplies `ExactMatrix`es, each row or
+column over its own denominator: one lcm over a whole C runs to 1,770 bits
+at (143,) and made it about twice as slow there.  The overlap route tables
+stay factored (`tdcore.Factored`): `overlap_consistency` and
+`racah_reduction` cross-multiply heads and dots, and `biorthogonality` runs
+on ints from U's dots to I.
 
 Check names, in canonical report order:
 
@@ -68,7 +69,7 @@ from .exactfield import (
 )
 from .multiindex import MultiIndex, Shape, enumerate_box, format_multiindex
 from .report import CheckResult, VerificationReport
-from .cob import StructureViolation, block_tridiagonal_form, coefficient_matrix
+from .cob import StructureViolation, _block_form_rows, coefficient_matrix
 from . import overlap
 from .overlap import (
     T_METHODS,
@@ -158,12 +159,21 @@ def _entry_witness(diff, label: str) -> Optional[dict]:
 class _Context:
     """Operators, coefficient matrices and overlap route tables shared by
     the checks, each built on first use, so its cost lands in the first
-    check that needs it and a check that needs none (limits) builds none."""
+    check that needs it and a check that needs none (limits) builds none.
+    The operators and eigenbasis matrices that several checks multiply over
+    Z are kept cleared too."""
 
     def __init__(self, params: TDParameters):
         self.params = params
         self.basis = enumerate_box(params.shape)
         self.tables: dict[tuple[str, str], Factored] = {}
+        self.rows: dict[str, tuple] = {}
+
+    def cleared(self, name: str) -> tuple:
+        """A, As, MC or MD (`name`) cleared, kept for the suite's checks."""
+        if name not in self.rows:
+            self.rows[name] = cleared(getattr(self, name))
+        return self.rows[name]
 
     def table(self, which: str, method: str) -> Factored:
         """The (which, method) overlap route table, kept for the suite."""
@@ -222,13 +232,13 @@ def _check_eigen(ctx: _Context):
                         "value": format_scalar(vals[u]),
                     }
     for X, family, starred, label in (
-        (ctx.A, ctx.MC, False, "A on its eigenbasis"),
-        (ctx.As, ctx.MD, True, "A* on its eigenbasis"),
+        ("A", "MC", False, "A on its eigenbasis"),
+        ("As", "MD", True, "A* on its eigenbasis"),
     ):
-        M = cleared(family)
+        M = ctx.cleared(family)
         dt = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight, starred=starred))
         diff = cleared_difference(
-            cleared_product(cleared(X), M), cleared_product(M, cleared(dt)), ctx.basis
+            cleared_product(ctx.cleared(X), M), cleared_product(M, cleared(dt)), ctx.basis
         )
         if diff is not None:
             return False, _entry_witness(diff, label)
@@ -245,7 +255,7 @@ def _check_inverse(ctx: _Context):
 
 def _check_td_relations(ctx: _Context, beta: FieldElement):
     p = ctx.params
-    A, As = cleared(ctx.A), cleared(ctx.As)
+    A, As = ctx.cleared("A"), ctx.cleared("As")
     gamma, rho = 2 * p.h, p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
     gamma_s = 2 * p.h_star
     rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
@@ -282,8 +292,9 @@ def _check_r3l(ctx: _Context):
 
 def _check_block_structure(ctx: _Context):
     try:
-        block_tridiagonal_form(ctx.params, "Astar_in_Vx")
-        block_tridiagonal_form(ctx.params, "A_in_Vi")
+        for which, fwd, inv, op in (("Astar_in_Vx", "MC", "MCb", "As"), ("A_in_Vi", "MD", "MDb", "A")):
+            inv = cleared(getattr(ctx, inv))
+            _block_form_rows(ctx.params, which, ctx.cleared(fwd), inv, ctx.cleared(op))
     except StructureViolation as err:
         return False, {
             "identity": "block tridiagonal form",
@@ -298,11 +309,11 @@ def _check_block_structure(ctx: _Context):
 def _check_sas(ctx: _Context):
     p, S = ctx.params, cleared(ctx.S)
     for X, starred, target, label in (
-        (ctx.A, False, "Astar", "involution on the raising side"),
-        (ctx.As, True, "A", "involution on the lowering side"),
+        ("A", False, "Astar", "involution on the raising side"),
+        ("As", True, "A", "involution on the lowering side"),
     ):
         other = _assemble_operator(substituted_for_involution(p, starred=starred), target)
-        lhs = cleared_product(cleared_product(S, cleared(X)), S)
+        lhs = cleared_product(cleared_product(S, ctx.cleared(X)), S)
         diff = cleared_difference(lhs, cleared(other), ctx.basis)
         if diff is not None:
             return False, _entry_witness(diff, label)

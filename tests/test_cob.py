@@ -15,6 +15,7 @@ from tdpair.exactfield import (
     _inv_poch,
     binomial,
     is_zero,
+    pair_value,
     pochhammer,
     variable_t,
 )
@@ -42,6 +43,7 @@ from tdpair.tdcore import (
     InvalidParameters,
     TDParameters,
     build_operator,
+    cleared,
     eigenvalue,
     substituted_for_involution,
 )
@@ -389,6 +391,18 @@ def _typed(m):
     return {k: (type(v), v) for k, v in m.entries.items()}
 
 
+def _uncleared(params, x):
+    rows, den = x
+    entries = {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()}
+    return ExactMatrix(enumerate_box(params.shape), entries)
+
+
+def _oracle_star_rows(params, c, cbar):
+    # the oracle on the kernel's signature: C and Cbar cleared in, the form
+    # cleared out
+    return cleared(_oracle_star_blocks(params, _uncleared(params, c), _uncleared(params, cbar)))
+
+
 def _assert_kernel_matches_oracle(params, kinds=COEFFICIENT_KINDS):
     basis = enumerate_box(params.shape)
     for kind in kinds:
@@ -474,7 +488,7 @@ class TestFiveTermBlockFormula:
         p = random_valid_parameters(shape, seed)
         for params in (p, _swapped(p)):
             mc, mcb = coefficient_matrix(params, "C"), coefficient_matrix(params, "Cbar")
-            got = cob._explicit_star_blocks(params, mc, mcb)
+            got = _uncleared(params, cob._star_block_rows(params, cleared(mc), cleared(mcb)))
             assert _typed(got) == _typed(_oracle_star_blocks(params, mc, mcb))
 
     @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
@@ -502,5 +516,36 @@ class TestFiveTermBlockFormula:
             return e.row, e.col, (type(e.lhs), e.lhs), (type(e.rhs), e.rhs)
 
         got = violation()
-        monkeypatch.setattr(cob, "_explicit_star_blocks", _oracle_star_blocks)
+        monkeypatch.setattr(cob, "_star_block_rows", _oracle_star_rows)
         assert got == violation()
+
+
+def _typed_rows(x):
+    rows, den = x
+    return (type(den), den), {r: {c: (type(v), v) for c, v in row.items()} for r, row in rows.items()}
+
+
+def _assert_block_rows_are_cleared_forms(p):
+    operands = {"Astar_in_Vx": ("C", "Cbar", "Astar"), "A_in_Vi": ("D", "Dbar", "A")}
+    for which, (fwd, inv, op) in operands.items():
+        got = cob._block_form_rows(
+            p, which, cleared(coefficient_matrix(p, fwd)), cleared(coefficient_matrix(p, inv)),
+            cleared(build_operator(p, op)),
+        )
+        assert _typed_rows(got) == _typed_rows(cleared(block_tridiagonal_form(p, which))), which
+
+
+class TestBlockFormRows:
+    """The rows block_structure multiplies are the block form cleared: the
+    same numerators over the same denominator, so the kernel's content
+    division leaves no common factor behind."""
+
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((3, 2)), 1)
+    @settings(max_examples=15, deadline=None)
+    def test_rows_are_the_cleared_form(self, shape, seed):
+        _assert_block_rows_are_cleared_forms(random_valid_parameters(shape, seed))
+
+    def test_over_qt_with_omega_star_free(self):
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        _assert_block_rows_are_cleared_forms(replace(p, omega_star=p.omega_star + variable_t()))

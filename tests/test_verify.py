@@ -811,9 +811,10 @@ class TestOperatorMutation:
     they are."""
 
     IDENTITY = {"A": "A on its eigenbasis", "As": "A* on its eigenbasis"}
-    # every check that reads A or A*; the rest read coefficient or route
-    # tables built from the parameters
-    CAUGHT_BY = {"eigen", "td_relations", "r3l", "sas_conjugation"}
+    # every check that reads A or A*, block_structure through M_C B* = A* M_C
+    # and M_D B = A M_D; the rest read coefficient or route tables built from
+    # the parameters
+    CAUGHT_BY = {"eigen", "td_relations", "r3l", "block_structure", "sas_conjugation"}
 
     @pytest.mark.parametrize("attr", ["A", "As"])
     def test_planted_operator_error_is_caught(self, monkeypatch, attr):
