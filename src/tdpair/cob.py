@@ -21,32 +21,34 @@ swaps A and A*: at the parameter set q = `_swapped(p)`
   D(p)[n,i] = C(q)[ell-n, ell-i]      Dbar(p)[i,n] = Cbar(q)[ell-i, ell-n]
   (A on V_i)(p)[j,i] = (A* on V(x))(q)[ell-j, ell-i]
 
-and in graded order n -> ell - n reverses the positions (`_mirrored`, and
-`_reversed` on cleared rows).
+and in graded order n -> ell - n reverses the positions (`_reversed`, on
+cleared rows).
 
-One kernel, `_raising_values`, builds every table over int pairs: each
+One kernel, `_raising_pairs`, computes every entry as an int pair: each
 Pochhammer symbol of C and Cbar is (c + M)_k with an integer M and c either
 a_p + omega + 1 or, in the global factor, omega, memoized once per call, so
 an entry is one product over one product.  `cob_coefficient` is that kernel
 at one entry.
 
-Each family's table is built once per parameter set and kept in a small
-module-level cache; `coefficient_matrix` hands out copies, so a caller that
-writes into its matrix changes nothing another caller sees.  Every reader in
-the package (the verifier's context, the block formulas, the whole-table
-matrix_product and linear_solve overlap routes) goes through it, so one
-suite builds each family once.
+Each family's table is built once per parameter set, cleared: rows
+{r: {c: numerator}} over one denominator, exactly `tdcore.cleared` of the
+table, with no Fraction per entry (`_raising_rows`).  The rows are kept in
+a small module-level cache (`_coefficient_rows`) and every reader in the
+package reads them: the verifier's checks, the block formulas and the
+linear_solve overlap route.  `coefficient_matrix` builds a new matrix from
+them on each call, so a caller that writes into it changes nothing another
+caller sees; the matrix_product overlap route multiplies two such matrices.
 
 `block_tridiagonal_form` writes the opposite operator in an eigenbasis by
-the explicit five-term block formula B (the only reader of Cbar and Dbar)
-and proves fwd B = op fwd over Z, fwd = M_C or M_D; fwd has a unit
-diagonal, so B is the conjugate without a triangular solve, and B is block
-tridiagonal by construction.  Its kernel writes every term as an int
-product into rows over one denominator, and divides out their content, so
-the rows are B cleared; the verifier's block_structure runs it on its own
-cleared operands.  It reads xi* from `tdcore._xi_kernel`, which also
-assembles A and A*; the eigen and inverse checks test the tables
-themselves against A and A*, assembled independently of them.
+the explicit five-term block formula B and proves fwd B = op fwd over Z,
+fwd = M_C or M_D; fwd has a unit diagonal, so B is the conjugate without a
+triangular solve, and B is block tridiagonal by construction.  Its kernel
+writes every term as an int product into rows over one denominator, and
+divides out their content, so the rows are B cleared; the verifier's
+block_structure runs it on the families' shared rows.  It reads xi* from
+`tdcore._xi_kernel`, which also assembles A and A*; the eigen and inverse
+checks test the tables themselves against A and A*, assembled
+independently of them.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def cob_coefficient(
     params: TDParameters, kind: str, first: Sequence[int], second: Sequence[int]
 ) -> FieldElement:
     """One coefficient, indexed in subscript order (row index first): the
-    table kernel `_raising_values` at one entry.
+    table kernel `_raising_pairs` at one entry.
 
     Out-of-support pairs give an exact zero.  Parameters are taken as
     already validated; on sets violating the constraints the global
@@ -130,7 +132,7 @@ def cob_coefficient(
         raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
     if any(f < s for f, s in zip(first, second)):
         return Fraction(0)
-    return _raising_values(params, kind, [(first, second)])[0]
+    return pair_value(*_raising_pairs(params, kind, [(first, second)])[0])
 
 
 def _swapped(params: TDParameters) -> TDParameters:
@@ -142,19 +144,13 @@ def _swapped(params: TDParameters) -> TDParameters:
     return replace(lo, theta0_star=hi.theta0_star, h_star=hi.h_star, omega_star=hi.omega_star)
 
 
-def _mirrored(m: ExactMatrix) -> ExactMatrix:
-    """S M S: entry [n, m] moves to [ell - n, ell - m], which in graded
-    order (weight first, ties lexicographic) is the reversed position."""
-    last = m.dimension - 1
-    return ExactMatrix(m.basis, {(last - r, last - c): v for (r, c), v in m.entries.items()})
-
-
 _MIRROR_OF = {"D": "C", "Dbar": "Cbar"}
 
 
-def _raising_values(params: TDParameters, kind: str, pairs) -> list[FieldElement]:
+def _raising_pairs(params: TDParameters, kind: str, pairs) -> list[tuple]:
     """C[row, col] (kind "C") or Cbar[row, col] (kind "Cbar") at every
-    (row, col) of pairs, in order, each with row >= col pointwise.
+    (row, col) of pairs, in order, each with row >= col pointwise, as the
+    pair (numerator, denominator), unreduced.
 
     Both are one product over the coordinates p of
     binomial(row_p, col_p) (c_p + M_p)_{row_p - col_p}, with
@@ -162,12 +158,19 @@ def _raising_values(params: TDParameters, kind: str, pairs) -> list[FieldElement
     over one global factor (omega + M)_d, d = |row| - |col|: M = 2|col| + 1
     and a sign (-1)^d for C, M = |row| + |col| for Cbar.  Every factor is a
     `_rising` pair memoized for the call, so an entry is one product of
-    numerators over one of denominators, over Q one Fraction.  A vanishing
-    global factor raises ZeroDenominatorPochhammer(d, "<kind> global factor").
+    numerators over one of denominators, over Q two ints; with a Q(t) part,
+    the `_pair` of its value.  The global factor's denominator do^d enters
+    coordinate p as do^(row_p - col_p), each over c_p's denominator to that
+    power, both divided by their gcd to that power: the pair carries no
+    common power of the two.  A vanishing global factor raises
+    ZeroDenominatorPochhammer(d, "<kind> global factor").
     """
     ell, om = params.ell, params.omega
     no, do = _pair(om)
-    consts = [(*_pair(ap + om + 1), sum(ell[p:])) for p, ap in enumerate(params.a)]
+    consts = []
+    for p, ap in enumerate(params.a):
+        cn, cd = _pair(ap + om + 1)
+        consts.append((cn, cd, do // gcd(do, cd), cd // gcd(do, cd), sum(ell[p:])))
     is_c = kind == "C"
     detail = f"{kind} global factor"
     factors: dict[tuple, tuple] = {}
@@ -176,12 +179,13 @@ def _raising_values(params: TDParameters, kind: str, pairs) -> list[FieldElement
     for row, col in pairs:
         u = v = 1
         ms = 0  # |row|_1^{p-1} + |col|_1^{p-1}
-        for p, (r, c, (cn, cd, tail)) in enumerate(zip(row, col, consts)):
+        for p, (r, c, (cn, cd, dq, cq, tail)) in enumerate(zip(row, col, consts)):
             m = ms + c + tail
             f = factors.get((p, m, r, c))
             if f is None:
-                fu, fv = _rising(cn + m * cd, cd, r - c)
-                f = factors[(p, m, r, c)] = (comb(r, c) * fu, fv)
+                # over Q the _rising denominator is cd^k = (cd / cq)^k cq^k
+                k = r - c
+                f = factors[(p, m, r, c)] = (comb(r, c) * _rising(cn + m * cd, cd, k)[0] * dq**k, cq**k)
             u, v = u * f[0], v * f[1]
             ms += r + c
         wc = sum(col)
@@ -193,40 +197,44 @@ def _raising_values(params: TDParameters, kind: str, pairs) -> list[FieldElement
                 raise ZeroDenominatorPochhammer(d, detail)
         if is_c and d % 2:
             u = -u
-        out.append(pair_value(u * g[1], v * g[0]))
+        v *= g[0]
+        out.append((u, v) if type(u) is type(v) is int else _pair(pair_value(u, v)))
     return out
 
 
 def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
     """The full table of one family as a matrix over the graded basis,
-    oriented so entry [first, second] carries subscripts (first, second).
-
-    The table is built once per (params, kind); each call returns a copy.
-    """
+    oriented so entry [first, second] carries subscripts (first, second),
+    built anew on each call from the family's shared cleared rows."""
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
-    m = _coefficient_table(params, kind)
-    return ExactMatrix(m.basis, m.entries)
+    rows, den = _coefficient_rows(params, kind)
+    entries = {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()}
+    return ExactMatrix(enumerate_box(params.shape), entries)
 
 
 @lru_cache(maxsize=16)
-def _coefficient_table(params: TDParameters, kind: str) -> ExactMatrix:
-    # the shared table; only coefficient_matrix reads it, to copy it.  The
-    # raising table at the swapped parameters is built for the mirror only,
-    # not kept
-    if kind in _MIRROR_OF:
-        return _mirrored(_raising_table(_swapped(params), _MIRROR_OF[kind]))
-    return _raising_table(params, kind)
-
-
-def _raising_table(params: TDParameters, kind: str) -> ExactMatrix:
-    # C and Cbar vanish unless row >= col pointwise: the kernel runs over
-    # the dominance sub-box of each column
+def _coefficient_rows(params: TDParameters, kind: str) -> tuple:
+    """One family cleared, shared by every reader, which never writes into
+    it; the raising rows at the swapped parameters are not kept."""
     basis = enumerate_box(params.shape)
+    if kind in _MIRROR_OF:
+        return _reversed(_raising_rows(_swapped(params), _MIRROR_OF[kind], basis), len(basis) - 1)
+    return _raising_rows(params, kind, basis)
+
+
+def _raising_rows(params: TDParameters, kind: str, basis) -> tuple:
+    """C or Cbar cleared: the kernel's pairs on the dominance sub-box of each
+    column (row >= col pointwise) over one common multiple of their
+    denominators, made `_primitive`."""
     pos, tops = {m: k for k, m in enumerate(basis)}, [lp + 1 for lp in params.ell]
     pairs = [(row, col) for col in basis for row in product(*map(range, col, tops))]
-    values = zip(pairs, _raising_values(params, kind, pairs))
-    return ExactMatrix(basis, {(pos[row], pos[col]): v for (row, col), v in values})
+    nums, den = over_common_denominator(*zip(*_raising_pairs(params, kind, pairs)))
+    rows: dict[int, dict] = {}
+    for (row, col), u in zip(pairs, nums):
+        if u:
+            rows.setdefault(pos[row], {})[pos[col]] = u
+    return _primitive(rows, den)
 
 
 EIGENBASIS_NAMES = ("A_basis", "Astar_basis")
@@ -260,8 +268,8 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
         raise ValueError(f"unknown block form {which!r}; expected one of {BLOCK_FORMS}")
     _ensure_valid(params)
     fwd, inv, op = ("C", "Cbar", "Astar") if which == "Astar_in_Vx" else ("D", "Dbar", "A")
-    cleared_tables = (cleared(coefficient_matrix(params, kind)) for kind in (fwd, inv))
-    rows, den = _block_form_rows(params, which, *cleared_tables, cleared(_assemble_operator(params, op)))
+    tables = (_coefficient_rows(params, kind) for kind in (fwd, inv))
+    rows, den = _block_form_rows(params, which, *tables, cleared(_assemble_operator(params, op)))
     entries = {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()}
     return ExactMatrix(enumerate_box(params.shape), entries)
 
@@ -299,10 +307,8 @@ def _star_block_rows(params: TDParameters, c: tuple, cbar: tuple) -> tuple:
     those of basis[k] +- e_p, or `out` outside the box.  theta*_w and
     xi*_{n,p} are put over their lcm, dt and dx, once; with dc and dcb those
     of C and Cbar, each term is an int product over den = dt dx dc dcb, each
-    kind scaled by the factors of den it lacks.  Dividing out g = gcd(den,
-    every numerator) leaves `cleared` of the form, as lcm_e(den / g_e) = den
-    / gcd_e(g_e); a field-element numerator (over Q(t)) stays out of g and
-    is divided as one, since `cleared` keeps such an entry over 1."""
+    kind scaled by the factors of den it lacks, and the rows are made
+    `_primitive`."""
     basis, N = enumerate_box(params.shape), params.N
     pos, out = {x: k for k, x in enumerate(basis)}, len(basis)
     plus, minus = (
@@ -353,7 +359,14 @@ def _star_block_rows(params: TDParameters, c: tuple, cbar: tuple) -> tuple:
         for yk, s in acc.items():
             if s:
                 rows.setdefault(yk, {})[xk] = s
-    den = dt * dx * dc * dcb
+    return _primitive(rows, dt * dx * dc * dcb)
+
+
+def _primitive(rows: dict, den: int) -> tuple:
+    """rows over den, a common multiple of their denominators, as `cleared`
+    gives them: dividing out g = gcd(den, every int numerator) leaves den / g
+    = lcm_e(den / g_e), g_e = gcd(den, numerator e).  A Q(t) numerator stays
+    out of g and is divided as one, as `cleared` keeps it over 1."""
     g = gcd(den, *(v for row in rows.values() for v in row.values() if type(v) is int))
     if g > 1:
         rows = {r: {k: v // g if type(v) is int else v / g for k, v in row.items()} for r, row in rows.items()}

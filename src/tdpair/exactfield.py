@@ -658,16 +658,18 @@ def pair_value(u, v) -> FieldElement:
 def over_common_denominator(nums: Sequence, dens: Sequence) -> tuple[list, FieldElement]:
     """The values nums[j] / dens[j] as (numerators, one denominator).
 
-    With every denominator an int, the denominator is their lcm and each
-    numerator is scaled to it, unreduced and with no gcd: ints stay ints and
-    a rational-function numerator stays a field element.  A numerator
-    already over the lcm is kept as it is, so a Q(t) value over 1 costs no
-    field multiplication.  A field-element denominator is divided out
-    instead, over 1."""
-    try:
-        den = math.lcm(*dens)
-    except TypeError:  # a rational-function denominator
-        return [pair_value(u, d) for u, d in zip(nums, dens)], 1
+    With every denominator an int, the denominator is their lcm (one that
+    divides the running lcm costs a remainder, not a gcd) and each numerator
+    is scaled to it, unreduced: ints stay ints and a rational-function
+    numerator stays a field element.  A numerator already over the lcm is
+    kept as it is, so a Q(t) value over 1 costs no field multiplication.  A
+    field-element denominator is divided out instead, over 1."""
+    den = 1
+    for d in dens:
+        if type(d) is not int:  # a rational-function denominator
+            return [pair_value(u, d) for u, d in zip(nums, dens)], 1
+        if den % d:
+            den = math.lcm(den, d)
     return [u if d == den else u * (den // d) for u, d in zip(nums, dens)], den
 
 

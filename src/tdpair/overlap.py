@@ -81,11 +81,13 @@ from .multiindex import (
     enumerate_box,
     in_box,
 )
-from .cob import _swapped, coefficient_matrix
+from .cob import _coefficient_rows, _swapped, coefficient_matrix
 from .tdcore import (
     ExactMatrix,
     Factored,
     TDParameters,
+    _back_substitution,
+    _content_lines,
     _ensure_valid,
     factored_value,
     factored_values,
@@ -427,11 +429,15 @@ def _t_product(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[
 
 def _u_solved(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """U_i(x) for every i of rows, x of cols as one back-substitution: M_D is
-    unit upper triangular in graded order, so M_D U = M_C is solved exactly,
-    and column x of U reads column x of M_C only."""
-    mc = _columns(coefficient_matrix(params, "C"), cols)
-    m = coefficient_matrix(params, "D").solve_upper_triangular(mc)
-    return unit_factored([[m.entry(i, x) for x in cols] for i in rows])
+    unit upper triangular in graded order, so M_D U = M_C is solved exactly
+    on the lines of their cleared rows, and column x of U reads column x of
+    M_C only."""
+    pos = {m: k for k, m in enumerate(enumerate_box(params.shape))}
+    keep, (mc, den) = {pos[x] for x in cols}, _coefficient_rows(params, "C")
+    mc = {r: {c: v for c, v in row.items() if c in keep} for r, row in mc.items()}
+    lines = _content_lines(_coefficient_rows(params, "D"), 0), _content_lines((mc, den), 1)
+    m = _back_substitution(*lines, len(pos))
+    return unit_factored([[m.get((pos[i], pos[x]), Fraction(0)) for x in cols] for i in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,21 @@ def _lines(terms, axis: int) -> tuple[dict, dict]:
     return dens, rows
 
 
+def _content_lines(x: tuple, axis: int) -> tuple[dict, dict]:
+    """`_lines` of the entries of a cleared matrix x: each row (axis 0) or
+    column (axis 1) divided by its content k, one gcd of den and its int
+    numerators, lies over den / k (a Q(t) numerator is divided as one)."""
+    rows, den = x
+    lines: dict[int, list] = {}
+    for r, row in rows.items():
+        for c, v in row.items():
+            lines.setdefault(c if axis else r, []).append(v)
+    content = {i: gcd(den, *(v for v in vs if type(v) is int)) for i, vs in lines.items()}
+    out = {r: {c: v if (k := content[c if axis else r]) == 1 else v // k if type(v) is int else v / k
+               for c, v in row.items()} for r, row in rows.items()}
+    return {i: den // k for i, k in content.items()}, out
+
+
 def _line_product(rows: dict, right_rows: dict) -> dict:
     """The sparse product kernel, row by row (Gustavson), of the stored rows
     {r: {k: a}} and {k: {c: b}} of two matrices, as rows {r: {c: sum}} of
@@ -453,6 +468,42 @@ def cleared_product(x: tuple, y: tuple) -> tuple[dict, FieldElement]:
     """The product of two cleared matrices, over the product of their
     denominators."""
     return _line_product(x[0], y[0]), x[1] * y[1]
+
+
+def _back_substitution(row_lines: tuple, col_lines: tuple, dimension: int) -> dict:
+    """{(r, c): x} with M X = B, M upper triangular with nonzero diagonal,
+    from the row lines of M and the column lines of B (`_lines`).  With row
+    r of M over L_r (diagonal D_r, entries V), x_r = (L_r b_r - sum V x) /
+    D_r over the column's running denominator q, the lcm of those of b and
+    the x so far: a new x costs one gcd and scales the others' numerators."""
+    (row_den, rows), (col_den, b) = row_lines, col_lines
+    upper = {r: [(cc, v) for cc, v in row.items() if cc > r] for r, row in rows.items()}
+    diag = {r: row[r] for r, row in rows.items()}
+    out: dict[tuple[int, int], FieldElement] = {}
+    for c, q in col_den.items():
+        # b_rc = b[r][c] bscale / q and x_cc = xnum[cc] / q
+        bscale, xnum = 1, {}
+        for r in range(dimension - 1, -1, -1):
+            num = b[r][c] * bscale * row_den[r] if c in b.get(r, ()) else 0
+            num -= sum(v * xnum[cc] for cc, v in upper[r] if cc in xnum)
+            if not num:
+                continue
+            x = out[(r, c)] = pair_value(num, q * diag[r])
+            grow = x.denominator // gcd(q, x.denominator)
+            if grow != 1:
+                q, bscale = q * grow, bscale * grow
+                for cc in xnum:
+                    xnum[cc] *= grow
+            xnum[r] = x.numerator * (q // x.denominator)
+    return out
+
+
+def cleared_scaled(x: tuple, values: Sequence[FieldElement]) -> tuple[dict, FieldElement]:
+    """x diag(values) as `cleared_product` with the cleared diagonal gives
+    it, column c of x times values[c], zeros left out, with no kernel call."""
+    nums, den = over_common_denominator([v.numerator for v in values], [v.denominator for v in values])
+    rows = {r: {c: s for c, v in row.items() if (s := v * nums[c])} for r, row in x[0].items()}
+    return {r: row for r, row in rows.items() if row}, x[1] * den
 
 
 def cleared_combination(terms: Sequence[tuple]) -> tuple[dict, FieldElement]:
@@ -662,41 +713,15 @@ class ExactMatrix:
 
     def solve_upper_triangular(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Solve self X = rhs for X, with self upper triangular in storage
-        order with nonzero diagonal.  Exact back-substitution: with row r
-        of self over its common denominator L_r (diagonal D_r, entries V),
-        x_r = (L_r b_r - sum V x) / D_r, one sum of numerators over the
-        column's running denominator q, the lcm of the denominators of b and
-        of the x solved so far: a new x costs one gcd and scales the earlier
-        numerators by what it adds to q, with no lcm over the row."""
+        order with nonzero diagonal, by `_back_substitution`."""
         self._check_same_basis(rhs)
         if any(r > c for r, c in self.entries):
             raise ValueError("matrix is not upper triangular in storage order")
         if any(self.item(k, k) == 0 for k in range(self.dimension)):
             raise ZeroDivisionError("upper-triangular solve with zero diagonal entry")
-        row_den, rows = _lines(_terms(self.entries), 0)
-        upper = {r: [(cc, v) for cc, v in row.items() if cc > r] for r, row in rows.items()}
-        diag = {r: row[r] for r, row in rows.items()}
-        out: dict[tuple[int, int], FieldElement] = {}
-        # the columns of rhs over their denominators, as rows of its transpose
-        col_den, cols = _lines((((c, r), u, v) for (r, c), u, v in _terms(rhs.entries)), 0)
-        for c, b in cols.items():
-            # b_r = b[r] bscale / q and x_cc = xnum[cc] / q
-            q, bscale = col_den[c], 1
-            xnum: dict[int, FieldElement] = {}
-            for r in range(self.dimension - 1, -1, -1):
-                num = b[r] * bscale * row_den[r] if r in b else 0
-                num -= sum(v * xnum[cc] for cc, v in upper[r] if cc in xnum)
-                if not num:
-                    continue
-                x = out[(r, c)] = pair_value(num, q * diag[r])
-                grow = x.denominator // gcd(q, x.denominator)
-                if grow != 1:
-                    q, bscale = q * grow, bscale * grow
-                    for cc in xnum:
-                        xnum[cc] *= grow
-                xnum[r] = x.numerator * (q // x.denominator)
         m = ExactMatrix(self.basis)
-        m.entries = out
+        lines = (_lines(_terms(x.entries), axis) for x, axis in ((self, 0), (rhs, 1)))
+        m.entries = _back_substitution(*lines, self.dimension)
         return m
 
     # -- serialization ------------------------------------------------------

@@ -6,15 +6,15 @@ All comparisons are exact field equalities; there are no tolerances.
 
 The operator words and the block forms run over Z with the `cleared_*`
 helpers of tdcore: each operand is cleared of denominators into rows of
-integer numerators, A, A*, M_C and M_D once per suite for every check that
-reads them.  Every product is the row-by-row kernel, whose rows feed the
-next product; `block_structure` builds its block forms with the five-term
-kernel of `cob` straight into rows.  The two sides are compared exactly, in
-storage order, by cross-multiplying their denominators; only a witness entry
-is built as a rational.  `inverse` multiplies `ExactMatrix`es, each row or
-column over its own denominator: one lcm over a whole C runs to 1,770 bits
-at (143,) and made it about twice as slow there.  The overlap route tables
-stay factored (`tdcore.Factored`): `overlap_consistency` and
+integer numerators, A and A* once per suite, and the four coefficient
+families as `cob` builds and keeps them.  Every product is the row-by-row
+kernel, whose rows feed the next product; `block_structure` builds its block
+forms with the five-term kernel of `cob` straight into rows.  The two sides
+are compared exactly, in storage order, by cross-multiplying their
+denominators; only a witness entry is built as a rational.  `inverse`
+multiplies each row or column over its own denominator (`_content_lines`):
+one lcm over a whole C runs to 1,770 bits at (143,).  The overlap route
+tables stay factored (`tdcore.Factored`): `overlap_consistency` and
 `racah_reduction` cross-multiply heads and dots, and `biorthogonality` runs
 on ints from U's dots to I.
 
@@ -53,7 +53,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .exactfield import (
@@ -69,7 +69,7 @@ from .exactfield import (
 )
 from .multiindex import MultiIndex, Shape, enumerate_box, format_multiindex
 from .report import CheckResult, VerificationReport
-from .cob import StructureViolation, _block_form_rows, coefficient_matrix
+from .cob import COEFFICIENT_KINDS, StructureViolation, _block_form_rows, _coefficient_rows
 from . import overlap
 from .overlap import (
     T_METHODS,
@@ -86,6 +86,7 @@ from .tdcore import (
     TDParameters,
     _PARAM_KEYS,
     _assemble_operator,
+    _content_lines,
     _ensure_valid,
     _line_product,
     _lines,
@@ -94,6 +95,7 @@ from .tdcore import (
     cleared_commutator,
     cleared_difference,
     cleared_product,
+    cleared_scaled,
     eigenvalue,
     factored_difference,
     factored_scaled,
@@ -157,11 +159,11 @@ def _entry_witness(diff, label: str) -> Optional[dict]:
 
 
 class _Context:
-    """Operators, coefficient matrices and overlap route tables shared by
+    """Operators, coefficient families and overlap route tables shared by
     the checks, each built on first use, so its cost lands in the first
     check that needs it and a check that needs none (limits) builds none.
-    The operators and eigenbasis matrices that several checks multiply over
-    Z are kept cleared too."""
+    The operators are kept cleared too; the families are only ever read as
+    the cleared rows that `cob` keeps, one build per suite."""
 
     def __init__(self, params: TDParameters):
         self.params = params
@@ -170,7 +172,10 @@ class _Context:
         self.rows: dict[str, tuple] = {}
 
     def cleared(self, name: str) -> tuple:
-        """A, As, MC or MD (`name`) cleared, kept for the suite's checks."""
+        """An operator, A or As, cleared and kept for the suite's checks, or
+        a coefficient family, C, Cbar, D or Dbar, as `cob` keeps it."""
+        if name in COEFFICIENT_KINDS:
+            return _coefficient_rows(self.params, name)
         if name not in self.rows:
             self.rows[name] = cleared(getattr(self, name))
         return self.rows[name]
@@ -201,22 +206,6 @@ class _Context:
     def L(self) -> ExactMatrix:
         return self.As.off_diagonal_part()
 
-    @cached_property
-    def MC(self) -> ExactMatrix:
-        return coefficient_matrix(self.params, "C")
-
-    @cached_property
-    def MCb(self) -> ExactMatrix:
-        return coefficient_matrix(self.params, "Cbar")
-
-    @cached_property
-    def MD(self) -> ExactMatrix:
-        return coefficient_matrix(self.params, "D")
-
-    @cached_property
-    def MDb(self) -> ExactMatrix:
-        return coefficient_matrix(self.params, "Dbar")
-
 
 def _check_eigen(ctx: _Context):
     p = ctx.params
@@ -232,25 +221,31 @@ def _check_eigen(ctx: _Context):
                         "value": format_scalar(vals[u]),
                     }
     for X, family, starred, label in (
-        ("A", "MC", False, "A on its eigenbasis"),
-        ("As", "MD", True, "A* on its eigenbasis"),
+        ("A", "C", False, "A on its eigenbasis"),
+        ("As", "D", True, "A* on its eigenbasis"),
     ):
         M = ctx.cleared(family)
-        dt = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight, starred=starred))
-        diff = cleared_difference(
-            cleared_product(ctx.cleared(X), M), cleared_product(M, cleared(dt)), ctx.basis
-        )
+        thetas = [eigenvalue(p, m.weight, starred=starred) for m in ctx.basis]
+        diff = cleared_difference(cleared_product(ctx.cleared(X), M), cleared_scaled(M, thetas), ctx.basis)
         if diff is not None:
             return False, _entry_witness(diff, label)
     return True, None
 
 
 def _check_inverse(ctx: _Context):
-    I = ExactMatrix.identity(ctx.basis)
-    w = _entry_witness((ctx.MC @ ctx.MCb).first_difference(I), "raising family inverse")
-    if w is None:
-        w = _entry_witness((ctx.MD @ ctx.MDb).first_difference(I), "lowering family inverse")
-    return w is None, w
+    # fwd inv = I: entry (r, c) is the kernel's sum over L_r M_c, row r of fwd over
+    # L_r and column c of inv over M_c, cross-multiplied, in storage order
+    for fwd, inv, label in (("C", "Cbar", "raising family inverse"), ("D", "Dbar", "lowering family inverse")):
+        (row_den, rows), (col_den, cols) = (_content_lines(ctx.cleared(k), a) for k, a in ((fwd, 0), (inv, 1)))
+        product = _line_product(rows, cols)
+        for r in range(len(ctx.basis)):
+            row, one = product.get(r, {}), row_den[r] * col_den[r]
+            bad = [c for c in row.keys() | {r} if row.get(c, 0) != (one if c == r else 0)]
+            if bad:
+                c = min(bad)
+                lhs = pair_value(row.get(c, 0), row_den[r] * col_den[c])
+                return False, _entry_witness((ctx.basis[r], ctx.basis[c], lhs, Fraction(int(c == r))), label)
+    return True, None
 
 
 def _check_td_relations(ctx: _Context, beta: FieldElement):
@@ -265,11 +260,9 @@ def _check_td_relations(ctx: _Context, beta: FieldElement):
         (A, As, AAs, AsA, gamma, rho, "plain cubic relation"),
         (As, A, AsA, AAs, gamma_s, rho_s, "starred cubic relation"),
     ):
-        # P = X X Y - beta X Y X + Y X X - g (X Y + Y X) - r Y
-        P = cleared_combination(
-            [(1, cleared_product(X, XY)), (-beta, cleared_product(XY, X)),
-             (1, cleared_product(YX, X)), (-g, XY), (-g, YX), (-r, Y)]
-        )
+        # P = X X Y + (Y X - beta X Y) X - g (X Y + Y X) - r Y
+        YXX = cleared_product(cleared_combination([(1, YX), (-beta, XY)]), X)
+        P = cleared_combination([(1, cleared_product(X, XY)), (1, YXX), (-g, XY), (-g, YX), (-r, Y)])
         diff = cleared_difference(cleared_commutator(X, P), ({}, 1), ctx.basis)
         if diff is not None:
             return False, _entry_witness(diff, label)
@@ -281,20 +274,16 @@ def _check_r3l(ctx: _Context):
     R, lhs = cleared(ctx.R), cleared(ctx.L)
     for _ in range(3):
         lhs = cleared_commutator(R, lhs)
-    level_factor = ExactMatrix.diagonal(
-        ctx.basis,
-        lambda m: -6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4),
-    )
-    rhs = cleared_product(cleared_product(R, R), cleared(level_factor))
+    level_factor = [-6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4) for m in ctx.basis]
+    rhs = cleared_scaled(cleared_product(R, R), level_factor)
     w = _entry_witness(cleared_difference(lhs, rhs, ctx.basis), "triple commutator collapse")
     return w is None, w
 
 
 def _check_block_structure(ctx: _Context):
     try:
-        for which, fwd, inv, op in (("Astar_in_Vx", "MC", "MCb", "As"), ("A_in_Vi", "MD", "MDb", "A")):
-            inv = cleared(getattr(ctx, inv))
-            _block_form_rows(ctx.params, which, ctx.cleared(fwd), inv, ctx.cleared(op))
+        for which, fwd, inv, op in (("Astar_in_Vx", "C", "Cbar", "As"), ("A_in_Vi", "D", "Dbar", "A")):
+            _block_form_rows(ctx.params, which, ctx.cleared(fwd), ctx.cleared(inv), ctx.cleared(op))
     except StructureViolation as err:
         return False, {
             "identity": "block tridiagonal form",
@@ -351,25 +340,24 @@ def _check_biorthogonality(ctx: _Context):
     # T Uᵀ = ((U Cbar) D)ᵀ, T = (Cbar D)ᵀ; U by the direct sum reads no
     # coefficient table, so a planted Cbar or D entry breaks it.  With U_rc =
     # ru cu z / (rv cv), U Cbar = ru P / (rv e_k), P the dots times Cbar's rows
-    # scaled by cu / cv, column k over e_k.  U Cbar is Dbar: column k of P
-    # shares nearly all of e_k (1,905 of 1,915 bits, median at (143,)), so it
-    # is divided out before U Cbar D = ru Q / (rv f_j), column j over f_j
+    # scaled by cu / cv, column k over e_k: Cbar's rows put over w, the lcm of
+    # the cv, and each column divided by its content, so e_k is least (a third
+    # fewer bits than over lines of reduced entries at (143,)).  U Cbar is
+    # Dbar: column k of P shares nearly all of e_k (1,278 of 1,287 bits, median
+    # at (143,)), so it is divided out before U Cbar D = ru Q / (rv f_j)
     u = ctx.table("U", "direct_sum")
     dots = {r: {c: z for c, z in enumerate(line) if z} for r, line in enumerate(u.dots)}
-    e, cbar = _lines(
-        (((c, k), u.cols[c][0] * v.numerator, u.cols[c][1] * v.denominator)
-         for (c, k), v in ctx.MCb.entries.items()), 1
-    )
+    (rows, den), w = ctx.cleared("Cbar"), lcm(*(cv for _, cv in u.cols))
+    rows = {c: {k: x * u.cols[c][0] * (w // u.cols[c][1]) for k, x in row.items()} for c, row in rows.items()}
+    e, cbar = _content_lines((rows, w * den), 1)
     p, g = _line_product(dots, cbar), dict(e)
     for row in p.values():
         for k, x in row.items():
             if g[k] > 1:
                 g[k] = gcd(g[k], x) if type(x) is int else 1
     p = {r: {k: x // g[k] if g[k] > 1 else x for k, x in row.items()} for r, row in p.items()}
-    f, d = _lines(
-        (((k, j), v.numerator, e[k] // g[k] * v.denominator)
-         for (k, j), v in ctx.MD.entries.items() if k in e), 1
-    )
+    b, dl = _content_lines(ctx.cleared("D"), 1)
+    f, d = _lines((((k, j), v, e[k] // g[k] * b[j]) for k, row in dl.items() if k in e for j, v in row.items()), 1)
     q, bad = _line_product(p, d), []
     # each entry against I, cross-multiplied, in the storage order of the transpose
     for r, (ru, rv) in enumerate(u.rows):
@@ -609,10 +597,11 @@ def run_suite(
     constraints check fails, dependent checks are reported as skipped.
     overlap_consistency compares whole route tables, one per route, each
     built by a single call of that route's table kernel and kept factored.
-    Each operator, coefficient matrix and route table is built when a
-    selected check first needs it, so its cost shows in that check's millis,
-    and is kept on the suite's context: overlap_consistency,
-    biorthogonality and racah_reduction read one table per route.
+    Each operator, coefficient family (as cleared rows) and route table is
+    built when a selected check first needs it, so its cost shows in that
+    check's millis, and is kept for the suite: overlap_consistency,
+    biorthogonality and racah_reduction read one table per route, and every
+    check that reads a family reads the same rows.
     """
     if checks is None:
         selected = list(DEFAULT_CHECKS)

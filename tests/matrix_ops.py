@@ -1,4 +1,5 @@
-"""Entrywise sums, scalings and commutators of ExactMatrix objects.
+"""Entrywise sums, scalings and commutators of ExactMatrix objects, and a
+planted error in a cleared matrix.
 
 The package proves its operator identities on matrices cleared of
 denominators (`tdcore.cleared_product`, `cleared_combination`) and never adds
@@ -48,3 +49,12 @@ def column(a: ExactMatrix, col) -> dict:
     """Column col as {row index: value}, stored entries only."""
     c = a.pos[col]
     return {a.basis[r]: v for (r, cc), v in a.entries.items() if cc == c}
+
+
+def plant_off_diagonal(x: tuple) -> tuple:
+    """Add 1 to the first off-diagonal stored entry (r, c), in storage order,
+    of the cleared matrix x = (rows, den), in place; return (r, c)."""
+    rows, den = x
+    r, c = min((r, c) for r, row in rows.items() for c in row if r != c)
+    rows[r][c] += den
+    return r, c

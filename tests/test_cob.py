@@ -42,6 +42,9 @@ from tdpair.tdcore import (
     ExactMatrix,
     InvalidParameters,
     TDParameters,
+    _content_lines,
+    _lines,
+    _terms,
     build_operator,
     cleared,
     eigenvalue,
@@ -49,7 +52,7 @@ from tdpair.tdcore import (
 )
 from tdpair.verify import random_valid_parameters, run_suite
 
-from matrix_ops import column
+from matrix_ops import column, plant_off_diagonal
 from operator_oracle import oracle_xi, shapes_to_18
 
 F = Fraction
@@ -138,6 +141,24 @@ class TestCoefficientValues:
             coefficient_matrix(_params_2d(), "E")
 
 
+def _typed_rows(x):
+    rows, den = x
+    return (type(den), den), {r: {c: (type(v), v) for c, v in row.items()} for r, row in rows.items()}
+
+
+def _assert_rows_are_the_cleared_tables(p):
+    # the shared rows are `cleared` of each family's matrix, and the lines
+    # the checks and the solve read from them are those of its entries
+    for kind in COEFFICIENT_KINDS:
+        x, m = cob._coefficient_rows(p, kind), coefficient_matrix(p, kind)
+        assert _typed_rows(x) == _typed_rows(cleared(m)), kind
+        for axis in (0, 1):
+            dens, rows = _content_lines(x, axis)
+            want_dens, want_rows = _lines(_terms(m.entries), axis)
+            assert dens == want_dens and all(type(d) is int for d in dens.values()), (kind, axis)
+            assert _typed_rows((rows, 1)) == _typed_rows((want_rows, 1)), (kind, axis)
+
+
 class TestSharedTables:
     def test_writing_a_returned_matrix_changes_nothing(self):
         p = _params_21()
@@ -149,6 +170,40 @@ class TestSharedTables:
             m.entries.clear()
             assert coefficient_matrix(p, kind) == before[kind]
         assert run_suite(p).passed
+
+    def test_writing_a_returned_matrix_leaves_the_cached_rows(self):
+        p = _params_21()
+        snapshot = {kind: _typed_rows(cob._coefficient_rows(p, kind)) for kind in COEFFICIENT_KINDS}
+        forms = {which: block_tridiagonal_form(p, which) for which in cob.BLOCK_FORMS}
+        for m in [coefficient_matrix(p, kind) for kind in COEFFICIENT_KINDS] + list(forms.values()):
+            for key in list(m.entries):
+                m.entries[key] += 1
+            m.entries[(0, m.dimension - 1)] = F(12345)
+        assert {kind: _typed_rows(cob._coefficient_rows(p, kind)) for kind in COEFFICIENT_KINDS} == snapshot
+        for which, m in forms.items():
+            assert block_tridiagonal_form(p, which) != m
+        assert run_suite(p).passed
+
+    @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
+    @example(Shape((3, 3, 2)), 1)
+    @settings(max_examples=15, deadline=None)
+    def test_rows_are_the_cleared_tables(self, shape, seed):
+        _assert_rows_are_the_cleared_tables(random_valid_parameters(shape, seed))
+
+    @pytest.mark.parametrize("free", ["omega", "omega_star", "a1"])
+    def test_rows_are_the_cleared_tables_over_qt(self, free):
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        t = variable_t()
+        if free == "a1":
+            p = replace(p, a=(p.a[0] + t, p.a[1]))
+        else:
+            p = replace(p, **{free: getattr(p, free) + t})
+        _assert_rows_are_the_cleared_tables(p)
+        # each family has a Q(t) numerator, so the type check has something to see
+        assert all(
+            any(type(v) is not int for row in cob._coefficient_rows(p, kind)[0].values() for v in row.values())
+            for kind in (("C", "Cbar") if free != "omega_star" else ("D", "Dbar"))
+        )
 
 
 class TestMirrorSymmetry:
@@ -463,14 +518,20 @@ class TestCoefficientKernel:
         assert (raised.value.k, raised.value.detail) == expect[:2]
 
 
+def _mirrored(m):
+    # S M S: in graded order, the reversed positions
+    last = m.dimension - 1
+    return ExactMatrix(m.basis, {(last - r, last - c): v for (r, c), v in m.entries.items()})
+
+
 def _oracle_conjugate(params, which):
     # fwd^-1 op fwd by a triangular solve: C is lower triangular in graded
     # order and its mirror upper triangular, so A* on V(x) is solved on the
     # mirrors
     if which == "Astar_in_Vx":
         fwd = coefficient_matrix(params, "C")
-        rhs = cob._mirrored(build_operator(params, "Astar") @ fwd)
-        return cob._mirrored(cob._mirrored(fwd).solve_upper_triangular(rhs))
+        rhs = _mirrored(build_operator(params, "Astar") @ fwd)
+        return _mirrored(_mirrored(fwd).solve_upper_triangular(rhs))
     fwd = coefficient_matrix(params, "D")
     return fwd.solve_upper_triangular(build_operator(params, "A") @ fwd)
 
@@ -504,25 +565,19 @@ class TestFiveTermBlockFormula:
         p = random_valid_parameters(Shape((3, 2)), 1)
 
         def violation():
-            cob._coefficient_table.cache_clear()
-            table = cob._coefficient_table(p, kind)
-            table.entries[next(k for k in sorted(table.entries) if k[0] != k[1])] += 1
+            cob._coefficient_rows.cache_clear()
+            plant_off_diagonal(cob._coefficient_rows(p, kind))
             try:
                 with pytest.raises(StructureViolation) as raised:
                     block_tridiagonal_form(p, which)
             finally:
-                cob._coefficient_table.cache_clear()
+                cob._coefficient_rows.cache_clear()
             e = raised.value
             return e.row, e.col, (type(e.lhs), e.lhs), (type(e.rhs), e.rhs)
 
         got = violation()
         monkeypatch.setattr(cob, "_star_block_rows", _oracle_star_rows)
         assert got == violation()
-
-
-def _typed_rows(x):
-    rows, den = x
-    return (type(den), den), {r: {c: (type(v), v) for c, v in row.items()} for r, row in rows.items()}
 
 
 def _assert_block_rows_are_cleared_forms(p):

@@ -236,6 +236,21 @@ class TestOverCommonDenominator:
         nums, den = over_common_denominator([3, t], [t, 2])
         assert den == 1
         assert nums == [3 / t, t / 2]
+        # a Fraction denominator is a field element too, wherever it stands
+        for dens in ([Fraction(1), 2], [2, Fraction(1)], [2, 4, t]):
+            nums, den = over_common_denominator([3, 5, 7][: len(dens)], dens)
+            assert den == 1
+            expected = [pair_value(u, d) for u, d in zip([3, 5, 7], dens)]
+            assert [(type(u), u) for u in nums] == [(type(u), u) for u in expected]
+
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 60)), max_size=12))
+    def test_the_lcm_is_taken_only_where_a_denominator_does_not_divide(self, pairs):
+        # the divisibility test first gives math.lcm's denominator and numerators
+        nums, dens = [u for u, _ in pairs], [v for _, v in pairs]
+        got, den = over_common_denominator(nums, dens)
+        assert den == math.lcm(*dens)
+        assert got == [u * (den // v) for u, v in pairs]
+        assert all(type(u) is int for u in got)
 
     def test_rational_function_pair_protocol(self):
         f = variable_t() + Fraction(1, 2)

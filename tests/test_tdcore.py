@@ -23,13 +23,17 @@ from tdpair.tdcore import (
     StringSet,
     TDParameters,
     _assemble_operator,
+    _content_lines,
     _line_product,
+    _lines,
     _rows,
+    _terms,
     cleared,
     cleared_combination,
     cleared_commutator,
     cleared_difference,
     cleared_product,
+    cleared_scaled,
     build_operator,
     eigenvalue,
     parameters_from_json_obj,
@@ -805,6 +809,41 @@ class TestClearedMatrices:
             assert _uncleared(got) == want
             assert cleared_difference(got, cleared(want), _BASIS6) is None
             assert cleared_difference(got, z, _BASIS6) == want.first_difference(c)
+
+
+def _typed_cleared(x: tuple):
+    rows, den = x
+    return (type(den), den), {r: {c: (type(v), v) for c, v in row.items()} for r, row in rows.items()}
+
+
+class TestClearedLinesAndScaling:
+    """The helpers that read a cleared matrix's rows give, value and type,
+    what the entrywise path gives: its lines (`_lines` of `_terms`) and its
+    product with a cleared diagonal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_sparse(_q_scalar), st.integers(0, 5), st.booleans())
+    def test_lines_of_the_rows_are_the_lines_of_the_entries(self, a, r, with_t):
+        if with_t:
+            a = ExactMatrix(_BASIS6, {**a.entries, (r, 5 - r): variable_t() + 1})
+        x = cleared(a)
+        for axis in (0, 1):
+            dens, rows = _content_lines(x, axis)
+            want_dens, want_rows = _lines(_terms(a.entries), axis)
+            assert {i: (type(d), d) for i, d in dens.items()} == {i: (type(d), d) for i, d in want_dens.items()}
+            assert _typed_cleared((rows, 1)) == _typed_cleared((want_rows, 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_sparse(_q_scalar), st.lists(_q_scalar, min_size=6, max_size=6), st.integers(0, 5), st.booleans())
+    def test_column_scaling_is_the_product_with_the_cleared_diagonal(self, a, values, r, with_t):
+        # zero results and emptied rows are left out, as the kernel leaves them
+        if with_t:
+            a = ExactMatrix(_BASIS6, {**a.entries, (r, r): variable_t() - 1})
+            values[5 - r] = values[5 - r] * variable_t()
+        diagonal = ExactMatrix.diagonal(_BASIS6, lambda m: values[_BASIS6.index(m)])
+        x = cleared(a)
+        want = cleared_product(x, cleared(diagonal))
+        assert _typed_cleared(cleared_scaled(x, values)) == _typed_cleared(want)
 
 
 class TestParameterSerialization:
