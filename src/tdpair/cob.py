@@ -33,11 +33,11 @@ at one entry.
 Each family's table is built once per parameter set, cleared: rows
 {r: {c: numerator}} over one denominator, exactly `tdcore.cleared` of the
 table, with no Fraction per entry (`_raising_rows`).  The rows are kept in
-a small module-level cache (`_coefficient_rows`) and every reader in the
-package reads them: the verifier's checks, the block formulas and the
-linear_solve overlap route.  `coefficient_matrix` builds a new matrix from
-them on each call, so a caller that writes into it changes nothing another
-caller sees; the matrix_product overlap route multiplies two such matrices.
+a small module-level cache (`_coefficient_rows`) read by the verifier's
+checks, the block formulas and both matrix overlap routes.
+`coefficient_matrix` and `block_tridiagonal_form` build a new matrix from
+rows on each call (`tdcore.uncleared`), so a caller that writes into it
+changes nothing another caller sees.
 
 `block_tridiagonal_form` writes the opposite operator in an eigenbasis by
 the explicit five-term block formula B and proves fwd B = op fwd over Z,
@@ -45,10 +45,10 @@ fwd = M_C or M_D; fwd has a unit diagonal, so B is the conjugate without a
 triangular solve, and B is block tridiagonal by construction.  Its kernel
 writes every term as an int product into rows over one denominator, and
 divides out their content, so the rows are B cleared; the verifier's
-block_structure runs it on the families' shared rows.  It reads xi* from
-`tdcore._xi_kernel`, which also assembles A and A*; the eigen and inverse
-checks test the tables themselves against A and A*, assembled
-independently of them.
+block_structure runs it on the families' shared rows and the operator's
+assembled rows.  It reads xi* from `tdcore._xi_kernel`, which also
+assembles A and A*; the eigen and inverse checks test the tables
+themselves against A and A*, assembled independently of them.
 """
 
 from __future__ import annotations
@@ -74,12 +74,13 @@ from .tdcore import (
     TDParameters,
     _assemble_operator,
     _ensure_valid,
+    _primitive,
     _xi_kernel,
-    cleared,
     cleared_difference,
     cleared_product,
     eigenvalue,
     substituted_for_involution,
+    uncleared,
 )
 
 __all__ = [
@@ -208,9 +209,7 @@ def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
     built anew on each call from the family's shared cleared rows."""
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
-    rows, den = _coefficient_rows(params, kind)
-    entries = {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()}
-    return ExactMatrix(enumerate_box(params.shape), entries)
+    return uncleared(enumerate_box(params.shape), _coefficient_rows(params, kind))
 
 
 @lru_cache(maxsize=16)
@@ -269,9 +268,8 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
     _ensure_valid(params)
     fwd, inv, op = ("C", "Cbar", "Astar") if which == "Astar_in_Vx" else ("D", "Dbar", "A")
     tables = (_coefficient_rows(params, kind) for kind in (fwd, inv))
-    rows, den = _block_form_rows(params, which, *tables, cleared(_assemble_operator(params, op)))
-    entries = {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()}
-    return ExactMatrix(enumerate_box(params.shape), entries)
+    form = _block_form_rows(params, which, *tables, _assemble_operator(params, op))
+    return uncleared(enumerate_box(params.shape), form)
 
 
 def _block_form_rows(params: TDParameters, which: str, fwd: tuple, inv: tuple, op: tuple) -> tuple:
@@ -360,14 +358,3 @@ def _star_block_rows(params: TDParameters, c: tuple, cbar: tuple) -> tuple:
             if s:
                 rows.setdefault(yk, {})[xk] = s
     return _primitive(rows, dt * dx * dc * dcb)
-
-
-def _primitive(rows: dict, den: int) -> tuple:
-    """rows over den, a common multiple of their denominators, as `cleared`
-    gives them: dividing out g = gcd(den, every int numerator) leaves den / g
-    = lcm_e(den / g_e), g_e = gcd(den, numerator e).  A Q(t) numerator stays
-    out of g and is divided as one, as `cleared` keeps it over 1."""
-    g = gcd(den, *(v for row in rows.values() for v in row.values() if type(v) is int))
-    if g > 1:
-        rows = {r: {k: v // g if type(v) is int else v / g for k, v in row.items()} for r, row in rows.items()}
-    return rows, den // g

@@ -50,7 +50,8 @@ the shift product is a single Racah factor at unit argument:
 `univariate_u_racah_normalized` T's times a row factor f(i) and a column
 factor g(x) (`_u_row_factor`, `_u_col_factor`).  The matrix routes are one
 product, T = (M_Cbar M_D)^T, and one back-substitution, M_D U = M_C, reading
-only the columns of M_D (rows of T) or of M_C (columns of U) asked for.
+only the columns of M_D (rows of T) or of M_C (columns of U) asked for
+(`_family_columns`, on the families' cleared rows).
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .tdcore import (
     _ensure_valid,
     factored_value,
     factored_values,
+    uncleared,
     unit_factored,
 )
 
@@ -412,18 +414,18 @@ _u_shift = _mirror_of(_t_shift)
 # matrix routes
 
 
-def _columns(m: ExactMatrix, cols: Sequence[MultiIndex]) -> ExactMatrix:
-    """m with only the columns at the indices of cols stored."""
-    keep = {m.pos[c] for c in cols}
-    if len(keep) == m.dimension:
-        return m
-    return ExactMatrix(m.basis, {k: v for k, v in m.entries.items() if k[1] in keep})
+def _family_columns(params: TDParameters, kind: str, indices: Sequence[MultiIndex]) -> tuple:
+    """The cleared rows of one family with only the columns at indices."""
+    pos = {m: k for k, m in enumerate(enumerate_box(params.shape))}
+    keep, (rows, den) = {pos[n] for n in indices}, _coefficient_rows(params, kind)
+    return {r: {c: v for c, v in row.items() if c in keep} for r, row in rows.items()}, den
 
 
 def _t_product(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) for every i of rows, x of cols as one product: T = (M_Cbar
     M_D)^T, and row i of T reads column i of M_D only."""
-    m = coefficient_matrix(params, "Cbar") @ _columns(coefficient_matrix(params, "D"), rows)
+    md = uncleared(enumerate_box(params.shape), _family_columns(params, "D", rows))
+    m = coefficient_matrix(params, "Cbar") @ md
     return unit_factored([[m.entry(x, i) for x in cols] for i in rows])
 
 
@@ -433,10 +435,8 @@ def _u_solved(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[M
     on the lines of their cleared rows, and column x of U reads column x of
     M_C only."""
     pos = {m: k for k, m in enumerate(enumerate_box(params.shape))}
-    keep, (mc, den) = {pos[x] for x in cols}, _coefficient_rows(params, "C")
-    mc = {r: {c: v for c, v in row.items() if c in keep} for r, row in mc.items()}
-    lines = _content_lines(_coefficient_rows(params, "D"), 0), _content_lines((mc, den), 1)
-    m = _back_substitution(*lines, len(pos))
+    mc = _family_columns(params, "C", cols)
+    m = _back_substitution(_content_lines(_coefficient_rows(params, "D"), 0), _content_lines(mc, 1), len(pos))
     return unit_factored([[m.get((pos[i], pos[x]), Fraction(0)) for x in cols] for i in rows])
 
 

@@ -13,6 +13,10 @@ dropped (the out-of-box index stands for the zero vector).
 xi and xi* are written once, as the int pair of `_xi_kernel`; the public
 `xi`, the operator assembly and the five-term formula of `cob` read it.
 
+Inside the package a matrix is cleared, integer rows {r: {c: numerator}}
+over one denominator (`cleared`): the operators are assembled so, and an
+`ExactMatrix` is built only at the public edge (`uncleared`).
+
 Validity of a parameter set means three constraint families hold:
 
   cond1   h and h* nonzero; omega, omega* outside {-2|ell|+1, ..., -1}
@@ -38,6 +42,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactfield import (
     FieldElement,
+    _coerce,
     _pair,
     as_integer,
     format_scalar,
@@ -81,20 +86,13 @@ class InvalidParameters(ValueError):
         super().__init__(f"parameter constraints violated: {failed}")
 
 
-def _coerce_scalar(v) -> FieldElement:
-    if isinstance(v, bool):
-        raise TypeError("bool is not a scalar parameter")
-    if isinstance(v, int):
-        return Fraction(v)
-    return v
-
-
 @dataclass(frozen=True)
 class TDParameters:
     """The full parameter set of one pair.
 
-    Scalars may be rationals or rational functions (the latter are used for
-    the substitution limits); ints are coerced to Fraction.
+    Scalars are exact (`exactfield._coerce`): rationals, rational functions
+    or Laurent series (the latter two for the limits); ints are coerced to
+    Fraction, and a float or a bool raises TypeError.
     """
 
     shape: Shape
@@ -107,13 +105,9 @@ class TDParameters:
     a: tuple[FieldElement, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "theta0", _coerce_scalar(self.theta0))
-        object.__setattr__(self, "theta0_star", _coerce_scalar(self.theta0_star))
-        object.__setattr__(self, "h", _coerce_scalar(self.h))
-        object.__setattr__(self, "h_star", _coerce_scalar(self.h_star))
-        object.__setattr__(self, "omega", _coerce_scalar(self.omega))
-        object.__setattr__(self, "omega_star", _coerce_scalar(self.omega_star))
-        object.__setattr__(self, "a", tuple(_coerce_scalar(v) for v in self.a))
+        for key in _PARAM_KEYS:
+            object.__setattr__(self, key, _coerce(getattr(self, key)))
+        object.__setattr__(self, "a", tuple(_coerce(v) for v in self.a))
         if len(self.a) != self.shape.N:
             raise ValueError(
                 f"expected {self.shape.N} anchor values a_p, got {len(self.a)}"
@@ -244,7 +238,7 @@ class StringSet:
             raise ValueError("sign must be +1 or -1")
         if not isinstance(self.length, int) or self.length < 1:
             raise ValueError("length must be an integer >= 1")
-        object.__setattr__(self, "anchor", _coerce_scalar(self.anchor))
+        object.__setattr__(self, "anchor", _coerce(self.anchor))
 
     def elements(self, omega: FieldElement, omega_star: FieldElement) -> tuple:
         half = _half_gap(omega, omega_star)
@@ -259,7 +253,7 @@ class StringSet:
 
 
 def _half_gap(omega: FieldElement, omega_star: FieldElement) -> FieldElement:
-    return (_coerce_scalar(omega) - _coerce_scalar(omega_star)) * Fraction(1, 2)
+    return (_coerce(omega) - _coerce(omega_star)) * Fraction(1, 2)
 
 
 def strings_general_position(s1: StringSet, s2: StringSet, params: TDParameters) -> bool:
@@ -464,6 +458,23 @@ def cleared(m: "ExactMatrix") -> tuple[dict, FieldElement]:
     return _rows(zip(m.entries, nums)), den
 
 
+def uncleared(basis: Sequence[MultiIndex], x: tuple) -> "ExactMatrix":
+    """The matrix over basis of a cleared x, the inverse of `cleared`."""
+    rows, den = x
+    return ExactMatrix(basis, {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()})
+
+
+def _primitive(rows: dict, den: int) -> tuple:
+    """rows over den, a common multiple of their denominators, as `cleared`
+    gives them: dividing out g = gcd(den, every int numerator) leaves den / g
+    = lcm_e(den / g_e), g_e = gcd(den, numerator e).  A Q(t) numerator stays
+    out of g and is divided as one, as `cleared` keeps it over 1."""
+    g = gcd(den, *(v for row in rows.values() for v in row.values() if type(v) is int))
+    if g > 1:
+        rows = {r: {k: v // g if type(v) is int else v / g for k, v in row.items()} for r, row in rows.items()}
+    return rows, den // g
+
+
 def cleared_product(x: tuple, y: tuple) -> tuple[dict, FieldElement]:
     """The product of two cleared matrices, over the product of their
     denominators."""
@@ -537,6 +548,26 @@ def cleared_difference(lhs: tuple, rhs: tuple, basis: Sequence[MultiIndex]):
             c = min(bad)
             return basis[r], basis[c], pair_value(lrow.get(c, 0), ld), pair_value(rrow.get(c, 0), rd)
     return None
+
+
+def identity_difference(
+    product: dict, heads: Sequence[tuple], col_dens: dict, basis: Sequence[MultiIndex], transposed: bool = False
+):
+    """(row index, col index, lhs value, rhs value) of the first entry where
+    a product differs from I, or None: entry (r, c) of the rows {r: {c: s}}
+    is ru s / (rv col_dens[c]), (ru, rv) = heads[r], compared with I by
+    cross-multiplying, in storage order, or in that of the transpose (the
+    indices then those of the transpose).  The value is reduced."""
+    bad = []
+    for r, (ru, rv) in enumerate(heads):
+        row, one = product.get(r, {}), rv * col_dens.get(r, 1)
+        bad += [(r, c) for c in row.keys() | {r} if ru * row.get(c, 0) != (one if c == r else 0)]
+    if not bad:
+        return None
+    r, c = min(bad, key=lambda k: k[::-1] if transposed else k)
+    (ru, rv), s = heads[r], product.get(r, {}).get(c, 0)
+    i, j = (c, r) if transposed else (r, c)
+    return basis[i], basis[j], pair_value(ru * s, rv * col_dens[c]) if s else _ZERO, Fraction(int(r == c))
 
 
 # A factored table, as every overlap route kernel returns it, holds entry
@@ -754,32 +785,35 @@ class ExactMatrix:
 # operator construction
 
 
-def _assemble_operator(params: TDParameters, which: str) -> ExactMatrix:
-    """Build the operator matrix without re-validating the parameters.
+def _assemble_operator(params: TDParameters, which: str) -> tuple:
+    """The operator cleared, `cleared` of its matrix, without re-validating
+    the parameters.
 
     The walk runs on tuples: each column n reaches its targets t = n +- e_p
     by replacing one coordinate, checked against its own bound.  theta (or
-    theta*) is read once per level, and each off-diagonal entry is the value
-    of one `_xi_kernel` pair.  S is the reversal of the graded order."""
+    theta*) is one pair per level and each off-diagonal entry one
+    `_xi_kernel` pair; the pairs are put over one common multiple and the
+    rows made `_primitive`.  S is the reversal of the graded order."""
     shape = params.shape
     basis = enumerate_box(shape)
     if which == "S":
-        return ExactMatrix(basis, {(len(basis) - 1 - c, c): Fraction(1) for c in range(len(basis))})
-    entries, pos = {}, {n: k for k, n in enumerate(basis)}
+        return {len(basis) - 1 - c: {c: 1} for c in range(len(basis))}, 1
+    entries, pos = [], {n: k for k, n in enumerate(basis)}
     starred = which in ("Astar", "L")
     levels = range(shape.diameter + 1) if which in ("A", "Astar") else ()
-    thetas = [eigenvalue(params, w, starred=starred) for w in levels]
+    thetas = [_pair(eigenvalue(params, w, starred=starred)) for w in levels]
     kernel = _xi_kernel(params, starred)
     step = -1 if starred else 1
     for c, n in enumerate(basis):
         if thetas:
-            entries[(c, c)] = thetas[sum(n)]
+            entries.append(((c, c), thetas[sum(n)]))
         for p, lp in enumerate(shape.ell):
             tp = n[p] + step
             if 0 <= tp <= lp:
                 t = n[:p] + (tp,) + n[p + 1 :]
-                entries[(pos[t], c)] = pair_value(*kernel(t, p))
-    return ExactMatrix(basis, entries)
+                entries.append(((pos[t], c), kernel(t, p)))
+    nums, den = over_common_denominator([u for _, (u, _) in entries], [v for _, (_, v) in entries])
+    return _primitive(_rows((k, u) for (k, _), u in zip(entries, nums) if u), den)
 
 
 def build_operator(params: TDParameters, which: str) -> ExactMatrix:
@@ -794,7 +828,7 @@ def build_operator(params: TDParameters, which: str) -> ExactMatrix:
     if which not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {which!r}; expected one of {OPERATOR_NAMES}")
     _ensure_valid(params)
-    return _assemble_operator(params, which)
+    return uncleared(enumerate_box(params.shape), _assemble_operator(params, which))
 
 
 def substituted_for_involution(params: TDParameters, starred: bool) -> TDParameters:

@@ -5,18 +5,19 @@ check returning a CheckResult with a reproducible witness on failure.
 All comparisons are exact field equalities; there are no tolerances.
 
 The operator words and the block forms run over Z with the `cleared_*`
-helpers of tdcore: each operand is cleared of denominators into rows of
-integer numerators, A and A* once per suite, and the four coefficient
-families as `cob` builds and keeps them.  Every product is the row-by-row
-kernel, whose rows feed the next product; `block_structure` builds its block
-forms with the five-term kernel of `cob` straight into rows.  The two sides
-are compared exactly, in storage order, by cross-multiplying their
-denominators; only a witness entry is built as a rational.  `inverse`
-multiplies each row or column over its own denominator (`_content_lines`):
-one lcm over a whole C runs to 1,770 bits at (143,).  The overlap route
-tables stay factored (`tdcore.Factored`): `overlap_consistency` and
-`racah_reduction` cross-multiply heads and dots, and `biorthogonality` runs
-on ints from U's dots to I.
+helpers of tdcore, on integer rows over one denominator: A, A* and S as
+assembled and R and L from their rows, once per suite, and the four
+coefficient families as `cob` keeps them; no check builds an
+`ExactMatrix`.  Every product is the row-by-row kernel, whose rows feed the
+next product; `block_structure` builds its block forms with the five-term
+kernel of `cob` straight into rows.  The two sides are compared exactly, in
+storage order, by cross-multiplying their denominators; only a witness
+entry is built as a rational.  `inverse` multiplies each row or column over
+its own denominator (`_content_lines`): one lcm over a whole C runs to
+1,770 bits at (143,).  The overlap route tables stay factored
+(`tdcore.Factored`): `overlap_consistency` and `racah_reduction`
+cross-multiply heads and dots, and `biorthogonality` runs on ints from U's
+dots to I.
 
 Check names, in canonical report order:
 
@@ -51,7 +52,6 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import count
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
@@ -64,7 +64,6 @@ from .exactfield import (
     as_integer,
     format_scalar,
     limit_at_zero,
-    pair_value,
     variable_t,
 )
 from .multiindex import MultiIndex, Shape, enumerate_box, format_multiindex
@@ -90,7 +89,7 @@ from .tdcore import (
     _ensure_valid,
     _line_product,
     _lines,
-    cleared,
+    _primitive,
     cleared_combination,
     cleared_commutator,
     cleared_difference,
@@ -100,7 +99,9 @@ from .tdcore import (
     factored_difference,
     factored_scaled,
     factored_values,
+    identity_difference,
     substituted_for_involution,
+    uncleared,
     validate_parameters,
 )
 
@@ -159,11 +160,10 @@ def _entry_witness(diff, label: str) -> Optional[dict]:
 
 
 class _Context:
-    """Operators, coefficient families and overlap route tables shared by
-    the checks, each built on first use, so its cost lands in the first
-    check that needs it and a check that needs none (limits) builds none.
-    The operators are kept cleared too; the families are only ever read as
-    the cleared rows that `cob` keeps, one build per suite."""
+    """Operators and coefficient families as integer rows, and overlap route
+    tables, shared by the checks, each built on first use, so its cost lands
+    in the first check that needs it and a check that needs none (limits)
+    builds none."""
 
     def __init__(self, params: TDParameters):
         self.params = params
@@ -172,12 +172,18 @@ class _Context:
         self.rows: dict[str, tuple] = {}
 
     def cleared(self, name: str) -> tuple:
-        """An operator, A or As, cleared and kept for the suite's checks, or
-        a coefficient family, C, Cbar, D or Dbar, as `cob` keeps it."""
+        """A, As or S as assembled, or R or L, the context's A or As rows off
+        the diagonal made primitive, kept for the suite; or a coefficient
+        family, C, Cbar, D or Dbar, as `cob` keeps it."""
         if name in COEFFICIENT_KINDS:
             return _coefficient_rows(self.params, name)
         if name not in self.rows:
-            self.rows[name] = cleared(getattr(self, name))
+            if name in ("R", "L"):
+                rows, den = self.cleared("A" if name == "R" else "As")
+                off = {r: {c: v for c, v in row.items() if c != r} for r, row in rows.items()}
+                self.rows[name] = _primitive({r: row for r, row in off.items() if row}, den)
+            else:
+                self.rows[name] = _assemble_operator(self.params, "Astar" if name == "As" else name)
         return self.rows[name]
 
     def table(self, which: str, method: str) -> Factored:
@@ -185,26 +191,6 @@ class _Context:
         if (which, method) not in self.tables:
             self.tables[which, method] = _factored_table(self.params, which, method)
         return self.tables[which, method]
-
-    @cached_property
-    def A(self) -> ExactMatrix:
-        return _assemble_operator(self.params, "A")
-
-    @cached_property
-    def As(self) -> ExactMatrix:
-        return _assemble_operator(self.params, "Astar")
-
-    @cached_property
-    def S(self) -> ExactMatrix:
-        return _assemble_operator(self.params, "S")
-
-    @cached_property
-    def R(self) -> ExactMatrix:
-        return self.A.off_diagonal_part()
-
-    @cached_property
-    def L(self) -> ExactMatrix:
-        return self.As.off_diagonal_part()
 
 
 def _check_eigen(ctx: _Context):
@@ -237,14 +223,10 @@ def _check_inverse(ctx: _Context):
     # L_r and column c of inv over M_c, cross-multiplied, in storage order
     for fwd, inv, label in (("C", "Cbar", "raising family inverse"), ("D", "Dbar", "lowering family inverse")):
         (row_den, rows), (col_den, cols) = (_content_lines(ctx.cleared(k), a) for k, a in ((fwd, 0), (inv, 1)))
-        product = _line_product(rows, cols)
-        for r in range(len(ctx.basis)):
-            row, one = product.get(r, {}), row_den[r] * col_den[r]
-            bad = [c for c in row.keys() | {r} if row.get(c, 0) != (one if c == r else 0)]
-            if bad:
-                c = min(bad)
-                lhs = pair_value(row.get(c, 0), row_den[r] * col_den[c])
-                return False, _entry_witness((ctx.basis[r], ctx.basis[c], lhs, Fraction(int(c == r))), label)
+        heads = [(1, row_den[r]) for r in range(len(ctx.basis))]
+        diff = identity_difference(_line_product(rows, cols), heads, col_den, ctx.basis)
+        if diff is not None:
+            return False, _entry_witness(diff, label)
     return True, None
 
 
@@ -271,7 +253,7 @@ def _check_td_relations(ctx: _Context, beta: FieldElement):
 
 def _check_r3l(ctx: _Context):
     p = ctx.params
-    R, lhs = cleared(ctx.R), cleared(ctx.L)
+    R, lhs = ctx.cleared("R"), ctx.cleared("L")
     for _ in range(3):
         lhs = cleared_commutator(R, lhs)
     level_factor = [-6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4) for m in ctx.basis]
@@ -296,14 +278,14 @@ def _check_block_structure(ctx: _Context):
 
 
 def _check_sas(ctx: _Context):
-    p, S = ctx.params, cleared(ctx.S)
+    p, S = ctx.params, ctx.cleared("S")
     for X, starred, target, label in (
         ("A", False, "Astar", "involution on the raising side"),
         ("As", True, "A", "involution on the lowering side"),
     ):
         other = _assemble_operator(substituted_for_involution(p, starred=starred), target)
         lhs = cleared_product(cleared_product(S, ctx.cleared(X)), S)
-        diff = cleared_difference(lhs, cleared(other), ctx.basis)
+        diff = cleared_difference(lhs, other, ctx.basis)
         if diff is not None:
             return False, _entry_witness(diff, label)
     return True, None
@@ -358,17 +340,9 @@ def _check_biorthogonality(ctx: _Context):
     p = {r: {k: x // g[k] if g[k] > 1 else x for k, x in row.items()} for r, row in p.items()}
     b, dl = _content_lines(ctx.cleared("D"), 1)
     f, d = _lines((((k, j), v, e[k] // g[k] * b[j]) for k, row in dl.items() if k in e for j, v in row.items()), 1)
-    q, bad = _line_product(p, d), []
-    # each entry against I, cross-multiplied, in the storage order of the transpose
-    for r, (ru, rv) in enumerate(u.rows):
-        row, one = q.get(r, {}), rv * f.get(r, 1)
-        bad += [(j, r) for j in row.keys() | {r} if ru * row.get(j, 0) != (one if j == r else 0)]
-    if not bad:
-        return True, None
-    j, r = min(bad)
-    (ru, rv), s = u.rows[r], q.get(r, {}).get(j, 0)
-    lhs = pair_value(ru * s, rv * f[j]) if s else 0
-    return False, _entry_witness((ctx.basis[j], ctx.basis[r], lhs, int(j == r)), "biorthogonality")
+    # entry (r, j) is ru Q_rj / (rv f_j), against I in the transpose's order
+    diff = identity_difference(_line_product(p, d), u.rows, f, ctx.basis, transposed=True)
+    return diff is None, _entry_witness(diff, "biorthogonality")
 
 
 def _check_racah_reduction(ctx: _Context):
@@ -504,7 +478,8 @@ def _check_irreducibility(ctx: _Context):
     matrix algebra.  Anything else is inconclusive: saturation below d^2
     or hitting the word-length cap proves nothing at this budget.
     """
-    d = ctx.A.dimension
+    A, As = (uncleared(ctx.basis, ctx.cleared(name)) for name in ("A", "As"))
+    d = A.dimension
     target = d * d
     pivots: dict = {}
 
@@ -534,7 +509,7 @@ def _check_irreducibility(ctx: _Context):
         nxt = []
         grew = False
         for w in frontier:
-            for g in (ctx.A, ctx.As):
+            for g in (A, As):
                 m = g @ w
                 if insert(m):
                     grew = True

@@ -1,5 +1,5 @@
-"""Entrywise sums, scalings and commutators of ExactMatrix objects, and a
-planted error in a cleared matrix.
+"""Entrywise sums, scalings and commutators of ExactMatrix objects, a typed
+view and a planted error of a cleared matrix.
 
 The package proves its operator identities on matrices cleared of
 denominators (`tdcore.cleared_product`, `cleared_combination`) and never adds
@@ -49,6 +49,13 @@ def column(a: ExactMatrix, col) -> dict:
     """Column col as {row index: value}, stored entries only."""
     c = a.pos[col]
     return {a.basis[r]: v for (r, cc), v in a.entries.items() if cc == c}
+
+
+def typed_cleared(x: tuple):
+    """A cleared matrix with the type of its denominator and of every
+    numerator, for comparisons that must keep types."""
+    rows, den = x
+    return (type(den), den), {r: {c: (type(v), v) for c, v in row.items()} for r, row in rows.items()}
 
 
 def plant_off_diagonal(x: tuple) -> tuple:

@@ -15,7 +15,6 @@ from tdpair.exactfield import (
     _inv_poch,
     binomial,
     is_zero,
-    pair_value,
     pochhammer,
     variable_t,
 )
@@ -49,6 +48,7 @@ from tdpair.tdcore import (
     cleared,
     eigenvalue,
     substituted_for_involution,
+    uncleared,
 )
 from tdpair.verify import random_valid_parameters, run_suite
 
@@ -446,16 +446,11 @@ def _typed(m):
     return {k: (type(v), v) for k, v in m.entries.items()}
 
 
-def _uncleared(params, x):
-    rows, den = x
-    entries = {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()}
-    return ExactMatrix(enumerate_box(params.shape), entries)
-
-
 def _oracle_star_rows(params, c, cbar):
     # the oracle on the kernel's signature: C and Cbar cleared in, the form
     # cleared out
-    return cleared(_oracle_star_blocks(params, _uncleared(params, c), _uncleared(params, cbar)))
+    basis = enumerate_box(params.shape)
+    return cleared(_oracle_star_blocks(params, uncleared(basis, c), uncleared(basis, cbar)))
 
 
 def _assert_kernel_matches_oracle(params, kinds=COEFFICIENT_KINDS):
@@ -549,7 +544,7 @@ class TestFiveTermBlockFormula:
         p = random_valid_parameters(shape, seed)
         for params in (p, _swapped(p)):
             mc, mcb = coefficient_matrix(params, "C"), coefficient_matrix(params, "Cbar")
-            got = _uncleared(params, cob._star_block_rows(params, cleared(mc), cleared(mcb)))
+            got = uncleared(mc.basis, cob._star_block_rows(params, cleared(mc), cleared(mcb)))
             assert _typed(got) == _typed(_oracle_star_blocks(params, mc, mcb))
 
     @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))

@@ -35,17 +35,19 @@ from tdpair.tdcore import (
     cleared_product,
     cleared_scaled,
     build_operator,
+    identity_difference,
     eigenvalue,
     parameters_from_json_obj,
     parameters_to_json_obj,
     strings_general_position,
     substituted_for_involution,
+    uncleared,
     validate_parameters,
     xi,
 )
 from tdpair.verify import random_valid_parameters
 
-from matrix_ops import all_zero, column, commutator, minus, negated, plus, scaled
+from matrix_ops import all_zero, column, commutator, minus, negated, plus, scaled, typed_cleared
 from operator_oracle import oracle_operator, oracle_xi, shapes_to_18
 
 F = Fraction
@@ -193,8 +195,9 @@ class TestOperatorAssembly:
         A = build_operator(p, "A")
         As = build_operator(p, "Astar")
         S = build_operator(p, "S")
-        assert S @ A @ S == _assemble_operator(substituted_for_involution(p, starred=False), "Astar")
-        assert S @ As @ S == _assemble_operator(substituted_for_involution(p, starred=True), "A")
+        for X, starred, target in ((A, False, "Astar"), (As, True, "A")):
+            other = _assemble_operator(substituted_for_involution(p, starred=starred), target)
+            assert S @ X @ S == uncleared(A.basis, other)
 
     def test_unknown_operator_name(self):
         with pytest.raises(ValueError):
@@ -224,16 +227,12 @@ def _outcome(f, *args):
     return type(v), v
 
 
-def _listed(m):
-    # entries with their types, in insertion order
-    return [(k, type(v), v) for k, v in m.entries.items()]
-
-
 class TestAssemblyOracle:
-    """The int-pair xi kernel against the per-entry Fraction oracle: every
-    entry of A, A*, R, L and S, with its type and in insertion order, and xi
-    and xi* at every (n, p) with the out-of-range cases, over Q and at both
-    Q(t) substitutions of the limits check."""
+    """The int-pair xi kernel against the per-entry Fraction oracle: the
+    assembled rows of A, A*, R, L and S are the oracle's matrix cleared,
+    every numerator and the denominator with its type, and xi and xi* agree
+    at every (n, p) with the out-of-range cases, over Q, at both Q(t)
+    substitutions of the limits check and with one parameter free."""
 
     @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
     @example(Shape((2, 2, 1)), 1)
@@ -256,13 +255,26 @@ class TestAssemblyOracle:
             replace(p, h=p.h * t, omega=1 / t),
         ):
             for which in OPERATOR_NAMES:
-                assert _listed(_assemble_operator(q, which)) == _listed(oracle_operator(q, which))
+                got = _assemble_operator(q, which)
+                assert typed_cleared(got) == typed_cleared(cleared(oracle_operator(q, which))), which
             for n in indices:
                 for k in range(N + 2):
                     for starred in (False, True):
                         assert _outcome(xi, q, n, k, starred) == _outcome(
                             oracle_xi, q, n, k, starred
                         ), (n, k, starred)
+
+    @pytest.mark.parametrize("name", ["omega", "omega_star", "h", "h_star", "a1"])
+    def test_rows_match_the_oracle_with_a_free_parameter(self, name):
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        t = variable_t()
+        if name == "a1":
+            q = replace(p, a=(p.a[0] + t, *p.a[1:]))
+        else:
+            q = replace(p, **{name: getattr(p, name) + t})
+        for which in OPERATOR_NAMES:
+            got = _assemble_operator(q, which)
+            assert typed_cleared(got) == typed_cleared(cleared(oracle_operator(q, which))), which
 
 
 class TestValidation:
@@ -308,6 +320,19 @@ class TestValidation:
         obj = report.to_json_obj()
         assert obj["pass"] is True
         assert [c["check"] for c in obj["checks"]] == ["cond1", "cond2", "cond3"]
+
+    @pytest.mark.parametrize("key", ["theta0", "theta0_star", "h", "h_star", "omega", "omega_star", "a"])
+    def test_a_float_parameter_is_refused(self, key):
+        # omega = -1.0 would pass cond1, where as_integer(-1.0) is None
+        p = _params_2d()
+        value = (-1.0, *p.a[1:]) if key == "a" else -1.0
+        with pytest.raises(TypeError):
+            replace(p, **{key: value})
+
+    @pytest.mark.parametrize("anchor", [1.5, True, "1"])
+    def test_a_string_set_refuses_an_inexact_anchor(self, anchor):
+        with pytest.raises(TypeError):
+            StringSet(sign=1, length=2, anchor=anchor)
 
 
 class TestStringsGeneralPosition:
@@ -755,10 +780,6 @@ class TestLineProduct:
             assert {k: (v, type(v)) for k, v in (x @ y).entries.items()} == expected
 
 
-def _uncleared(x: tuple) -> ExactMatrix:
-    return ExactMatrix(_BASIS6, {k: v * F(1, x[1]) for k, v in _flat(x[0]).items()})
-
-
 class TestClearedMatrices:
     """Products, sums and commutators of matrices cleared of denominators,
     kept as stored rows of numerators, equal the ExactMatrix ones, and
@@ -772,7 +793,7 @@ class TestClearedMatrices:
             t = variable_t()
             a, s = ExactMatrix(_BASIS6, {**a.entries, (r, r): t - 1}), s * t
         x, y = cleared(a), cleared(b)
-        assert _uncleared(x) == a and _uncleared(y) == b
+        assert uncleared(_BASIS6, x) == a and uncleared(_BASIS6, y) == b
         for got, want in (
             (cleared_product(x, y), a @ b),
             (cleared_product(y, x), b @ a),
@@ -783,7 +804,7 @@ class TestClearedMatrices:
             ),
         ):
             assert cleared_difference(got, cleared(want), _BASIS6) is None
-            assert _uncleared(got) == want
+            assert uncleared(_BASIS6, got) == want
         assert cleared_difference(x, y, _BASIS6) == a.first_difference(b)
         assert cleared_difference(y, x, _BASIS6) == b.first_difference(a)
 
@@ -806,14 +827,33 @@ class TestClearedMatrices:
                 commutator(b, a) @ (c @ a),
             ),
         ):
-            assert _uncleared(got) == want
+            assert uncleared(_BASIS6, got) == want
             assert cleared_difference(got, cleared(want), _BASIS6) is None
             assert cleared_difference(got, z, _BASIS6) == want.first_difference(c)
 
 
-def _typed_cleared(x: tuple):
-    rows, den = x
-    return (type(den), den), {r: {c: (type(v), v) for c, v in row.items()} for r, row in rows.items()}
+class TestIdentityDifference:
+    """The first entry where a product differs from I, entry (r, c) = ru s /
+    (rv col_dens[c]), in storage order or in that of the transpose, its
+    value reduced."""
+
+    def test_first_entry_in_either_order(self):
+        b = _BASIS6
+        heads, dens = [(1, 2)] * len(b), dict.fromkeys(range(len(b)), 3)
+        product = {r: {r: 6} for r in range(len(b))}
+        assert identity_difference(product, heads, dens, b) is None
+        product[0][2], product[1][0] = 3, 4
+        assert identity_difference(product, heads, dens, b) == (b[0], b[2], F(1, 2), F(0))
+        # in the transpose (1, 0) comes first, reported at its transposed place
+        assert identity_difference(product, heads, dens, b, transposed=True) == (b[0], b[1], F(2, 3), F(0))
+
+    def test_a_missing_diagonal_entry_and_a_row_head(self):
+        b = _BASIS6
+        heads, dens = [(1, 1)] * len(b), dict.fromkeys(range(len(b)), 1)
+        product = {r: {r: 1} for r in range(len(b)) if r != 3}
+        assert identity_difference(product, heads, dens, b) == (b[3], b[3], F(0), F(1))
+        product[3], heads[3] = {3: 1}, (2, 1)
+        assert identity_difference(product, heads, dens, b, transposed=True) == (b[3], b[3], F(2), F(1))
 
 
 class TestClearedLinesAndScaling:
@@ -831,7 +871,7 @@ class TestClearedLinesAndScaling:
             dens, rows = _content_lines(x, axis)
             want_dens, want_rows = _lines(_terms(a.entries), axis)
             assert {i: (type(d), d) for i, d in dens.items()} == {i: (type(d), d) for i, d in want_dens.items()}
-            assert _typed_cleared((rows, 1)) == _typed_cleared((want_rows, 1))
+            assert typed_cleared((rows, 1)) == typed_cleared((want_rows, 1))
 
     @settings(max_examples=80, deadline=None)
     @given(_sparse(_q_scalar), st.lists(_q_scalar, min_size=6, max_size=6), st.integers(0, 5), st.booleans())
@@ -843,7 +883,7 @@ class TestClearedLinesAndScaling:
         diagonal = ExactMatrix.diagonal(_BASIS6, lambda m: values[_BASIS6.index(m)])
         x = cleared(a)
         want = cleared_product(x, cleared(diagonal))
-        assert _typed_cleared(cleared_scaled(x, values)) == _typed_cleared(want)
+        assert typed_cleared(cleared_scaled(x, values)) == typed_cleared(want)
 
 
 class TestParameterSerialization:

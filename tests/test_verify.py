@@ -3,7 +3,6 @@
 import json
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import cached_property
 
 import pytest
 
@@ -21,9 +20,12 @@ from tdpair.tdcore import (
     ExactMatrix,
     TDParameters,
     _assemble_operator,
+    build_operator,
+    cleared,
     eigenvalue,
     factored_values,
     substituted_for_involution,
+    uncleared,
     unit_factored,
     validate_parameters,
 )
@@ -35,7 +37,8 @@ from tdpair.verify import (
     run_suite,
 )
 
-from matrix_ops import commutator, minus, plant_off_diagonal, plus, scaled
+from matrix_ops import commutator, minus, plant_off_diagonal, plus, scaled, typed_cleared
+from operator_oracle import oracle_operator
 
 
 def _entries_changed(table, change):
@@ -173,7 +176,7 @@ class TestBetaMutation:
     @staticmethod
     def _witness_of_separate_products(p, beta):
         # both relations with every product of three written out on its own
-        A, As = _assemble_operator(p, "A"), _assemble_operator(p, "Astar")
+        A, As = build_operator(p, "A"), build_operator(p, "Astar")
         zero = ExactMatrix.zero(A.basis)
         rho = p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
         rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
@@ -805,9 +808,9 @@ class TestParametersOutsideQ:
 
 
 class TestOperatorMutation:
-    """One off-diagonal entry added to the context's A or A*.  The operators
-    the involution check assembles at the substituted parameters stay as
-    they are."""
+    """One off-diagonal entry added to the rows of the context's A or A*.
+    The operators the involution check assembles at the substituted
+    parameters stay as they are."""
 
     IDENTITY = {"A": "A on its eigenbasis", "As": "A* on its eigenbasis"}
     # every check that reads A or A*, block_structure through M_C B* = A* M_C
@@ -817,19 +820,17 @@ class TestOperatorMutation:
 
     @pytest.mark.parametrize("attr", ["A", "As"])
     def test_planted_operator_error_is_caught(self, monkeypatch, attr):
-        build = getattr(verify._Context, attr).func
         planted = []
 
-        def plant(ctx):
-            m = build(ctx)
-            key = next(k for k in sorted(m.entries) if k[0] != k[1])
-            m.entries[key] += 1
-            planted.append(key)
-            return m
+        class Planted(verify._Context):
+            def cleared(self, name):
+                first = name == attr and name not in self.rows
+                x = super().cleared(name)
+                if first:
+                    planted.append(plant_off_diagonal(x))
+                return x
 
-        monkeypatch.setattr(
-            verify, "_Context", type("Planted", (verify._Context,), {attr: cached_property(plant)})
-        )
+        monkeypatch.setattr(verify, "_Context", Planted)
         for ell in ((3, 2), (2, 2, 1)):
             planted.clear()
             p = random_valid_parameters(Shape(ell), 1)
@@ -842,6 +843,44 @@ class TestOperatorMutation:
             assert eigen.witness["col"] == format_multiindex(basis[c])
             failed = {res.check for res in report.results if res.passed is False}
             assert failed == self.CAUGHT_BY, ell
+
+    def test_default_suite_builds_matrices_only_in_the_matrix_product_route(self, monkeypatch):
+        # every check reads integer rows; the T matrix_product route alone
+        # multiplies two ExactMatrix operands
+        built, route, inside = [], overlap._t_product, []
+        init = ExactMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(bool(inside))
+            init(self, *args, **kwargs)
+
+        def product_route(*args):
+            inside.append(True)
+            try:
+                return route(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ExactMatrix, "__init__", counted)
+        monkeypatch.setattr(overlap, "_t_product", product_route)
+        assert run_suite(random_valid_parameters(Shape((3, 2)), 1)).passed
+        assert built == [True] * 3
+
+
+class TestContextRows:
+    """The context's R and L, taken from the rows of its A and A*, are the
+    oracle's R and L cleared, every numerator and the denominator with its
+    type, over Q and with one parameter free over Q(t)."""
+
+    @pytest.mark.parametrize("free", [None, "omega", "omega_star", "h", "h_star"])
+    @pytest.mark.parametrize("ell", [(1,), (5,), (3, 2), (2, 2, 1), (1, 1, 1, 1)])
+    def test_split_parts_are_the_cleared_oracle(self, ell, free):
+        p = random_valid_parameters(Shape(ell), 1)
+        if free:
+            p = replace(p, **{free: getattr(p, free) + variable_t()})
+        ctx = verify._Context(p)
+        for name in ("R", "L"):
+            assert typed_cleared(ctx.cleared(name)) == typed_cleared(cleared(oracle_operator(p, name))), name
 
 
 # the four operator-word checks as they were written in ExactMatrix algebra,
@@ -863,27 +902,30 @@ def _oracle_witness(lhs, rhs, label):
     }
 
 
-def _oracle_eigen(ctx):
-    p = ctx.params
-    dt = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight))
-    dts = ExactMatrix.diagonal(ctx.basis, lambda m: eigenvalue(p, m.weight, starred=True))
+def _operators(p):
+    return {"A": build_operator(p, "A"), "As": build_operator(p, "Astar")}
+
+
+def _oracle_eigen(p, ops):
+    basis = ops["A"].basis
+    dt = ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight))
+    dts = ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight, starred=True))
     mc, md = (cob.coefficient_matrix(p, kind) for kind in ("C", "D"))
-    w = _oracle_witness(ctx.A @ mc, mc @ dt, "A on its eigenbasis")
+    w = _oracle_witness(ops["A"] @ mc, mc @ dt, "A on its eigenbasis")
     if w is None:
-        w = _oracle_witness(ctx.As @ md, md @ dts, "A* on its eigenbasis")
+        w = _oracle_witness(ops["As"] @ md, md @ dts, "A* on its eigenbasis")
     return w
 
 
-def _oracle_td_relations(ctx, beta):
-    p = ctx.params
-    A, As = ctx.A, ctx.As
+def _oracle_td_relations(p, ops, beta):
+    A, As = ops["A"], ops["As"]
     gamma, rho = 2 * p.h, p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
     gamma_s = 2 * p.h_star
     rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
     AAs, AsA = A @ As, As @ A
     P1 = plus(minus(A @ AAs, scaled(AAs @ A, beta)), AsA @ A)
     P1 = minus(minus(P1, scaled(plus(AAs, AsA), gamma)), scaled(As, rho))
-    zero = ExactMatrix.zero(ctx.basis)
+    zero = ExactMatrix.zero(A.basis)
     w = _oracle_witness(commutator(A, P1), zero, "plain cubic relation")
     if w is None:
         P2 = plus(minus(As @ AsA, scaled(AsA @ As, beta)), AAs @ As)
@@ -892,11 +934,11 @@ def _oracle_td_relations(ctx, beta):
     return w
 
 
-def _oracle_r3l(ctx):
-    p, R, L = ctx.params, ctx.R, ctx.L
+def _oracle_r3l(p, ops):
+    R, L = ops["A"].off_diagonal_part(), ops["As"].off_diagonal_part()
     lhs = commutator(R, commutator(R, commutator(R, L)))
     level_factor = ExactMatrix.diagonal(
-        ctx.basis,
+        R.basis,
         lambda m: -6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4),
     )
     return _oracle_witness(lhs, (R @ R) @ level_factor, "triple commutator collapse")
@@ -911,13 +953,13 @@ def _oracle_biorthogonality(ctx):
     return _oracle_witness(mt @ mu.transpose(), ExactMatrix.identity(ctx.basis), "biorthogonality")
 
 
-def _oracle_sas(ctx):
-    p, S = ctx.params, ctx.S
-    star_side = _assemble_operator(substituted_for_involution(p, starred=False), "Astar")
-    w = _oracle_witness(S @ ctx.A @ S, star_side, "involution on the raising side")
+def _oracle_sas(p, ops):
+    S, basis = build_operator(p, "S"), ops["A"].basis
+    star_side = uncleared(basis, _assemble_operator(substituted_for_involution(p, starred=False), "Astar"))
+    w = _oracle_witness(S @ ops["A"] @ S, star_side, "involution on the raising side")
     if w is None:
-        plain_side = _assemble_operator(substituted_for_involution(p, starred=True), "A")
-        w = _oracle_witness(S @ ctx.As @ S, plain_side, "involution on the lowering side")
+        plain_side = uncleared(basis, _assemble_operator(substituted_for_involution(p, starred=True), "A"))
+        w = _oracle_witness(S @ ops["As"] @ S, plain_side, "involution on the lowering side")
     return w
 
 
@@ -929,24 +971,23 @@ class TestWitnessParity:
     @pytest.mark.parametrize("ell", [(1,), (3, 2), (2, 2, 1), (2, 1, 1)])
     def test_mutated_beta(self, ell, beta):
         p = _mutation_instance() if ell == (1,) else random_valid_parameters(Shape(ell), 1)
-        ctx = verify._Context(p)
-        expected = _oracle_td_relations(verify._Context(p), beta)
+        expected = _oracle_td_relations(p, _operators(p), beta)
         assert expected is not None
-        assert verify._check_td_relations(ctx, beta) == (False, expected)
+        assert verify._check_td_relations(verify._Context(p), beta) == (False, expected)
 
     def test_mutated_beta_over_q_t(self):
         # a Q(t) entry rides through the same path as the pair (entry, 1)
         t = variable_t()
         p = random_valid_parameters(Shape((2, 1)), 1)
         q = replace(p, h=p.h * t, omega=1 / t)
-        expected = _oracle_td_relations(verify._Context(q), F(3))
+        expected = _oracle_td_relations(q, _operators(q), F(3))
         assert expected is not None
         assert verify._check_td_relations(verify._Context(q), F(3)) == (False, expected)
 
     ORACLES = {
         "eigen": (verify._check_eigen, _oracle_eigen),
         "td_relations": (lambda ctx: verify._check_td_relations(ctx, F(2)),
-                         lambda ctx: _oracle_td_relations(ctx, F(2))),
+                         lambda p, ops: _oracle_td_relations(p, ops, F(2))),
         "r3l": (verify._check_r3l, _oracle_r3l),
         "sas_conjugation": (verify._check_sas, _oracle_sas),
     }
@@ -955,15 +996,18 @@ class TestWitnessParity:
     def _planted(p, attr, where):
         # one entry of A or A* off by 1/3, the first stored off-diagonal one
         # or the last diagonal one, or that off-diagonal entry removed, so
-        # that only the right-hand side stores the witness entry
-        ctx = verify._Context(p)
-        m = getattr(ctx, attr)
+        # that only the right-hand side stores the witness entry: the
+        # oracles' matrices, and a context holding them cleared
+        ops = _operators(p)
+        m = ops[attr]
         d = m.dimension
         key = (d - 1, d - 1) if where == "diagonal" else next(k for k in sorted(m.entries) if k[0] != k[1])
         entries = dict(m.entries)
         entries[key] = 0 if where == "removed" else m.item(*key) + F(1, 3)
-        setattr(ctx, attr, ExactMatrix(m.basis, entries))
-        return ctx
+        ops[attr] = ExactMatrix(m.basis, entries)
+        ctx = verify._Context(p)
+        ctx.rows[attr] = cleared(ops[attr])
+        return ctx, ops
 
     @pytest.mark.parametrize("where", ["off", "diagonal", "removed"])
     @pytest.mark.parametrize("attr", ["A", "As"])
@@ -972,8 +1016,9 @@ class TestWitnessParity:
         p = random_valid_parameters(Shape(ell), 1)
         failed = set()
         for name, (check, oracle) in self.ORACLES.items():
-            expected = oracle(self._planted(p, attr, where))
-            passed, witness = check(self._planted(p, attr, where))
+            ctx, ops = self._planted(p, attr, where)
+            expected = oracle(p, ops)
+            passed, witness = check(ctx)
             assert witness == expected, name
             assert passed is (expected is None), name
             if not passed:
