@@ -24,17 +24,14 @@ swaps A and A*: at the parameter set q = `_swapped(p)`
 and in graded order n -> ell - n reverses the positions (`_reversed`, on
 cleared rows).
 
-One kernel, `_raising_pairs`, computes every entry as an int pair: each
-Pochhammer symbol of C and Cbar is (c + M)_k with an integer M and c either
-a_p + omega + 1 or, in the global factor, omega, memoized once per call, so
-an entry is one product over one product.  `cob_coefficient` is that kernel
-at one entry.
-
-Each family's table is built once per parameter set, cleared: rows
-{r: {c: numerator}} over one denominator, exactly `tdcore.cleared` of the
-table, with no Fraction per entry (`_raising_rows`).  The rows are kept in
-a small module-level cache (`_coefficient_rows`) read by the verifier's
-checks, the block formulas and both matrix overlap routes.
+C and Cbar differ only in the global factor, so one walk, `_raising_walk`,
+builds both from one int product per entry, a column's entries as prefix
+products over the coordinates; `cob_coefficient` is the walk at one entry.
+Each side's two families are kept cleared (rows {r: {c: numerator}} over
+one denominator, exactly `tdcore.cleared` of the table; D and Dbar at the
+reversed positions) in a small module-level cache, `_family_pair`, which
+`_coefficient_rows` serves to the verifier's checks, the block formulas
+and both matrix overlap routes.
 `coefficient_matrix` and `block_tridiagonal_form` build a new matrix from
 rows on each call (`tdcore.uncleared`), so a caller that writes into it
 changes nothing another caller sees.
@@ -57,7 +54,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Sequence
 
 from .exactfield import (
@@ -99,10 +96,7 @@ class StructureViolation(ArithmeticError):
     """The two sides of fwd B = op fwd differ at an entry."""
 
     def __init__(self, row, col, lhs, rhs, detail: str = ""):
-        self.row = row
-        self.col = col
-        self.lhs = lhs
-        self.rhs = rhs
+        self.row, self.col, self.lhs, self.rhs = row, col, lhs, rhs
         msg = f"entry [{tuple(row)}, {tuple(col)}]: {lhs} != {rhs}"
         if detail:
             msg = f"{detail}: {msg}"
@@ -113,27 +107,25 @@ def cob_coefficient(
     params: TDParameters, kind: str, first: Sequence[int], second: Sequence[int]
 ) -> FieldElement:
     """One coefficient, indexed in subscript order (row index first): the
-    table kernel `_raising_pairs` at one entry.
-
-    Out-of-support pairs give an exact zero.  Parameters are taken as
-    already validated; on sets violating the constraints the global
-    denominator can vanish, raising ZeroDenominatorPochhammer.
-    """
-    shape = params.shape
-    if not in_box(first, shape):
-        raise IndexOutOfRange(f"index {tuple(first)} outside the box of {shape!r}")
-    if not in_box(second, shape):
-        raise IndexOutOfRange(f"index {tuple(second)} outside the box of {shape!r}")
+    table walk at one entry; out-of-support pairs give an exact zero.
+    Parameters are taken as already validated; on sets violating the
+    constraints the global factor can vanish, raising ZeroDenominatorPochhammer."""
+    for n in (first, second):
+        if not in_box(n, params.shape):
+            raise IndexOutOfRange(f"index {tuple(n)} outside the box of {params.shape!r}")
     if kind in _MIRROR_OF:
-        # the lowering side is the raising side at the swapped parameters,
-        # read through n -> ell - n
+        # the lowering side: the raising side at the swapped parameters, read at ell - n
         first, second = (tuple(lp - v for lp, v in zip(params.ell, n)) for n in (first, second))
         params, kind = _swapped(params), _MIRROR_OF[kind]
     elif kind not in ("C", "Cbar"):
         raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
     if any(f < s for f, s in zip(first, second)):
         return Fraction(0)
-    return pair_value(*_raising_pairs(params, kind, [(first, second)])[0])
+    _, fams = _raising_walk(params, [(second, [range(r, r + 1) for r in first])])
+    fam = fams[kind == "Cbar"]
+    if isinstance(fam, ZeroDenominatorPochhammer):
+        raise fam
+    return pair_value(fam[0][0], fam[1][0])
 
 
 def _swapped(params: TDParameters) -> TDParameters:
@@ -148,59 +140,62 @@ def _swapped(params: TDParameters) -> TDParameters:
 _MIRROR_OF = {"D": "C", "Dbar": "Cbar"}
 
 
-def _raising_pairs(params: TDParameters, kind: str, pairs) -> list[tuple]:
-    """C[row, col] (kind "C") or Cbar[row, col] (kind "Cbar") at every
-    (row, col) of pairs, in order, each with row >= col pointwise, as the
-    pair (numerator, denominator), unreduced.
-
-    Both are one product over the coordinates p of
-    binomial(row_p, col_p) (c_p + M_p)_{row_p - col_p}, with
-    c_p = a_p + omega + 1 and M_p = |row|_1^{p-1} + |col|_1^p + |ell|_p^N,
-    over one global factor (omega + M)_d, d = |row| - |col|: M = 2|col| + 1
-    and a sign (-1)^d for C, M = |row| + |col| for Cbar.  Every factor is a
-    `_rising` pair memoized for the call, so an entry is one product of
-    numerators over one of denominators, over Q two ints; with a Q(t) part,
-    the `_pair` of its value.  The global factor's denominator do^d enters
-    coordinate p as do^(row_p - col_p), each over c_p's denominator to that
-    power, both divided by their gcd to that power: the pair carries no
-    common power of the two.  A vanishing global factor raises
-    ZeroDenominatorPochhammer(d, "<kind> global factor").
-    """
+def _raising_walk(params: TDParameters, spans) -> tuple:
+    """C and Cbar at (row, col) for each (col, ranges) of spans and each row
+    of product(*ranges), row >= col, in that order: (keys, [C, Cbar]), keys
+    the (row, col) lexicographic box indices and each family its unreduced
+    (numerators, denominators) in key order, or the ZeroDenominatorPochhammer
+    of its own first vanishing global factor.  Both are the product over p
+    of binomial(row_p, col_p) (c_p + M_p)_k, k = row_p - col_p, c_p = a_p +
+    omega + 1, M_p = |row|_1^{p-1} + |col|_1^p + |ell|_p^N, over (omega + M)_d,
+    d = |row| - |col|, M = 2|col| + 1 with a sign (-1)^d for C, |row| + |col|
+    for Cbar: factor p extends a prefix of the row, memoized by (p, M_p,
+    row_p, col_p), and one product u / v per entry serves both.  do^d enters
+    coordinate p as do^k over c_p's denominator to the k, both divided by
+    their gcd to the k; with a Q(t) part each pair is the `_pair` of its value."""
     ell, om = params.ell, params.omega
     no, do = _pair(om)
     consts = []
     for p, ap in enumerate(params.a):
         cn, cd = _pair(ap + om + 1)
-        consts.append((cn, cd, do // gcd(do, cd), cd // gcd(do, cd), sum(ell[p:])))
-    is_c = kind == "C"
-    detail = f"{kind} global factor"
-    factors: dict[tuple, tuple] = {}
-    heads: dict[tuple[int, int], tuple] = {}
-    out = []
-    for row, col in pairs:
-        u = v = 1
-        ms = 0  # |row|_1^{p-1} + |col|_1^{p-1}
-        for p, (r, c, (cn, cd, dq, cq, tail)) in enumerate(zip(row, col, consts)):
-            m = ms + c + tail
-            f = factors.get((p, m, r, c))
-            if f is None:
-                # over Q the _rising denominator is cd^k = (cd / cq)^k cq^k
-                k = r - c
-                f = factors[(p, m, r, c)] = (comb(r, c) * _rising(cn + m * cd, cd, k)[0] * dq**k, cq**k)
-            u, v = u * f[0], v * f[1]
-            ms += r + c
-        wc = sum(col)
-        m, d = (2 * wc + 1 if is_c else ms), ms - 2 * wc
-        g = heads.get((m, d))
-        if g is None:
-            g = heads[(m, d)] = _rising(no + m * do, do, d)
-            if g[0] == 0:
-                raise ZeroDenominatorPochhammer(d, detail)
-        if is_c and d % 2:
-            u = -u
-        v *= g[0]
-        out.append((u, v) if type(u) is type(v) is int else _pair(pair_value(u, v)))
-    return out
+        dq, cq = do // gcd(do, cd), cd // gcd(do, cd)
+        consts.append((cn, cd, dq, cq, sum(ell[p:]), prod(lp + 1 for lp in ell[p + 1 :])))
+    factors, heads, keys, fams = {}, {}, [], [([], []), ([], [])]
+    for col, ranges in spans:
+        paths = [(0, 0, 1, 1)]  # (row index so far, |row|_1^{p-1} + |col|_1^{p-1}, u, v)
+        for p, (c, span, (cn, cd, dq, cq, tail, step)) in enumerate(zip(col, ranges, consts)):
+            longer = []
+            for at, ms, u, v in paths:
+                m = ms + c + tail
+                for r in span:
+                    f = factors.get((p, m, r, c))
+                    if f is None:
+                        # over Q the _rising denominator is cd^k = (cd / cq)^k cq^k
+                        k = r - c
+                        f = factors[p, m, r, c] = (comb(r, c) * _rising(cn + m * cd, cd, k)[0] * dq**k, cq**k)
+                    longer.append((at + r * step, ms + r + c, u * f[0], v * f[1]))
+            paths = longer
+        wc, ck = sum(col), sum(c * s[-1] for c, s in zip(col, consts))
+        lo, hi = (sum(r[i] for r in ranges) - wc for i in (0, -1))
+        keys += [(at, ck) for at, _, _, _ in paths]
+        key, base, ds = (wc, lo, hi), 2 * wc + lo, range(lo, hi + 1)
+        if key not in heads:  # (omega + M)_d of C and of Cbar, read at d - lo = ms - base
+            heads[key] = [[_rising(no + (2 * wc + (d if j else 1)) * do, do, d)[0] for d in ds] for j in (0, 1)]
+        for j, (fam, h) in enumerate(zip(fams, heads[key])):
+            if isinstance(fam, ZeroDenominatorPochhammer):
+                continue
+            if not all(h):
+                d = next(ms - 2 * wc for _, ms, _, _ in paths if not h[ms - base])
+                fams[j] = ZeroDenominatorPochhammer(d, f"{('C', 'Cbar')[j]} global factor")
+                continue
+            fam[0].extend([u for _, _, u, _ in paths] if j else [-u if ms % 2 else u for _, ms, u, _ in paths])
+            fam[1].extend([v * h[ms - base] for _, ms, _, v in paths])
+    if type(no) is not int or any(type(c[0]) is not int for c in consts):
+        for j, fam in enumerate(fams):
+            if not isinstance(fam, ZeroDenominatorPochhammer):
+                pairs = ((u, v) if type(u) is type(v) is int else _pair(pair_value(u, v)) for u, v in zip(*fam))
+                fams[j] = tuple(zip(*pairs))
+    return keys, fams
 
 
 def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
@@ -212,28 +207,33 @@ def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
     return uncleared(enumerate_box(params.shape), _coefficient_rows(params, kind))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=8)
+def _family_pair(params: TDParameters, lowering: bool) -> tuple:
+    """(C, Cbar), or (D, Dbar) from the swapped parameters at the reversed
+    positions: one walk over each column's sub-box row >= col, each family
+    over one common multiple made `_primitive`, or its fault."""
+    basis, tops = enumerate_box(params.shape), [lp + 1 for lp in params.ell]
+    at = list(map({m: k for k, m in enumerate(basis)}.get, product(*map(range, tops))))  # lexicographic -> graded
+    if lowering:
+        params, at = _swapped(params), [len(basis) - 1 - k for k in at]
+    keys, fams = _raising_walk(params, [(col, list(map(range, col, tops))) for col in basis])
+    for j, fam in enumerate(fams):
+        if not isinstance(fam, ZeroDenominatorPochhammer):
+            nums, den = over_common_denominator(*fam)
+            rows: dict[int, dict] = {}
+            for (r, c), u in zip(keys, nums):
+                if u:
+                    rows.setdefault(at[r], {})[at[c]] = u
+            fams[j] = _primitive(rows, den)
+    return tuple(fams)
+
+
 def _coefficient_rows(params: TDParameters, kind: str) -> tuple:
-    """One family cleared, shared by every reader, which never writes into
-    it; the raising rows at the swapped parameters are not kept."""
-    basis = enumerate_box(params.shape)
-    if kind in _MIRROR_OF:
-        return _reversed(_raising_rows(_swapped(params), _MIRROR_OF[kind], basis), len(basis) - 1)
-    return _raising_rows(params, kind, basis)
-
-
-def _raising_rows(params: TDParameters, kind: str, basis) -> tuple:
-    """C or Cbar cleared: the kernel's pairs on the dominance sub-box of each
-    column (row >= col pointwise) over one common multiple of their
-    denominators, made `_primitive`."""
-    pos, tops = {m: k for k, m in enumerate(basis)}, [lp + 1 for lp in params.ell]
-    pairs = [(row, col) for col in basis for row in product(*map(range, col, tops))]
-    nums, den = over_common_denominator(*zip(*_raising_pairs(params, kind, pairs)))
-    rows: dict[int, dict] = {}
-    for (row, col), u in zip(pairs, nums):
-        if u:
-            rows.setdefault(pos[row], {})[pos[col]] = u
-    return _primitive(rows, den)
+    """One family cleared, shared by readers that never write into it, or its fault raised."""
+    x = _family_pair(params, kind in _MIRROR_OF)[kind in ("Cbar", "Dbar")]
+    if isinstance(x, ZeroDenominatorPochhammer):
+        raise ZeroDenominatorPochhammer(x.k, x.detail)  # anew: the cached one keeps no traceback
+    return x
 
 
 EIGENBASIS_NAMES = ("A_basis", "Astar_basis")

@@ -195,8 +195,8 @@ class _Context:
 
 def _check_eigen(ctx: _Context):
     p = ctx.params
-    for starred in (False, True):
-        vals = [eigenvalue(p, j, starred=starred) for j in range(p.diameter + 1)]
+    spectra = {starred: [eigenvalue(p, j, starred=starred) for j in range(p.diameter + 1)] for starred in (False, True)}
+    for starred, vals in spectra.items():
         for u in range(len(vals)):
             for v in range(u + 1, len(vals)):
                 if vals[u] == vals[v]:
@@ -211,7 +211,7 @@ def _check_eigen(ctx: _Context):
         ("As", "D", True, "A* on its eigenbasis"),
     ):
         M = ctx.cleared(family)
-        thetas = [eigenvalue(p, m.weight, starred=starred) for m in ctx.basis]
+        thetas = [spectra[starred][m.weight] for m in ctx.basis]
         diff = cleared_difference(cleared_product(ctx.cleared(X), M), cleared_scaled(M, thetas), ctx.basis)
         if diff is not None:
             return False, _entry_witness(diff, label)
@@ -256,8 +256,8 @@ def _check_r3l(ctx: _Context):
     R, lhs = ctx.cleared("R"), ctx.cleared("L")
     for _ in range(3):
         lhs = cleared_commutator(R, lhs)
-    level_factor = [-6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4) for m in ctx.basis]
-    rhs = cleared_scaled(cleared_product(R, R), level_factor)
+    levels = [-6 * p.h * p.h_star * (4 * w + p.omega + p.omega_star + 4) for w in range(p.diameter + 1)]
+    rhs = cleared_scaled(cleared_product(R, R), [levels[m.weight] for m in ctx.basis])
     w = _entry_witness(cleared_difference(lhs, rhs, ctx.basis), "triple commutator collapse")
     return w is None, w
 

@@ -477,6 +477,23 @@ class TestCoefficientKernel:
     def test_tables_and_entries_match_the_oracle(self, shape, seed):
         _assert_kernel_matches_oracle(random_valid_parameters(shape, seed))
 
+    @pytest.mark.parametrize("ell", [(2, 2, 1, 1), (3, 3, 2)])
+    def test_rows_are_the_cleared_oracle_tables(self, ell):
+        # the shared rows of each family against `cleared` of its per-entry
+        # oracle table, types included; shapes_to_18 never reaches four
+        # coordinates with some ell_p = 2, where every prefix branches
+        p = random_valid_parameters(Shape(ell), 1)
+        basis = enumerate_box(p.shape)
+        cob._family_pair.cache_clear()
+        for kind in COEFFICIENT_KINDS:
+            entries = {}
+            for (r, first), (c, second) in product(enumerate(basis), repeat=2):
+                v = _oracle_coefficient(p, kind, first, second)
+                if v != 0:
+                    entries[(r, c)] = v
+            want = cleared(ExactMatrix(basis, entries))
+            assert _typed_rows(cob._coefficient_rows(p, kind)) == _typed_rows(want), kind
+
     @pytest.mark.parametrize("ell", [(3,), (2, 1)])
     def test_over_qt_at_the_hahn_limit_parameters(self, ell):
         # the parameters `limits` validates for its Hahn kind: omega = 1/t
@@ -560,13 +577,13 @@ class TestFiveTermBlockFormula:
         p = random_valid_parameters(Shape((3, 2)), 1)
 
         def violation():
-            cob._coefficient_rows.cache_clear()
+            cob._family_pair.cache_clear()
             plant_off_diagonal(cob._coefficient_rows(p, kind))
             try:
                 with pytest.raises(StructureViolation) as raised:
                     block_tridiagonal_form(p, which)
             finally:
-                cob._coefficient_rows.cache_clear()
+                cob._family_pair.cache_clear()
             e = raised.value
             return e.row, e.col, (type(e.lhs), e.lhs), (type(e.rhs), e.rhs)
 

@@ -880,7 +880,7 @@ class TestCaches:
             for value in vars(mod).values()
             if callable(getattr(value, "cache_info", None))
         ]
-        assert any(cache is cob._coefficient_rows for _, cache in caches)
+        assert any(cache is cob._family_pair for _, cache in caches)
         for name, cache in caches:
             assert cache.cache_info().maxsize is not None, (name, cache)
 

@@ -318,9 +318,9 @@ class TestOverlapConsistencyMutation:
 def cold():
     """(3,2) at seed 1, with the shared coefficient tables built afresh for
     the test and dropped after it."""
-    cob._coefficient_rows.cache_clear()
+    cob._family_pair.cache_clear()
     yield random_valid_parameters(Shape((3, 2)), 1)
-    cob._coefficient_rows.cache_clear()
+    cob._family_pair.cache_clear()
 
 
 class TestSharedCoefficientTables:
@@ -328,12 +328,13 @@ class TestSharedCoefficientTables:
     reads a family reads that one table."""
 
     def test_one_suite_builds_each_family_once(self, cold):
+        # one walk per side: C with Cbar, D with Dbar
         assert run_suite(cold).passed
-        info = cob._coefficient_rows.cache_info()
-        assert (info.misses, info.currsize) == (4, 4)
+        info = cob._family_pair.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
         for kind in cob.COEFFICIENT_KINDS:
             cob.coefficient_matrix(cold, kind)
-        assert cob._coefficient_rows.cache_info().misses == 4
+        assert cob._family_pair.cache_info().misses == 2
 
     # planted family -> (exactly the checks that fail, checks whose witness
     # names the planted entry, with the identity each reports)
@@ -360,7 +361,7 @@ class TestSharedCoefficientTables:
     def test_planted_coefficient_error_is_caught(self, cold, kind):
         failing, named = self.PLANTED[kind]
         for p in (cold, random_valid_parameters(Shape((2, 2, 1)), 1)):
-            cob._coefficient_rows.cache_clear()
+            cob._family_pair.cache_clear()
             others = {k: cob.coefficient_matrix(p, k) for k in cob.COEFFICIENT_KINDS}
             r, c = plant_off_diagonal(cob._coefficient_rows(p, kind))
             basis = enumerate_box(p.shape)
