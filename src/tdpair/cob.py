@@ -40,12 +40,11 @@ changes nothing another caller sees.
 the explicit five-term block formula B and proves fwd B = op fwd over Z,
 fwd = M_C or M_D; fwd has a unit diagonal, so B is the conjugate without a
 triangular solve, and B is block tridiagonal by construction.  Its kernel
-writes every term as an int product into rows over one denominator, and
-divides out their content, so the rows are B cleared; the verifier's
-block_structure runs it on the families' shared rows and the operator's
-assembled rows.  It reads xi* from `tdcore._xi_kernel`, which also
-assembles A and A*; the eigen and inverse checks test the tables
-themselves against A and A*, assembled independently of them.
+visits only the stored entries of C and Cbar, column by column, and writes
+each term as an int product over one denominator, so the rows are B
+cleared; block_structure runs it on the families' shared rows.  It reads
+xi* from `tdcore._xi_kernel`, which also assembles A and A*; the eigen and
+inverse checks test the tables against A and A*, assembled independently.
 """
 
 from __future__ import annotations
@@ -301,21 +300,17 @@ def _reversed(x: tuple, last: int) -> tuple:
 
 def _star_block_rows(params: TDParameters, c: tuple, cbar: tuple) -> tuple:
     """A* on the V(x) basis from the five-term block formula, cleared, from
-    C and Cbar cleared, on basis positions: plus[p][k] and minus[p][k] are
-    those of basis[k] +- e_p, or `out` outside the box.  theta*_w and
-    xi*_{n,p} are put over their lcm, dt and dx, once; with dc and dcb those
-    of C and Cbar, each term is an int product over den = dt dx dc dcb, each
-    kind scaled by the factors of den it lacks, and the rows are made
-    `_primitive`."""
+    C and Cbar cleared, on basis positions.  theta*_w and xi*_{n,p} are put
+    over their lcm, dt and dx, once; with dc and dcb those of C and Cbar,
+    each term is an int product over den = dt dx dc dcb, each kind scaled
+    by the factors of den it lacks, and the rows are made `_primitive`.
+    The walk visits stored entries only, C and Cbar by column k at rows k,
+    k + e_p and k + e_p + e_r: for each n of C's column x and m = n - e_q
+    in the box, xi*_{m,q} C[n,x] is formed once and multiplies each Cbar[y,m]
+    with |y| = |x| + 1, the y = x + e_p + e_r - e_q with n <= x + e_p + e_r."""
     basis, N = enumerate_box(params.shape), params.N
-    pos, out = {x: k for k, x in enumerate(basis)}, len(basis)
-    plus, minus = (
-        [[pos.get(x[:p] + (x[p] + s,) + x[p + 1 :], out) for x in basis] + [out] for p in range(N)]
-        for s in (1, -1)
-    )
+    pos = {x: k for k, x in enumerate(basis)}
     (c_rows, dc), (cb_rows, dcb) = c, cbar
-    cp = {(r, k): v for r, row in c_rows.items() for k, v in row.items()}
-    cbp = {(r, k): v for r, row in cb_rows.items() for k, v in row.items()}
     levels = range(params.diameter + 1)
     th, dt = over_common_denominator(*zip(*(_pair(eigenvalue(params, w, True)) for w in levels)))
     xi_star = _xi_kernel(params, True)
@@ -323,37 +318,42 @@ def _star_block_rows(params: TDParameters, c: tuple, cbar: tuple) -> tuple:
     xs, dx = over_common_denominator(*zip(*(xi_star(x, p) for x in basis for p in range(N))))
     # theta* alone, times Cbar, times C; xi* alone, times Cbar, times C, times C Cbar
     th1, thb, thc = ([u * k for u in th] for k in (dx * dc * dcb, dx * dc, dx * dcb))
-    xi1, xib, xic, xicc = ([u * k for u in xs] for k in (dt * dc * dcb, dt * dc, dt * dcb, dt))
-    rows: dict[int, dict] = {}
-    for xk, x in enumerate(basis):
-        w = x.weight
+    k1, kb, kc = dt * dc * dcb, dt * dc, dt * dcb
+    # below[n]: (m, the four xi*_{m,q}) for each m = n - e_q in the box; above[m]: (q, n)
+    below, above = [[] for _ in basis], [[] for _ in basis]
+    for n, x in enumerate(basis):
+        for q in range(N):
+            m = pos.get(x[:q] + (x[q] - 1,) + x[q + 1 :])
+            if m is not None:
+                u = xs[m * N + q]
+                below[n].append((m, u * k1, u * kb, u * kc, u * dt))
+                above[m].append((q, n))
+    # column k of C and of Cbar: [(row, entry)] at rows k, k + e_p and k + e_p + e_r
+    rows, cs, cbs = {}, [], []
+    for k, up in enumerate(above):
+        tops = ([k], [n for _, n in up], [t for q, n in up for r, t in above[n] if r >= q])
+        for cols, fam in ((cs, c_rows), (cbs, cb_rows)):
+            cols.append([[(n, fam[n][k]) for n in ns if k in fam[n]] for ns in tops])
+    for xk, w in enumerate(x.weight for x in basis):
         acc = {xk: th1[w]}
-        for p in range(N):
-            yk = minus[p][xk]
-            if yk != out:
-                acc[yk] = acc.get(yk, 0) + xi1[yk * N + p]
-            yk = plus[p][xk]
-            if yk != out:
-                acc[yk] = acc.get(yk, 0) + thb[w] * cbp.get((yk, xk), 0) + thc[w + 1] * cp.get((yk, xk), 0)
-        for p in range(N):
-            xpp = plus[p][xk]
-            for q in range(N):
-                # y = x + e_p - e_q
-                yk, xmq = xk if p == q else minus[q][xpp], minus[q][xk]
-                if (yk, xmq) in cbp:
-                    acc[yk] = acc.get(yk, 0) + xib[xmq * N + q] * cbp[yk, xmq]
-                if yk != out and (xpp, xk) in cp:
-                    acc[yk] = acc.get(yk, 0) + xic[yk * N + q] * cp[xpp, xk]
-                for r in range(p, N):
-                    # y = x + e_p + e_r - e_q, summed over x <= n <= x + e_p + e_r
-                    # with n and n - e_q in the box (Cbar has no row `out`);
-                    # x + e_p + e_r may lie outside it while y lies inside
-                    yk = plus[r][xk] if q == p else xpp if q == r else minus[q][plus[r][xpp]]
-                    ns = (xk, xpp, plus[p][xpp]) if p == r else (xk, xpp, plus[r][xk], plus[r][xpp])
-                    for nk in ns:
-                        nm = minus[q][nk]
-                        if (nk, xk) in cp and (yk, nm) in cbp:
-                            acc[yk] = acc.get(yk, 0) + xicc[nm * N + q] * cp[nk, xk] * cbp[yk, nm]
+        for m, a, _, _, _ in below[xk]:
+            acc[m] = acc.get(m, 0) + a
+        for _, yk in above[xk]:
+            acc[yk] = acc.get(yk, 0) + thb[w] * cb_rows[yk].get(xk, 0) + thc[w + 1] * c_rows[yk].get(xk, 0)
+        # y = x + e_p - e_q: Cbar[y, x - e_q], and C[x + e_p, x] at each y below x + e_p
+        for m, _, b, _, _ in below[xk]:
+            for yk, u in cbs[m][1]:
+                acc[yk] = acc.get(yk, 0) + b * u
+        for nk, v in cs[xk][1]:
+            for yk, _, _, cv, _ in below[nk]:
+                acc[yk] = acc.get(yk, 0) + cv * v
+        # y = x + e_p + e_r - e_q: n at level |x| + g, Cbar's column n - e_q at |x| + 1
+        for g, cg in enumerate(cs[xk]):
+            for nk, v in cg:
+                for m, _, _, _, cc in below[nk]:
+                    xc = cc * v
+                    for yk, u in cbs[m][2 - g]:
+                        acc[yk] = acc.get(yk, 0) + xc * u
         for yk, s in acc.items():
             if s:
                 rows.setdefault(yk, {})[xk] = s

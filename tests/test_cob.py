@@ -558,11 +558,25 @@ class TestFiveTermBlockFormula:
     @example(Shape((1, 1, 1, 1)), 2)
     @settings(max_examples=15, deadline=None)
     def test_both_forms_match_the_oracle(self, shape, seed):
-        p = random_valid_parameters(shape, seed)
-        for params in (p, _swapped(p)):
-            mc, mcb = coefficient_matrix(params, "C"), coefficient_matrix(params, "Cbar")
-            got = uncleared(mc.basis, cob._star_block_rows(params, cleared(mc), cleared(mcb)))
-            assert _typed(got) == _typed(_oracle_star_blocks(params, mc, mcb))
+        _assert_both_forms_match_the_oracle(random_valid_parameters(shape, seed))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("ell", [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)])
+    def test_both_forms_match_the_oracle_at_five_and_six_coordinates(self, ell, seed):
+        # shapes_to_18 stops at N = 4; the walk's deepest loops run over
+        # every pair of coordinates and every third one
+        _assert_both_forms_match_the_oracle(random_valid_parameters(Shape(ell), seed))
+
+    @pytest.mark.parametrize("free", ["omega_star", "h_star"])
+    def test_both_forms_match_the_oracle_over_qt(self, free):
+        # theta* and xi* in Q(t): rational-function numerators in every term
+        p = random_valid_parameters(Shape((2, 1, 1)), 1)
+        t = variable_t()
+        if free == "omega_star":
+            p = replace(p, omega_star=p.omega_star + t)
+        else:
+            p = replace(p, h_star=p.h_star * t)
+        _assert_both_forms_match_the_oracle(p)
 
     @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
     @example(Shape((2, 2, 1)), 1)
@@ -574,22 +588,42 @@ class TestFiveTermBlockFormula:
 
     @pytest.mark.parametrize("kind, which", [("Cbar", "Astar_in_Vx"), ("Dbar", "A_in_Vi")])
     def test_planted_inverse_entry_gives_the_oracle_violation(self, monkeypatch, kind, which):
-        p = random_valid_parameters(Shape((3, 2)), 1)
+        _assert_planted_violation_is_the_oracles(monkeypatch, Shape((3, 2)), kind, which)
 
-        def violation():
+    @pytest.mark.parametrize("kind, which", [("Cbar", "Astar_in_Vx"), ("Dbar", "A_in_Vi")])
+    @pytest.mark.parametrize("ell", [(2, 1, 1), (1, 1, 1, 1)])
+    def test_planted_inverse_entry_gives_the_oracle_violation_above_two_coordinates(
+        self, monkeypatch, ell, kind, which
+    ):
+        _assert_planted_violation_is_the_oracles(monkeypatch, Shape(ell), kind, which)
+
+
+def _assert_both_forms_match_the_oracle(p):
+    for params in (p, _swapped(p)):
+        mc, mcb = coefficient_matrix(params, "C"), coefficient_matrix(params, "Cbar")
+        got = uncleared(mc.basis, cob._star_block_rows(params, cleared(mc), cleared(mcb)))
+        assert _typed(got) == _typed(_oracle_star_blocks(params, mc, mcb))
+
+
+def _assert_planted_violation_is_the_oracles(monkeypatch, shape, kind, which):
+    # a planted Cbar or Dbar entry: the kernel's StructureViolation is the
+    # oracle kernel's, entry and both sides with their types
+    p = random_valid_parameters(shape, 1)
+
+    def violation():
+        cob._family_pair.cache_clear()
+        plant_off_diagonal(cob._coefficient_rows(p, kind))
+        try:
+            with pytest.raises(StructureViolation) as raised:
+                block_tridiagonal_form(p, which)
+        finally:
             cob._family_pair.cache_clear()
-            plant_off_diagonal(cob._coefficient_rows(p, kind))
-            try:
-                with pytest.raises(StructureViolation) as raised:
-                    block_tridiagonal_form(p, which)
-            finally:
-                cob._family_pair.cache_clear()
-            e = raised.value
-            return e.row, e.col, (type(e.lhs), e.lhs), (type(e.rhs), e.rhs)
+        e = raised.value
+        return e.row, e.col, (type(e.lhs), e.lhs), (type(e.rhs), e.rhs)
 
-        got = violation()
-        monkeypatch.setattr(cob, "_star_block_rows", _oracle_star_rows)
-        assert got == violation()
+    got = violation()
+    monkeypatch.setattr(cob, "_star_block_rows", _oracle_star_rows)
+    assert got == violation()
 
 
 def _assert_block_rows_are_cleared_forms(p):
