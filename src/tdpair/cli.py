@@ -84,87 +84,103 @@ class ConfigError(Exception):
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tdpair",
-        description="Exact construction and verification of tridiagonal pairs "
-        "of the second eigenvalue type in the split basis.",
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--params", metavar="PATH", help="parameter JSON file")
+    p.add_argument(
+        "--shape",
+        metavar="L1,L2,...",
+        help="coordinate bounds for seeded parameter generation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--seed", type=int, help="seed for parameter generation")
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=10,
+        help="numerator/denominator bound for generated rationals (default 10)",
+    )
+    p.add_argument(
+        "--format",
+        choices=FORMATS,
+        default="text",
+        help="output format (default text)",
+    )
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--params", metavar="PATH", help="parameter JSON file")
-        p.add_argument(
-            "--shape",
-            metavar="L1,L2,...",
-            help="coordinate bounds for seeded parameter generation",
-        )
-        p.add_argument("--seed", type=int, help="seed for parameter generation")
-        p.add_argument(
-            "--bound",
-            type=int,
-            default=10,
-            help="numerator/denominator bound for generated rationals (default 10)",
-        )
-        p.add_argument(
-            "--format",
-            choices=FORMATS,
-            default="text",
-            help="output format (default text)",
-        )
 
-    add_common(sub.add_parser("validate", help="check the parameter constraints"))
-
-    p_build = sub.add_parser("build", help="emit one matrix over the split basis")
-    add_common(p_build)
-    p_build.add_argument(
+def _add_build(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--operator",
         choices=BUILD_TARGETS,
         required=True,
         help="operator (A, Astar, S, R, L) or coefficient family (C, Cbar, D, Dbar)",
     )
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    add_common(p_verify)
-    p_verify.add_argument(
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--checks",
         default="standard",
         help='"standard", "all", or a comma-separated list of check names '
         "(the constraints check is always included)",
     )
-    p_verify.add_argument(
+    p.add_argument(
         "--beta",
         default="2",
         metavar="P/Q",
         help="coefficient of the middle cubic term in td_relations (default 2)",
     )
 
-    p_overlap = sub.add_parser("overlap", help="emit overlap function tables")
-    add_common(p_overlap)
-    p_overlap.add_argument(
+
+def _add_overlap(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--which",
         choices=("T", "U", "both"),
         default="T",
         help="which family to tabulate (default T)",
     )
-    p_overlap.add_argument(
+    p.add_argument(
         "--method",
         choices=sorted(set(T_METHODS) | set(U_METHODS)) + ["all"],
         default=None,
         help="evaluation route, or all routes (general kind only)",
     )
-    p_overlap.add_argument(
+    p.add_argument(
         "--kind",
         choices=OVERLAP_KINDS,
         default="racah",
         help="eigenvalue kind: the general one or a degenerate limit (default racah)",
     )
 
-    add_common(
-        sub.add_parser(
-            "limits", help="verify the degenerate kinds as t -> 0 limits"
-        )
+
+# each subcommand's help line and the options it adds to the common ones
+_SUBCOMMANDS = {
+    "validate": ("check the parameter constraints", None),
+    "build": ("emit one matrix over the split basis", _add_build),
+    "verify": ("run the verification suite", _add_verify),
+    "overlap": ("emit overlap function tables", _add_overlap),
+    "limits": ("verify the degenerate kinds as t -> 0 limits", None),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with command only that one's
+    options: the others stay bare entries, a name and a help line each, so
+    the usage line, the top-level help and every error read as with the
+    whole tree.  Built anew on each call; `main` passes the subcommand its
+    argv names, the only one argparse can dispatch to."""
+    parser = argparse.ArgumentParser(
+        prog="tdpair",
+        description="Exact construction and verification of tridiagonal pairs "
+        "of the second eigenvalue type in the split basis.",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_own) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            sub.add_parser(name, help=help_line, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_line)
+        _add_common(p)
+        if add_own is not None:
+            add_own(p)
     return parser
 
 
@@ -390,7 +406,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # word not starting with "-" is the subcommand argparse dispatches to
+    named = next((word for word in argv if not word.startswith("-")), None)
+    parser = _build_parser(named if named in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

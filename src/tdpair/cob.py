@@ -64,7 +64,7 @@ from .exactfield import (
     over_common_denominator,
     pair_value,
 )
-from .multiindex import IndexOutOfRange, enumerate_box, in_box
+from .multiindex import IndexOutOfRange, _box, in_box
 from .tdcore import (
     ExactMatrix,
     TDParameters,
@@ -113,9 +113,10 @@ def cob_coefficient(
         if not in_box(n, params.shape):
             raise IndexOutOfRange(f"index {tuple(n)} outside the box of {params.shape!r}")
     if kind in _MIRROR_OF:
-        # the lowering side: the raising side at the swapped parameters, read at ell - n
+        # the lowering side: the raising side at the swapped parameters, read at ell - n;
+        # swapped uncached, as params may be over Laurent series, which no cache can key
         first, second = (tuple(lp - v for lp, v in zip(params.ell, n)) for n in (first, second))
-        params, kind = _swapped(params), _MIRROR_OF[kind]
+        params, kind = _swapped.__wrapped__(params), _MIRROR_OF[kind]
     elif kind not in ("C", "Cbar"):
         raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
     if any(f < s for f, s in zip(first, second)):
@@ -127,10 +128,13 @@ def cob_coefficient(
     return pair_value(fam[0][0], fam[1][0])
 
 
+@lru_cache(maxsize=8)
 def _swapped(params: TDParameters) -> TDParameters:
     """Both halves of `substituted_for_involution` applied together, each
     read off params: the plain and starred spectra trade places, so the
-    raising side at the result is the mirror of the lowering side at params."""
+    raising side at the result is the mirror of the lowering side at params.
+    Derived once per parameter set: the U kernels, the lowering families and
+    the A-side block form all read it."""
     lo = substituted_for_involution(params, starred=True)
     hi = substituted_for_involution(params, starred=False)
     return replace(lo, theta0_star=hi.theta0_star, h_star=hi.h_star, omega_star=hi.omega_star)
@@ -203,7 +207,7 @@ def coefficient_matrix(params: TDParameters, kind: str) -> ExactMatrix:
     built anew on each call from the family's shared cleared rows."""
     if kind not in COEFFICIENT_KINDS:
         raise ValueError(f"unknown coefficient kind {kind!r}; expected one of {COEFFICIENT_KINDS}")
-    return uncleared(enumerate_box(params.shape), _coefficient_rows(params, kind))
+    return uncleared(_box(params.shape), _coefficient_rows(params, kind))
 
 
 @lru_cache(maxsize=8)
@@ -211,7 +215,7 @@ def _family_pair(params: TDParameters, lowering: bool) -> tuple:
     """(C, Cbar), or (D, Dbar) from the swapped parameters at the reversed
     positions: one walk over each column's sub-box row >= col, each family
     over one common multiple made `_primitive`, or its fault."""
-    basis, tops = enumerate_box(params.shape), [lp + 1 for lp in params.ell]
+    basis, tops = _box(params.shape), [lp + 1 for lp in params.ell]
     at = list(map({m: k for k, m in enumerate(basis)}.get, product(*map(range, tops))))  # lexicographic -> graded
     if lowering:
         params, at = _swapped(params), [len(basis) - 1 - k for k in at]
@@ -268,7 +272,7 @@ def block_tridiagonal_form(params: TDParameters, which: str) -> ExactMatrix:
     fwd, inv, op = ("C", "Cbar", "Astar") if which == "Astar_in_Vx" else ("D", "Dbar", "A")
     tables = (_coefficient_rows(params, kind) for kind in (fwd, inv))
     form = _block_form_rows(params, which, *tables, _assemble_operator(params, op))
-    return uncleared(enumerate_box(params.shape), form)
+    return uncleared(_box(params.shape), form)
 
 
 def _block_form_rows(params: TDParameters, which: str, fwd: tuple, inv: tuple, op: tuple) -> tuple:
@@ -276,7 +280,7 @@ def _block_form_rows(params: TDParameters, which: str, fwd: tuple, inv: tuple, o
     family and op (A* or A), all cleared; raises StructureViolation unless
     fwd B = op fwd.  A on V_i is the kernel at the swapped parameters on the
     reversed rows of D and Dbar, reversed back: compared in the order of params."""
-    basis = enumerate_box(params.shape)
+    basis = _box(params.shape)
     if which == "Astar_in_Vx":
         form, identity = _star_block_rows(params, fwd, inv), "M_C B* vs A* M_C"
     else:
@@ -308,7 +312,7 @@ def _star_block_rows(params: TDParameters, c: tuple, cbar: tuple) -> tuple:
     k + e_p and k + e_p + e_r: for each n of C's column x and m = n - e_q
     in the box, xi*_{m,q} C[n,x] is formed once and multiplies each Cbar[y,m]
     with |y| = |x| + 1, the y = x + e_p + e_r - e_q with n <= x + e_p + e_r."""
-    basis, N = enumerate_box(params.shape), params.N
+    basis, N = _box(params.shape), params.N
     pos = {x: k for k, x in enumerate(basis)}
     (c_rows, dc), (cb_rows, dcb) = c, cbar
     levels = range(params.diameter + 1)

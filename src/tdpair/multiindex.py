@@ -9,6 +9,7 @@ dropped), never by silently wrapping an index.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -117,12 +118,22 @@ def enumerate_box(shape: Shape) -> list[MultiIndex]:
 
     Ascending total weight |n|, ties broken lexicographically.  This is the
     storage order of every matrix in the package; blocks of constant |n|
-    are contiguous.
+    are contiguous.  A new list each call, read off a bounded per-shape
+    cache (`_box`), so a caller that changes it changes nothing else.
     """
+    return list(_box(shape))
+
+
+@lru_cache(maxsize=16)
+def _box(shape: Shape) -> tuple[MultiIndex, ...]:
+    """`enumerate_box` as a tuple, built once per shape: read directly by
+    the package's own callers, which never change it."""
     ranges = [range(v + 1) for v in shape.ell]
-    return sorted(
-        (MultiIndex(tup) for tup in product(*ranges)),
-        key=lambda m: (m.weight, tuple(m)),
+    return tuple(
+        sorted(
+            (MultiIndex(tup) for tup in product(*ranges)),
+            key=lambda m: (m.weight, tuple(m)),
+        )
     )
 
 
@@ -147,7 +158,7 @@ def shape_profile(shape: Shape) -> tuple[int, ...]:
 def level_histogram(shape: Shape) -> tuple[int, ...]:
     """Number of box multi-indices at each weight 0..diameter, by counting."""
     counts = [0] * (shape.diameter + 1)
-    for m in enumerate_box(shape):
+    for m in _box(shape):
         counts[m.weight] += 1
     return tuple(counts)
 

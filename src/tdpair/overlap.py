@@ -79,7 +79,7 @@ from .exactfield import (
 from .multiindex import (
     IndexOutOfRange,
     MultiIndex,
-    enumerate_box,
+    _box,
     in_box,
 )
 from .cob import _coefficient_rows, _swapped, coefficient_matrix
@@ -87,6 +87,7 @@ from .tdcore import (
     ExactMatrix,
     Factored,
     TDParameters,
+    _ZERO,
     _back_substitution,
     _content_lines,
     _ensure_valid,
@@ -416,7 +417,7 @@ _u_shift = _mirror_of(_t_shift)
 
 def _family_columns(params: TDParameters, kind: str, indices: Sequence[MultiIndex]) -> tuple:
     """The cleared rows of one family with only the columns at indices."""
-    pos = {m: k for k, m in enumerate(enumerate_box(params.shape))}
+    pos = {m: k for k, m in enumerate(_box(params.shape))}
     keep, (rows, den) = {pos[n] for n in indices}, _coefficient_rows(params, kind)
     return {r: {c: v for c, v in row.items() if c in keep} for r, row in rows.items()}, den
 
@@ -424,7 +425,7 @@ def _family_columns(params: TDParameters, kind: str, indices: Sequence[MultiInde
 def _t_product(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) for every i of rows, x of cols as one product: T = (M_Cbar
     M_D)^T, and row i of T reads column i of M_D only."""
-    md = uncleared(enumerate_box(params.shape), _family_columns(params, "D", rows))
+    md = uncleared(_box(params.shape), _family_columns(params, "D", rows))
     m = coefficient_matrix(params, "Cbar") @ md
     return unit_factored([[m.entry(x, i) for x in cols] for i in rows])
 
@@ -434,10 +435,10 @@ def _u_solved(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[M
     unit upper triangular in graded order, so M_D U = M_C is solved exactly
     on the lines of their cleared rows, and column x of U reads column x of
     M_C only."""
-    pos = {m: k for k, m in enumerate(enumerate_box(params.shape))}
+    pos = {m: k for k, m in enumerate(_box(params.shape))}
     mc = _family_columns(params, "C", cols)
     m = _back_substitution(_content_lines(_coefficient_rows(params, "D"), 0), _content_lines(mc, 1), len(pos))
-    return unit_factored([[m.get((pos[i], pos[x]), Fraction(0)) for x in cols] for i in rows])
+    return unit_factored([[m.get((pos[i], pos[x]), _ZERO) for x in cols] for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +476,7 @@ def _factored_table(params: TDParameters, family: str, name: str) -> Factored:
     order, as it returns it."""
     kernel = _kernel(family, name)
     _ensure_valid(params)
-    basis = enumerate_box(params.shape)
+    basis = _box(params.shape)
     return kernel(params, basis, basis)
 
 
@@ -483,7 +484,7 @@ def _table(params: TDParameters, family: str, name: str) -> ExactMatrix:
     """The whole table of a kernel as a matrix of its nonzero values."""
     values = factored_values(_factored_table(params, family, name))
     entries = {(r, c): v for r, row in enumerate(values) for c, v in enumerate(row)}
-    return ExactMatrix(enumerate_box(params.shape), entries)
+    return ExactMatrix(_box(params.shape), entries)
 
 
 def overlap_T(

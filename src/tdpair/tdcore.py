@@ -54,7 +54,7 @@ from .multiindex import (
     IndexOutOfRange,
     MultiIndex,
     Shape,
-    enumerate_box,
+    _box,
     format_multiindex,
     in_box,
 )
@@ -369,12 +369,30 @@ def validate_parameters(params: TDParameters) -> VerificationReport:
 
 
 @lru_cache(maxsize=32)
+def _constraint_clauses(params: TDParameters) -> tuple:
+    """The results of `validate_parameters`, each as (check, paper_ref,
+    passed, witness, millis) with the witness a tuple, so nothing cached can
+    be changed: each parameter set is validated once, and the constraints
+    check of `run_suite` and every `_ensure_valid` gate read it here.  A
+    set over Laurent series is unhashable and never reaches it."""
+    return tuple(
+        (r.check, r.paper_ref, r.passed, r.witness and tuple(r.witness), r.millis)
+        for r in validate_parameters(params).results
+    )
+
+
+def _constraint_report(params: TDParameters) -> VerificationReport:
+    """A new report of the cached `_constraint_clauses` of params."""
+    return VerificationReport(
+        [CheckResult(c, ref, ok, w and list(w), ms) for c, ref, ok, w, ms in _constraint_clauses(params)]
+    )
+
+
 def _ensure_valid(params: TDParameters) -> None:
-    """Raise InvalidParameters unless params pass every constraint; a
-    passing set is remembered, so a repeated gate costs one lookup."""
-    report = validate_parameters(params)
-    if not report.passed:
-        raise InvalidParameters(report)
+    """Raise InvalidParameters unless params pass every constraint; the
+    validation is cached, so a repeated gate costs one lookup."""
+    if not all(ok for _, _, ok, _, _ in _constraint_clauses(params)):
+        raise InvalidParameters(_constraint_report(params))
 
 
 def _ms(start: float) -> int:
@@ -795,7 +813,7 @@ def _assemble_operator(params: TDParameters, which: str) -> tuple:
     `_xi_kernel` pair; the pairs are put over one common multiple and the
     rows made `_primitive`.  S is the reversal of the graded order."""
     shape = params.shape
-    basis = enumerate_box(shape)
+    basis = _box(shape)
     if which == "S":
         return {len(basis) - 1 - c: {c: 1} for c in range(len(basis))}, 1
     entries, pos = [], {n: k for k, n in enumerate(basis)}
@@ -828,7 +846,7 @@ def build_operator(params: TDParameters, which: str) -> ExactMatrix:
     if which not in OPERATOR_NAMES:
         raise ValueError(f"unknown operator {which!r}; expected one of {OPERATOR_NAMES}")
     _ensure_valid(params)
-    return uncleared(enumerate_box(params.shape), _assemble_operator(params, which))
+    return uncleared(_box(params.shape), _assemble_operator(params, which))
 
 
 def substituted_for_involution(params: TDParameters, starred: bool) -> TDParameters:

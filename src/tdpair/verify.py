@@ -66,7 +66,7 @@ from .exactfield import (
     limit_at_zero,
     variable_t,
 )
-from .multiindex import MultiIndex, Shape, enumerate_box, format_multiindex
+from .multiindex import MultiIndex, Shape, _box, format_multiindex
 from .report import CheckResult, VerificationReport
 from .cob import COEFFICIENT_KINDS, StructureViolation, _block_form_rows, _coefficient_rows
 from . import overlap
@@ -85,6 +85,7 @@ from .tdcore import (
     TDParameters,
     _PARAM_KEYS,
     _assemble_operator,
+    _constraint_report,
     _content_lines,
     _ensure_valid,
     _line_product,
@@ -167,7 +168,7 @@ class _Context:
 
     def __init__(self, params: TDParameters):
         self.params = params
-        self.basis = enumerate_box(params.shape)
+        self.basis = _box(params.shape)
         self.tables: dict[tuple[str, str], Factored] = {}
         self.rows: dict[str, tuple] = {}
 
@@ -387,13 +388,22 @@ def _limit_pairs(basis: Sequence[MultiIndex]) -> list:
     return [(basis[j * a % d], basis[(j * b + j // d) % d]) for j in range(10)]
 
 
-def _series_limits(kernel: Callable, rows: Sequence, cols: Sequence) -> list:
-    """The t -> 0 limits of kernel(s, rows, cols), one row of values per row
-    of rows, with s = 1/t a Laurent series.  An entry whose t^0 coefficient
-    is unknown is the PrecisionExhausted that says so, never a guessed
-    value; so is every entry when the kernel itself raises it."""
+def _series_sides(p: TDParameters) -> tuple[TDParameters, TDParameters]:
+    """p at omega* = 1/t and p at omega = 1/t, 1/t a Laurent series: the
+    parameter sets of `_row_limits`, built once per limits check (they are
+    unhashable, so no cache may keep them)."""
+    s = LaurentSeries(-1, 1)
+    return replace(p, omega_star=s), replace(p, omega=s)
+
+
+def _series_limits(kernel: Callable, params: TDParameters, rows: Sequence, cols: Sequence) -> list:
+    """The t -> 0 limits of kernel(params, rows, cols), one row of values
+    per row of rows, params a parameter set over Laurent series.  An entry
+    whose t^0 coefficient is unknown is the PrecisionExhausted that says
+    so, never a guessed value; so is every entry when the kernel itself
+    raises it."""
     try:
-        table = factored_values(kernel(LaurentSeries(-1, 1), rows, cols))
+        table = factored_values(kernel(params, rows, cols))
     except PrecisionExhausted as err:
         return [[err] * len(cols) for _ in rows]
     return [[_limit_or_error(v) for v in line] for line in table]
@@ -406,10 +416,11 @@ def _limit_or_error(v):
         return err
 
 
-def _row_limits(p: TDParameters, rows: Sequence, cols: Sequence) -> tuple[list, list]:
+def _row_limits(sides: tuple, rows: Sequence, cols: Sequence) -> tuple[list, list]:
     """For each i of rows and x of cols, the t -> 0 limits of T_i(x) at
     omega* = 1/t and of the truncated Hahn kind at omega = 1/t, both taken
-    in Laurent series by one table-kernel call for the whole group of rows.
+    in Laurent series by one table-kernel call for the whole group of rows,
+    at the parameter sets sides = `_series_sides(p)`.
 
     Relative precision 1, the only one `LaurentSeries` has, always
     suffices.  Call the sum of a term's factors' valuations its nominal
@@ -425,9 +436,8 @@ def _row_limits(p: TDParameters, rows: Sequence, cols: Sequence) -> tuple[list, 
     entry left unknown means a kernel broke this premise, a defect that
     `_check_limits` reports as a failure.
     """
-    hahn = _series_limits(lambda s, rs, xs: _t_direct(replace(p, omega_star=s), rs, xs), rows, cols)
-    kraw = _series_limits(lambda s, rs, xs: _hahn_table(replace(p, omega=s), rs, xs), rows, cols)
-    return hahn, kraw
+    at_star, at_omega = sides
+    return _series_limits(_t_direct, at_star, rows, cols), _series_limits(_hahn_table, at_omega, rows, cols)
 
 
 def _check_limits(ctx: _Context):
@@ -448,8 +458,9 @@ def _check_limits(ctx: _Context):
     groups: dict = {}
     for i, cols in by_row.items():
         groups.setdefault(tuple(cols), []).append(i)
+    sides = _series_sides(p)
     for cols, rows in groups.items():
-        lims = _row_limits(p, rows, cols)
+        lims = _row_limits(sides, rows, cols)
         # the closed forms over Q, one kernel call per group and kind; read
         # from the overlap module, as `_hahn_table` here is the series kernel
         # of `_row_limits`
@@ -576,7 +587,9 @@ def run_suite(
     built when a selected check first needs it, so its cost shows in that
     check's millis, and is kept for the suite: overlap_consistency,
     biorthogonality and racah_reduction read one table per route, and every
-    check that reads a family reads the same rows.
+    check that reads a family reads the same rows.  params is validated
+    once: the constraints entry and every later gate read one bounded cache
+    (`tdcore._constraint_clauses`), which hands out only new reports.
     """
     if checks is None:
         selected = list(DEFAULT_CHECKS)
@@ -594,7 +607,7 @@ def run_suite(
         report.add(CheckResult(name, _CHECK_REFS[name], passed, witness, millis))
 
     start = time.perf_counter()
-    constraint_report = validate_parameters(params)
+    constraint_report = _constraint_report(params)
     constraints_ms = int((time.perf_counter() - start) * 1000)
     if "constraints" in selected:
         failures = [

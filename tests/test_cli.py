@@ -17,7 +17,7 @@ from tdpair.cli import (
     main,
 )
 from tdpair.multiindex import Shape, enumerate_box
-from tdpair import verify
+from tdpair import cli, verify
 from tdpair.tdcore import factored_values, unit_factored
 from tdpair.tdcore import ExactMatrix
 from tdpair.verify import random_valid_parameters
@@ -303,6 +303,48 @@ class TestConfigErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["nonsense"]) == 2
+
+
+class TestLazyParser:
+    """main builds only the parser of the subcommand its argv names; help,
+    usage lines and errors are what the whole tree gives, compared at run
+    time since argparse's text differs between Python versions."""
+
+    ARGVS = [[name, "--help"] for name in cli._COMMANDS] + [
+        [],
+        ["--help"],
+        ["--help", "verify"],
+        ["nosuch"],
+        ["verify", "--bogus"],
+    ]
+
+    @staticmethod
+    def _outcome(argv, capsys):
+        status = main(list(argv))
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_the_whole_tree(self, argv, monkeypatch, capsys):
+        lazy = self._outcome(argv, capsys)
+        whole = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: whole())
+        assert lazy == self._outcome(argv, capsys)
+
+    def test_usage_names_every_subcommand(self, capsys):
+        assert main(["verify", "--bogus"]) == 2
+        assert "{validate,build,verify,overlap,limits}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [(["verify", "--help"], "verify"), (["limits", "--shape", "2", "--seed", "1"], "limits"),
+         (["--help", "verify"], "verify"), (["--help"], None), (["nosuch"], None), ([], None)],
+    )
+    def test_only_the_named_subcommand_is_built(self, argv, built, monkeypatch, capsys):
+        names, whole = [], cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: names.append(command) or whole(command))
+        main(argv)
+        assert names == [built]
 
 
 class TestDimensionBudget:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tdpair import cob
 from tdpair.exactfield import (
+    LaurentSeries,
     ZeroDenominatorPochhammer,
     _inv_poch,
     binomial,
@@ -500,6 +501,19 @@ class TestCoefficientKernel:
         p = random_valid_parameters(Shape(ell), 1)
         t = variable_t()
         _assert_kernel_matches_oracle(replace(p, h=p.h * t, omega=1 / t))
+
+    def test_a_lowering_entry_over_laurent_series(self):
+        # one entry takes any parameter set, one over Laurent series too,
+        # which no cache can key: the lowering side is the raising side at
+        # the swapped parameters, read at ell - n
+        p = random_valid_parameters(Shape((2, 1)), 1)
+        q = replace(p, omega_star=LaurentSeries(-1, 1))
+        for kind, mirror, first, second in (("D", "C", (0, 0), (1, 1)), ("Dbar", "Cbar", (1, 0), (2, 1))):
+            got = cob_coefficient(q, kind, first, second)
+            flipped = (tuple(lp - v for lp, v in zip(q.ell, n)) for n in (first, second))
+            want = cob_coefficient(_swapped(q), mirror, *flipped)
+            assert type(got) is LaurentSeries
+            assert (got.val, Fraction(got.num, got.den)) == (want.val, Fraction(want.num, want.den))
 
     @pytest.mark.parametrize("kind", ["C", "Cbar"])
     def test_vanishing_global_factor_raises_where_the_oracle_does(self, monkeypatch, kind):

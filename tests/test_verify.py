@@ -1,12 +1,13 @@
 """Tests for the verification suite and the seeded parameter search."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from tdpair import cob, overlap, verify
+from tdpair import cob, multiindex, overlap, tdcore, verify
 from tdpair.exactfield import (
     LaurentSeries,
     RationalFunction,
@@ -16,6 +17,7 @@ from tdpair.exactfield import (
     variable_t,
 )
 from tdpair.multiindex import Shape, enumerate_box, format_multiindex
+from tdpair.report import CheckResult
 from tdpair.tdcore import (
     ExactMatrix,
     TDParameters,
@@ -314,6 +316,25 @@ class TestOverlapConsistencyMutation:
         assert witness["i"] == witness["x"] == format_multiindex((1, 1))
 
 
+def _package_caches() -> list:
+    # every bounded cache of the package, each once
+    caches = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "tdpair" or name.startswith("tdpair."):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    caches[id(value)] = value
+    return list(caches.values())
+
+
+def _without_millis(obj):
+    if isinstance(obj, dict):
+        return {k: _without_millis(v) for k, v in obj.items() if k != "millis"}
+    if isinstance(obj, list):
+        return [_without_millis(v) for v in obj]
+    return obj
+
+
 @pytest.fixture
 def cold():
     """(3,2) at seed 1, with the shared coefficient tables built afresh for
@@ -335,6 +356,47 @@ class TestSharedCoefficientTables:
         for kind in cob.COEFFICIENT_KINDS:
             cob.coefficient_matrix(cold, kind)
         assert cob._family_pair.cache_info().misses == 2
+
+    def test_one_suite_does_its_fixed_work_once(self, monkeypatch):
+        # from every package cache cleared: p is validated once, and so is
+        # each Q(t) parameter set of the limits check; the box is enumerated
+        # once and the swapped parameter set derived once
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        for cache in _package_caches():
+            cache.cache_clear()
+        seen = []
+        original = tdcore.validate_parameters
+        monkeypatch.setattr(tdcore, "validate_parameters", lambda q: seen.append(q) or original(q))
+        assert run_suite(p).passed
+        assert len(seen) == 3 and seen[0] == p
+        assert {type(q.omega_star).__name__ for q in seen[1:]} == {"RationalFunction", "Fraction"}
+        assert multiindex._box.cache_info().misses == 1
+        assert cob._swapped.cache_info().misses == 1
+
+    def test_a_changed_box_list_changes_nothing(self):
+        p = random_valid_parameters(Shape((3, 2)), 1)
+        before = _without_millis(run_suite(p).to_json_obj())
+        box = enumerate_box(p.shape)
+        expect = list(box)
+        box.reverse()
+        box.append(box[0])
+        assert enumerate_box(p.shape) == expect
+        # the next suite rebuilds everything but the box from cold caches
+        for cache in _package_caches():
+            if cache is not multiindex._box:
+                cache.cache_clear()
+        assert _without_millis(run_suite(p).to_json_obj()) == before
+
+    def test_a_changed_constraint_report_changes_nothing(self):
+        for p in (random_valid_parameters(Shape((3, 2)), 1), replace(_params_1d(), h=F(0))):
+            before = run_suite(p, checks=["constraints"]).result("constraints")
+            report = validate_parameters(p)
+            report.add(CheckResult("cond4", "planted", False, ["planted"]))
+            for r in report.results:
+                r.passed = False
+                r.witness = ["planted"]
+            after = run_suite(p, checks=["constraints"]).result("constraints")
+            assert (after.passed, after.witness) == (before.passed, before.witness)
 
     # planted family -> (exactly the checks that fail, checks whose witness
     # names the planted entry, with the identity each reports)
@@ -683,7 +745,7 @@ class TestSeriesLimits:
     def test_every_pair_equals_the_rational_function_path(self, ell, seed):
         p = random_valid_parameters(Shape(ell), seed)
         basis = enumerate_box(p.shape)
-        assert verify._row_limits(p, basis, basis) == _reduced_row_limits(p, basis, basis)
+        assert verify._row_limits(verify._series_sides(p), basis, basis) == _reduced_row_limits(p, basis, basis)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("ell", _SERIES_SHAPES)
@@ -703,7 +765,7 @@ class TestSeriesLimits:
         monkeypatch.setattr(verify, "_hahn_table", recorded(verify._hahn_table, "omega"))
         p = random_valid_parameters(Shape(ell), seed)
         basis = enumerate_box(p.shape)
-        verify._row_limits(p, basis, basis)
+        verify._row_limits(verify._series_sides(p), basis, basis)
         d = len(basis)
         assert seen == [("omega_star", LaurentSeries, d, d), ("omega", LaurentSeries, d, d)]
 
