@@ -13,7 +13,8 @@ Parameters come from a JSON file (--params) or from a seeded draw
 a box of more than MAX_DIMENSION points, or a parameter (or --bound) with
 a numerator or denominator of more than MAX_PARAMETER_BITS bits, before it
 builds anything, and verify with the irreducibility check a box of more
-than MAX_IRREDUCIBILITY_DIMENSION points.  Exit
+than MAX_IRREDUCIBILITY_DIMENSION points; validate refuses more than
+MAX_DIMENSION coordinates before it samples or validates.  Exit
 status: 0 when every requested check passes, 1 when a check fails (or
 overlap or build meets a vanishing denominator), 2 on malformed or
 oversized configuration.
@@ -57,14 +58,19 @@ FORMATS = ("text", "json", "csv")
 # 0.8 s at d = 48, 5.1 s at d = 100 and 21 s at d = 144 (32-35 s at seeds 2
 # and 3), growing about as d^3.2, so a quarter of an hour or more at the
 # d = 441 of (20,20); `overlap --which both --method all` took 0.9, 4.1 and
-# 12 s; limits and build stayed under 15 s.  validate stays unbounded: the
-# constraint checks cost little even at d = 22,801.
+# 12 s; limits and build stayed under 15 s.  validate takes no box, and
+# refuses only more than MAX_DIMENSION coordinates: cond3 compares the 2N
+# value strings pairwise, in process 0.1 s at N = 144 and 20-26 s at N =
+# 2,000, while a box of N coordinates has at least 2^N points, so the other
+# subcommands refuse N >= 8 already; the box dimension costs validate
+# little even at d = 22,801.
 MAX_DIMENSION = 144
-# The same budget for verify with the opt-in irreducibility check, which
-# spans words in {A, A*} as d^2-long vectors.  Wall times of
-# `verify --checks irreducibility`, seed 1, same host: 0.21 s at d = 6,
-# 3.0 s at d = 10, 12.7 s at d = 12, 26 s at d = 14, 51-58 s at d = 15
-# and 94 s at d = 16.
+# A lower limit for verify with the opt-in irreducibility check, which
+# spans words in {A, A*} as d^2-long integer vectors.  Wall times of
+# `verify --checks irreducibility`, seed 1, same host: 0.19 s at (2,1), d =
+# 6; 0.51 s at (4,1), d = 10; 1.6 s at (3,2), d = 12; 3.8 s at (6,1), d =
+# 14; 7.9 s at (4,2), d = 15; in process 13 s at (3,3), d = 16.  An echelon
+# over Fractions took 9-12 s CPU at (3,2) and 52 s at (4,2).
 MAX_IRREDUCIBILITY_DIMENSION = 15
 # The longest numerator or denominator, in bits, of a parameter (and of
 # --bound) that build, verify, overlap and limits accept.  Default verify
@@ -195,6 +201,8 @@ def _parse_shape(text: str) -> Shape:
 def _within_budget(args, shape: Shape, checks: Optional[list[str]], bits: int) -> None:
     # bits: the longest numerator or denominator of a parameter or of --bound
     if args.command == "validate":
+        if shape.N > MAX_DIMENSION:
+            raise ConfigError(f"{shape.N} coordinates exceed the limit {MAX_DIMENSION} of validate")
         return
     if bits > MAX_PARAMETER_BITS:
         raise ConfigError(f"a {bits}-bit rational exceeds the limit of {MAX_PARAMETER_BITS} bits")

@@ -28,7 +28,7 @@ C and Cbar differ only in the global factor, so one walk, `_raising_walk`,
 builds both from one int product per entry, a column's entries as prefix
 products over the coordinates; `cob_coefficient` is the walk at one entry.
 Each side's two families are kept cleared (rows {r: {c: numerator}} over
-one denominator, exactly `tdcore.cleared` of the table; D and Dbar at the
+one denominator, the lcm of the table's denominators; D and Dbar at the
 reversed positions) in a small module-level cache, `_family_pair`, which
 `_coefficient_rows` serves to the verifier's checks, the block formulas
 and both matrix overlap routes.

@@ -14,7 +14,7 @@ xi and xi* are written once, as the int pair of `_xi_kernel`; the public
 `xi`, the operator assembly and the five-term formula of `cob` read it.
 
 Inside the package a matrix is cleared, integer rows {r: {c: numerator}}
-over one denominator (`cleared`): the operators are assembled so, and an
+over one denominator: the operators are assembled so, and an
 `ExactMatrix` is built only at the public edge (`uncleared`).
 
 Validity of a parameter set means three constraint families hold:
@@ -464,29 +464,23 @@ def _line_product(rows: dict, right_rows: dict) -> dict:
 
 
 # A matrix cleared of denominators is the pair ({r: {c: numerator}}, one
-# common denominator).  The operator-word checks multiply, sum and compare
+# common denominator), the lcm of its entries' denominators, a Q(t) entry
+# riding over 1.  The operator-word checks multiply, sum and compare
 # these over Z, a product's rows feeding the next product as they are, and
 # build a field element only for a differing entry.
 
 
-def cleared(m: "ExactMatrix") -> tuple[dict, FieldElement]:
-    """m cleared of denominators."""
-    vals = m.entries.values()
-    nums, den = over_common_denominator([v.numerator for v in vals], [v.denominator for v in vals])
-    return _rows(zip(m.entries, nums)), den
-
-
 def uncleared(basis: Sequence[MultiIndex], x: tuple) -> "ExactMatrix":
-    """The matrix over basis of a cleared x, the inverse of `cleared`."""
+    """The matrix over basis of a cleared x."""
     rows, den = x
     return ExactMatrix(basis, {(r, c): pair_value(v, den) for r, row in rows.items() for c, v in row.items()})
 
 
 def _primitive(rows: dict, den: int) -> tuple:
-    """rows over den, a common multiple of their denominators, as `cleared`
-    gives them: dividing out g = gcd(den, every int numerator) leaves den / g
-    = lcm_e(den / g_e), g_e = gcd(den, numerator e).  A Q(t) numerator stays
-    out of g and is divided as one, as `cleared` keeps it over 1."""
+    """rows over den, a common multiple of their denominators, cleared:
+    dividing out g = gcd(den, every int numerator) leaves den / g =
+    lcm_e(den / g_e), g_e = gcd(den, numerator e).  A Q(t) numerator stays
+    out of g and is divided as one, as a cleared matrix keeps it over 1."""
     g = gcd(den, *(v for row in rows.values() for v in row.values() if type(v) is int))
     if g > 1:
         rows = {r: {k: v // g if type(v) is int else v / g for k, v in row.items()} for r, row in rows.items()}
@@ -687,22 +681,6 @@ class ExactMatrix:
         # a zero of every field type is falsy
         self.entries: dict = {k: v for k, v in entries.items() if v} if entries else {}
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, basis: Sequence[MultiIndex]) -> "ExactMatrix":
-        return cls(basis)
-
-    @classmethod
-    def identity(cls, basis: Sequence[MultiIndex]) -> "ExactMatrix":
-        return cls(basis, dict.fromkeys(((k, k) for k in range(len(basis))), Fraction(1)))
-
-    @classmethod
-    def diagonal(
-        cls, basis: Sequence[MultiIndex], value_at: Callable[[MultiIndex], FieldElement]
-    ) -> "ExactMatrix":
-        return cls(basis, {(k, k): value_at(mi) for k, mi in enumerate(basis)})
-
     # -- access -----------------------------------------------------------
 
     @property
@@ -754,12 +732,6 @@ class ExactMatrix:
         }
         return m
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.basis, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def off_diagonal_part(self) -> "ExactMatrix":
-        return ExactMatrix(self.basis, {k: v for k, v in self.entries.items() if k[0] != k[1]})
-
     def solve_upper_triangular(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Solve self X = rhs for X, with self upper triangular in storage
         order with nonzero diagonal, by `_back_substitution`."""
@@ -804,8 +776,8 @@ class ExactMatrix:
 
 
 def _assemble_operator(params: TDParameters, which: str) -> tuple:
-    """The operator cleared, `cleared` of its matrix, without re-validating
-    the parameters.
+    """The operator cleared of denominators, without re-validating the
+    parameters.
 
     The walk runs on tuples: each column n reaches its targets t = n +- e_p
     by replacing one coordinate, checked against its own bound.  theta (or

@@ -17,7 +17,8 @@ its own denominator (`_content_lines`): one lcm over a whole C runs to
 1,770 bits at (143,).  The overlap route tables stay factored
 (`tdcore.Factored`): `overlap_consistency` and `racah_reduction`
 cross-multiply heads and dots, and `biorthogonality` runs on ints from U's
-dots to I.
+dots to I.  `irreducibility` spans words in A's and A*'s integer rows,
+row-reduced fraction-free.
 
 Check names, in canonical report order:
 
@@ -59,6 +60,7 @@ from typing import Callable, Optional, Sequence
 from .exactfield import (
     FieldElement,
     LaurentSeries,
+    PoleAtZero,
     PrecisionExhausted,
     ZeroDenominatorPochhammer,
     as_integer,
@@ -80,7 +82,6 @@ from .overlap import (
     _u_row_factor,
 )
 from .tdcore import (
-    ExactMatrix,
     Factored,
     TDParameters,
     _PARAM_KEYS,
@@ -102,7 +103,6 @@ from .tdcore import (
     factored_values,
     identity_difference,
     substituted_for_involution,
-    uncleared,
     validate_parameters,
 )
 
@@ -142,17 +142,31 @@ class SamplingExhausted(RuntimeError):
 # witness helpers
 
 
-def _entry_witness(diff, label: str) -> Optional[dict]:
+def _entry_witness(diff, identity: str, keys: tuple = ("row", "col"), **extra) -> Optional[dict]:
+    """The witness of diff = (row index, col index, lhs, rhs), or None when
+    diff is: the identity, the extra keys, the two indices under keys (the
+    operator words' row and col, the overlap functions' i and x) and both
+    sides."""
     if diff is None:
         return None
     row, col, lhs, rhs = diff
     return {
-        "row": format_multiindex(row),
-        "col": format_multiindex(col),
-        "lhs": format_scalar(lhs),
-        "rhs": format_scalar(rhs),
-        "identity": label,
+        "identity": identity,
+        **extra,
+        keys[0]: format_multiindex(row),
+        keys[1]: format_multiindex(col),
+        "lhs": _shown(lhs),
+        "rhs": _shown(rhs),
     }
+
+
+def _shown(v) -> str:
+    # an exact value, or the error that says why a limit has none
+    if isinstance(v, PrecisionExhausted):
+        return f"unknown: {v}"
+    if isinstance(v, PoleAtZero):
+        return f"does not exist: {v}"
+    return format_scalar(v)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +282,7 @@ def _check_block_structure(ctx: _Context):
         for which, fwd, inv, op in (("Astar_in_Vx", "C", "Cbar", "As"), ("A_in_Vi", "D", "Dbar", "A")):
             _block_form_rows(ctx.params, which, ctx.cleared(fwd), ctx.cleared(inv), ctx.cleared(op))
     except StructureViolation as err:
-        return False, {
-            "identity": "block tridiagonal form",
-            "row": format_multiindex(err.row),
-            "col": format_multiindex(err.col),
-            "lhs": format_scalar(err.lhs),
-            "rhs": format_scalar(err.rhs),
-        }
+        return False, _entry_witness((err.row, err.col, err.lhs, err.rhs), "block tridiagonal form")
     return True, None
 
 
@@ -308,14 +316,8 @@ def _check_overlap_consistency(ctx: _Context):
         diff = factored_difference([(tables[methods[0]], tables[m]) for m in methods[1:]])
         if diff is not None:
             k, r, c, lhs, rhs = diff
-            return False, {
-                "identity": f"{which} route agreement",
-                "method": methods[k + 1],
-                "i": format_multiindex(ctx.basis[r]),
-                "x": format_multiindex(ctx.basis[c]),
-                "lhs": format_scalar(lhs),
-                "rhs": format_scalar(rhs),
-            }
+            entry = (ctx.basis[r], ctx.basis[c], lhs, rhs)
+            return False, _entry_witness(entry, f"{which} route agreement", ("i", "x"), method=methods[k + 1])
     return True, None
 
 
@@ -362,13 +364,7 @@ def _check_racah_reduction(ctx: _Context):
     diff = factored_difference([(mt, ms), (mu, mb), (mu, factored_scaled(ms, f, g))])
     if diff is not None:
         k, r, c, lhs, rhs = diff
-        return False, {
-            "identity": labels[k],
-            "i": format_multiindex(ctx.basis[r]),
-            "x": format_multiindex(ctx.basis[c]),
-            "lhs": format_scalar(lhs),
-            "rhs": format_scalar(rhs),
-        }
+        return False, _entry_witness((ctx.basis[r], ctx.basis[c], lhs, rhs), labels[k], ("i", "x"))
     return True, None
 
 
@@ -401,7 +397,8 @@ def _series_limits(kernel: Callable, params: TDParameters, rows: Sequence, cols:
     per row of rows, params a parameter set over Laurent series.  An entry
     whose t^0 coefficient is unknown is the PrecisionExhausted that says
     so, never a guessed value; so is every entry when the kernel itself
-    raises it."""
+    raises it; an entry with a pole at t = 0 is the PoleAtZero that says
+    its limit does not exist."""
     try:
         table = factored_values(kernel(params, rows, cols))
     except PrecisionExhausted as err:
@@ -412,7 +409,7 @@ def _series_limits(kernel: Callable, params: TDParameters, rows: Sequence, cols:
 def _limit_or_error(v):
     try:
         return limit_at_zero(v)
-    except PrecisionExhausted as err:
+    except (PrecisionExhausted, PoleAtZero) as err:
         return err
 
 
@@ -469,16 +466,8 @@ def _check_limits(ctx: _Context):
         for r, i in enumerate(rows):
             for c, x in enumerate(cols):
                 for lim, form, identity in zip(lims, closed, _LIMIT_IDENTITIES):
-                    got = lim[r][c]
-                    if got != form[r][c]:
-                        known = not isinstance(got, PrecisionExhausted)
-                        return False, {
-                            "identity": identity,
-                            "i": format_multiindex(i),
-                            "x": format_multiindex(x),
-                            "lhs": format_scalar(got) if known else f"unknown: {got}",
-                            "rhs": format_scalar(form[r][c]),
-                        }
+                    if lim[r][c] != form[r][c]:
+                        return False, _entry_witness((i, x, lim[r][c], form[r][c]), identity, ("i", "x"))
     return True, None
 
 
@@ -488,44 +477,49 @@ def _check_irreducibility(ctx: _Context):
     Reaching dimension d^2 certifies the joint action generates the full
     matrix algebra.  Anything else is inconclusive: saturation below d^2
     or hitting the word-length cap proves nothing at this budget.
+
+    A word is the `_line_product` of A's or A*'s numerator rows with the
+    word before it: its span does not depend on its scale, so the
+    operators' denominators drop out.  The echelon is fraction-free: a word
+    w meets the pivot p of its lead entry as p_lead w - w_lead p, and each
+    line is kept over its content (`_scaled_down`), so no entry becomes a
+    rational and the span is exact.
     """
-    A, As = (uncleared(ctx.basis, ctx.cleared(name)) for name in ("A", "As"))
-    d = A.dimension
+    gens = [ctx.cleared(name)[0] for name in ("A", "As")]
+    d = len(ctx.basis)
     target = d * d
     pivots: dict = {}
 
-    def insert(m: ExactMatrix) -> bool:
-        vec = {k: v for k, v in m.entries.items() if v != 0}
+    def insert(word: dict) -> bool:
+        vec = _scaled_down({(r, c): v for r, row in word.items() for c, v in row.items()})
         while vec:
             lead = min(vec)
-            if lead not in pivots:
-                inv = 1 / vec[lead]
-                pivots[lead] = {k: v * inv for k, v in vec.items()}
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = vec
                 return True
-            factor = vec[lead]
-            for k, v in pivots[lead].items():
-                nv = vec.get(k, Fraction(0)) - factor * v
-                if nv == 0:
-                    vec.pop(k, None)
-                else:
+            a, b = pivot[lead], vec[lead]
+            if type(a) is int and type(b) is int:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+            vec = {k: a * v for k, v in vec.items()} if a != 1 else vec
+            for k, v in pivot.items():
+                nv = vec.get(k, 0) - b * v
+                if nv:
                     vec[k] = nv
+                else:
+                    vec.pop(k, None)
+            vec = _scaled_down(vec)
         return False
 
-    frontier = [ExactMatrix.identity(ctx.basis)]
+    frontier = [{k: {k: 1} for k in range(d)}]
     insert(frontier[0])
-    cap = 2 * d + 2
     length = 0
-    while frontier and len(pivots) < target and length < cap:
+    while len(pivots) < target and length < 2 * d + 2:
         length += 1
-        nxt = []
-        grew = False
-        for w in frontier:
-            for g in (A, As):
-                m = g @ w
-                if insert(m):
-                    grew = True
-                    nxt.append(m)
-        if not grew:
+        # the words that grew the span, the next frontier
+        nxt = [m for w in frontier for g in gens if insert(m := _line_product(g, w))]
+        if not nxt:
             break
         frontier = nxt
     if len(pivots) == target:
@@ -536,6 +530,21 @@ def _check_irreducibility(ctx: _Context):
         "target": target,
         "word_length": length,
     }
+
+
+def _scaled_down(vec: dict) -> dict:
+    """vec divided by the gcd of its entries, ints over Q, or by its lead
+    entry when one is a rational function (Q(t)): a line that spans what
+    vec spans, exactly."""
+    if not vec:
+        return vec
+    try:
+        g = gcd(*vec.values())
+    except TypeError:  # not every entry is an int
+        g = vec[min(vec)]
+    if g == 1:
+        return vec
+    return {k: v // g if type(g) is int else v / g for k, v in vec.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,43 @@
-"""Entrywise sums, scalings and commutators of ExactMatrix objects, a typed
-view and a planted error of a cleared matrix.
+"""ExactMatrix constructors, a transpose and entrywise sums, scalings and
+commutators of ExactMatrix objects; a matrix cleared of denominators, its
+typed view and a planted error in it.
 
-The package proves its operator identities on matrices cleared of
-denominators (`tdcore.cleared_product`, `cleared_combination`) and never adds
-two ExactMatrix objects; the tests write their oracle words with these.
+The package proves its identities on matrices cleared of denominators
+(`tdcore.cleared_product`, `cleared_combination`) and builds an
+ExactMatrix only for a caller; the tests write their oracle words with
+these.
 """
 
 from fractions import Fraction
 
-from tdpair.tdcore import ExactMatrix
+from tdpair.exactfield import over_common_denominator
+from tdpair.tdcore import ExactMatrix, _rows
+
+
+def identity(basis) -> ExactMatrix:
+    return ExactMatrix(basis, dict.fromkeys(((k, k) for k in range(len(basis))), Fraction(1)))
+
+
+def diagonal(basis, value_at) -> ExactMatrix:
+    """diag(value_at(m)) over the basis elements m."""
+    return ExactMatrix(basis, {(k, k): value_at(mi) for k, mi in enumerate(basis)})
+
+
+def transpose(a: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.basis, {(c, r): v for (r, c), v in a.entries.items()})
+
+
+def off_diagonal_part(a: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.basis, {k: v for k, v in a.entries.items() if k[0] != k[1]})
+
+
+def cleared(m: ExactMatrix) -> tuple:
+    """m cleared of denominators, (rows {r: {c: numerator}}, one
+    denominator), as the package keeps its matrices; `tdcore.uncleared` is
+    its inverse."""
+    vals = m.entries.values()
+    nums, den = over_common_denominator([v.numerator for v in vals], [v.denominator for v in vals])
+    return _rows(zip(m.entries, nums)), den
 
 
 def plus(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -24,14 +24,13 @@ from tdpair.overlap import (
     univariate_u_racah_normalized,
 )
 from tdpair.tdcore import (
-    ExactMatrix,
     TDParameters,
     build_operator,
     eigenvalue,
 )
 from tdpair.verify import random_valid_parameters
 
-from matrix_ops import all_zero, commutator, minus, plus, scaled
+from matrix_ops import all_zero, commutator, diagonal, identity, minus, off_diagonal_part, plus, scaled, transpose
 
 SWEEP_SHAPES = (
     (1,),
@@ -61,7 +60,7 @@ def _mats(ell: tuple, seed: int) -> SimpleNamespace:
         tag=f"shape={ell} seed={seed}",
         params=params,
         basis=basis,
-        identity=ExactMatrix.identity(basis),
+        identity=identity(basis),
         A=build_operator(params, "A"),
         As=build_operator(params, "Astar"),
         MC=coefficient_matrix(params, "C"),
@@ -81,8 +80,8 @@ def test_criterion_01_eigen_structure():
     # A.C = C.diag(theta_|x|) and A*.D = D.diag(theta*_|i|), exactly
     for m in _sweep():
         p = m.params
-        dt = ExactMatrix.diagonal(m.basis, lambda mi: eigenvalue(p, mi.weight))
-        dts = ExactMatrix.diagonal(
+        dt = diagonal(m.basis, lambda mi: eigenvalue(p, mi.weight))
+        dts = diagonal(
             m.basis, lambda mi: eigenvalue(p, mi.weight, starred=True)
         )
         assert (m.A @ m.MC).first_difference(m.MC @ dt) is None, m.tag
@@ -137,10 +136,10 @@ def test_criterion_04_triple_commutator():
     # [R,[R,[R,L]]] = -6 h h* (4|n| + omega + omega* + 4) R^2, columnwise
     for m in _sweep():
         p = m.params
-        R = m.A.off_diagonal_part()
-        L = m.As.off_diagonal_part()
+        R = off_diagonal_part(m.A)
+        L = off_diagonal_part(m.As)
         lhs = commutator(R, commutator(R, commutator(R, L)))
-        level_factor = ExactMatrix.diagonal(
+        level_factor = diagonal(
             m.basis,
             lambda mi: -6
             * p.h
@@ -172,7 +171,7 @@ def test_criterion_06_overlap_three_way_agreement():
         u_ref = overlap_table(p, "U", "direct_sum")
         assert u_ref.first_difference(overlap_table(p, "U", "shift_operator")) is None, m.tag
         assert u_ref.first_difference(overlap_table(p, "U", "linear_solve")) is None, m.tag
-        assert m.MD.first_difference(m.MC @ t_ref.transpose()) is None, m.tag
+        assert m.MD.first_difference(m.MC @ transpose(t_ref)) is None, m.tag
 
 
 def test_criterion_07_biorthogonality():
@@ -180,7 +179,7 @@ def test_criterion_07_biorthogonality():
     for m in _sweep():
         mt = overlap_table(m.params, "T", "matrix_product")
         mu = overlap_table(m.params, "U", "linear_solve")
-        assert (mt @ mu.transpose()).first_difference(m.identity) is None, m.tag
+        assert (mt @ transpose(mu)).first_difference(m.identity) is None, m.tag
     # hand-checked single-coordinate tables
     hand = TDParameters(
         shape=Shape((1,)),

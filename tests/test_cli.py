@@ -16,6 +16,7 @@ from tdpair.cli import (
     _emit_tables,
     main,
 )
+from tdpair.exactfield import LaurentSeries
 from tdpair.multiindex import Shape, enumerate_box
 from tdpair import cli, verify
 from tdpair.tdcore import factored_values, unit_factored
@@ -261,6 +262,23 @@ class TestLimits:
         assert limits["witness"]["identity"] == "both spectra linear limit"
         assert limits["witness"]["lhs"] == "unknown: division by O(t^0), not known to be nonzero"
 
+    def test_a_pole_fails_with_a_witness(self, monkeypatch, capsys):
+        # the direct sum planted to return 1/t at the series parameters: its
+        # limit does not exist, so status 1 and the JSON witness, not a
+        # traceback
+        def pole(params, rows, cols):
+            return unit_factored([[LaurentSeries(-1, 1)] * len(cols) for _ in rows])
+
+        monkeypatch.setattr(verify, "_t_direct", pole)
+        rc = main(["limits", "--shape", "2", "--seed", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        limits = json.loads(captured.out)["checks"][-1]
+        assert (limits["check"], limits["pass"]) == ("limits", False)
+        assert limits["witness"]["identity"] == "level-linear starred spectrum limit"
+        assert limits["witness"]["lhs"] == "does not exist: pole at t = 0: LaurentSeries(-1, 1, 1)"
+
 
 class TestConfigErrors:
     def test_params_and_shape_conflict(self, params_file, capsys):
@@ -381,9 +399,39 @@ class TestDimensionBudget:
         assert main(["verify", "--checks", "constraints", "--shape", "3,3", "--seed", "1"]) == 0
 
     def test_validate_is_unbounded(self, big_params_file, capsys):
+        # in the box dimension; its number of coordinates is bounded below
         assert main(["validate", "--shape", "20,20", "--seed", "1"]) == 0
         assert main(["validate", "--params", big_params_file]) in (0, 1)
         assert "exceeds" not in capsys.readouterr().err
+
+    @staticmethod
+    def _coordinates_file(tmp_path, n: int) -> str:
+        # n coordinates of length 1, every anchor a distinct non-integer
+        path = tmp_path / f"n{n}.json"
+        a = [f"{k}/100003" for k in range(1, n + 1)]
+        path.write_text(json.dumps(dict(VALID_N1, ell=[1] * n, omega="1/3", a=a)))
+        return str(path)
+
+    def test_validate_refuses_too_many_coordinates(self, tmp_path, monkeypatch, capsys):
+        # cond3 compares 2N strings pairwise: N = MAX_DIMENSION + 1 exits 2
+        # before anything is sampled or validated
+        def unreached(params):
+            raise AssertionError("validated")
+
+        monkeypatch.setattr(cli, "validate_parameters", unreached)
+        monkeypatch.setattr(verify, "validate_parameters", unreached)
+        n = MAX_DIMENSION + 1
+        shape = ["--shape", ",".join(["1"] * n), "--seed", "1"]
+        for source in (["--params", self._coordinates_file(tmp_path, n)], shape):
+            start = time.perf_counter()
+            assert main(["validate"] + source) == 2
+            assert time.perf_counter() - start < 1.0
+            assert f"{n} coordinates exceed the limit {MAX_DIMENSION} of validate" in capsys.readouterr().err
+
+    def test_validate_admits_the_coordinate_limit(self, tmp_path, capsys):
+        assert main(["validate", "--params", self._coordinates_file(tmp_path, MAX_DIMENSION), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [c["check"] for c in report["checks"]] == ["cond1", "cond2", "cond3"]
 
     @pytest.mark.parametrize("command", BOUNDED)
     def test_oversized_rationals_exit_2_at_once(self, command, tmp_path, capsys):

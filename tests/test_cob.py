@@ -46,14 +46,13 @@ from tdpair.tdcore import (
     _lines,
     _terms,
     build_operator,
-    cleared,
     eigenvalue,
     substituted_for_involution,
     uncleared,
 )
 from tdpair.verify import random_valid_parameters, run_suite
 
-from matrix_ops import column, plant_off_diagonal
+from matrix_ops import cleared, column, diagonal, identity, plant_off_diagonal
 from operator_oracle import oracle_xi, shapes_to_18
 
 F = Fraction
@@ -247,7 +246,7 @@ class TestMatrixIdentities:
     @pytest.mark.parametrize("params", [_params_1d(), _params_2d(), _params_21()])
     def test_forward_inverse_pairs(self, params):
         basis = enumerate_box(params.shape)
-        I = ExactMatrix.identity(basis)
+        I = identity(basis)
         assert coefficient_matrix(params, "C") @ coefficient_matrix(params, "Cbar") == I
         assert coefficient_matrix(params, "D") @ coefficient_matrix(params, "Dbar") == I
 
@@ -258,8 +257,8 @@ class TestMatrixIdentities:
         As = build_operator(params, "Astar")
         MC = eigenbasis_matrix(params, "A_basis")
         MD = eigenbasis_matrix(params, "Astar_basis")
-        DT = ExactMatrix.diagonal(basis, lambda m: eigenvalue(params, m.weight))
-        DTs = ExactMatrix.diagonal(basis, lambda m: eigenvalue(params, m.weight, starred=True))
+        DT = diagonal(basis, lambda m: eigenvalue(params, m.weight))
+        DTs = diagonal(basis, lambda m: eigenvalue(params, m.weight, starred=True))
         assert A @ MC == MC @ DT
         assert As @ MD == MD @ DTs
 

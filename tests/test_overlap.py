@@ -1,7 +1,9 @@
 """Overlap function routes, closed forms, and degenerate kinds."""
 
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -27,10 +29,9 @@ from tdpair.exactfield import (
     variable_t,
 )
 from tdpair.multiindex import IndexOutOfRange, Shape, enumerate_box, partial_sum
-from tdpair import cob, overlap
+from tdpair import cob, overlap, tdcore
 from tdpair.cob import coefficient_matrix
 from tdpair.tdcore import (
-    ExactMatrix,
     InvalidParameters,
     TDParameters,
     factored_scaled,
@@ -48,6 +49,7 @@ from tdpair.overlap import (
     univariate_u_balanced,
     univariate_u_racah_normalized,
 )
+from matrix_ops import identity, transpose
 from operator_oracle import shapes_to_18
 from overlap_oracle import (
     oracle_hahn,
@@ -503,15 +505,15 @@ class TestBasisIdentities:
         md = coefficient_matrix(params, "D")
         mt = overlap_table(params, "T", "matrix_product")
         mu = overlap_table(params, "U", "linear_solve")
-        assert md == mc @ mt.transpose()
+        assert md == mc @ transpose(mt)
         assert mc == md @ mu
 
     @pytest.mark.parametrize("params", [_params_1d(), _params_2d(), _params_21()])
     def test_biorthogonality(self, params):
         mt = overlap_table(params, "T", "direct_sum")
         mu = overlap_table(params, "U", "direct_sum")
-        I = ExactMatrix.identity(mt.basis)
-        assert mt @ mu.transpose() == I
+        I = identity(mt.basis)
+        assert mt @ transpose(mu) == I
 
 
 class TestUnivariateForms:
@@ -852,7 +854,81 @@ class TestFactoredTables:
             assert [[_scalar(v) for v in row] for row in got] == expect
 
 
+def _route_calls(p, which: str, method: str) -> set:
+    """The package functions, as (file, name, first line), that one route
+    kernel calls on a cold table: the coefficient families and the swapped
+    parameters rebuilt, the validity gate already warm.  A comprehension,
+    generator or lambda is left out: it runs only inside the function that
+    holds it, which is recorded."""
+    root = os.path.dirname(overlap.__file__)
+    seen = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(root) and not code.co_name.startswith("<"):
+            seen.add((os.path.basename(code.co_filename), code.co_name, code.co_firstlineno))
+
+    cob._family_pair.cache_clear()
+    cob._swapped.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        overlap._factored_table(p, which, method)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+# What two routes of one family may share: tested primitives, the table
+# dispatch and validity gate, and the index, shape and parameter accessors
+# (the shape's __eq__ and __hash__ and `_box` run on cache lookups, so
+# whether a route reaches them depends on what is cached); the line-and-dot
+# helpers for direct_sum with shift_operator; and for U the S-mirror (the
+# swapped parameters, built by `replace`, and the mirrored kernel with its
+# index flip).  A change that shares more must extend these and say why.
+_PRIMITIVES = {
+    ("exactfield.py", "_pair"),
+    ("exactfield.py", "_rising"),
+    ("exactfield.py", "over_common_denominator"),
+    ("overlap.py", "_kernel"),
+    ("overlap.py", "_factored_table"),
+    ("tdcore.py", "_ensure_valid"),
+}
+_ACCESSORS = {
+    *(("multiindex.py", name) for name in ("__new__", "weight", "N", "diameter", "__eq__", "__hash__", "_box")),
+    *(("tdcore.py", name) for name in ("N", "ell", "diameter")),
+}
+_LINE_HELPERS = {("overlap.py", "_dot_table"), ("overlap.py", "_line")}
+_S_MIRROR = {
+    ("cob.py", "_swapped"),
+    ("tdcore.py", "substituted_for_involution"),
+    ("tdcore.py", "__post_init__"),
+    ("exactfield.py", "_coerce"),
+    ("overlap.py", "u_kernel"),
+    ("overlap.py", "flip"),
+}
+
+
 class TestRouteIndependence:
+    def test_routes_of_one_family_share_only_allowed_helpers(self):
+        # (2,2,1), seed 1: every pairwise intersection of the functions the
+        # routes call lies in the allowlist, and each allowed name but the
+        # accessors is shared by some pair, so the list holds nothing stale
+        p = random_valid_parameters(Shape((2, 2, 1)), 1)
+        for q in (p, cob._swapped(p)):
+            tdcore._ensure_valid(q)
+        used = set()
+        for which, methods in (("T", T_METHODS), ("U", U_METHODS)):
+            calls = {m: _route_calls(p, which, m) for m in methods}
+            for a, b in itertools.combinations(methods, 2):
+                shared = {(f, name) for f, name, _ in calls[a] & calls[b]}
+                allowed = _PRIMITIVES | _ACCESSORS | (_S_MIRROR if which == "U" else set())
+                if {a, b} == {"direct_sum", "shift_operator"}:
+                    allowed |= _LINE_HELPERS
+                assert shared <= allowed, (which, a, b, sorted(shared - allowed))
+                used |= shared
+        assert used - _ACCESSORS == _PRIMITIVES | _LINE_HELPERS | _S_MIRROR
+
     def test_a_fault_in_the_shared_helper_is_caught_by_the_matrix_route(self, monkeypatch):
         # direct_sum and shift_operator both build their tables through
         # `_dot_table`; matrix_product does not, so it disagrees with both

@@ -28,7 +28,6 @@ from tdpair.tdcore import (
     _lines,
     _rows,
     _terms,
-    cleared,
     cleared_combination,
     cleared_commutator,
     cleared_difference,
@@ -47,7 +46,21 @@ from tdpair.tdcore import (
 )
 from tdpair.verify import random_valid_parameters
 
-from matrix_ops import all_zero, column, commutator, minus, negated, plus, scaled, typed_cleared
+from matrix_ops import (
+    all_zero,
+    cleared,
+    column,
+    commutator,
+    diagonal,
+    identity,
+    minus,
+    negated,
+    off_diagonal_part,
+    plus,
+    scaled,
+    transpose,
+    typed_cleared,
+)
 from operator_oracle import oracle_operator, oracle_xi, shapes_to_18
 
 F = Fraction
@@ -171,20 +184,20 @@ class TestOperatorAssembly:
         As = build_operator(p, "Astar")
         R = build_operator(p, "R")
         L = build_operator(p, "L")
-        assert R == A.off_diagonal_part()
-        assert L == As.off_diagonal_part()
+        assert R == off_diagonal_part(A)
+        assert L == off_diagonal_part(As)
         # the diagonal entries are the eigenvalues at each level
         basis = A.basis
-        assert A == plus(ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight)), R)
+        assert A == plus(diagonal(basis, lambda m: eigenvalue(p, m.weight)), R)
         assert As == plus(
-            ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight, starred=True)), L
+            diagonal(basis, lambda m: eigenvalue(p, m.weight, starred=True)), L
         )
 
     def test_antidiagonal_involution(self):
         p = _params_2d()
         S = build_operator(p, "S")
         basis = enumerate_box(p.shape)
-        assert S @ S == ExactMatrix.identity(basis)
+        assert S @ S == identity(basis)
         n01, n10 = MultiIndex((0, 1)), MultiIndex((1, 0))
         assert column(S, n01) == {n10: F(1)}
 
@@ -490,7 +503,7 @@ class TestExactMatrix:
 
     def test_identity_is_neutral(self):
         basis = self._basis()
-        I = ExactMatrix.identity(basis)
+        I = identity(basis)
         A = build_operator(_params_2d(), "A")
         assert I @ A == A
         assert A @ I == A
@@ -525,7 +538,7 @@ class TestExactMatrix:
         p = _params_2d()
         A = build_operator(p, "A")
         As = build_operator(p, "Astar")
-        assert (A @ As).transpose() == As.transpose() @ A.transpose()
+        assert transpose(A @ As) == transpose(As) @ transpose(A)
 
     def test_commutator_antisymmetry(self):
         p = _params_2d()
@@ -540,21 +553,21 @@ class TestExactMatrix:
         assert scaled(A, F(2)) == plus(A, A)
 
     def test_mixed_bases_rejected(self):
-        a = ExactMatrix.identity(enumerate_box(Shape((1,))))
-        b = ExactMatrix.identity(enumerate_box(Shape((2,))))
+        a = identity(enumerate_box(Shape((1,))))
+        b = identity(enumerate_box(Shape((2,))))
         with pytest.raises(ValueError):
             a @ b
 
     def test_first_difference(self):
         basis = self._basis()
-        a = ExactMatrix.identity(basis)
+        a = identity(basis)
         b = ExactMatrix(basis, {(0, 0): F(1), (1, 1): F(2)})
         row, col, lhs, rhs = a.first_difference(b)
         assert (row, col) == (basis[1], basis[1])
         assert (lhs, rhs) == (F(1), F(2))
         assert a.first_difference(a) is None
         # a stored zero makes the entry dicts differ; the walk finds no witness
-        c = ExactMatrix.identity(basis)
+        c = identity(basis)
         c.entries[(0, 1)] = F(0)
         assert a.first_difference(c) is None and c.first_difference(a) is None
 
@@ -571,7 +584,7 @@ class TestExactMatrix:
         basis = enumerate_box(Shape((1,)))
         m = ExactMatrix(basis, {(0, 0): F(1), (1, 0): F(1), (1, 1): F(1)})
         with pytest.raises(ValueError):
-            m.solve_upper_triangular(ExactMatrix.identity(basis))
+            m.solve_upper_triangular(identity(basis))
 
     def test_json_and_csv_forms(self):
         basis = enumerate_box(Shape((1,)))
@@ -584,7 +597,7 @@ class TestExactMatrix:
         assert rows[2] == ["[1]", "3/2", "0"]
 
     def test_unhashable(self):
-        m = ExactMatrix.identity(enumerate_box(Shape((1,))))
+        m = identity(enumerate_box(Shape((1,))))
         with pytest.raises(TypeError):
             hash(m)
 
@@ -880,9 +893,9 @@ class TestClearedLinesAndScaling:
         if with_t:
             a = ExactMatrix(_BASIS6, {**a.entries, (r, r): variable_t() - 1})
             values[5 - r] = values[5 - r] * variable_t()
-        diagonal = ExactMatrix.diagonal(_BASIS6, lambda m: values[_BASIS6.index(m)])
+        dm = diagonal(_BASIS6, lambda m: values[_BASIS6.index(m)])
         x = cleared(a)
-        want = cleared_product(x, cleared(diagonal))
+        want = cleared_product(x, cleared(dm))
         assert typed_cleared(cleared_scaled(x, values)) == typed_cleared(want)
 
 

@@ -23,7 +23,6 @@ from tdpair.tdcore import (
     TDParameters,
     _assemble_operator,
     build_operator,
-    cleared,
     eigenvalue,
     factored_values,
     substituted_for_involution,
@@ -39,7 +38,19 @@ from tdpair.verify import (
     run_suite,
 )
 
-from matrix_ops import commutator, minus, plant_off_diagonal, plus, scaled, typed_cleared
+from matrix_ops import (
+    cleared,
+    commutator,
+    diagonal,
+    identity,
+    minus,
+    off_diagonal_part,
+    plant_off_diagonal,
+    plus,
+    scaled,
+    transpose,
+    typed_cleared,
+)
 from operator_oracle import oracle_operator
 
 
@@ -179,7 +190,7 @@ class TestBetaMutation:
     def _witness_of_separate_products(p, beta):
         # both relations with every product of three written out on its own
         A, As = build_operator(p, "A"), build_operator(p, "Astar")
-        zero = ExactMatrix.zero(A.basis)
+        zero = ExactMatrix(A.basis)
         rho = p.h * (p.h * (p.omega**2 - 1) - 4 * p.theta0)
         rho_s = p.h_star * (p.h_star * (p.omega_star**2 - 1) - 4 * p.theta0_star)
         for X, Y, gamma, r, identity in (
@@ -263,6 +274,59 @@ class TestIrreducibility:
             "certified",
             "inconclusive",
         )
+
+    @pytest.mark.parametrize("ell", [(1,), (2, 1), (1, 1, 1)])
+    def test_the_integer_echelon_gives_the_oracle_witness(self, ell):
+        p = random_valid_parameters(Shape(ell), 1)
+        assert verify._check_irreducibility(verify._Context(p)) == _oracle_irreducibility(p)
+
+    @pytest.mark.parametrize("free", ["omega", "omega_star", "h"])
+    def test_over_q_t_each_line_is_scaled_by_its_lead(self, free):
+        # a rational-function entry has no gcd: the line is divided by its
+        # lead entry instead
+        p = random_valid_parameters(Shape((2,)), 1)
+        p = replace(p, **{free: getattr(p, free) + variable_t()})
+        assert verify._check_irreducibility(verify._Context(p)) == _oracle_irreducibility(p)
+
+
+def _oracle_irreducibility(p):
+    """The irreducibility check as it was written in ExactMatrix algebra:
+    words g @ w from the identity, each inserted into an echelon over the
+    field whose pivot lines lead with 1."""
+    gens = (build_operator(p, "A"), build_operator(p, "Astar"))
+    d = gens[0].dimension
+    target = d * d
+    pivots: dict = {}
+
+    def insert(m) -> bool:
+        vec = {k: v for k, v in m.entries.items() if v != 0}
+        while vec:
+            lead = min(vec)
+            if lead not in pivots:
+                inv = 1 / vec[lead]
+                pivots[lead] = {k: v * inv for k, v in vec.items()}
+                return True
+            factor = vec[lead]
+            for k, v in pivots[lead].items():
+                nv = vec.get(k, F(0)) - factor * v
+                if nv == 0:
+                    vec.pop(k, None)
+                else:
+                    vec[k] = nv
+        return False
+
+    frontier = [identity(gens[0].basis)]
+    insert(frontier[0])
+    length = 0
+    while len(pivots) < target and length < 2 * d + 2:
+        length += 1
+        nxt = [m for w in frontier for g in gens if insert(m := g @ w)]
+        if not nxt:
+            break
+        frontier = nxt
+    if len(pivots) == target:
+        return True, {"status": "certified", "span": target, "word_length": length}
+    return None, {"status": "inconclusive", "span": len(pivots), "target": target, "word_length": length}
 
 
 class TestOverlapConsistencyMutation:
@@ -835,6 +899,21 @@ class TestUnknownLimits:
             "rhs": format_scalar(overlap.overlap_limit_kind(p, "krawtchouk", i, i)),
         }
 
+    def test_a_pole_fails_the_check(self, monkeypatch):
+        # every entry 1/t: its limit does not exist, and the witness says so
+        def pole(params, rows, cols, kernel):
+            return unit_factored([[LaurentSeries(-1, 1)] * len(cols) for _ in rows])
+
+        p, witness = self._limits_witness(monkeypatch, "_t_direct", pole)
+        i = enumerate_box(p.shape)[0]
+        assert witness == {
+            "identity": "level-linear starred spectrum limit",
+            "i": format_multiindex(i),
+            "x": format_multiindex(i),
+            "lhs": "does not exist: pole at t = 0: LaurentSeries(-1, 1, 1)",
+            "rhs": format_scalar(overlap.overlap_limit_kind(p, "hahn", i, i)),
+        }
+
 
 class TestParametersOutsideQ:
     """With one parameter made free (its value + t), every default check
@@ -971,8 +1050,8 @@ def _operators(p):
 
 def _oracle_eigen(p, ops):
     basis = ops["A"].basis
-    dt = ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight))
-    dts = ExactMatrix.diagonal(basis, lambda m: eigenvalue(p, m.weight, starred=True))
+    dt = diagonal(basis, lambda m: eigenvalue(p, m.weight))
+    dts = diagonal(basis, lambda m: eigenvalue(p, m.weight, starred=True))
     mc, md = (cob.coefficient_matrix(p, kind) for kind in ("C", "D"))
     w = _oracle_witness(ops["A"] @ mc, mc @ dt, "A on its eigenbasis")
     if w is None:
@@ -988,7 +1067,7 @@ def _oracle_td_relations(p, ops, beta):
     AAs, AsA = A @ As, As @ A
     P1 = plus(minus(A @ AAs, scaled(AAs @ A, beta)), AsA @ A)
     P1 = minus(minus(P1, scaled(plus(AAs, AsA), gamma)), scaled(As, rho))
-    zero = ExactMatrix.zero(A.basis)
+    zero = ExactMatrix(A.basis)
     w = _oracle_witness(commutator(A, P1), zero, "plain cubic relation")
     if w is None:
         P2 = plus(minus(As @ AsA, scaled(AsA @ As, beta)), AAs @ As)
@@ -998,9 +1077,9 @@ def _oracle_td_relations(p, ops, beta):
 
 
 def _oracle_r3l(p, ops):
-    R, L = ops["A"].off_diagonal_part(), ops["As"].off_diagonal_part()
+    R, L = off_diagonal_part(ops["A"]), off_diagonal_part(ops["As"])
     lhs = commutator(R, commutator(R, commutator(R, L)))
-    level_factor = ExactMatrix.diagonal(
+    level_factor = diagonal(
         R.basis,
         lambda m: -6 * p.h * p.h_star * (4 * m.weight + p.omega + p.omega_star + 4),
     )
@@ -1013,7 +1092,7 @@ def _oracle_biorthogonality(ctx):
         return ExactMatrix(ctx.basis, {(r, c): v for r, row in enumerate(values) for c, v in enumerate(row)})
 
     mt, mu = matrix("T", "matrix_product"), matrix("U", "direct_sum")
-    return _oracle_witness(mt @ mu.transpose(), ExactMatrix.identity(ctx.basis), "biorthogonality")
+    return _oracle_witness(mt @ transpose(mu), identity(ctx.basis), "biorthogonality")
 
 
 def _oracle_sas(p, ops):
