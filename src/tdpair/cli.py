@@ -209,11 +209,14 @@ def _within_budget(args, shape: Shape, checks: Optional[list[str]], bits: int) -
     limit, scope = MAX_DIMENSION, args.command
     if "irreducibility" in (checks or ()):
         limit, scope = MAX_IRREDUCIBILITY_DIMENSION, "verify with the irreducibility check"
-    if shape.dimension > limit:
-        raise ConfigError(
-            f"box dimension d = {shape.dimension} of shape {shape.ell} exceeds the "
-            f"limit {limit} of {scope}"
-        )
+    # stop once past the limit: the whole d of thousands of coordinates is
+    # slow to form and has too many digits to print
+    d = 1
+    for n, v in enumerate(shape.ell, 1):
+        d *= v + 1
+        if d > limit:
+            size = f"= {d} of shape {shape.ell}" if n == shape.N else f">= {d} of a shape of {shape.N} coordinates"
+            raise ConfigError(f"box dimension d {size} exceeds the limit {limit} of {scope}")
 
 
 def _load_parameters(args, checks: Optional[list[str]] = None) -> TDParameters:
@@ -228,7 +231,9 @@ def _load_parameters(args, checks: Optional[list[str]] = None) -> TDParameters:
                 obj = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read {args.params}: {err}") from None
-        except json.JSONDecodeError as err:
+        except ValueError as err:
+            # malformed JSON, bytes that are not UTF-8, or an int literal of
+            # more digits than Python converts
             raise ConfigError(f"invalid JSON in {args.params}: {err}") from None
         try:
             params = parameters_from_json_obj(obj)

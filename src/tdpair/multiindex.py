@@ -21,9 +21,6 @@ __all__ = [
     "enumerate_box",
     "shape_profile",
     "level_histogram",
-    "unit",
-    "add",
-    "sub",
     "in_box",
     "format_multiindex",
 ]
@@ -161,22 +158,6 @@ def level_histogram(shape: Shape) -> tuple[int, ...]:
     for m in _box(shape):
         counts[m.weight] += 1
     return tuple(counts)
-
-
-def unit(p: int, n_coords: int) -> tuple[int, ...]:
-    """The unit tuple e_p (1-based coordinate p)."""
-    if not 1 <= p <= n_coords:
-        raise IndexOutOfRange(f"coordinate {p} outside 1..{n_coords}")
-    return tuple(1 if q == p - 1 else 0 for q in range(n_coords))
-
-
-def add(n: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(n, m, strict=True))
-
-
-def sub(n: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
-    """Pointwise difference; entries may go negative (out of any box)."""
-    return tuple(a - b for a, b in zip(n, m, strict=True))
 
 
 def in_box(n: Sequence[int], shape: Shape) -> bool:

@@ -22,11 +22,12 @@ back-substitution at p stay three independent U routes.
 
 The shift product is a sum over paths: factor p reads the shifts kappa_1,
 ..., kappa_{p-1} before it only through their sum K, so it is the sum over
-kappa <= min(i, x) of the product of the factors' Z^{kappa_p} terms.  Each
-term is an i-side binom(ell_p, i_p) (b1)_{i_p} (-i_p)_k (a1)_k / (b1)_k of
-i and K, times an x-side (b2)_{x_p} (-x_p)_k (a2)_k / (b2)_k of x and K,
-over k! (-ell_p)_k (`_racah_side`; `_racah_factor` and `RacahFactorSpec`
-compose the two).  The truncated Hahn kind splits the same way, and so
+kappa <= min(i, x) of the product of the factors' Z^{kappa_p} terms.  A
+factor is binom(ell, i) (b1)_i (b2)_x times the terminating 4F3(-i, -x, a1,
+a2; b1, b2, -ell; Z), and its term k is an i-side binom(ell_p, i_p)
+(b1)_{i_p} (-i_p)_k (a1)_k / (b1)_k of i and K, over k! (-ell_p)_k, times an
+x-side (b2)_{x_p} (-x_p)_k (a2)_k / (b2)_k of x and K (`_racah_side`); no
+factor is formed whole.  The truncated Hahn kind splits the same way, and so
 does the direct sum, its denominators telescoped to one Pochhammer symbol
 per term (`_t_direct`).  So a pointwise table is head(i) head(x) sum_n
 R_i(n) C_x(n): one line per row and one per column, each built once over
@@ -56,12 +57,11 @@ only the columns of M_D (rows of T) or of M_C (columns of U) asked for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, perm, prod
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .exactfield import (
     FieldElement,
@@ -72,7 +72,6 @@ from .exactfield import (
     _term_pairs,
     binomial,
     over_common_denominator,
-    pair_value,
     pfq_terminating,
     pochhammer,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "T_METHODS",
     "U_METHODS",
     "LIMIT_KINDS",
-    "RacahFactorSpec",
     "overlap_T",
     "overlap_U",
     "overlap_table",
@@ -174,52 +172,7 @@ def _line(make, index: MultiIndex, top, strides, over_q: bool) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the Racah factor, its two sides, and the shift-operator product
-
-
-@dataclass(frozen=True)
-class RacahFactorSpec:
-    """One factor R(i, x, a1, a2; ell, b1, b2; Z): the prefactor
-    binom(ell,i) (b1)_i (b2)_x times the terminating series
-    sum_k (-i)_k (-x)_k (a1)_k (a2)_k / [(1)_k (b1)_k (b2)_k (-ell)_k] Z^k."""
-
-    i: int
-    x: int
-    a1: FieldElement
-    a2: FieldElement
-    b1: FieldElement
-    b2: FieldElement
-    ell: int
-
-    def __post_init__(self):
-        if not 0 <= self.i <= self.ell:
-            raise ValueError(f"factor degree i={self.i} outside 0..{self.ell}")
-        if not 0 <= self.x <= self.ell:
-            raise ValueError(f"factor degree x={self.x} outside 0..{self.ell}")
-
-    def _factor(self) -> tuple:
-        args = (_pair(v) for v in (self.a1, self.a2, self.b1, self.b2))
-        return _racah_factor(self.i, self.x, *args, self.ell)
-
-    def prefactor_pair(self) -> tuple[FieldElement, FieldElement]:
-        """The prefactor as a pair (u, v) with u / v its value, two ints
-        over Q."""
-        return self._factor()[0]
-
-    def term_pairs(self) -> Iterator[tuple[int, FieldElement, FieldElement]]:
-        """Yield (k, u, v) with u / v the series coefficient of Z^k, each
-        from the last by the term ratio (integers over Q); a vanishing
-        numerator ends the series, a vanishing denominator factor is an
-        error."""
-        return self._factor()[1]
-
-    def series(self) -> Iterator[tuple[int, FieldElement]]:
-        """Yield (k, series coefficient of Z^k); see `term_pairs`."""
-        return ((k, pair_value(u, v)) for k, u, v in self.term_pairs())
-
-    def value_at_unit(self) -> FieldElement:
-        """The scalar value with Z = 1 (the univariate collapse)."""
-        return pair_value(*self.prefactor_pair()) * sum((c for _, c in self.series()), Fraction(0))
+# the two sides of a Racah factor, and the shift-operator product
 
 
 def _racah_side(n: int, a: tuple, b: tuple, kmax: int, detail: str, ell=None) -> tuple:
@@ -235,26 +188,6 @@ def _racah_side(n: int, a: tuple, b: tuple, kmax: int, detail: str, ell=None) ->
     except ZeroDenominatorPochhammer as err:
         return _rising(*b, n), terms, err
     return _rising(*b, n), terms, None
-
-
-def _racah_factor(i: int, x: int, a1: tuple, a2: tuple, b1: tuple, b2: tuple, ell: int) -> tuple:
-    """The factor of `RacahFactorSpec` with a1, a2, b1 and b2 given as pairs
-    (n, d): (its prefactor pair, its iterator of term pairs (k, u, v)), the
-    side of (i, a1, b1) with ell times the side of (x, a2, b2).  It ends
-    where either side's numerator vanishes, and raises where a side's
-    denominator vanishes before that."""
-    kmax, detail = min(i, x), "Racah factor series"
-    pi, ti, fi = _racah_side(i, a1, b1, kmax, detail, ell)
-    px, tx, fx = _racah_side(x, a2, b2, kmax, detail)
-
-    def terms():
-        for k, ((ui, vi), (ux, vx)) in enumerate(zip(ti, tx)):
-            yield k, ui * ux, vi * vx
-        ends = [f for t, f in ((ti, fi), (tx, fx)) if len(t) == min(len(ti), len(tx))]
-        if None not in ends:
-            raise ends[0]
-
-    return (binomial(ell, i) * pi[0] * px[0], pi[1] * px[1]), terms()
 
 
 def _path_line(index: MultiIndex, top, strides, side: Callable, rank: int) -> tuple:

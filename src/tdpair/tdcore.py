@@ -63,12 +63,10 @@ from .report import CheckResult, VerificationReport
 __all__ = [
     "InvalidParameters",
     "TDParameters",
-    "StringSet",
     "ExactMatrix",
     "eigenvalue",
     "xi",
     "validate_parameters",
-    "strings_general_position",
     "build_operator",
     "parameters_from_json_obj",
     "parameters_to_json_obj",
@@ -224,54 +222,15 @@ def _xi_kernel(params: TDParameters, starred: bool) -> Callable[[tuple, int], tu
 # constraint validation
 
 
-@dataclass(frozen=True)
-class StringSet:
-    """A value string: the set {sign * (anchor + k + (omega - omega*)/2)}
-    for k = 1..length, i.e. the unit-step interval lowest + {0, ..., length - 1}."""
-
-    sign: int
-    length: int
-    anchor: FieldElement
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not isinstance(self.length, int) or self.length < 1:
-            raise ValueError("length must be an integer >= 1")
-        object.__setattr__(self, "anchor", _coerce(self.anchor))
-
-    def elements(self, omega: FieldElement, omega_star: FieldElement) -> tuple:
-        half = _half_gap(omega, omega_star)
-        return tuple(self.sign * (self.anchor + k + half) for k in range(1, self.length + 1))
-
-    def lowest(self, omega: FieldElement, omega_star: FieldElement) -> FieldElement:
-        """The least element: k = 1 for sign +1, k = length for sign -1."""
-        half = _half_gap(omega, omega_star)
-        if self.sign == 1:
-            return self.anchor + 1 + half
-        return -(self.anchor + self.length + half)
-
-
-def _half_gap(omega: FieldElement, omega_star: FieldElement) -> FieldElement:
-    return (_coerce(omega) - _coerce(omega_star)) * Fraction(1, 2)
-
-
-def strings_general_position(s1: StringSet, s2: StringSet, params: TDParameters) -> bool:
-    """Whether two strings (built from the same omega, omega*) are in
-    general position: one contains the other, or their union is not itself
-    a string of consecutive unit-step values.
+def _general_position(len1: int, low1: FieldElement, len2: int, low2: FieldElement) -> bool:
+    """Whether two value strings, given by their lengths and least elements,
+    are in general position: one contains the other, or their union is not
+    itself a string of consecutive unit-step values.
 
     Both strings are unit-step intervals, so this is an interval test in
     constant time.  When the offset between their least elements is not an
     integer they share no element and no union of them is a string.
     """
-    om, oms = params.omega, params.omega_star
-    return _general_position(s1.length, s1.lowest(om, oms), s2.length, s2.lowest(om, oms))
-
-
-def _general_position(len1: int, low1: FieldElement, len2: int, low2: FieldElement) -> bool:
-    """The test of `strings_general_position` on two strings given by their
-    lengths and least elements."""
     d = as_integer(low2 - low1)
     if d is None:
         return True
@@ -343,18 +302,17 @@ def validate_parameters(params: TDParameters) -> VerificationReport:
 
     start = time.perf_counter()
     bad3 = []
+    # S+/-(ell_p, a_p) = {+/-(a_p + k + (omega - omega*)/2) : k = 1..ell_p} is
+    # the unit-step interval of ell_p values from its least element
+    half = (params.omega - params.omega_star) * Fraction(1, 2)
     strings = [
-        (sign, p, StringSet(sign=sign, length=ell[p - 1], anchor=params.a[p - 1]))
-        for p in range(1, N + 1)
-        for sign in (1, -1)
+        (f"S{sign}(ell_{p}, a_{p})", lp, low)
+        for p, (lp, ap) in enumerate(zip(ell, params.a), 1)
+        for sign, low in (("+", ap + 1 + half), ("-", -(ap + lp + half)))
     ]
-    # each string's least element once, not once per pair
-    ends = [(s.length, s.lowest(params.omega, params.omega_star)) for _, _, s in strings]
-    for u in range(len(strings)):
-        for v in range(u + 1, len(strings)):
-            if not _general_position(*ends[u], *ends[v]):
-                tag1 = f"S{'+' if strings[u][0] == 1 else '-'}(ell_{strings[u][1]}, a_{strings[u][1]})"
-                tag2 = f"S{'+' if strings[v][0] == 1 else '-'}(ell_{strings[v][1]}, a_{strings[v][1]})"
+    for u, (tag1, len1, low1) in enumerate(strings):
+        for tag2, len2, low2 in strings[u + 1 :]:
+            if not _general_position(len1, low1, len2, low2):
                 bad3.append(f"{tag1} and {tag2} are not in general position")
     report.add(
         CheckResult(

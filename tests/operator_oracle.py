@@ -1,4 +1,5 @@
-"""Per-entry oracles for xi, xi* and the operator assembly, and the shape
+"""Per-entry oracles for xi, xi* and the operator assembly, the multi-index
+arithmetic they and the coefficient-family oracles step with, and the shape
 strategy shared by the property tests.
 
 `oracle_xi` is the paper's formula in Fraction arithmetic with partial sums,
@@ -17,14 +18,27 @@ from tdpair.multiindex import (
     IndexOutOfRange,
     MultiIndex,
     Shape,
-    add,
     enumerate_box,
     in_box,
     partial_sum,
-    sub,
-    unit,
 )
 from tdpair.tdcore import ExactMatrix, eigenvalue
+
+
+def unit(p, n_coords):
+    """The unit tuple e_p (1-based coordinate p)."""
+    if not 1 <= p <= n_coords:
+        raise IndexOutOfRange(f"coordinate {p} outside 1..{n_coords}")
+    return tuple(1 if q == p - 1 else 0 for q in range(n_coords))
+
+
+def add(n, m):
+    return tuple(a + b for a, b in zip(n, m, strict=True))
+
+
+def sub(n, m):
+    """Pointwise difference; entries may go negative (out of any box)."""
+    return tuple(a - b for a, b in zip(n, m, strict=True))
 
 
 @st.composite

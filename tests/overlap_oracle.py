@@ -18,7 +18,6 @@ from tdpair.exactfield import (
     pfq_terminating,
     pochhammer,
 )
-from tdpair.overlap import RacahFactorSpec
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +76,26 @@ def oracle_krawtchouk(params, i, x):
 
 
 # ---------------------------------------------------------------------------
-# T at N = 1 as one Racah factor at unit argument, through RacahFactorSpec
+# T at N = 1 as one Racah factor at unit argument: binom(ell, i) (b1)_i
+# (b2)_x 4F3(-i, i + omega*, -x, x + omega; -ell, b1, b2; 1) over the heads
+# (i + omega*)_i and (x + omega)_x, b1 = omega* - a and b2 = ell + omega + a
+# + 1, each term of the series from the last by its ratio in field
+# arithmetic; a vanishing term ends it
 
 
 def oracle_t_racah(params, i, x):
     (iv,), (xv,) = i, x
     ell, om, oms, a = params.ell[0], params.omega, params.omega_star, params.a[0]
-    factor = RacahFactorSpec(iv, xv, iv + oms, xv + om, oms - a, ell + om + a + 1, ell)
-    head = Fraction((-1) ** iv) / (_inv_poch(iv + oms, iv, "T head") * _inv_poch(xv + om, xv, "T head"))
-    return head * factor.value_at_unit()
+    b1, b2 = oms - a, ell + om + a + 1
+    term, series = Fraction(1), Fraction(1)
+    for k in range(min(iv, xv)):
+        term = term * (k - iv) * (k - xv) * (k + iv + oms) * (k + xv + om)
+        term = term / ((k + 1) * (k - ell) * (k + b1) * (k + b2))
+        if term == 0:
+            break
+        series += term
+    head = Fraction((-1) ** iv * binomial(ell, iv)) * pochhammer(b1, iv) * pochhammer(b2, xv)
+    return head / (_inv_poch(iv + oms, iv, "T head") * _inv_poch(xv + om, xv, "T head")) * series
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,22 @@ class TestConfigErrors:
         assert main(["validate", "--params", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["verify"], ["limits"], ["overlap"], ["build", "--operator", "A"]]
+    )
+    def test_unreadable_params_exit_2(self, command, tmp_path, capsys):
+        # bytes that are not UTF-8, and an int literal of more digits than
+        # Python converts: each a ValueError but no JSONDecodeError
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"ell": [1], "h": "\xe9"}')
+        digits = tmp_path / "digits.json"
+        digits.write_text('{"ell": [1], "theta0": ' + "1" * 4301 + "}")
+        for path, reason in ((not_utf8, "can't decode"), (digits, "digits")):
+            assert main(command + ["--params", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"tdpair: invalid JSON in {path}: ") and err.count("\n") == 1
+            assert reason in err
+
     def test_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"ell": [1]}))
@@ -384,6 +400,22 @@ class TestDimensionBudget:
             assert time.perf_counter() - start < 1.0
             err = capsys.readouterr().err
             assert "d = 441" in err and f"limit {MAX_DIMENSION}" in err
+
+    @pytest.mark.parametrize("command", BOUNDED)
+    def test_many_coordinates_exit_2_at_once(self, command, tmp_path, capsys):
+        # 15,000 coordinates of length 1: d = 2^15000 has more digits than
+        # Python prints, and is never formed whole
+        n = 15000
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps(dict(VALID_N1, ell=[1] * n, a=["1/3"] * n)))
+        for source in (["--shape", ",".join(["1"] * n), "--seed", "1"], ["--params", str(path)]):
+            start = time.perf_counter()
+            assert main(command + source) == 2
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err == (
+                f"tdpair: box dimension d >= 256 of a shape of {n} coordinates exceeds "
+                f"the limit {MAX_DIMENSION} of {command[0]}\n"
+            )
 
     @pytest.mark.parametrize("checks", ["all", "irreducibility"])
     def test_irreducibility_has_a_lower_limit(self, checks, tmp_path, capsys):

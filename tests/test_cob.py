@@ -23,12 +23,9 @@ from tdpair.multiindex import (
     IndexOutOfRange,
     MultiIndex,
     Shape,
-    add,
     enumerate_box,
     in_box,
     partial_sum,
-    sub,
-    unit,
 )
 from tdpair.cob import (
     COEFFICIENT_KINDS,
@@ -53,7 +50,7 @@ from tdpair.tdcore import (
 from tdpair.verify import random_valid_parameters, run_suite
 
 from matrix_ops import cleared, column, diagonal, identity, plant_off_diagonal
-from operator_oracle import oracle_xi, shapes_to_18
+from operator_oracle import add, oracle_xi, shapes_to_18, sub, unit
 
 F = Fraction
 

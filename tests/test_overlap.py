@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -40,7 +41,6 @@ from tdpair.tdcore import (
 )
 from tdpair.verify import random_valid_parameters, run_suite
 from tdpair.overlap import (
-    RacahFactorSpec,
     overlap_T,
     overlap_U,
     overlap_limit_kind,
@@ -97,11 +97,15 @@ _factor_values = st.one_of(
 )
 
 
+# a Racah factor binom(ell, i) (b1)_i (b2)_x 4F3(-i, -x, a1, a2; b1, b2, -ell; Z)
+_Factor = namedtuple("_Factor", "i x a1 a2 b1 b2 ell")
+
+
 @st.composite
 def _racah_specs(draw):
     ell = draw(st.integers(min_value=0, max_value=4))
     degree = st.integers(min_value=0, max_value=ell)
-    return RacahFactorSpec(
+    return _Factor(
         i=draw(degree),
         x=draw(degree),
         a1=draw(_factor_values),
@@ -535,9 +539,9 @@ class TestUnivariateForms:
     @pytest.mark.parametrize("ell", [1, 2, 5, 8, 12])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_t_form_matches_the_racah_factor(self, ell, seed):
-        # the shift kernel on one entry against one RacahFactorSpec at unit
-        # argument, value and type, over Q and at both Q(t) substitutions of
-        # the limits check
+        # the shift kernel on one entry against the Racah 4F3 at unit
+        # argument summed term by term in the test, value and type, over Q
+        # and at both Q(t) substitutions of the limits check
         p, t = random_valid_parameters(Shape((ell,)), seed), variable_t()
         sides = [p, replace(p, h_star=p.h_star * t, omega_star=1 / t), replace(p, h=p.h * t, omega=1 / t)]
         for q in sides:
@@ -634,94 +638,108 @@ class TestLimitKinds:
 
 
 class TestRacahFactorSpec:
-    def test_degree_invariants(self):
-        with pytest.raises(ValueError):
-            RacahFactorSpec(i=3, x=0, a1=1, a2=1, b1=1, b2=1, ell=2)
-        with pytest.raises(ValueError):
-            RacahFactorSpec(i=0, x=-1, a1=1, a2=1, b1=1, b2=1, ell=2)
+    """A Racah factor by its Pochhammer definition against the two sides
+    `_racah_side` splits it into, as the shift product reads them: the
+    i-side (b1)_i (-i)_k (a1)_k / ((b1)_k k! (-ell)_k) and the x-side (b2)_x
+    (-x)_k (a2)_k / (b2)_k, each given its parameters as pairs (n, d)."""
+
+    DETAIL = "Racah factor series"
+
+    @classmethod
+    def _sides(cls, spec):
+        kmax = min(spec.i, spec.x)
+        a1, a2, b1, b2 = (_pair(v) for v in (spec.a1, spec.a2, spec.b1, spec.b2))
+        i_side = overlap._racah_side(spec.i, a1, b1, kmax, cls.DETAIL, spec.ell)
+        return i_side, overlap._racah_side(spec.x, a2, b2, kmax, cls.DETAIL)
 
     def test_zero_numerator_ends_series(self):
-        # a1 = 0 kills every term past k = 0
-        spec = RacahFactorSpec(i=2, x=2, a1=F(0), a2=F(5), b1=F(1), b2=F(1), ell=3)
-        assert [k for k, _ in spec.series()] == [0]
+        # a = 0 kills every term past k = 0, on either side
+        for ell in (3, None):
+            (pu, pv), terms, fault = overlap._racah_side(2, (0, 1), (1, 1), 2, self.DETAIL, ell)
+            assert ((pu, pv), terms, fault) == ((2, 1), [(1, 1)], None)
 
     def test_zero_denominator_raises(self):
-        spec = RacahFactorSpec(i=2, x=2, a1=F(5), a2=F(7), b1=F(-1), b2=F(1), ell=3)
+        # b = -1: (b)_k vanishes at k = 2, so the side keeps k = 0, 1 and
+        # reports the error; the shift table raises it at an entry whose row
+        # line has a k = 2 term (N = 1, b2 = ell + 1 + a + omega = -1)
+        (pu, pv), terms, fault = overlap._racah_side(2, (5, 1), (-1, 1), 2, self.DETAIL)
+        assert (pu, len(terms), fault.k, fault.detail) == (0, 2, 2, self.DETAIL)
+        assert isinstance(fault, ZeroDenominatorPochhammer)
+        p = TDParameters(Shape((2,)), 0, 0, 1, 1, F(1, 3), F(1, 5), (F(-13, 3),))
         with pytest.raises(ZeroDenominatorPochhammer) as exc:
-            list(spec.series())
-        assert exc.value.k == 2
+            overlap._t_shift(p, enumerate_box(p.shape)[-1:], enumerate_box(p.shape)[-1:])
+        assert (exc.value.k, exc.value.detail) == (2, self.DETAIL)
 
     @staticmethod
-    def _by_definition(spec):
-        # the series term by term from its Pochhammer symbols: the (k, value)
+    def _by_definition(n, a, b, ell, kmax):
+        # one side term by term from its Pochhammer symbols: the (k, value)
         # list, and the k at which a denominator vanishes or None
+        expect = []
+        for k in range(kmax + 1):
+            num = pochhammer(-n, k) * pochhammer(a, k)
+            if num == 0:
+                return expect, None
+            den = pochhammer(b, k)
+            if ell is not None:
+                den = den * pochhammer(F(1), k) * pochhammer(-ell, k)
+            if den == 0:
+                return expect, k
+            expect.append((k, num / den))
+        return expect, None
+
+    @given(_racah_specs())
+    @example(_Factor(i=3, x=3, a1=F(-1), a2=F(5), b1=F(1, 2), b2=F(2), ell=3))
+    @example(_Factor(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
+    @settings(max_examples=80, deadline=None)
+    def test_series_matches_pochhammer_definition(self, spec):
+        # each side's prefactor, terms and fault; the examples: a1 = -1 stops
+        # the i-side after k = 1, b2 = -1 makes the x-side's denominator
+        # vanish at k = 2
+        kmax = min(spec.i, spec.x)
+        sides = zip(self._sides(spec), ((spec.i, spec.a1, spec.b1, spec.ell), (spec.x, spec.a2, spec.b2, None)))
+        for ((pu, pv), terms, fault), (n, a, b, ell) in sides:
+            assert pair_value(pu, pv) == pochhammer(b, n)
+            expect, raised_at = self._by_definition(n, a, b, ell, kmax)
+            assert [(k, pair_value(u, v)) for k, (u, v) in enumerate(terms)] == expect
+            assert (fault and (fault.k, fault.detail)) == (raised_at and (raised_at, self.DETAIL))
+
+    @given(_racah_specs())
+    @example(_Factor(i=2, x=1, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(2, 3), ell=3))
+    @example(_Factor(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
+    @settings(max_examples=80, deadline=None)
+    def test_pair_level_factor_matches_pochhammer_definition(self, spec):
+        # the two sides composed as the shift product composes one factor:
+        # prefactor binom(ell, i) times theirs, term k the product of theirs
+        # while both have one, and the fault of a side that ends first; the
+        # first example has i != x and b1 != b2 with denominators, so a
+        # swapped b1/b2 or a lost d**k in the prefactor shows
+        ((piu, piv), ti, fi), ((pxu, pxv), tx, fx) = self._sides(spec)
+        prefactor = comb(spec.ell, spec.i) * pochhammer(spec.b1, spec.i) * pochhammer(spec.b2, spec.x)
+        assert binomial(spec.ell, spec.i) * pair_value(piu * pxu, piv * pxv) == prefactor
         expect, raised_at = [], None
         for k in range(min(spec.i, spec.x) + 1):
-            num = (
-                pochhammer(-spec.i, k)
-                * pochhammer(-spec.x, k)
-                * pochhammer(spec.a1, k)
-                * pochhammer(spec.a2, k)
-            )
+            num = pochhammer(-spec.i, k) * pochhammer(-spec.x, k) * pochhammer(spec.a1, k) * pochhammer(spec.a2, k)
             if num == 0:
                 break
-            den = (
-                pochhammer(F(1), k)
-                * pochhammer(spec.b1, k)
-                * pochhammer(spec.b2, k)
-                * pochhammer(-spec.ell, k)
-            )
+            den = pochhammer(F(1), k) * pochhammer(spec.b1, k) * pochhammer(spec.b2, k) * pochhammer(-spec.ell, k)
             if den == 0:
                 raised_at = k
                 break
             expect.append((k, num / den))
-        return expect, raised_at
+        got = [(k, pair_value(ui * ux, vi * vx)) for k, ((ui, vi), (ux, vx)) in enumerate(zip(ti, tx))]
+        assert got == expect
+        ends = [f for t, f in ((ti, fi), (tx, fx)) if len(t) == len(got)]
+        assert (None in ends and raised_at is None) or ends[0].k == raised_at
 
     @given(_racah_specs())
-    @example(RacahFactorSpec(i=3, x=3, a1=F(-1), a2=F(5), b1=F(1, 2), b2=F(2), ell=3))
-    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
-    @settings(max_examples=80, deadline=None)
-    def test_series_matches_pochhammer_definition(self, spec):
-        # the examples: a1 = -1 stops the series after k = 1, b2 = -1 makes
-        # the denominator vanish at k = 2
-        expect, raised_at = self._by_definition(spec)
-        if raised_at is None:
-            assert list(spec.series()) == expect
-        else:
-            with pytest.raises(ZeroDenominatorPochhammer) as exc:
-                list(spec.series())
-            assert exc.value.k == raised_at
-
-    @given(_racah_specs())
-    @example(RacahFactorSpec(i=2, x=1, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(2, 3), ell=3))
-    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7), b1=F(1, 2), b2=F(-1), ell=3))
-    @settings(max_examples=80, deadline=None)
-    def test_pair_level_factor_matches_pochhammer_definition(self, spec):
-        # the factor the shift walk calls, fed the fields as pairs (n, d);
-        # the first example has i != x and b1 != b2 with denominators, so a
-        # swapped b1/b2 or a lost d**k in the prefactor shows
-        args = (_pair(v) for v in (spec.a1, spec.a2, spec.b1, spec.b2))
-        (pu, pv), terms = overlap._racah_factor(spec.i, spec.x, *args, spec.ell)
-        prefactor = comb(spec.ell, spec.i) * pochhammer(spec.b1, spec.i) * pochhammer(spec.b2, spec.x)
-        assert pair_value(pu, pv) == prefactor
-        expect, raised_at = self._by_definition(spec)
-        if raised_at is None:
-            assert [(k, pair_value(u, v)) for k, u, v in terms] == expect
-        else:
-            with pytest.raises(ZeroDenominatorPochhammer) as exc:
-                list(terms)
-            assert (exc.value.k, exc.value.detail) == (raised_at, "Racah factor series")
-
-    @given(_racah_specs())
-    @example(RacahFactorSpec(i=3, x=2, a1=F(5), a2=F(7, 2), b1=F(1, 2), b2=F(2, 3), ell=4))
+    @example(_Factor(i=3, x=2, a1=F(5), a2=F(7, 2), b1=F(1, 2), b2=F(2, 3), ell=4))
     @settings(max_examples=80, deadline=None)
     def test_sides_compose_the_unsplit_factor(self, spec):
         # each side against its Pochhammer definition, the i-side over
         # k! (-ell)_k as the shift product takes it, and their product against
         # the unsplit term times the prefactor; the example has a1 != a2 and
         # i != x, so a parameter on the wrong side shows
-        i, x, ell, kmax, detail = spec.i, spec.x, spec.ell, min(spec.i, spec.x), "Racah factor series"
-        a1, a2, b1, b2 = (_pair(v) for v in (spec.a1, spec.a2, spec.b1, spec.b2))
+        i, x, ell, kmax = spec.i, spec.x, spec.ell, min(spec.i, spec.x)
         try:
             unsplit = [
                 pair_value(u, v)
@@ -729,8 +747,7 @@ class TestRacahFactorSpec:
             ]
         except ZeroDenominatorPochhammer:
             assume(False)
-        pi, ti, _ = overlap._racah_side(i, a1, b1, kmax, detail, ell)
-        px, tx, _ = overlap._racah_side(x, a2, b2, kmax, detail)
+        (pi, ti, _), (px, tx, _) = self._sides(spec)
         assert pair_value(*pi) == pochhammer(spec.b1, i) and pair_value(*px) == pochhammer(spec.b2, x)
         assert len(unsplit) == min(len(ti), len(tx))
         prefactor = binomial(ell, i) * pochhammer(spec.b1, i) * pochhammer(spec.b2, x)
@@ -742,9 +759,13 @@ class TestRacahFactorSpec:
             assert binomial(ell, i) * pair_value(*pi) * i_side * pair_value(*px) * x_side == term * prefactor
 
     def test_unit_value_collapse(self):
-        # i = 0 leaves only the k = 0 term: value is the prefactor (b2)_x
-        spec = RacahFactorSpec(i=0, x=2, a1=F(5), a2=F(7), b1=F(2), b2=F(3), ell=3)
-        assert spec.value_at_unit() == pochhammer(F(3), 2)
+        # i = 0 leaves only the k = 0 term: T_0(x) is the prefactor
+        # (ell + omega + a + 1)_x over the head (x + omega)_x
+        for ell in (1, 3):
+            p = _params_univariate(ell)
+            for x in range(ell + 1):
+                want = pochhammer(ell + p.omega + p.a[0] + 1, x) / pochhammer(x + p.omega, x)
+                assert univariate_t_racah(p, (0,), (x,)) == want
 
 
 def _scalar(v):

@@ -20,9 +20,9 @@ from tdpair.tdcore import (
     ExactMatrix,
     InvalidParameters,
     OPERATOR_NAMES,
-    StringSet,
     TDParameters,
     _assemble_operator,
+    _general_position,
     _content_lines,
     _line_product,
     _lines,
@@ -38,7 +38,6 @@ from tdpair.tdcore import (
     eigenvalue,
     parameters_from_json_obj,
     parameters_to_json_obj,
-    strings_general_position,
     substituted_for_involution,
     uncleared,
     validate_parameters,
@@ -344,54 +343,86 @@ class TestValidation:
 
     @pytest.mark.parametrize("anchor", [1.5, True, "1"])
     def test_a_string_set_refuses_an_inexact_anchor(self, anchor):
+        # a_p anchors the value strings S+/-(ell_p, a_p) of cond3: a float, a
+        # bool or a string never reaches them
         with pytest.raises(TypeError):
-            StringSet(sign=1, length=2, anchor=anchor)
+            replace(_params_2d(), a=(anchor, F(3, 11)))
+
+
+def _string(sign, length, anchor, p):
+    """The value string {sign (anchor + k + (omega - omega*)/2) : k = 1..length}
+    of cond3, listed."""
+    half = (p.omega - p.omega_star) * F(1, 2)
+    return [sign * (anchor + k + half) for k in range(1, length + 1)]
+
+
+def _ends(values):
+    """(length, least element) of a listed string: the element that every
+    other exceeds by an integer >= 0, as `validate_parameters` passes them
+    to `_general_position`."""
+    return len(values), next(v for v in values if all(as_integer(w - v) >= 0 for w in values))
+
+
+def _general_position_by_definition(e1: list, e2: list) -> bool:
+    """One contains the other, or their union is not a unit-step string;
+    from the listed values, comparing only by equality and integer gaps."""
+    contains = lambda big, small: all(any(v == w for w in big) for v in small)
+    if contains(e1, e2) or contains(e2, e1):
+        return True
+    union = list(e1) + [v for v in e2 if not any(v == w for w in e1)]
+    offsets = [as_integer(v - union[0]) for v in union]
+    if None in offsets:
+        return True
+    return max(offsets) - min(offsets) + 1 != len(offsets)
+
+
+class _CountedAnchor(Fraction):
+    """A Fraction that counts the sums it enters: a string listed value by
+    value adds its anchor once per value."""
+
+    adds = 0
+
+    def __add__(self, other):
+        _CountedAnchor.adds += 1
+        return Fraction.__add__(self, other)
+
+    __radd__ = __add__
 
 
 class TestStringsGeneralPosition:
     def _p(self, omega=0, omega_star=0):
         return TDParameters(Shape((1,)), 0, 0, 1, 1, omega, omega_star, (1,))
 
+    def _test(self, spec1, spec2):
+        # the interval test on the ends of two strings (sign, length,
+        # anchor), checked against the definition on their listed values
+        e1, e2 = (_string(*spec, self._p()) for spec in (spec1, spec2))
+        verdict = _general_position(*_ends(e1), *_ends(e2))
+        assert verdict == _general_position_by_definition(e1, e2)
+        return verdict
+
     def test_opposite_strings_with_gap(self):
         # {1,2} against {-2,-1}: union has a hole at 0
-        s1 = StringSet(sign=1, length=2, anchor=0)
-        s2 = StringSet(sign=-1, length=2, anchor=0)
-        assert strings_general_position(s1, s2, self._p())
+        assert self._test((1, 2, 0), (-1, 2, 0))
 
     def test_adjacent_singletons(self):
         # {1} and {2} form the string {1,2}
-        s1 = StringSet(sign=1, length=1, anchor=0)
-        s2 = StringSet(sign=1, length=1, anchor=1)
-        assert not strings_general_position(s1, s2, self._p())
+        assert not self._test((1, 1, 0), (1, 1, 1))
 
     def test_coincident_singletons(self):
         # {1} and -({-2}+1) = {1}: containment
-        s1 = StringSet(sign=1, length=1, anchor=0)
-        s2 = StringSet(sign=-1, length=1, anchor=-2)
-        assert strings_general_position(s1, s2, self._p())
+        assert self._test((1, 1, 0), (-1, 1, -2))
 
     def test_non_integer_offset(self):
         # a gap that is not an integer can never close a string
-        s1 = StringSet(sign=1, length=3, anchor=0)
-        s2 = StringSet(sign=1, length=3, anchor=F(1, 2))
-        assert strings_general_position(s1, s2, self._p())
+        assert self._test((1, 3, 0), (1, 3, F(1, 2)))
 
     def test_proper_containment(self):
-        s1 = StringSet(sign=1, length=4, anchor=0)
-        s2 = StringSet(sign=1, length=2, anchor=1)
-        assert strings_general_position(s1, s2, self._p())
+        assert self._test((1, 4, 0), (1, 2, 1))
 
     def test_interleaving_rejected(self):
         # {2,3} just after {1,2} overlaps but neither contains the other
-        s1 = StringSet(sign=1, length=2, anchor=0)
-        s2 = StringSet(sign=1, length=2, anchor=1)
-        assert not strings_general_position(s1, s2, self._p())
-
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            StringSet(sign=0, length=1, anchor=0)
-        with pytest.raises(ValueError):
-            StringSet(sign=1, length=0, anchor=0)
+        assert not self._test((1, 2, 0), (1, 2, 1))
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -410,9 +441,9 @@ class TestStringsGeneralPosition:
     def test_interval_test_matches_the_definition(self, specs, twice_omega, twice_omega_star):
         # omega and omega* on the half-integers, anchors with small
         # denominators: containment, overlap, touching and non-integer gaps
-        s1, s2 = (StringSet(sign=g, length=n, anchor=a) for g, n, a in specs)
         p = self._p(F(twice_omega, 2), F(twice_omega_star, 2))
-        assert strings_general_position(s1, s2, p) == _general_position_by_definition(s1, s2, p)
+        e1, e2 = (_string(g, n, a, p) for g, n, a in specs)
+        assert _general_position(*_ends(e1), *_ends(e2)) == _general_position_by_definition(e1, e2)
 
     def test_over_rational_functions(self):
         # the limits substitution omega* = 1/t: opposite-sign strings drift
@@ -421,13 +452,11 @@ class TestStringsGeneralPosition:
         for a, failing in (((F(1, 7), F(3, 11)), []), ((2, 3), ["+", "-"])):
             p = TDParameters(Shape((1, 1)), 0, 0, 1, 1, 0, F(1, 5), a)
             qt = replace(p, h_star=p.h_star * variable_t(), omega_star=inv_t)
-            strings = [StringSet(sign=g, length=1, anchor=v) for v in qt.a for g in (1, -1)]
+            strings = [_string(g, 1, v, qt) for v in qt.a for g in (1, -1)]
             for u in range(len(strings)):
-                for v in range(u + 1, len(strings)):
-                    s1, s2 = strings[u], strings[v]
-                    assert strings_general_position(s1, s2, qt) == (
-                        _general_position_by_definition(s1, s2, qt)
-                    )
+                for e2 in strings[u + 1 :]:
+                    e1 = strings[u]
+                    assert _general_position(*_ends(e1), *_ends(e2)) == _general_position_by_definition(e1, e2)
             r = validate_parameters(qt).result("cond3")
             assert r.witness == (
                 [f"S{g}(ell_1, a_1) and S{g}(ell_2, a_2) are not in general position" for g in failing]
@@ -448,53 +477,39 @@ class TestStringsGeneralPosition:
     @example([(1, F(2)), (1, F(3))], 0, 0, False)
     @example([(1, F(2)), (1, F(3))], 0, 0, True)
     def test_cond3_is_the_pairwise_test(self, coords, twice_omega, twice_omega_star, inverse_t):
-        # cond3 takes each string's least element once; its verdict and
-        # witness are those of `strings_general_position` on every pair, in
-        # order, over Q and with omega* = 1/t
+        # cond3's verdict and witness are the definition's on the listed
+        # values of every pair of strings, in order, over Q and with
+        # omega* = 1/t
         ell, a = zip(*coords)
         p = TDParameters(Shape(ell), 0, 0, 1, 1, F(twice_omega, 2), F(twice_omega_star, 2), a)
         if inverse_t:
             p = replace(p, omega_star=RationalFunction((F(1),), (F(0), F(1))))
         strings = [
-            (f"S{'+' if g == 1 else '-'}(ell_{q}, a_{q})", StringSet(sign=g, length=ell[q - 1], anchor=a[q - 1]))
+            (f"S{'+' if g == 1 else '-'}(ell_{q}, a_{q})", _string(g, ell[q - 1], a[q - 1], p))
             for q in range(1, len(ell) + 1)
             for g in (1, -1)
         ]
         expect = [
             f"{tag1} and {tag2} are not in general position"
-            for u, (tag1, s1) in enumerate(strings)
-            for tag2, s2 in strings[u + 1 :]
-            if not strings_general_position(s1, s2, p)
+            for u, (tag1, e1) in enumerate(strings)
+            for tag2, e2 in strings[u + 1 :]
+            if not _general_position_by_definition(e1, e2)
         ]
         r = validate_parameters(p).result("cond3")
         assert (r.passed, r.witness) == (not expect, expect or None)
 
     @pytest.mark.parametrize("ell", [(2000,), (1000, 1000)])
     def test_validation_never_lists_string_values(self, monkeypatch, ell):
-        # cond3 is constant time per pair: long strings are never enumerated
-        def refuse(*args):
-            raise AssertionError("StringSet.elements called")
+        # cond3 is constant time per pair: each anchor enters as many sums at
+        # ell_p = 1000 or 2000 as at ell_p = 1, so no string is enumerated
+        def sums(lengths):
+            anchors = [_CountedAnchor(1, 7), _CountedAnchor(3, 11)][: len(lengths)]
+            p = TDParameters(Shape(lengths), 0, 0, 1, 1, F(1, 3), F(1, 5), anchors)
+            monkeypatch.setattr(_CountedAnchor, "adds", 0)
+            assert validate_parameters(p).passed
+            return _CountedAnchor.adds
 
-        monkeypatch.setattr(StringSet, "elements", refuse)
-        p = TDParameters(
-            Shape(ell), 0, 0, 1, 1, F(1, 3), F(1, 5), (F(1, 7), F(3, 11))[: len(ell)]
-        )
-        assert validate_parameters(p).passed
-
-
-def _general_position_by_definition(s1: StringSet, s2: StringSet, p: TDParameters) -> bool:
-    """One contains the other, or their union is not a unit-step string;
-    from the listed values, comparing only by equality and integer gaps."""
-    e1 = s1.elements(p.omega, p.omega_star)
-    e2 = s2.elements(p.omega, p.omega_star)
-    contains = lambda big, small: all(any(v == w for w in big) for v in small)
-    if contains(e1, e2) or contains(e2, e1):
-        return True
-    union = list(e1) + [v for v in e2 if not any(v == w for w in e1)]
-    offsets = [as_integer(v - union[0]) for v in union]
-    if None in offsets:
-        return True
-    return max(offsets) - min(offsets) + 1 != len(offsets)
+        assert sums(ell) == sums((1,) * len(ell)) > 0
 
 
 class TestExactMatrix:
