@@ -38,21 +38,25 @@ matrix routes do not use, is a shared primitive like
 `over_common_denominator`.  Parameters enter as integer pairs (`_pair`).
 
 Every overlap formula, the matrix routes included, is one table kernel
-(params, rows, cols) -> factored table (`tdcore.Factored`: row heads,
-column heads and rows of dots, entry (r, c) = ru cu z / (rv cv)), named by
-one lookup (`_kernel`) of the six routes and the two degenerate kinds
-(`_hahn_table`, `_krawtchouk_table`).  The matrix routes and the Krawtchouk
-kind return their values under unit heads.  `_entry` runs a kernel on one
-entry and `_table` on the box, each validating once: `overlap_T`,
-`overlap_U`, `overlap_limit_kind` and the univariate forms are entries,
-`overlap_table` is a table, and `verify` reads `_factored_table`.  At N = 1
-the shift product is a single Racah factor at unit argument:
-`univariate_t_racah` is T's, `univariate_u_balanced` U's, and
-`univariate_u_racah_normalized` T's times a row factor f(i) and a column
-factor g(x) (`_u_row_factor`, `_u_col_factor`).  The matrix routes are one
-product, T = (M_Cbar M_D)^T, and one back-substitution, M_D U = M_C, reading
-only the columns of M_D (rows of T) or of M_C (columns of U) asked for
-(`_family_columns`, on the families' cleared rows).
+(params, rows, cols) -> factored table (`tdcore.Factored`: row heads, column
+heads and rows of dots, entry (r, c) = ru cu z / (rv cv)), named by one
+lookup (`_kernel`) of the six routes and the two degenerate kinds
+(`_hahn_table`, `_krawtchouk_table`).  The matrix product and the Krawtchouk
+kind return values under unit heads, the back-substitution int dots under
+column heads (1, q_c).  The direct sum and the two kinds bind their line
+makers or memo once per parameter set (`_t_direct_lines`, `_hahn_lines`,
+`_krawtchouk_entry`), so `verify` can take one pair at a time
+(`_dot_entry`).  `_entry` runs a kernel on one entry and `_table` on the
+box, each validating once: `overlap_T`, `overlap_U`, `overlap_limit_kind`
+and the univariate forms are entries, `overlap_table` is a table, and
+`verify` reads `_factored_table`.  At N = 1 the shift product is a single
+Racah factor at unit argument: `univariate_t_racah` is T's,
+`univariate_u_balanced` U's, and `univariate_u_racah_normalized` T's times a
+row factor f(i) and a column factor g(x) (`_u_row_factor`,
+`_u_col_factor`).  The matrix routes are one product, T = (M_Cbar M_D)^T,
+and one back-substitution, M_D U = M_C, reading only the columns of M_D
+(rows of T) or of M_C (columns of U) asked for (`_family_columns`, on the
+families' cleared rows).
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from .exactfield import (
     _term_pairs,
     binomial,
     over_common_denominator,
+    pair_value,
     pfq_terminating,
     pochhammer,
 )
@@ -86,7 +91,6 @@ from .tdcore import (
     ExactMatrix,
     Factored,
     TDParameters,
-    _ZERO,
     _back_substitution,
     _content_lines,
     _ensure_valid,
@@ -125,28 +129,42 @@ def _dot_table(params, rows, cols, row_line, col_line) -> Factored:
     row_line(i, top, strides) gives (head(i) as a pair, a dict from the
     position sum_q n_q strides_q of each n <= i with a term to R_i(n) as a
     pair, faults); col_line likewise.  A fault (key, pos, error) is a term
-    whose denominator vanished: an entry raises the row's head error, the
-    column's, then the fault of least key whose partner term is there."""
+    whose denominator vanished: an entry raises what it meets (`_dot`)."""
     top = [min(max(a), max(b)) for a, b in zip(zip(*rows), zip(*cols))]
-    strides = [prod(t + 1 for t in top[q + 1 :]) for q in range(len(top))]
-    # rational parameters make every pair two ints: dense lines, one int dot product
-    over_q = all(type(v) in (int, Fraction) for v in (params.omega, params.omega_star, *params.a))
+    strides, over_q = _frame(params, top)
     cs, heads, dots = [_line(col_line, x, top, strides, over_q) for x in cols], [], []
-    for ru, rv, rn, rt, rf in (_line(row_line, i, top, strides, over_q) for i in rows):
-        row = []
-        for cu, cv, cn, ct, cf in cs:
-            if rv is None or cv is None or rf or cf:
-                heads = [h for h in (ru, cu) if isinstance(h, Exception)]
-                met = [f for f in rf if f[1] in ct] + [f for f in cf if f[1] in rt]
-                if heads or met:
-                    raise heads[0] if heads else min(met, key=lambda f: f[0])[2]
-            if over_q:
-                row.append(sum(map(mul, rn, cn)))
-            else:
-                row.append(sum(u * cn[pos] for pos, u in rn.items() if pos in cn))
-        heads.append((ru, rv))
-        dots.append(row)
-    return Factored(heads, [(cu, cv) for cu, cv, *_ in cs], dots)
+    for rl in (_line(row_line, i, top, strides, over_q) for i in rows):
+        heads.append(rl[:2])
+        dots.append([_dot(rl, cl, over_q) for cl in cs])
+    return Factored(heads, [cl[:2] for cl in cs], dots)
+
+
+def _dot_entry(params, row_line, col_line, i: MultiIndex, x: MultiIndex) -> FieldElement:
+    """Entry (i, x) of `_dot_table` on the same line makers, cut at min(i, x)."""
+    top = list(map(min, i, x))
+    strides, over_q = _frame(params, top)
+    cl, rl = (_line(make, n, top, strides, over_q) for make, n in ((col_line, x), (row_line, i)))
+    return pair_value(rl[0] * cl[0] * _dot(rl, cl, over_q), rl[1] * cl[1])
+
+
+def _frame(params, top) -> tuple[list, bool]:
+    # the strides of lines cut at top; rational parameters make every pair
+    # two ints: dense lines, one int dot product
+    over_q = all(type(v) in (int, Fraction) for v in (params.omega, params.omega_star, *params.a))
+    return [prod(t + 1 for t in top[q + 1 :]) for q in range(len(top))], over_q
+
+
+def _dot(rl: tuple, cl: tuple, over_q: bool):
+    """The dot of a row line and a column line (`_line`), or what their entry
+    meets: the row's head error, the column's, then the fault of least key
+    whose partner term is there."""
+    (ru, rv, rn, rt, rf), (cu, cv, cn, ct, cf) = rl, cl
+    if rv is None or cv is None or rf or cf:
+        errors = [h for h in (ru, cu) if isinstance(h, Exception)]
+        met = [f for f in rf if f[1] in ct] + [f for f in cf if f[1] in rt]
+        if errors or met:
+            raise errors[0] if errors else min(met, key=lambda f: f[0])[2]
+    return sum(map(mul, rn, cn)) if over_q else sum(u * cn[pos] for pos, u in rn.items() if pos in cn)
 
 
 def _line(make, index: MultiIndex, top, strides, over_q: bool) -> tuple:
@@ -257,17 +275,22 @@ def _t_shift(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[Mu
 
 
 def _t_direct(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
-    """T_i(x) by the nested sum over 0 <= n <= min(i, x) for every i of
-    rows, x of cols: head(i) sum_n R_i(n) C_x(n), head(i) = prod_q (-1)^{i_q}
-    C(ell_q, i_q) / ell_q!.  On the line of j = x (C, rank 0) or i (R, rank
-    1), term n is prod_q c_q (beta_q + m_q)_{k_q} / (b + mu_q)_{k_q}, with
-    k_q = j_q - n_q, m_q = |j|_1^{q-1} + |n|_1^q + |ell|_{q+rank}^N and mu_q
-    = |j| + |n| + |j|_1^{q-1} - |n|_1^{q-1}; C has c_q = (-1)^{n_q}
-    perm(x_q, n_q), beta_q = a_q + omega + 1 and b = omega, R has c_q =
-    C(i_q, n_q) (ell_q - n_q)!, beta_q = omega* - a_q and b = omega*.  As
-    mu_{q+1} = mu_q + k_q, the denominators telescope to one (b + |j| +
-    |n|)_{|j| - |n|}, and a numerator reads n only through n_q and |n|_1^q:
-    a line is prefix products over q and one quotient per term, memoized.
+    """T_i(x) by the nested sum on the lines of `_t_direct_lines`."""
+    return _dot_table(params, rows, cols, *_t_direct_lines(params))
+
+
+def _t_direct_lines(params: TDParameters) -> tuple[Callable, Callable]:
+    """The (row, column) lines of T's nested sum over 0 <= n <= min(i, x):
+    head(i) sum_n R_i(n) C_x(n), head(i) = prod_q (-1)^{i_q} C(ell_q, i_q) /
+    ell_q!.  On the line of j = x (C, rank 0) or i (R, rank 1), term n is
+    prod_q c_q (beta_q + m_q)_{k_q} / (b + mu_q)_{k_q}, with k_q = j_q - n_q,
+    m_q = |j|_1^{q-1} + |n|_1^q + |ell|_{q+rank}^N and mu_q = |j| + |n| +
+    |j|_1^{q-1} - |n|_1^{q-1}; C has c_q = (-1)^{n_q} perm(x_q, n_q), beta_q
+    = a_q + omega + 1 and b = omega, R has c_q = C(i_q, n_q) (ell_q - n_q)!,
+    beta_q = omega* - a_q and b = omega*.  As mu_{q+1} = mu_q + k_q, the
+    denominators telescope to one (b + |j| + |n|)_{|j| - |n|}, and a
+    numerator reads n only through n_q and |n|_1^q: a line is prefix
+    products over q and one quotient per term, in one memo while bound.
 
     A denominator factor b + u has |j| <= u <= 2|j| - 1, so cond1 keeps it
     nonzero on valid parameters, for U too (the swap maps the omega band
@@ -316,7 +339,7 @@ def _t_direct(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[M
 
         return line
 
-    return _dot_table(params, rows, cols, side(1), side(0))
+    return side(1), side(0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +390,13 @@ def _u_solved(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[M
     """U_i(x) for every i of rows, x of cols as one back-substitution: M_D is
     unit upper triangular in graded order, so M_D U = M_C is solved exactly
     on the lines of their cleared rows, and column x of U reads column x of
-    M_C only."""
+    M_C only: its numerators are the dots under the column head (1, q_x)."""
     pos = {m: k for k, m in enumerate(_box(params.shape))}
     mc = _family_columns(params, "C", cols)
     m = _back_substitution(_content_lines(_coefficient_rows(params, "D"), 0), _content_lines(mc, 1), len(pos))
-    return unit_factored([[m.get((pos[i], pos[x]), _ZERO) for x in cols] for i in rows])
+    solved = [m.get(pos[x], ({}, 1)) for x in cols]
+    dots = [[u.get(pos[i], 0) for u, _ in solved] for i in rows]
+    return Factored([(1, 1)] * len(rows), [(1, q) for _, q in solved], dots)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +555,13 @@ def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
 
 
 def _hahn_table(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
-    """The truncated Hahn kind for every i of rows, x of cols: the shift
-    product with T's x-side at omega and the i-side of factor p reduced to
+    """The truncated Hahn kind on the lines of `_hahn_lines`."""
+    return _dot_table(params, rows, cols, *_hahn_lines(params))
+
+
+def _hahn_lines(params: TDParameters) -> tuple[Callable, Callable]:
+    """(row line, column line) of the truncated Hahn kind: the shift product
+    with T's x-side at omega and the i-side of factor p reduced to
     binom(ell_p, i_p) (-i_p)_k / (k! (-ell_p)_k), head (-1)^|i|."""
     ell, N, om, a = params.ell, params.N, params.omega, params.a
     c = [_pair(sum(ell[p - 1 :]) + 1 + a[p - 1] + om) for p in range(1, N + 1)]
@@ -544,16 +574,19 @@ def _hahn_table(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence
         ]
         return ((-1) ** i.weight, 1), *_path_line(i, top, strides, lambda p, K, kmax: sides[p], 1)
 
-    col_line = _racah_line(_pair(om), c, ("Hahn head", "Hahn factor series"))
-    return _dot_table(params, rows, cols, row_line, col_line)
+    return row_line, _racah_line(_pair(om), c, ("Hahn head", "Hahn factor series"))
 
 
-def _krawtchouk_table(
-    params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]
-) -> Factored:
-    """The Krawtchouk kind for every i of rows, x of cols: the product over p
-    of (-ell_p)_{i_p} / i_p! 2F1(-i_p, -x_p; -ell_p; 1), each factor
-    computed once per (ell_p, i_p, x_p) in the call."""
+def _krawtchouk_table(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
+    """The Krawtchouk kind for every i of rows, x of cols."""
+    entry = _krawtchouk_entry(params)
+    return unit_factored([[entry(i, x) for x in cols] for i in rows])
+
+
+def _krawtchouk_entry(params: TDParameters) -> Callable:
+    """The Krawtchouk kind (i, x) -> the product over p of (-ell_p)_{i_p} /
+    i_p! 2F1(-i_p, -x_p; -ell_p; 1), each factor computed once per (ell_p,
+    i_p, x_p) while bound."""
     memo: dict[tuple, FieldElement] = {}
 
     def factor(lp: int, ip: int, xp: int) -> FieldElement:
@@ -562,9 +595,7 @@ def _krawtchouk_table(
             memo[lp, ip, xp] = head * pfq_terminating([-ip, -xp], [-lp], Fraction(1), min(ip, xp))
         return memo[lp, ip, xp]
 
-    return unit_factored(
-        [[prod(map(factor, params.ell, i, x), start=Fraction(1)) for x in cols] for i in rows]
-    )
+    return lambda i, x: prod(map(factor, params.ell, i, x), start=Fraction(1))
 
 
 def overlap_limit_kind(params: TDParameters, kind: str, i: Sequence[int], x: Sequence[int]) -> FieldElement:

@@ -452,15 +452,16 @@ def cleared_product(x: tuple, y: tuple) -> tuple[dict, FieldElement]:
 
 
 def _back_substitution(row_lines: tuple, col_lines: tuple, dimension: int) -> dict:
-    """{(r, c): x} with M X = B, M upper triangular with nonzero diagonal,
-    from the row lines of M and the column lines of B (`_lines`).  With row
-    r of M over L_r (diagonal D_r, entries V), x_r = (L_r b_r - sum V x) /
-    D_r over the column's running denominator q, the lcm of those of b and
-    the x so far: a new x costs one gcd and scales the others' numerators."""
+    """{c: ({r: u}, q)}, x_rc = u / q (a zero left out), with M X = B, M upper
+    triangular with nonzero diagonal, from the row lines of M and the column
+    lines of B (`_lines`).  With row r of M over L_r (diagonal D_r, entries
+    V), x_r = (L_r b_r - sum V x) / D_r over the column's running
+    denominator q, the lcm of those of b and the x so far: a new x costs one
+    gcd and scales the others' numerators, so the final q is least."""
     (row_den, rows), (col_den, b) = row_lines, col_lines
     upper = {r: [(cc, v) for cc, v in row.items() if cc > r] for r, row in rows.items()}
     diag = {r: row[r] for r, row in rows.items()}
-    out: dict[tuple[int, int], FieldElement] = {}
+    out: dict[int, tuple] = {}
     for c, q in col_den.items():
         # b_rc = b[r][c] bscale / q and x_cc = xnum[cc] / q
         bscale, xnum = 1, {}
@@ -469,13 +470,18 @@ def _back_substitution(row_lines: tuple, col_lines: tuple, dimension: int) -> di
             num -= sum(v * xnum[cc] for cc, v in upper[r] if cc in xnum)
             if not num:
                 continue
-            x = out[(r, c)] = pair_value(num, q * diag[r])
-            grow = x.denominator // gcd(q, x.denominator)
+            if type(num) is int and type(den := q * diag[r]) is int:  # x = u / v in lowest terms, v > 0
+                g = gcd(num, den) if den > 0 else -gcd(num, den)
+                u, v = num // g, den // g
+            else:  # a Q(t) x rides over 1
+                u, v = pair_value(num, q * diag[r]), 1
+            grow = v // gcd(q, v)
             if grow != 1:
                 q, bscale = q * grow, bscale * grow
                 for cc in xnum:
                     xnum[cc] *= grow
-            xnum[r] = x.numerator * (q // x.denominator)
+            xnum[r] = u * (q // v)
+        out[c] = xnum, q
     return out
 
 
@@ -700,7 +706,8 @@ class ExactMatrix:
             raise ZeroDivisionError("upper-triangular solve with zero diagonal entry")
         m = ExactMatrix(self.basis)
         lines = (_lines(_terms(x.entries), axis) for x, axis in ((self, 0), (rhs, 1)))
-        m.entries = _back_substitution(*lines, self.dimension)
+        columns = _back_substitution(*lines, self.dimension).items()
+        m.entries = {(r, c): pair_value(u, q) for c, (nums, q) in columns for r, u in nums.items()}
         return m
 
     # -- serialization ------------------------------------------------------

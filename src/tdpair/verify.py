@@ -52,6 +52,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -392,18 +393,17 @@ def _series_sides(p: TDParameters) -> tuple[TDParameters, TDParameters]:
     return replace(p, omega_star=s), replace(p, omega=s)
 
 
-def _series_limits(kernel: Callable, params: TDParameters, rows: Sequence, cols: Sequence) -> list:
-    """The t -> 0 limits of kernel(params, rows, cols), one row of values
-    per row of rows, params a parameter set over Laurent series.  An entry
-    whose t^0 coefficient is unknown is the PrecisionExhausted that says
-    so, never a guessed value; so is every entry when the kernel itself
-    raises it; an entry with a pole at t = 0 is the PoleAtZero that says
-    its limit does not exist."""
+def _series_limits(table: Callable, rows: Sequence, cols: Sequence) -> list:
+    """The t -> 0 limits of table(), one row of Laurent series per row of
+    rows.  An entry whose t^0 coefficient is unknown is the
+    PrecisionExhausted that says so, never a guessed value; so is every
+    entry when table() raises it; an entry with a pole at t = 0 is the
+    PoleAtZero that says its limit does not exist."""
     try:
-        table = factored_values(kernel(params, rows, cols))
+        values = table()
     except PrecisionExhausted as err:
         return [[err] * len(cols) for _ in rows]
-    return [[_limit_or_error(v) for v in line] for line in table]
+    return [[_limit_or_error(v) for v in line] for line in values]
 
 
 def _limit_or_error(v):
@@ -416,8 +416,9 @@ def _limit_or_error(v):
 def _row_limits(sides: tuple, rows: Sequence, cols: Sequence) -> tuple[list, list]:
     """For each i of rows and x of cols, the t -> 0 limits of T_i(x) at
     omega* = 1/t and of the truncated Hahn kind at omega = 1/t, both taken
-    in Laurent series by one table-kernel call for the whole group of rows,
-    at the parameter sets sides = `_series_sides(p)`.
+    in Laurent series by one table-kernel call per kind, at the parameter
+    sets sides = `_series_sides(p)`; `_sampled_limits` takes the same
+    limits pair by pair.
 
     Relative precision 1, the only one `LaurentSeries` has, always
     suffices.  Call the sum of a term's factors' valuations its nominal
@@ -433,11 +434,31 @@ def _row_limits(sides: tuple, rows: Sequence, cols: Sequence) -> tuple[list, lis
     entry left unknown means a kernel broke this premise, a defect that
     `_check_limits` reports as a failure.
     """
-    at_star, at_omega = sides
-    return _series_limits(_t_direct, at_star, rows, cols), _series_limits(_hahn_table, at_omega, rows, cols)
+    kernels = zip((_t_direct, _hahn_table), sides)
+    return tuple(_series_limits(lambda: factored_values(k(q, rows, cols)), rows, cols) for k, q in kernels)
+
+
+def _sampled_limits(p: TDParameters, sides: tuple, pairs: Sequence):
+    """(i, x, the two series limits, the two closed forms) per pair, each
+    kernel bound once and each pair one entry (`_dot_entry`); a row's pairs
+    are taken together where its first is, and one that raises leaves the
+    row's series limits unknown."""
+    (at_star, at_omega), rows = sides, {}
+    bound = ((overlap._t_direct_lines, at_star), (overlap._hahn_lines, at_omega), (overlap._hahn_lines, p))
+    entries = [partial(overlap._dot_entry, q, *lines(q)) for lines, q in bound] + [overlap._krawtchouk_entry(p)]
+    for i, x in pairs:
+        rows.setdefault(i, []).append(x)
+    for i, cols in rows.items():
+        values = [_series_limits(lambda: [[entry(i, x) for x in cols]], [i], cols)[0] for entry in entries[:2]]
+        values += [[entry(i, x) for x in cols] for entry in entries[2:]]
+        yield from ((i, *v) for v in zip(cols, *values))
 
 
 def _check_limits(ctx: _Context):
+    """T's limit at omega* = 1/t against the Hahn kind, then the Hahn kind's
+    at omega = 1/t against the Krawtchouk kind, on the pairs of
+    `_limit_pairs`: every pair of the box as one table per kind
+    (`_row_limits`), a sample pair by pair (`_sampled_limits`)."""
     p = ctx.params
     if any(type(v) is not Fraction for v in [getattr(p, k) for k in _PARAM_KEYS] + list(p.a)):
         # the limits substitute their own t, which a Q(t) parameter would share
@@ -447,27 +468,19 @@ def _check_limits(ctx: _Context):
     _ensure_valid(replace(p, h_star=p.h_star * t, omega_star=1 / t))
     _ensure_valid(replace(p, h=p.h * t, omega=1 / t))
     _ensure_valid(p)
-    by_row: dict = {}
-    for i, x in _limit_pairs(ctx.basis):
-        by_row.setdefault(i, []).append(x)
-    # rows that share their column list form one group: every row when every
-    # pair is checked, one row per group for the sample
-    groups: dict = {}
-    for i, cols in by_row.items():
-        groups.setdefault(tuple(cols), []).append(i)
-    sides = _series_sides(p)
-    for cols, rows in groups.items():
-        lims = _row_limits(sides, rows, cols)
-        # the closed forms over Q, one kernel call per group and kind; read
-        # from the overlap module, as `_hahn_table` here is the series kernel
-        # of `_row_limits`
-        kinds = (overlap._hahn_table, overlap._krawtchouk_table)
-        closed = [factored_values(kind(p, rows, cols)) for kind in kinds]
-        for r, i in enumerate(rows):
-            for c, x in enumerate(cols):
-                for lim, form, identity in zip(lims, closed, _LIMIT_IDENTITIES):
-                    if lim[r][c] != form[r][c]:
-                        return False, _entry_witness((i, x, lim[r][c], form[r][c]), identity, ("i", "x"))
+    sides, pairs, basis = _series_sides(p), _limit_pairs(ctx.basis), ctx.basis
+    if len(pairs) == len(basis) ** 2:
+        # the closed forms read from the overlap module, as `_hahn_table`
+        # here is the series kernel of `_row_limits`
+        kinds, pos = (overlap._hahn_table, overlap._krawtchouk_table), {m: k for k, m in enumerate(basis)}
+        tables = [*_row_limits(sides, basis, basis), *(factored_values(kind(p, basis, basis)) for kind in kinds)]
+        checked = ((i, x, *(v[pos[i]][pos[x]] for v in tables)) for i, x in pairs)
+    else:
+        checked = _sampled_limits(p, sides, pairs)
+    for i, x, *values in checked:
+        for lim, form, identity in zip(values[:2], values[2:], _LIMIT_IDENTITIES):
+            if lim != form:
+                return False, _entry_witness((i, x, lim, form), identity, ("i", "x"))
     return True, None
 
 

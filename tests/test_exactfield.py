@@ -14,6 +14,7 @@ from tdpair.exactfield import (
     PrecisionExhausted,
     RationalFunction,
     ZeroDenominatorPochhammer,
+    _rising,
     as_integer,
     binomial,
     format_scalar,
@@ -50,6 +51,18 @@ def _rf_values(draw):
 class TestPochhammer:
     def test_length_zero_is_one(self):
         assert pochhammer(Fraction(5), 0) == 1
+
+    @pytest.mark.parametrize("kind", ["int", "rational function", "series"])
+    def test_unit_rising_pair_is_two_ints(self, kind):
+        # a zero-length symbol brings no Fraction(1) into a line, whatever
+        # its base; pochhammer itself still returns Fraction(1)
+        t = variable_t()
+        n = {"int": -3, "rational function": t + Fraction(1, 2), "series": LaurentSeries(-1, 1)}[kind]
+        for x in (n, 0, 7):
+            got = _rising(x, 1, 0)
+            assert got == (1, 1) and all(type(v) is int for v in got)
+        for x in (Fraction(5), t + 1, LaurentSeries(-1, 1)):
+            assert pochhammer(x, 0) == 1 and type(pochhammer(x, 0)) is Fraction
 
     def test_hits_zero_factor(self):
         assert pochhammer(Fraction(-2), 3) == 0

@@ -919,7 +919,7 @@ _ACCESSORS = {
     *(("multiindex.py", name) for name in ("__new__", "weight", "N", "diameter", "__eq__", "__hash__", "_box")),
     *(("tdcore.py", name) for name in ("N", "ell", "diameter")),
 }
-_LINE_HELPERS = {("overlap.py", "_dot_table"), ("overlap.py", "_line")}
+_LINE_HELPERS = {("overlap.py", name) for name in ("_dot_table", "_frame", "_line", "_dot")}
 _S_MIRROR = {
     ("cob.py", "_swapped"),
     ("tdcore.py", "substituted_for_involution"),
@@ -928,6 +928,42 @@ _S_MIRROR = {
     ("overlap.py", "u_kernel"),
     ("overlap.py", "flip"),
 }
+
+
+class TestSolvedColumns:
+    """The U linear_solve kernel keeps each column of the back-substitution
+    as int numerators under the least column head (1, q_c); its values are
+    those of a per-entry Fraction solve, value and type, over Q and Q(t)."""
+
+    @staticmethod
+    def _per_entry_solve(p, d):
+        # M_D U = M_C entry by entry, M_D unit upper triangular in graded order
+        md, mc, u = coefficient_matrix(p, "D"), coefficient_matrix(p, "C"), {}
+        for c in range(d):
+            for r in range(d - 1, -1, -1):
+                acc = mc.item(r, c) - sum((md.item(r, k) * u[k, c] for k in range(r + 1, d)), F(0))
+                u[r, c] = acc / md.item(r, r)
+        return [[u[r, c] for c in range(d)] for r in range(d)]
+
+    @pytest.mark.parametrize(
+        "ell, free",
+        [((3, 2), None), ((2, 2, 1), None), ((4, 3), None), ((3, 3, 2), None)]
+        + [((2, 1), "omega"), ((2, 1), "omega_star"), ((3,), "omega"), ((1, 2), "omega_star")],
+    )
+    def test_values_match_a_per_entry_solve(self, ell, free):
+        p = random_valid_parameters(Shape(ell), 1)
+        if free is not None:
+            p = replace(p, **{free: getattr(p, free) + variable_t()})
+        d = len(enumerate_box(p.shape))
+        table = overlap._factored_table(p, "U", "linear_solve")
+        values, expect = factored_values(table), self._per_entry_solve(p, d)
+        assert values == expect
+        assert [list(map(type, row)) for row in values] == [list(map(type, row)) for row in expect]
+        assert table.rows == [(1, 1)] * d
+        if free is None:
+            assert all(type(z) is int for row in table.dots for z in row)
+            # each column head is the least: the lcm of its entries' denominators
+            assert [q for _, q in table.cols] == [math.lcm(*(v.denominator for v in col)) for col in zip(*values)]
 
 
 class TestRouteIndependence:

@@ -100,6 +100,7 @@ def _drive_cli(tmp_path):
     for kind in cli.LIMIT_KINDS:
         assert _cli("overlap", "--kind", kind, *seeded) == 0
     assert _cli("limits", *seeded) == 0
+    assert _cli("limits", "--shape", "3,2", "--seed", "1") == 0  # d = 12: the sampled pairs, one by one
     assert _cli("validate", "--params", invalid) == 1
     assert _cli("build", "--operator", "A", "--params", invalid) == 1
     assert _cli("verify", "--checks", "eigen,inverse", "--shape", "x", "--seed", "1") == 2

@@ -10,6 +10,7 @@ import pytest
 from tdpair import cob, multiindex, overlap, tdcore, verify
 from tdpair.exactfield import (
     LaurentSeries,
+    PrecisionExhausted,
     RationalFunction,
     as_integer,
     format_scalar,
@@ -719,17 +720,15 @@ class TestLimitsMutation:
                 overlap.overlap_T(hahn_side, i, x, "direct_sum"), RationalFunction
             ),
         )
-        original = verify._t_direct
+        original = overlap._dot_entry
 
-        def planted(params, rows, cols):
-            # the t-side kernel call of `limits`, whatever its scalar type
-            def change(values):
-                for mi, row in zip(rows, values):
-                    row[:] = [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
+        def planted(params, row_line, col_line, mi, mx):
+            # the t-side entry of the sampled `limits`: T's direct sum at omega* = 1/t
+            value = original(params, row_line, col_line, mi, mx)
+            t_side = type(params.omega_star) is LaurentSeries
+            return value + self.DELTA if t_side and (mi, mx) == (i, x) else value
 
-            return _entries_changed(original(params, rows, cols), change)
-
-        monkeypatch.setattr(verify, "_t_direct", planted)
+        monkeypatch.setattr(overlap, "_dot_entry", planted)
         closed = overlap.overlap_limit_kind(p, "hahn", i, x)
         result = run_suite(p, checks=["limits"]).result("limits")
         assert result.passed is False
@@ -745,18 +744,38 @@ class TestLimitsMutation:
         p = random_valid_parameters(Shape((3, 2)), 1)
         i, x = self._sampled_pair(p, lambda i, x: i != x)
         closed = overlap.overlap_limit_kind(p, "krawtchouk", i, x)
-        original = overlap._krawtchouk_table
-
-        def planted(params, rows, cols):
-            def change(values):
-                for mi, row in zip(rows, values):
-                    row[:] = [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
-
-            return _entries_changed(original(params, rows, cols), change)
-
-        monkeypatch.setattr(overlap, "_krawtchouk_table", planted)
+        self._plant_krawtchouk(monkeypatch, {(i, x)})
         result = run_suite(p, checks=["limits"]).result("limits")
         assert result.passed is False
+        assert result.witness == {
+            "identity": "both spectra linear limit",
+            "i": format_multiindex(i),
+            "x": format_multiindex(x),
+            "lhs": format_scalar(closed),
+            "rhs": format_scalar(closed + self.DELTA),
+        }
+
+    def _plant_krawtchouk(self, monkeypatch, planted_pairs):
+        # the Krawtchouk kind as the sampled `limits` binds it, off by DELTA at planted_pairs
+        original = overlap._krawtchouk_entry
+
+        def planted(params):
+            entry = original(params)
+            return lambda mi, mx: entry(mi, mx) + (self.DELTA if (mi, mx) in planted_pairs else 0)
+
+        monkeypatch.setattr(overlap, "_krawtchouk_entry", planted)
+
+    @pytest.mark.parametrize("ell, seed", [((8,), 1), ((2, 2), 2)])
+    def test_a_repeated_row_keeps_its_pairs_together(self, monkeypatch, ell, seed):
+        # at d = 9 the tenth pair repeats the first pair's row, and the
+        # witness is that pair, checked with its row before the second pair
+        p = random_valid_parameters(Shape(ell), seed)
+        pairs = verify._limit_pairs(enumerate_box(p.shape))
+        i, x = pairs[9]
+        assert i == pairs[0][0] and pairs[1][0] != i
+        closed = overlap.overlap_limit_kind(p, "krawtchouk", i, x)
+        self._plant_krawtchouk(monkeypatch, {pairs[1], pairs[9]})
+        result = run_suite(p, checks=["limits"]).result("limits")
         assert result.witness == {
             "identity": "both spectra linear limit",
             "i": format_multiindex(i),
@@ -783,6 +802,28 @@ class TestLimitsMutation:
         monkeypatch.setattr(verify, "_limit_pairs", every_pair)
         assert run_suite(random_valid_parameters(Shape(ell), 1), checks=["limits"]).passed
         assert covered == [count]
+
+
+class TestSampledLimits:
+    """The sample of `limits` takes each pair alone, on kernels bound once
+    per check; every value equals that entry of the whole box's tables."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("ell", [(3, 2), (2, 2, 1), (4, 3), (3, 3, 2), (8,), (2, 2)])
+    def test_each_pair_equals_the_tables(self, ell, seed):
+        p = random_valid_parameters(Shape(ell), seed)
+        basis, sides = enumerate_box(p.shape), verify._series_sides(p)
+        pos, pairs = {m: k for k, m in enumerate(basis)}, verify._limit_pairs(basis)
+        kinds = (overlap._hahn_table, overlap._krawtchouk_table)
+        tables = [*verify._row_limits(sides, basis, basis), *(factored_values(k(p, basis, basis)) for k in kinds)]
+        got = list(verify._sampled_limits(p, sides, pairs))
+        # every pair once, a row's pairs together where its first pair is
+        rows = dict.fromkeys(i for i, _ in pairs)
+        assert [(i, x) for i, x, *_ in got] == [(i, x) for r in rows for i, x in pairs if i == r]
+        for i, x, *values in got:
+            expect = [t[pos[i]][pos[x]] for t in tables]
+            assert values == expect
+            assert list(map(type, values)) == list(map(type, expect))
 
 
 def _reduced_row_limits(p, rows, cols):
@@ -912,6 +953,31 @@ class TestUnknownLimits:
             "x": format_multiindex(i),
             "lhs": "does not exist: pole at t = 0: LaurentSeries(-1, 1, 1)",
             "rhs": format_scalar(overlap.overlap_limit_kind(p, "hahn", i, i)),
+        }
+
+    def test_a_sampled_pair_that_raises_leaves_its_row_unknown(self, monkeypatch):
+        # (8,), seed 1, d = 9: the tenth pair repeats the first pair's row;
+        # its T entry raising leaves that row's series limits unknown, as one
+        # kernel call per row did, so the witness is the first pair
+        p = random_valid_parameters(Shape((8,)), 1)
+        pairs = verify._limit_pairs(enumerate_box(p.shape))
+        assert pairs[9][0] == pairs[0][0] and pairs[9] != pairs[0]
+        original = overlap._dot_entry
+
+        def raising(params, row_line, col_line, i, x):
+            if type(params.omega_star) is LaurentSeries and (i, x) == pairs[9]:
+                raise PrecisionExhausted("planted")
+            return original(params, row_line, col_line, i, x)
+
+        monkeypatch.setattr(overlap, "_dot_entry", raising)
+        result = run_suite(p, checks=["limits"]).result("limits")
+        i, x = pairs[0]
+        assert result.witness == {
+            "identity": "level-linear starred spectrum limit",
+            "i": format_multiindex(i),
+            "x": format_multiindex(x),
+            "lhs": "unknown: planted",
+            "rhs": format_scalar(overlap.overlap_limit_kind(p, "hahn", i, x)),
         }
 
 
