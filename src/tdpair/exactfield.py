@@ -639,8 +639,7 @@ def _pair(v: FieldElement) -> tuple:
 
 def _rising(n, d, k: int) -> tuple:
     """(n / d)_k as a pair: over Q (d > 0) the ints prod (n + s d) and d**k,
-    over Q(t) (n a rational function, d = 1) its `pochhammer` over 1, and
-    at k = 0 the ints (1, 1) whatever n."""
+    over Q(t) (n over d = 1) its `pochhammer` over 1, at k = 0 ints (1, 1)."""
     if type(n) is int:
         return math.prod(range(n, n + k * d, d)), d**k
     return (pochhammer(n, k) if k else 1), 1

@@ -38,25 +38,24 @@ matrix routes do not use, is a shared primitive like
 `over_common_denominator`.  Parameters enter as integer pairs (`_pair`).
 
 Every overlap formula, the matrix routes included, is one table kernel
-(params, rows, cols) -> factored table (`tdcore.Factored`: row heads, column
-heads and rows of dots, entry (r, c) = ru cu z / (rv cv)), named by one
-lookup (`_kernel`) of the six routes and the two degenerate kinds
+(params, rows, cols) -> factored table (`tdcore.Factored`: row heads,
+column heads and rows of dots, entry (r, c) = ru cu z / (rv cv)), named by
+one lookup (`_kernel`) of the six routes and the two degenerate kinds
 (`_hahn_table`, `_krawtchouk_table`).  The matrix product and the Krawtchouk
 kind return values under unit heads, the back-substitution int dots under
 column heads (1, q_c).  The direct sum and the two kinds bind their line
 makers or memo once per parameter set (`_t_direct_lines`, `_hahn_lines`,
-`_krawtchouk_entry`), so `verify` can take one pair at a time
-(`_dot_entry`).  `_entry` runs a kernel on one entry and `_table` on the
-box, each validating once: `overlap_T`, `overlap_U`, `overlap_limit_kind`
-and the univariate forms are entries, `overlap_table` is a table, and
-`verify` reads `_factored_table`.  At N = 1 the shift product is a single
-Racah factor at unit argument: `univariate_t_racah` is T's,
-`univariate_u_balanced` U's, and `univariate_u_racah_normalized` T's times a
-row factor f(i) and a column factor g(x) (`_u_row_factor`,
-`_u_col_factor`).  The matrix routes are one product, T = (M_Cbar M_D)^T,
-and one back-substitution, M_D U = M_C, reading only the columns of M_D
-(rows of T) or of M_C (columns of U) asked for (`_family_columns`, on the
-families' cleared rows).
+`_krawtchouk_entry`).  `_entry` runs a kernel on one
+entry and `_table` on the box, each validating once: `overlap_T`,
+`overlap_U`, `overlap_limit_kind` and the univariate forms are entries,
+`overlap_table` is a table, and `verify` reads `_factored_table`.  At N = 1
+the shift product is a single Racah factor at unit argument:
+`univariate_t_racah` is T's, `univariate_u_balanced` U's, and
+`univariate_u_racah_normalized` T's times a row factor f(i) and a column
+factor g(x) (`_u_row_factor`, `_u_col_factor`).  The matrix routes are one
+product, T = (M_Cbar M_D)^T, and one back-substitution, M_D U = M_C, reading
+only the columns of M_D (rows of T) or of M_C (columns of U) asked for
+(`_family_columns`, on the families' cleared rows).
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from .exactfield import (
     _term_pairs,
     binomial,
     over_common_denominator,
-    pair_value,
     pfq_terminating,
     pochhammer,
 )
@@ -122,49 +120,35 @@ LIMIT_KINDS = ("hahn", "krawtchouk")
 # tables as dot products of lines
 
 
-def _dot_table(params, rows, cols, row_line, col_line) -> Factored:
+def _dot_table(row_line, col_line, params, rows, cols) -> Factored:
     """Every head(i) head(x) sum_n R_i(n) C_x(n), i of rows, x of cols, n in
     the box up to the componentwise minimum `top` of the largest row and
     column, as the factored table of the line heads and the dots (`_line`).
     row_line(i, top, strides) gives (head(i) as a pair, a dict from the
     position sum_q n_q strides_q of each n <= i with a term to R_i(n) as a
     pair, faults); col_line likewise.  A fault (key, pos, error) is a term
-    whose denominator vanished: an entry raises what it meets (`_dot`)."""
+    whose denominator vanished: an entry raises the row's head error, the
+    column's, then the fault of least key whose partner term is there."""
     top = [min(max(a), max(b)) for a, b in zip(zip(*rows), zip(*cols))]
-    strides, over_q = _frame(params, top)
-    cs, heads, dots = [_line(col_line, x, top, strides, over_q) for x in cols], [], []
-    for rl in (_line(row_line, i, top, strides, over_q) for i in rows):
-        heads.append(rl[:2])
-        dots.append([_dot(rl, cl, over_q) for cl in cs])
-    return Factored(heads, [cl[:2] for cl in cs], dots)
-
-
-def _dot_entry(params, row_line, col_line, i: MultiIndex, x: MultiIndex) -> FieldElement:
-    """Entry (i, x) of `_dot_table` on the same line makers, cut at min(i, x)."""
-    top = list(map(min, i, x))
-    strides, over_q = _frame(params, top)
-    cl, rl = (_line(make, n, top, strides, over_q) for make, n in ((col_line, x), (row_line, i)))
-    return pair_value(rl[0] * cl[0] * _dot(rl, cl, over_q), rl[1] * cl[1])
-
-
-def _frame(params, top) -> tuple[list, bool]:
-    # the strides of lines cut at top; rational parameters make every pair
-    # two ints: dense lines, one int dot product
+    strides = [prod(t + 1 for t in top[q + 1 :]) for q in range(len(top))]
+    # rational parameters make every pair two ints: dense lines, one int dot product
     over_q = all(type(v) in (int, Fraction) for v in (params.omega, params.omega_star, *params.a))
-    return [prod(t + 1 for t in top[q + 1 :]) for q in range(len(top))], over_q
-
-
-def _dot(rl: tuple, cl: tuple, over_q: bool):
-    """The dot of a row line and a column line (`_line`), or what their entry
-    meets: the row's head error, the column's, then the fault of least key
-    whose partner term is there."""
-    (ru, rv, rn, rt, rf), (cu, cv, cn, ct, cf) = rl, cl
-    if rv is None or cv is None or rf or cf:
-        errors = [h for h in (ru, cu) if isinstance(h, Exception)]
-        met = [f for f in rf if f[1] in ct] + [f for f in cf if f[1] in rt]
-        if errors or met:
-            raise errors[0] if errors else min(met, key=lambda f: f[0])[2]
-    return sum(map(mul, rn, cn)) if over_q else sum(u * cn[pos] for pos, u in rn.items() if pos in cn)
+    cs, heads, dots = [_line(col_line, x, top, strides, over_q) for x in cols], [], []
+    for ru, rv, rn, rt, rf in (_line(row_line, i, top, strides, over_q) for i in rows):
+        row = []
+        for cu, cv, cn, ct, cf in cs:
+            if rv is None or cv is None or rf or cf:
+                heads = [h for h in (ru, cu) if isinstance(h, Exception)]
+                met = [f for f in rf if f[1] in ct] + [f for f in cf if f[1] in rt]
+                if heads or met:
+                    raise heads[0] if heads else min(met, key=lambda f: f[0])[2]
+            if over_q:
+                row.append(sum(map(mul, rn, cn)))
+            else:
+                row.append(sum(u * cn[pos] for pos, u in rn.items() if pos in cn))
+        heads.append((ru, rv))
+        dots.append(row)
+    return Factored(heads, [(cu, cv) for cu, cv, *_ in cs], dots)
 
 
 def _line(make, index: MultiIndex, top, strides, over_q: bool) -> tuple:
@@ -267,7 +251,7 @@ def _t_shift(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[Mu
     c2 = [_pair(sum(ell[p - 1 :]) + 1 + a[p - 1] + om) for p in range(1, N + 1)]
     details = ("T shift head", "Racah factor series")
     row_line, col_line = _racah_line(_pair(oms), c1, details, ell), _racah_line(_pair(om), c2, details)
-    return _dot_table(params, rows, cols, row_line, col_line)
+    return _dot_table(row_line, col_line, params, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +260,7 @@ def _t_shift(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[Mu
 
 def _t_direct(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) by the nested sum on the lines of `_t_direct_lines`."""
-    return _dot_table(params, rows, cols, *_t_direct_lines(params))
+    return _dot_table(*_t_direct_lines(params), params, rows, cols)
 
 
 def _t_direct_lines(params: TDParameters) -> tuple[Callable, Callable]:
@@ -394,9 +378,8 @@ def _u_solved(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[M
     pos = {m: k for k, m in enumerate(_box(params.shape))}
     mc = _family_columns(params, "C", cols)
     m = _back_substitution(_content_lines(_coefficient_rows(params, "D"), 0), _content_lines(mc, 1), len(pos))
-    solved = [m.get(pos[x], ({}, 1)) for x in cols]
-    dots = [[u.get(pos[i], 0) for u, _ in solved] for i in rows]
-    return Factored([(1, 1)] * len(rows), [(1, q) for _, q in solved], dots)
+    sol = [m.get(pos[x], ({}, 1)) for x in cols]
+    return Factored([(1, 1)] * len(rows), [(1, q) for _, q in sol], [[u.get(pos[i], 0) for u, _ in sol] for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +539,7 @@ def univariate_u_racah_normalized(params: TDParameters, i, x) -> FieldElement:
 
 def _hahn_table(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """The truncated Hahn kind on the lines of `_hahn_lines`."""
-    return _dot_table(params, rows, cols, *_hahn_lines(params))
+    return _dot_table(*_hahn_lines(params), params, rows, cols)
 
 
 def _hahn_lines(params: TDParameters) -> tuple[Callable, Callable]:

@@ -452,12 +452,11 @@ def cleared_product(x: tuple, y: tuple) -> tuple[dict, FieldElement]:
 
 
 def _back_substitution(row_lines: tuple, col_lines: tuple, dimension: int) -> dict:
-    """{c: ({r: u}, q)}, x_rc = u / q (a zero left out), with M X = B, M upper
+    """{c: ({r: u}, q)}, x_rc = u / q (zeros left out), with M X = B, M upper
     triangular with nonzero diagonal, from the row lines of M and the column
-    lines of B (`_lines`).  With row r of M over L_r (diagonal D_r, entries
-    V), x_r = (L_r b_r - sum V x) / D_r over the column's running
-    denominator q, the lcm of those of b and the x so far: a new x costs one
-    gcd and scales the others' numerators, so the final q is least."""
+    lines of B (`_lines`).  With row r of M over L_r (diagonal D_r, entries V),
+    x_r = (L_r b_r - sum V x) / D_r over the column's least denominator q, the
+    lcm of those of b and the x so far: a new x costs one gcd and scales the rest."""
     (row_den, rows), (col_den, b) = row_lines, col_lines
     upper = {r: [(cc, v) for cc, v in row.items() if cc > r] for r, row in rows.items()}
     diag = {r: row[r] for r, row in rows.items()}

@@ -393,17 +393,18 @@ def _series_sides(p: TDParameters) -> tuple[TDParameters, TDParameters]:
     return replace(p, omega_star=s), replace(p, omega=s)
 
 
-def _series_limits(table: Callable, rows: Sequence, cols: Sequence) -> list:
-    """The t -> 0 limits of table(), one row of Laurent series per row of
-    rows.  An entry whose t^0 coefficient is unknown is the
-    PrecisionExhausted that says so, never a guessed value; so is every
-    entry when table() raises it; an entry with a pole at t = 0 is the
-    PoleAtZero that says its limit does not exist."""
+def _series_limits(kernel: Callable, params: TDParameters, rows: Sequence, cols: Sequence) -> list:
+    """The t -> 0 limits of kernel(params, rows, cols), one row of values
+    per row of rows, params a parameter set over Laurent series.  An entry
+    whose t^0 coefficient is unknown is the PrecisionExhausted that says
+    so, never a guessed value; so is every entry when the kernel itself
+    raises it; an entry with a pole at t = 0 is the PoleAtZero that says
+    its limit does not exist."""
     try:
-        values = table()
+        table = factored_values(kernel(params, rows, cols))
     except PrecisionExhausted as err:
         return [[err] * len(cols) for _ in rows]
-    return [[_limit_or_error(v) for v in line] for line in values]
+    return [[_limit_or_error(v) for v in line] for line in table]
 
 
 def _limit_or_error(v):
@@ -417,8 +418,7 @@ def _row_limits(sides: tuple, rows: Sequence, cols: Sequence) -> tuple[list, lis
     """For each i of rows and x of cols, the t -> 0 limits of T_i(x) at
     omega* = 1/t and of the truncated Hahn kind at omega = 1/t, both taken
     in Laurent series by one table-kernel call per kind, at the parameter
-    sets sides = `_series_sides(p)`; `_sampled_limits` takes the same
-    limits pair by pair.
+    sets sides = `_series_sides(p)`; `_sampled_limits` takes them per row.
 
     Relative precision 1, the only one `LaurentSeries` has, always
     suffices.  Call the sum of a term's factors' valuations its nominal
@@ -434,31 +434,29 @@ def _row_limits(sides: tuple, rows: Sequence, cols: Sequence) -> tuple[list, lis
     entry left unknown means a kernel broke this premise, a defect that
     `_check_limits` reports as a failure.
     """
-    kernels = zip((_t_direct, _hahn_table), sides)
-    return tuple(_series_limits(lambda: factored_values(k(q, rows, cols)), rows, cols) for k, q in kernels)
+    at_star, at_omega = sides
+    return _series_limits(_t_direct, at_star, rows, cols), _series_limits(_hahn_table, at_omega, rows, cols)
 
 
 def _sampled_limits(p: TDParameters, sides: tuple, pairs: Sequence):
-    """(i, x, the two series limits, the two closed forms) per pair, each
-    kernel bound once and each pair one entry (`_dot_entry`); a row's pairs
-    are taken together where its first is, and one that raises leaves the
-    row's series limits unknown."""
-    (at_star, at_omega), rows = sides, {}
-    bound = ((overlap._t_direct_lines, at_star), (overlap._hahn_lines, at_omega), (overlap._hahn_lines, p))
-    entries = [partial(overlap._dot_entry, q, *lines(q)) for lines, q in bound] + [overlap._krawtchouk_entry(p)]
+    """(i, x, the two series limits, the two closed forms) per pair, on line
+    kernels bound once per check: a row's pairs are one table, taken where
+    the row's first pair is."""
+    kinds, by_row = (overlap._t_direct_lines, overlap._hahn_lines), {}
+    series = [partial(overlap._dot_table, *lines(q)) for lines, q in zip(kinds, sides)]
+    hahn, krawtchouk = partial(overlap._dot_table, *overlap._hahn_lines(p)), overlap._krawtchouk_entry(p)
     for i, x in pairs:
-        rows.setdefault(i, []).append(x)
-    for i, cols in rows.items():
-        values = [_series_limits(lambda: [[entry(i, x) for x in cols]], [i], cols)[0] for entry in entries[:2]]
-        values += [[entry(i, x) for x in cols] for entry in entries[2:]]
-        yield from ((i, *v) for v in zip(cols, *values))
+        by_row.setdefault(i, []).append(x)
+    for i, cols in by_row.items():
+        (lim_t,), (lim_h,) = (_series_limits(k, q, [i], cols) for k, q in zip(series, sides))
+        (form_h,) = factored_values(hahn(p, [i], cols))
+        yield from ((i, x, *v) for x, *v in zip(cols, lim_t, lim_h, form_h, [krawtchouk(i, x) for x in cols]))
 
 
 def _check_limits(ctx: _Context):
     """T's limit at omega* = 1/t against the Hahn kind, then the Hahn kind's
-    at omega = 1/t against the Krawtchouk kind, on the pairs of
-    `_limit_pairs`: every pair of the box as one table per kind
-    (`_row_limits`), a sample pair by pair (`_sampled_limits`)."""
+    at omega = 1/t against the Krawtchouk kind, on `_limit_pairs`: the box as
+    one table per kind (`_row_limits`), a sample per row (`_sampled_limits`)."""
     p = ctx.params
     if any(type(v) is not Fraction for v in [getattr(p, k) for k in _PARAM_KEYS] + list(p.a)):
         # the limits substitute their own t, which a Q(t) parameter would share
@@ -470,8 +468,7 @@ def _check_limits(ctx: _Context):
     _ensure_valid(p)
     sides, pairs, basis = _series_sides(p), _limit_pairs(ctx.basis), ctx.basis
     if len(pairs) == len(basis) ** 2:
-        # the closed forms read from the overlap module, as `_hahn_table`
-        # here is the series kernel of `_row_limits`
+        # the closed forms from the overlap module: `_hahn_table` here is the series kernel
         kinds, pos = (overlap._hahn_table, overlap._krawtchouk_table), {m: k for k, m in enumerate(basis)}
         tables = [*_row_limits(sides, basis, basis), *(factored_values(kind(p, basis, basis)) for kind in kinds)]
         checked = ((i, x, *(v[pos[i]][pos[x]] for v in tables)) for i, x in pairs)

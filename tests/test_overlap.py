@@ -919,7 +919,7 @@ _ACCESSORS = {
     *(("multiindex.py", name) for name in ("__new__", "weight", "N", "diameter", "__eq__", "__hash__", "_box")),
     *(("tdcore.py", name) for name in ("N", "ell", "diameter")),
 }
-_LINE_HELPERS = {("overlap.py", name) for name in ("_dot_table", "_frame", "_line", "_dot")}
+_LINE_HELPERS = {("overlap.py", "_dot_table"), ("overlap.py", "_line")}
 _S_MIRROR = {
     ("cob.py", "_swapped"),
     ("tdcore.py", "substituted_for_involution"),

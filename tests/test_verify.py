@@ -720,15 +720,18 @@ class TestLimitsMutation:
                 overlap.overlap_T(hahn_side, i, x, "direct_sum"), RationalFunction
             ),
         )
-        original = overlap._dot_entry
+        original = overlap._dot_table
 
-        def planted(params, row_line, col_line, mi, mx):
-            # the t-side entry of the sampled `limits`: T's direct sum at omega* = 1/t
-            value = original(params, row_line, col_line, mi, mx)
-            t_side = type(params.omega_star) is LaurentSeries
-            return value + self.DELTA if t_side and (mi, mx) == (i, x) else value
+        def planted(row_line, col_line, params, rows, cols):
+            # the t-side table of the sampled `limits`: T's direct sum at omega* = 1/t
+            def change(values):
+                for mi, row in zip(rows, values):
+                    row[:] = [v + self.DELTA if (mi, mx) == (i, x) else v for mx, v in zip(cols, row)]
 
-        monkeypatch.setattr(overlap, "_dot_entry", planted)
+            table = original(row_line, col_line, params, rows, cols)
+            return _entries_changed(table, change) if type(params.omega_star) is LaurentSeries else table
+
+        monkeypatch.setattr(overlap, "_dot_table", planted)
         closed = overlap.overlap_limit_kind(p, "hahn", i, x)
         result = run_suite(p, checks=["limits"]).result("limits")
         assert result.passed is False
@@ -805,8 +808,9 @@ class TestLimitsMutation:
 
 
 class TestSampledLimits:
-    """The sample of `limits` takes each pair alone, on kernels bound once
-    per check; every value equals that entry of the whole box's tables."""
+    """The sample of `limits` takes each row's pairs as one table, on line
+    kernels bound once per check; every value equals that entry of the
+    whole box's tables."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("ell", [(3, 2), (2, 2, 1), (4, 3), (3, 3, 2), (8,), (2, 2)])
@@ -957,19 +961,19 @@ class TestUnknownLimits:
 
     def test_a_sampled_pair_that_raises_leaves_its_row_unknown(self, monkeypatch):
         # (8,), seed 1, d = 9: the tenth pair repeats the first pair's row;
-        # its T entry raising leaves that row's series limits unknown, as one
-        # kernel call per row did, so the witness is the first pair
+        # its T entry raising leaves that row's series limits unknown, so
+        # the witness is the first pair
         p = random_valid_parameters(Shape((8,)), 1)
         pairs = verify._limit_pairs(enumerate_box(p.shape))
         assert pairs[9][0] == pairs[0][0] and pairs[9] != pairs[0]
-        original = overlap._dot_entry
+        original = overlap._dot_table
 
-        def raising(params, row_line, col_line, i, x):
-            if type(params.omega_star) is LaurentSeries and (i, x) == pairs[9]:
+        def raising(row_line, col_line, params, rows, cols):
+            if type(params.omega_star) is LaurentSeries and pairs[9][0] in rows and pairs[9][1] in cols:
                 raise PrecisionExhausted("planted")
-            return original(params, row_line, col_line, i, x)
+            return original(row_line, col_line, params, rows, cols)
 
-        monkeypatch.setattr(overlap, "_dot_entry", raising)
+        monkeypatch.setattr(overlap, "_dot_table", raising)
         result = run_suite(p, checks=["limits"]).result("limits")
         i, x = pairs[0]
         assert result.witness == {
