@@ -256,8 +256,8 @@ class RationalFunction:
     # -- field structure ------------------------------------------------
     # With a polynomial operand P/c the result needs no gcd: a/b + P/c has
     # numerator ac + Pb and gcd(ac + Pb, bc) = gcd(a, b) = 1 over Q; a
-    # constant scales a/b and keeps it coprime.  Those paths only remove
-    # the integer content.
+    # constant scales a/b, or c / (a/b) = cb/a, and keeps it coprime.  Those
+    # paths only remove the integer content.
 
     def __add__(self, other):
         o = _as_rf(other)
@@ -297,7 +297,8 @@ class RationalFunction:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction._make(_pmul(self.num, o.den), _pmul(self.den, o.num), o.is_constant())
+        constant = o.is_constant() or self.is_constant()
+        return RationalFunction._make(_pmul(self.num, o.den), _pmul(self.den, o.num), constant)
 
     def __rtruediv__(self, other):
         o = _as_rf(other)
@@ -588,7 +589,7 @@ def _coerce(v) -> FieldElement:
 
 def pochhammer(x: FieldElement, k: int) -> FieldElement:
     """Rising factorial x(x+1)...(x+k-1); equals 1 when k = 0."""
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError("pochhammer requires a nonnegative integer length")
     x = _coerce(x)
     if k == 0:
@@ -620,9 +621,9 @@ def _inv_poch(base: FieldElement, k: int, detail: str) -> FieldElement:
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with the convention 0 outside 0 <= k <= n."""
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError("binomial requires a nonnegative integer n")
-    if not isinstance(k, int):
+    if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError("binomial requires an integer k")
     if k < 0 or k > n:
         return 0
@@ -703,7 +704,7 @@ def hypergeometric_term_pairs(
 
 def _term_pairs(nums: list, dens: list, kmax: int, zp: tuple, detail: str) -> Iterator[tuple]:
     """`hypergeometric_term_pairs` on parameters and z given as pairs (n, d)."""
-    if not isinstance(kmax, int) or kmax < 0:
+    if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 0:
         raise ValueError("kmax must be a nonnegative integer")
     # the parameters' denominators scale every step's ratio alike
     up, down = zp

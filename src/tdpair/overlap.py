@@ -26,26 +26,29 @@ kappa <= min(i, x) of the product of the factors' Z^{kappa_p} terms.  A
 factor is binom(ell, i) (b1)_i (b2)_x times the terminating 4F3(-i, -x, a1,
 a2; b1, b2, -ell; Z), and its term k is an i-side binom(ell_p, i_p)
 (b1)_{i_p} (-i_p)_k (a1)_k / (b1)_k of i and K, over k! (-ell_p)_k, times an
-x-side (b2)_{x_p} (-x_p)_k (a2)_k / (b2)_k of x and K (`_racah_side`); no
-factor is formed whole.  The truncated Hahn kind splits the same way, and so
-does the direct sum, its denominators telescoped to one Pochhammer symbol
-per term (`_t_direct`).  So a pointwise table is head(i) head(x) sum_n
-R_i(n) C_x(n): one line per row and one per column, each built once over
-one common denominator, and over Q made primitive (its content moved into
-the head) with one integer dot product per entry (`_dot_table`, `_line`).
-Each route keeps its own term formula; the line-and-dot helper, which the
-matrix routes do not use, is a shared primitive like
-`over_common_denominator`.  Parameters enter as integer pairs (`_pair`).
+x-side (b2)_{x_p} (-x_p)_k (a2)_k / (b2)_k of x and K (`_racah_side`, each
+term from the last by its ratio); no factor is formed whole.  The truncated
+Hahn kind splits the same way, and so does the direct sum, its denominators
+telescoped to one Pochhammer symbol per term (`_t_direct`).  So a pointwise
+table is head(i) head(x) sum_n R_i(n) C_x(n): one line per row and one per
+column, each built once over one common denominator, and over Q made
+primitive (its content moved into the head) with one integer dot product
+per entry (`_dot_table`, `_line`).  Each route keeps its own term formula;
+the line-and-dot helper, which the matrix routes do not use, is a shared
+primitive like `over_common_denominator`.  Parameters enter as integer
+pairs (`_pair`).
 
 Every overlap formula, the matrix routes included, is one table kernel
 (params, rows, cols) -> factored table (`tdcore.Factored`: row heads,
 column heads and rows of dots, entry (r, c) = ru cu z / (rv cv)), named by
 one lookup (`_kernel`) of the six routes and the two degenerate kinds
-(`_hahn_table`, `_krawtchouk_table`).  The matrix product and the Krawtchouk
-kind return values under unit heads, the back-substitution int dots under
-column heads (1, q_c).  The direct sum and the two kinds bind their line
-makers or memo once per parameter set (`_t_direct_lines`, `_hahn_lines`,
-`_krawtchouk_entry`).  `_entry` runs a kernel on one
+(`_hahn_table`, `_krawtchouk_table`).  The Krawtchouk kind returns values
+under unit heads; the matrix product returns int dots under row heads (1,
+D's column denominator) and column heads (1, Cbar's row denominator), the
+back-substitution int dots under column heads (1, q_c).  The direct sum
+and the two kinds bind their line makers or memo once per parameter set
+(`_t_direct_lines`, `_hahn_lines`, `_krawtchouk_entry`, whose factors are
+int pairs).  `_entry` runs a kernel on one
 entry and `_table` on the box, each validating once: `overlap_T`,
 `overlap_U`, `overlap_limit_kind` and the univariate forms are entries,
 `overlap_table` is a table, and `verify` reads `_factored_table`.  At N = 1
@@ -55,7 +58,9 @@ the shift product is a single Racah factor at unit argument:
 factor g(x) (`_u_row_factor`, `_u_col_factor`).  The matrix routes are one
 product, T = (M_Cbar M_D)^T, and one back-substitution, M_D U = M_C, reading
 only the columns of M_D (rows of T) or of M_C (columns of U) asked for
-(`_family_columns`, on the families' cleared rows).
+(`_family_columns`, on the families' cleared rows), each line of an operand
+over its own denominator (`_content_lines`): the product is `@` on int
+numerators, the back-substitution `_back_substitution`.
 """
 
 from __future__ import annotations
@@ -75,7 +80,6 @@ from .exactfield import (
     _term_pairs,
     binomial,
     over_common_denominator,
-    pfq_terminating,
     pochhammer,
 )
 from .multiindex import (
@@ -84,7 +88,7 @@ from .multiindex import (
     _box,
     in_box,
 )
-from .cob import _coefficient_rows, _swapped, coefficient_matrix
+from .cob import _coefficient_rows, _swapped
 from .tdcore import (
     ExactMatrix,
     Factored,
@@ -94,7 +98,6 @@ from .tdcore import (
     _ensure_valid,
     factored_value,
     factored_values,
-    uncleared,
     unit_factored,
 )
 
@@ -181,15 +184,27 @@ def _racah_side(n: int, a: tuple, b: tuple, kmax: int, detail: str, ell=None) ->
     """The side (b)_n (-n)_k (a)_k / (b)_k of a Racah factor, over k! (-ell)_k
     too with ell, a and b pairs: ((b)_n as a pair, its term pairs up to kmax
     or the first vanishing numerator, the ZeroDenominatorPochhammer met
-    before either or None)."""
-    nums, dens = ([(-n, 1), a], [b, (-ell, 1)]) if ell is not None else ([(-n, 1), (1, 1), a], [b])
-    terms = []
-    try:
-        for _, u, v in _term_pairs(nums, dens, kmax, (1, 1), detail):
-            terms.append((u, v))
-    except ZeroDenominatorPochhammer as err:
-        return _rising(*b, n), terms, err
-    return _rising(*b, n), terms, None
+    before either or None).  Term k is term k - 1 times its ratio, the pair
+    `_term_pairs` gives: (-n + k - 1) (a + k - 1) over k (b + k - 1) (-ell +
+    k - 1), or k (-n + k - 1) (a + k - 1) over k (b + k - 1) without ell."""
+    (an, ad), (bn, bd) = a, b
+    terms, u, v = [(1, 1)], 1, 1
+    for k in range(1, kmax + 1):
+        if ell is None:
+            num, den = (k - 1 - n) * k * (an + (k - 1) * ad), k * (bn + (k - 1) * bd)
+        else:
+            num, den = (k - 1 - n) * (an + (k - 1) * ad), k * (k - 1 - ell) * (bn + (k - 1) * bd)
+        if num == 0:
+            break  # the series terminated at k - 1
+        if den == 0:
+            return _rising(bn, bd, n), terms, ZeroDenominatorPochhammer(k, detail)
+        # a rational-function or series parameter makes every step's factor one
+        if type(num) is int and type(den) is int:
+            u, v = u * num * bd, v * den * ad
+        else:
+            u = u * (num * bd) / (den * ad)
+        terms.append((u, v))
+    return _rising(bn, bd, n), terms, None
 
 
 def _path_line(index: MultiIndex, top, strides, side: Callable, rank: int) -> tuple:
@@ -364,10 +379,16 @@ def _family_columns(params: TDParameters, kind: str, indices: Sequence[MultiInde
 
 def _t_product(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
     """T_i(x) for every i of rows, x of cols as one product: T = (M_Cbar
-    M_D)^T, and row i of T reads column i of M_D only."""
-    md = uncleared(_box(params.shape), _family_columns(params, "D", rows))
-    m = coefficient_matrix(params, "Cbar") @ md
-    return unit_factored([[m.entry(x, i) for x in cols] for i in rows])
+    M_D)^T, and row i of T reads column i of M_D only.  `@` multiplies the
+    int numerators of Cbar's rows and D's columns (`_content_lines`), whose
+    denominators are the heads (1, D's column i's) and (1, Cbar's row x's)."""
+    (cden, cbar), (dden, md) = (_content_lines(_coefficient_rows(params, "Cbar"), 0),
+                                _content_lines(_family_columns(params, "D", rows), 1))
+    cbar, md = (ExactMatrix(_box(params.shape), {(r, c): v for r, row in x.items() for c, v in row.items()})
+                for x in (cbar, md))
+    m = cbar @ md
+    heads = [(1, dden[m.pos[i]]) for i in rows], [(1, cden[m.pos[x]]) for x in cols]
+    return Factored(*heads, [[m.entry(x, i).numerator for x in cols] for i in rows])
 
 
 def _u_solved(params: TDParameters, rows: Sequence[MultiIndex], cols: Sequence[MultiIndex]) -> Factored:
@@ -568,17 +589,19 @@ def _krawtchouk_table(params: TDParameters, rows: Sequence[MultiIndex], cols: Se
 
 def _krawtchouk_entry(params: TDParameters) -> Callable:
     """The Krawtchouk kind (i, x) -> the product over p of (-ell_p)_{i_p} /
-    i_p! 2F1(-i_p, -x_p; -ell_p; 1), each factor computed once per (ell_p,
-    i_p, x_p) while bound."""
-    memo: dict[tuple, FieldElement] = {}
+    i_p! 2F1(-i_p, -x_p; -ell_p; 1) as one Fraction, each factor an int pair
+    (-1)^{i_p} binom(ell_p, i_p) times the 2F1's term pairs over one common
+    denominator, computed once per (ell_p, i_p, x_p) while bound."""
+    memo: dict[tuple, tuple] = {}
 
-    def factor(lp: int, ip: int, xp: int) -> FieldElement:
+    def factor(lp: int, ip: int, xp: int) -> tuple:
         if (lp, ip, xp) not in memo:
-            head = pochhammer(-lp, ip) / pochhammer(Fraction(1), ip)
-            memo[lp, ip, xp] = head * pfq_terminating([-ip, -xp], [-lp], Fraction(1), min(ip, xp))
+            _, us, vs = zip(*_term_pairs([(-ip, 1), (-xp, 1)], [(-lp, 1)], min(ip, xp), (1, 1), "Krawtchouk series"))
+            nums, den = over_common_denominator(us, vs)
+            memo[lp, ip, xp] = ((-1) ** ip * comb(lp, ip) * sum(nums), den)
         return memo[lp, ip, xp]
 
-    return lambda i, x: prod(map(factor, params.ell, i, x), start=Fraction(1))
+    return lambda i, x: Fraction(*map(prod, zip(*map(factor, params.ell, i, x))))
 
 
 def overlap_limit_kind(params: TDParameters, kind: str, i: Sequence[int], x: Sequence[int]) -> FieldElement:

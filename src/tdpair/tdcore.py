@@ -222,16 +222,17 @@ def _xi_kernel(params: TDParameters, starred: bool) -> Callable[[tuple, int], tu
 # constraint validation
 
 
-def _general_position(len1: int, low1: FieldElement, len2: int, low2: FieldElement) -> bool:
-    """Whether two value strings, given by their lengths and least elements,
-    are in general position: one contains the other, or their union is not
-    itself a string of consecutive unit-step values.
+def _general_position(len1: int, len2: int, offset: FieldElement) -> bool:
+    """Whether two value strings of lengths len1 and len2, the least element
+    of the second `offset` above that of the first, are in general
+    position: one contains the other, or their union is not itself a string
+    of consecutive unit-step values.
 
     Both strings are unit-step intervals, so this is an interval test in
-    constant time.  When the offset between their least elements is not an
-    integer they share no element and no union of them is a string.
+    constant time.  When the offset is not an integer they share no element
+    and no union of them is a string.
     """
-    d = as_integer(low2 - low1)
+    d = as_integer(offset)
     if d is None:
         return True
     # s1 covers offsets 0..hi1 and s2 covers d..hi2
@@ -303,16 +304,21 @@ def validate_parameters(params: TDParameters) -> VerificationReport:
     start = time.perf_counter()
     bad3 = []
     # S+/-(ell_p, a_p) = {+/-(a_p + k + (omega - omega*)/2) : k = 1..ell_p} is
-    # the unit-step interval of ell_p values from its least element
-    half = (params.omega - params.omega_star) * Fraction(1, 2)
+    # the unit-step interval of ell_p values from its least element r + s
+    # (omega - omega*)/2, r = a_p + 1 and s = 1, or r = -(a_p + ell_p) and
+    # s = -1: two least elements differ by r2 - r1, plus s2 (omega - omega*)
+    # when their signs differ
+    diff = params.omega - params.omega_star
+    shift = {1: diff, -1: -diff}
     strings = [
-        (f"S{sign}(ell_{p}, a_{p})", lp, low)
+        (f"S{sign}(ell_{p}, a_{p})", lp, r, s)
         for p, (lp, ap) in enumerate(zip(ell, params.a), 1)
-        for sign, low in (("+", ap + 1 + half), ("-", -(ap + lp + half)))
+        for sign, r, s in (("+", ap + 1, 1), ("-", -(ap + lp), -1))
     ]
-    for u, (tag1, len1, low1) in enumerate(strings):
-        for tag2, len2, low2 in strings[u + 1 :]:
-            if not _general_position(len1, low1, len2, low2):
+    for u, (tag1, len1, r1, s1) in enumerate(strings):
+        for tag2, len2, r2, s2 in strings[u + 1 :]:
+            offset = r2 - r1 if s1 == s2 else r2 - r1 + shift[s2]
+            if not _general_position(len1, len2, offset):
                 bad3.append(f"{tag1} and {tag2} are not in general position")
     report.add(
         CheckResult(

@@ -2,12 +2,14 @@
 computes as table kernels: the truncated Hahn kind, the Krawtchouk kind and
 the single-coordinate T and U forms.  Each evaluates one (i, x) by itself, as the
 formula reads, so a table kernel must reproduce it value for value and type
-for type.
+for type.  One side of a Racah factor is kept as `_term_pairs` gives it,
+pair for pair.
 """
 
 from fractions import Fraction
 
 from tdpair.exactfield import (
+    ZeroDenominatorPochhammer,
     _inv_poch,
     _pair,
     _rising,
@@ -60,6 +62,23 @@ def oracle_hahn(params, i, x):
 
     head = Fraction((-1) ** sum(i)) / _inv_poch(sum(x) + om, sum(x), "Hahn head")
     return head * _walk(N, factor_terms)
+
+
+# ---------------------------------------------------------------------------
+# one side of a Racah factor as the generic series core yields it: (b)_n,
+# the term pairs of (-n)_k (a)_k / (b)_k, over k! (-ell)_k with ell, and the
+# ZeroDenominatorPochhammer that ended them or None
+
+
+def oracle_racah_side(n, a, b, kmax, detail, ell=None):
+    nums, dens = ([(-n, 1), a], [b, (-ell, 1)]) if ell is not None else ([(-n, 1), (1, 1), a], [b])
+    terms = []
+    try:
+        for _, u, v in _term_pairs(nums, dens, kmax, (1, 1), detail):
+            terms.append((u, v))
+    except ZeroDenominatorPochhammer as err:
+        return _rising(*b, n), terms, err
+    return _rising(*b, n), terms, None
 
 
 # ---------------------------------------------------------------------------

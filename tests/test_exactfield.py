@@ -128,6 +128,28 @@ class TestBinomial:
             binomial(-1, 0)
 
 
+class TestBoolLengths:
+    """A bool is not a length or an index, as `_coerce` refuses it as a
+    scalar: each primitive raises the ValueError it raises for a non-int."""
+
+    def test_pochhammer_length(self):
+        for k in (True, False, 1.0):
+            with pytest.raises(ValueError, match="nonnegative integer length"):
+                pochhammer(Fraction(1, 2), k)
+
+    def test_binomial_arguments(self):
+        for n, k, match in ((5, True, "integer k"), (5, False, "integer k"), (True, 1, "integer n"), (5, 1.0, "integer k")):
+            with pytest.raises(ValueError, match=match):
+                binomial(n, k)
+
+    def test_series_kmax(self):
+        for kmax in (True, False, 2.0):
+            with pytest.raises(ValueError, match="kmax"):
+                pfq_terminating([-2, Fraction(1, 3)], [Fraction(1, 2)], Fraction(1), kmax)
+            with pytest.raises(ValueError, match="kmax"):
+                list(hypergeometric_term_pairs([-2], [Fraction(1, 2)], kmax))
+
+
 class TestPfqTerminating:
     def test_two_f_one_minus_one_minus_one(self):
         # 2F1(-1,-1;-2;1): the k=1 term is (-1)(-1)/((1)(-2)) = -1/2,

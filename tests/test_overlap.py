@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 from collections import namedtuple
 from dataclasses import replace
@@ -54,6 +55,7 @@ from operator_oracle import shapes_to_18
 from overlap_oracle import (
     oracle_hahn,
     oracle_krawtchouk,
+    oracle_racah_side,
     oracle_t_racah,
     oracle_u_balanced,
     oracle_u_normalized,
@@ -768,6 +770,105 @@ class TestRacahFactorSpec:
                 assert univariate_t_racah(p, (0,), (x,)) == want
 
 
+class TestRacahSideRatio:
+    """`_racah_side`, each term from the last by its own ratio, against the
+    generic series core's form of one side (`oracle_racah_side`): the same
+    prefactor pair, the same unreduced term pairs, and the same fault at
+    the same k, or the same error raised."""
+
+    DETAIL = "Racah factor series"
+
+    @staticmethod
+    def _outcome(side, *args):
+        # a series by (valuation, numerator, denominator): it compares only with 0
+        def rep(v):
+            return (v.val, v.num, v.den) if isinstance(v, LaurentSeries) else v
+
+        try:
+            (pu, pv), terms, fault = side(*args)
+        except Exception as err:
+            return "raised", type(err), str(err)
+        return (rep(pu), rep(pv)), [(rep(u), rep(v)) for u, v in terms], fault and (type(fault), fault.k, fault.detail)
+
+    def _assert_same(self, n, a, b, kmax, ell):
+        args = (n, a, b, kmax, self.DETAIL, ell)
+        got = self._outcome(overlap._racah_side, *args)
+        assert got == self._outcome(oracle_racah_side, *args), args
+        return got
+
+    def test_seeded_integer_pairs(self):
+        # parameters with denominators, so each step scales by them; some
+        # series end at a vanishing numerator, some at a vanishing denominator
+        rng, ends = random.Random(1), set()
+        for _ in range(3000):
+            pair = lambda: (rng.randint(-8, 8), rng.randint(1, 4))
+            ell = rng.choice([None, rng.randint(0, 7)])
+            got = self._assert_same(rng.randint(0, 6), pair(), pair(), rng.randint(0, 7), ell)
+            ends.add("fault" if got[2] else "short" if len(got[1]) < 4 else "full")
+        assert ends == {"fault", "short", "full"}
+
+    @pytest.mark.parametrize("ell", [None, 9])
+    def test_a_vanishing_denominator_at_each_k(self, ell):
+        # b = -(k0 - 1) d / d makes (b)_k vanish first at k = k0; a = 1/3
+        # keeps every numerator nonzero, so the side ends there with k0
+        for k0 in range(1, 7):
+            for d in (1, 2, 5):
+                got = self._assert_same(6, (1, 3), (-(k0 - 1) * d, d), 6, ell)
+                assert (len(got[1]), got[2][1]) == (k0, k0)
+
+    def test_the_ell_denominator_vanishes_past_ell(self):
+        # (-ell)_k vanishes at k = ell + 1 when kmax runs past ell
+        for ell in range(0, 4):
+            got = self._assert_same(6, (1, 3), (2, 7), 6, ell)
+            assert got[2][1] == ell + 1
+
+    def test_early_termination(self):
+        # (-n)_k ends the series after k = n, (a)_k after k = m when a = -m
+        for n, m in ((0, 3), (2, 5), (4, 1), (3, 3)):
+            got = self._assert_same(n, (-m * 2, 2), (1, 2), 6, None)
+            assert len(got[1]) == min(n, m) + 1 and got[2] is None
+
+    def test_series_and_rational_function_pairs(self):
+        # a Laurent series known to relative precision 1 or only as O(t^v),
+        # and a rational function, on either side, against integer pairs
+        rng, t = random.Random(2), variable_t()
+        for _ in range(1500):
+            series = lambda: (LaurentSeries(rng.randint(-2, 1), rng.choice([0, rng.randint(-5, 5)]), rng.randint(1, 4)), 1)
+            ratfunc = lambda: (F(rng.randint(-5, 5), rng.randint(1, 4)) + rng.choice([1, -1]) * t, 1)
+            rational = lambda: (rng.randint(-6, 6), rng.randint(1, 4))
+            make_a, make_b = rng.choice([(series, rational), (rational, series), (series, series),
+                                         (ratfunc, rational), (rational, ratfunc), (ratfunc, ratfunc)])
+            self._assert_same(rng.randint(0, 5), make_a(), make_b(), rng.randint(0, 6), rng.choice([None, rng.randint(0, 6)]))
+
+
+class TestProductRoute:
+    """The T matrix_product kernel, int dots under the heads of D's columns
+    and Cbar's rows, against the Fraction product M_Cbar M_D of the public
+    matrices, value for value and type for type."""
+
+    @pytest.mark.parametrize(
+        "ell, free",
+        [((3, 2), None), ((2, 2, 1), None), ((4, 3), None), ((3, 3, 2), None)]
+        + [((2, 1), "omega"), ((2, 1), "omega_star"), ((3,), "omega"), ((1, 2), "omega_star")],
+    )
+    def test_values_match_the_fraction_product(self, ell, free):
+        p = random_valid_parameters(Shape(ell), 1)
+        if free is not None:
+            p = replace(p, **{free: getattr(p, free) + variable_t()})
+        basis = enumerate_box(p.shape)
+        m = coefficient_matrix(p, "Cbar") @ coefficient_matrix(p, "D")
+        table = overlap._t_product(p, basis, basis)
+        values, expect = factored_values(table), [[m.entry(x, i) for x in basis] for i in basis]
+        assert values == expect
+        assert [list(map(type, row)) for row in values] == [list(map(type, row)) for row in expect]
+        if free is None:
+            assert all(type(z) is int for row in table.dots for z in row)
+        # a sub-table reads only its own columns of D
+        rows, cols = basis[1::2], basis[::3]
+        sub = factored_values(overlap._t_product(p, rows, cols))
+        assert sub == [[m.entry(x, i) for x in cols] for i in rows]
+
+
 def _scalar(v):
     # the value with its type; a series by its valuation and known
     # coefficient, whatever denominator it is kept over
@@ -800,9 +901,13 @@ class TestHahnKernel:
 class TestKrawtchoukKernel:
     @given(shapes_to_18(), st.integers(min_value=0, max_value=10**6))
     @example(Shape((3, 2)), 1)
+    @example(Shape((5,)), 1)
+    @example(Shape((1, 1, 1)), 2)
+    @example(Shape((2, 2, 1)), 1)
     @settings(max_examples=15, deadline=None)
     def test_kernel_matches_the_per_pair_value(self, shape, seed):
-        # the table, each row and each entry, value and type
+        # the table, each row and each entry, value and type, against the
+        # per-coordinate 2F1 by `pfq_terminating`, at N = 1 to 3
         p, basis = random_valid_parameters(shape, seed), enumerate_box(shape)
         expect = [[_scalar(oracle_krawtchouk(p, i, x)) for x in basis] for i in basis]
         table = factored_values(overlap._krawtchouk_table(p, basis, basis))

@@ -135,6 +135,9 @@ def _drive_library():
         tdpair.eigenvalue(q, 1)
         tdpair.substituted_for_involution(q, True)
         tdpair.validate_parameters(q)
+    # omega and omega* moved alike: omega - omega* is a constant rational
+    # function, whose value cond2 and cond3 read
+    tdpair.validate_parameters(replace(p, omega=p.omega + t, omega_star=p.omega_star + t))
     report = tdpair.run_suite(p, checks=list(tdpair.DEFAULT_CHECKS))
     assert report.passed
     report.to_text(), report.to_json_obj(), report.result("constraints")

@@ -1,5 +1,6 @@
 """Operator assembly, parameter validation, and exact matrix algebra."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -358,9 +359,15 @@ def _string(sign, length, anchor, p):
 
 def _ends(values):
     """(length, least element) of a listed string: the element that every
-    other exceeds by an integer >= 0, as `validate_parameters` passes them
-    to `_general_position`."""
+    other exceeds by an integer >= 0."""
     return len(values), next(v for v in values if all(as_integer(w - v) >= 0 for w in values))
+
+
+def _interval_verdict(e1: list, e2: list) -> bool:
+    """`_general_position` on the lengths of two listed strings and the
+    offset between their least elements."""
+    (len1, low1), (len2, low2) = _ends(e1), _ends(e2)
+    return _general_position(len1, len2, low2 - low1)
 
 
 def _general_position_by_definition(e1: list, e2: list) -> bool:
@@ -397,7 +404,7 @@ class TestStringsGeneralPosition:
         # the interval test on the ends of two strings (sign, length,
         # anchor), checked against the definition on their listed values
         e1, e2 = (_string(*spec, self._p()) for spec in (spec1, spec2))
-        verdict = _general_position(*_ends(e1), *_ends(e2))
+        verdict = _interval_verdict(e1, e2)
         assert verdict == _general_position_by_definition(e1, e2)
         return verdict
 
@@ -443,7 +450,7 @@ class TestStringsGeneralPosition:
         # denominators: containment, overlap, touching and non-integer gaps
         p = self._p(F(twice_omega, 2), F(twice_omega_star, 2))
         e1, e2 = (_string(g, n, a, p) for g, n, a in specs)
-        assert _general_position(*_ends(e1), *_ends(e2)) == _general_position_by_definition(e1, e2)
+        assert _interval_verdict(e1, e2) == _general_position_by_definition(e1, e2)
 
     def test_over_rational_functions(self):
         # the limits substitution omega* = 1/t: opposite-sign strings drift
@@ -456,12 +463,46 @@ class TestStringsGeneralPosition:
             for u in range(len(strings)):
                 for e2 in strings[u + 1 :]:
                     e1 = strings[u]
-                    assert _general_position(*_ends(e1), *_ends(e2)) == _general_position_by_definition(e1, e2)
+                    assert _interval_verdict(e1, e2) == _general_position_by_definition(e1, e2)
             r = validate_parameters(qt).result("cond3")
             assert r.witness == (
                 [f"S{g}(ell_1, a_1) and S{g}(ell_2, a_2) are not in general position" for g in failing]
                 or None
             )
+
+    @pytest.mark.parametrize("move", ["none", "omega_star = 1/t", "omega = 1/t", "both by t"])
+    def test_cond3_against_the_listed_strings_seeded(self, move):
+        # seeded sets over Q and at the three Q(t) substitutions: cond3's
+        # verdict and witness are the definition's on the listed values,
+        # each string's least element built from (omega - omega*)/2 as the
+        # string reads; omega - omega* is a constant rational function when
+        # both are moved by t
+        rng, t, verdicts = random.Random(5), variable_t(), set()
+        for _ in range(40):
+            ell = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+            half = lambda: F(rng.randint(-6, 6), 2)
+            p = TDParameters(Shape(ell), 0, 0, 1, 1, half(), half(), tuple(half() for _ in ell))
+            p = {
+                "none": p,
+                "omega_star = 1/t": replace(p, h_star=p.h_star * t, omega_star=1 / t),
+                "omega = 1/t": replace(p, h=p.h * t, omega=1 / t),
+                "both by t": replace(p, omega=p.omega + t, omega_star=p.omega_star + t),
+            }[move]
+            strings = [
+                (f"S{'+' if g == 1 else '-'}(ell_{q}, a_{q})", _string(g, lq, aq, p))
+                for q, (lq, aq) in enumerate(zip(ell, p.a), 1)
+                for g in (1, -1)
+            ]
+            expect = [
+                f"{tag1} and {tag2} are not in general position"
+                for u, (tag1, e1) in enumerate(strings)
+                for tag2, e2 in strings[u + 1 :]
+                if not _general_position_by_definition(e1, e2)
+            ]
+            r = validate_parameters(p).result("cond3")
+            assert (r.passed, r.witness) == (not expect, expect or None)
+            verdicts.add(r.passed)
+        assert verdicts == {True, False}
 
     @settings(max_examples=150, deadline=None)
     @given(
